@@ -64,8 +64,11 @@ def cmd_run(args) -> int:
     trace = sim.run()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    report = (f"mode={trace.mode} seed={trace.seed} "
+              f"events={trace.summary['totals']['events']}")
     if args.trace_level == "full":
-        (out / "trace.jsonl").write_text(trace.to_jsonl())
+        with (out / "trace.jsonl").open("wb") as fh:
+            report += f" trace_sha256={trace.write_jsonl(fh)}"
     (out / "summary.json").write_text(
         json.dumps(trace.summary, indent=2, sort_keys=False) + "\n")
     with (out / "flows.tsv").open("w") as fh:
@@ -75,8 +78,7 @@ def cmd_run(args) -> int:
         for fid, row in trace.summary["flows"].items():
             fh.write("\t".join(str(row[c]) for c in cols) + "\n")
 
-    print(f"mode={trace.mode} seed={trace.seed} "
-          f"events={trace.summary['totals']['events']}")
+    print(report)
     for fid, row in trace.summary["flows"].items():
         print(f"flow {fid}: goodput {row['goodput_bps'] / 1e6:.3f} Mbit/s, "
               f"delivered {row['delivered']}, dropped {row['dropped']}, "

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from .errors import (AssociationNotActive, ConflictingEntry, DepthExceeded,
                      EmptyStack, InvalidPath, NoRoute, RoutingLoop,
@@ -180,14 +180,12 @@ class Forwarder:
     """Routing tables plus the per-node forwarding function."""
 
     def __init__(self, tunnels: TunnelTable, ttl: int = 16,
-                 bap_header_bytes: int = 4,
-                 trace: Optional[Callable[..., None]] = None):
+                 bap_header_bytes: int = 4):
         self.tunnels = tunnels
         self.ttl = ttl
         self.bap_header_bytes = bap_header_bytes
         self.entries: dict[tuple[str, MatchKey], RouteEntry] = {}
         self.bap_terminus: dict[int, str] = {}
-        self._trace = trace or (lambda *a, **k: None)
         self._bap_route_counter = 0
 
     # -- table management -----------------------------------------------------
@@ -221,16 +219,14 @@ class Forwarder:
             return ("bap", top.route_id)
         return ("dst", packet.dst)
 
-    def _pop_owned(self, node: str, packet: Packet, ops: list[str]) -> None:
+    def _pop_owned(self, node: str, packet: Packet) -> None:
         while packet.header_stack:
             top = packet.header_stack[-1]
             if isinstance(top, GtpHeader) and self.tunnels.owns(node, top.teid):
                 decapsulate(packet, top.teid)
-                ops.append(f"decap-gtp:{top.teid.value}")
             elif (isinstance(top, BapHeader)
                   and self.bap_terminus.get(top.route_id) == node):
                 packet.header_stack.pop()
-                ops.append(f"decap-bap:{top.route_id}")
             else:
                 break
 
@@ -244,28 +240,23 @@ class Forwarder:
         if packet.ttl <= 0:
             raise RoutingLoop(f"TTL expired for {packet.flow_id}#{packet.seq} at {node}")
         packet.hop_log.append(node)
-        ops: list[str] = []
         for _ in range(2 * MAX_HEADER_DEPTH + 2):
             key = self._key(packet)
             entry = self.entries.get((node, key))
             if entry is None:
                 if not packet.header_stack and packet.dst == node:
-                    self._trace(node=node, packet=packet, ops=ops, delivered=True)
                     return None, packet
                 raise NoRoute(node, key)
-            self._pop_owned(node, packet, ops)
+            self._pop_owned(node, packet)
             for kind, arg in entry.encaps:
                 if kind == "gtp":
                     encapsulate(packet, arg, header_bytes=self.tunnels.gtp_header_bytes)
-                    ops.append(f"encap-gtp:{arg.teid.value}")
                 else:
                     if packet.depth >= MAX_HEADER_DEPTH:
                         raise DepthExceeded(f"BAP push at depth {packet.depth}")
                     packet.header_stack.append(
                         BapHeader(route_id=arg, size_bytes=self.bap_header_bytes))
-                    ops.append(f"encap-bap:{arg}")
             if entry.next_hop is not None:
-                self._trace(node=node, packet=packet, ops=ops, delivered=False)
                 return entry.next_hop, packet
             # local handoff: re-match with the inner header / bare packet
         raise RoutingLoop(f"local rematch did not terminate at {node}")
@@ -291,19 +282,12 @@ def build_f1_transport_path(scenario: Scenario, iab_du: str, mode: PathMode,
     mt = scenario.group_peer(iab_du)
     if mt is None:
         raise InvalidPath(f"{iab_du} has no grouped IAB-MT")
-    donor_du = None
-    for link in scenario.links_of(mt.id):
-        peer = scenario.node(link.other(mt.id))
-        if peer.role is Role.DONOR_DU:
-            donor_du = peer
-            break
-    if donor_du is None:
-        raise InvalidPath(f"IAB-MT {mt.id} has no radio link to a DonorDU")
+    donor_du = _donor_du_of(scenario, mt.id)
     cu = scenario.the_cu().id
     if mode is PathMode.UPF_REROUTE:
-        hops = (iab_du, mt.id, donor_du.id, cu, scenario.the_upf().id, cu)
+        hops = (iab_du, mt.id, donor_du, cu, scenario.the_upf().id, cu)
     else:
-        hops = (iab_du, mt.id, donor_du.id, cu)
+        hops = (iab_du, mt.id, donor_du, cu)
     path = Path(hops=hops, mode=mode)
     path.validate(scenario)
     return path

@@ -42,8 +42,6 @@ WIRED_PAIRS = frozenset({
     frozenset({Role.IAB_MT, Role.IAB_DU}),
 })
 
-INTERNAL_LINK_CAPACITY_BPS = 1e15  # IabMt-IabDu share one box on the UAV
-
 
 @dataclass(frozen=True)
 class Carrier:

@@ -7,12 +7,19 @@ fingerprint.
 from __future__ import annotations
 
 import hashlib
-import json
+import json.encoder
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .errors import UnknownFlow
 
 SCHEMA_VERSION = 1
+
+# The C encoder json.dumps builds per call with its defaults, built once;
+# records hold no cycles, so the circular-reference check is off.
+_ENCODE = json.encoder.c_make_encoder(
+    None, None, json.encoder.encode_basestring_ascii, None, ": ", ", ",
+    False, False, True)
 
 EVENT_KINDS = ("Arrival", "Departure", "TimerExpiry", "Directive", "Drop",
                "StateTransition")
@@ -54,13 +61,13 @@ class Trace:
     deliveries: list[Delivery] = field(default_factory=list)
     control_deliveries: list[ControlDelivery] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
-    _seq: int = 0
+    # (mode, seed, event count, SHA-256) of the last export.
+    _digest: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def emit(self, time: float, kind: str, location: str, subject: str,
              **fields) -> TraceEvent:
-        ev = TraceEvent(time=time, seq=self._seq, kind=kind, location=location,
-                        subject=subject, fields=fields)
-        self._seq += 1
+        ev = TraceEvent(time=time, seq=len(self.events), kind=kind,
+                        location=location, subject=subject, fields=fields)
         self.events.append(ev)
         return ev
 
@@ -71,24 +78,33 @@ class Trace:
     # -- export -------------------------------------------------------------
 
     def to_jsonl_lines(self):
-        yield json.dumps({"schema_version": SCHEMA_VERSION, "record": "header",
-                          "mode": self.mode, "seed": self.seed})
+        yield "".join(_ENCODE({"schema_version": SCHEMA_VERSION,
+                               "record": "header", "mode": self.mode,
+                               "seed": self.seed}, 0))
         for e in self.events:
             rec = {"time": round(e.time, 12), "seq": e.seq, "kind": e.kind,
                    "location": e.location, "subject": e.subject}
             for k in sorted(e.fields):
                 rec[k] = e.fields[k]
-            yield json.dumps(rec)
+            yield "".join(_ENCODE(rec, 0))
 
-    def to_jsonl(self) -> str:
-        return "\n".join(self.to_jsonl_lines()) + "\n"
+    def write_jsonl(self, fh=None) -> str:
+        """Write the JSON-lines export to the binary file `fh`, if given, and
+        return the SHA-256 of those bytes; each line is encoded once."""
+        h, lines = hashlib.sha256(), self.to_jsonl_lines()
+        while batch := list(islice(lines, 4096)):
+            data = ("\n".join(batch) + "\n").encode()
+            h.update(data)
+            if fh is not None:
+                fh.write(data)
+        self._digest = (self.mode, self.seed, len(self.events), h.hexdigest())
+        return self._digest[-1]
 
     def content_hash(self) -> str:
-        h = hashlib.sha256()
-        for line in self.to_jsonl_lines():
-            h.update(line.encode())
-            h.update(b"\n")
-        return h.hexdigest()
+        """SHA-256 of the export; the stored one while header and count hold."""
+        if self._digest[:3] == (self.mode, self.seed, len(self.events)):
+            return self._digest[-1]
+        return self.write_jsonl()
 
 
 def measure_throughput(trace: Trace, flow_id: str,

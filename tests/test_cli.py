@@ -1,8 +1,13 @@
+import hashlib
+import io
 import json
+import re
 
 import pytest
 
+from iabsim import Simulator, load_scenario
 from iabsim.cli import main
+from iabsim.trace import Trace
 
 
 GOOD = """
@@ -80,6 +85,7 @@ class TestRun:
         assert main(["run", good_file, "--mode", "bap", "--out", str(out),
                      "--trace-level", "summary"]) == 0
         assert not (out / "trace.jsonl").exists()
+        assert "trace_sha256" not in capsys.readouterr().out
         summary = json.loads((out / "summary.json").read_text())
         assert summary["mode"] == "BapBypass"
 
@@ -95,6 +101,46 @@ class TestRun:
             "  - {flow: dl-ue1, window: [0.0, 0.2], min_goodput_bps: 1.0e9}\n"))
         assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 1
         assert "assert failed" in capsys.readouterr().out
+
+
+def _sha256_of_lines(trace) -> str:
+    """Reference digest: every export line and its newline, hashed in order."""
+    h = hashlib.sha256()
+    for line in trace.to_jsonl_lines():
+        h.update(line.encode() + b"\n")
+    return h.hexdigest()
+
+
+class TestStreamedExport:
+    def test_file_digest_matches_report_and_fresh_run(self, good_file, tmp_path,
+                                                      capsys):
+        out = tmp_path / "out"
+        assert main(["run", good_file, "--out", str(out)]) == 0
+        printed = re.search(r"trace_sha256=([0-9a-f]{64})\n",
+                            capsys.readouterr().out).group(1)
+        written = hashlib.sha256((out / "trace.jsonl").read_bytes()).hexdigest()
+        fresh = Simulator(load_scenario(good_file)).run()
+        assert written == printed == fresh.content_hash()
+        assert written == _sha256_of_lines(fresh)
+
+    def test_empty_trace_exports_header_line(self):
+        trace = Trace(mode="UpfReroute", seed=3, flow_ids=())
+        fh = io.BytesIO()
+        digest = trace.write_jsonl(fh)
+        header = (b'{"schema_version": 1, "record": "header", '
+                  b'"mode": "UpfReroute", "seed": 3}\n')
+        assert fh.getvalue() == header
+        assert digest == hashlib.sha256(header).hexdigest() == trace.content_hash()
+
+    def test_content_hash_recomputed_after_change(self, good_file):
+        trace = Simulator(load_scenario(good_file)).run()
+        stored = trace.write_jsonl(io.BytesIO())
+        assert trace.content_hash() == stored
+        trace.emit(1.0, "Directive", location="scenario", subject="extra")
+        assert trace.content_hash() == _sha256_of_lines(trace) != stored
+        after_emit = trace.content_hash()
+        trace.seed += 1
+        assert trace.content_hash() == _sha256_of_lines(trace) != after_emit
 
 
 class TestCompare:
