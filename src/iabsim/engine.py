@@ -46,6 +46,10 @@ def link_capacity(scenario: Scenario, link: Link, tx_node_id: str) -> float:
 
 @dataclass(slots=True)
 class _LinkDir:
+    """One direction of a link: its FIFO state and its cached capacity."""
+    link: Link
+    dst: str
+    cap: Optional[float] = None  # cleared when the link's carrier changes
     next_free: float = 0.0
     occupancy: int = 0
     busy_s: float = 0.0
@@ -104,15 +108,16 @@ class Simulator:
 
     # -- scheduling ------------------------------------------------------------
 
-    def _schedule(self, t: float, fn) -> None:
-        heapq.heappush(self._heap, (t, self._heap_seq, fn))
+    def _schedule(self, t: float, fn, *args) -> None:
+        heapq.heappush(self._heap, (t, self._heap_seq, fn, args))
         self._heap_seq += 1
 
     def _schedule_timer(self, delay_s: float, fn) -> None:
-        def fire():
-            self._emit("TimerExpiry", location="control", subject="timer")
-            fn()
-        self._schedule(self.now + delay_s, fire)
+        self._schedule(self.now + delay_s, self._fire_timer, fn)
+
+    def _fire_timer(self, fn) -> None:
+        self._emit("TimerExpiry", location="control", subject="timer")
+        fn()
 
     def _emit(self, kind: str, location: str, subject: str, **fields):
         self.trace.emit(self.now, kind, location, subject, **fields)
@@ -129,14 +134,15 @@ class Simulator:
         self._ran = True
         self._schedule(0.0, self._bootstrap)
         for d in self.scn.schedule:
-            self._schedule(d.at_s, lambda d=d: self._apply_directive(d))
+            self._schedule(d.at_s, self._apply_directive, d)
         for f in self.scn.flows:
-            self._schedule(f.start_s, lambda f=f: self._inject(f, 0))
+            self._schedule(f.start_s, self._inject, f, 0)
         duration = self.scn.duration_s
-        while self._heap and self._heap[0][0] <= duration:
-            t, _, fn = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap and heap[0][0] <= duration:
+            t, _, fn, args = heapq.heappop(heap)
             self.now = t
-            fn()
+            fn(*args)
         self.now = duration
         self._finalize()
         return self.trace
@@ -182,20 +188,22 @@ class Simulator:
             self._emit("Drop", location="scenario", subject=type(d).__name__,
                        cause=type(exc).__name__, detail=str(exc))
 
-    def _instantiate_iab(self, d: IabNodeDirective) -> None:
+    def _covered_rx_dbm(self, du: Node, dist: float) -> Optional[float]:
+        """Received power of `du`'s carrier `dist` metres away; None when
+        that is outside its coverage."""
         params = self.scn.radio_params
+        dist = max(dist, params.reference_distance_m)
+        freq = du.carrier.center_frequency_hz
+        if not radio.is_covered(du.tx_power_dbm, freq, dist, params):
+            return None
+        return radio.rx_power_dbm(du.tx_power_dbm, freq, dist, params)
+
+    def _instantiate_iab(self, d: IabNodeDirective) -> None:
         best, best_rx = None, None
         for du in self.scn.nodes_with_role(Role.DONOR_DU):
-            dist = max(
-                ((d.position[0] - du.position[0]) ** 2
-                 + (d.position[1] - du.position[1]) ** 2) ** 0.5,
-                params.reference_distance_m)
-            if not radio.is_covered(du.tx_power_dbm,
-                                    du.carrier.center_frequency_hz, dist, params):
-                continue
-            rx = radio.rx_power_dbm(du.tx_power_dbm,
-                                    du.carrier.center_frequency_hz, dist, params)
-            if best_rx is None or rx > best_rx:
+            dx, dy = d.position[0] - du.position[0], d.position[1] - du.position[1]
+            rx = self._covered_rx_dbm(du, (dx ** 2 + dy ** 2) ** 0.5)
+            if rx is not None and (best_rx is None or rx > best_rx):
                 best, best_rx = du, rx
         if best is None:
             raise NoDonorCoverage(f"no donor-side DU covers {d.position}")
@@ -214,24 +222,18 @@ class Simulator:
     # -- control orchestration -------------------------------------------------------
 
     def _start_ue_attach(self, ue: Node, du: Node) -> None:
-        params = self.scn.radio_params
-        dist = max(self.scn.distance(ue.id, du.id), params.reference_distance_m)
-        covered = radio.is_covered(du.tx_power_dbm,
-                                   du.carrier.center_frequency_hz, dist, params)
+        covered = self._covered_rx_dbm(du, self.scn.distance(ue.id, du.id)) is not None
         self.cp.ue_attach(ue.id, du.id, self.scn.the_cu().id, covered)
         if self.scn.find_link(ue.id, du.id) is None:
             self.scn.add_link(du.id, ue.id, Medium.RADIO, carrier=du.carrier)
 
     def _assoc_active(self, du_id: str) -> None:
         du = self.scn.node(du_id)
-        params = self.scn.radio_params
         for ue in self.scn.nodes_with_role(Role.UE):
             ctx = self.cp.ue_contexts.get(ue.id)
             if ctx is not None and ctx.state is not UeState.DETACHED:
                 continue
-            dist = max(self.scn.distance(ue.id, du.id), params.reference_distance_m)
-            if radio.is_covered(du.tx_power_dbm, du.carrier.center_frequency_hz,
-                                dist, params):
+            if self._covered_rx_dbm(du, self.scn.distance(ue.id, du.id)) is not None:
                 self._start_ue_attach(ue, du)
 
     def _ue_connected(self, ue_id: str) -> None:
@@ -288,6 +290,9 @@ class Simulator:
         for link in self.scn.links_of(du_id):
             if link.medium is Medium.RADIO:
                 link.carrier = carrier
+                for pair in ((link.a, link.b), (link.b, link.a)):
+                    if (d := self._link_dirs.get(pair)) is not None:
+                        d.cap = None
         self._transition(f"du:{du_id}", f"carrier:{old}",
                          f"carrier:{carrier.band_label}", "du-config-update")
 
@@ -307,7 +312,7 @@ class Simulator:
         interval = f.packet_size_bytes * 8 / f.rate_bps
         next_t = f.start_s + (i + 1) * interval
         if next_t < f.stop_s:
-            self._schedule(next_t, lambda: self._inject(f, i + 1))
+            self._schedule(next_t, self._inject, f, i + 1)
 
     def _send_control(self, msg: F1Message, src: str, dst: str) -> None:
         self._ctl_seq += 1
@@ -337,14 +342,17 @@ class Simulator:
             self._drop(node, pkt, "ttl-expired", str(exc))
             return
         if via_link and self.trace_full:
-            self._emit("Arrival", location=node, subject=pkt.flow_id,
-                       pkt=pkt.seq, depth=pkt.depth,
-                       wire_size=pkt.wire_size_bytes, teids=pkt.teids_in_stack(),
-                       delivered=next_hop is None)
+            self.trace.emit(self.now, "Arrival", node, pkt.flow_id,
+                            pkt=pkt.seq, depth=pkt.depth,
+                            wire_size=pkt.wire_size_bytes,
+                            teids=pkt.teids_in_stack(),
+                            delivered=next_hop is None)
         if next_hop is None:
             self._deliver(node, pkt)
             return
-        link = self.scn.find_link(node, next_hop)
+        # Links are only appended, so a pair with no link is looked up again.
+        d = self._link_dirs.get((node, next_hop))
+        link = d.link if d is not None else self.scn.find_link(node, next_hop)
         if link is None:
             self._drop(node, pkt, "transport-down",
                        f"no link {node}->{next_hop}")
@@ -372,19 +380,17 @@ class Simulator:
             payload_bytes=pkt.payload_size_bytes,
             created_at=pkt.created_at_s, hop_log=tuple(pkt.hop_log)))
 
-    def _linkdir(self, link: Link, src: str) -> _LinkDir:
-        key = (link.id, src)
-        d = self._link_dirs.get(key)
-        if d is None:
-            d = self._link_dirs[key] = _LinkDir()
-        return d
-
     def _transmit(self, link: Link, src: str, pkt: Packet) -> None:
-        d = self._linkdir(link, src)
+        dst = link.other(src)
+        d = self._link_dirs.get((src, dst))
+        if d is None:
+            d = self._link_dirs[(src, dst)] = _LinkDir(link, dst)
         if d.occupancy >= self.proto.link_buffer_packets:
             self._drop(src, pkt, "queue-overflow", f"link {link.id}")
             return
-        cap = link_capacity(self.scn, link, src)
+        cap = d.cap
+        if cap is None:
+            cap = d.cap = link_capacity(self.scn, link, src)
         if cap <= 0:
             self._drop(src, pkt, "no-capacity", f"link {link.id}")
             return
@@ -399,18 +405,16 @@ class Simulator:
         d.packets += 1
         if pkt.kind == "user":
             self._flows[pkt.flow_id].overhead_bytes += wire - pkt.payload_size_bytes
-        dst = link.other(src)
-        prop = link.propagation_delay_s
+        self._schedule(finish, self._depart, d, src, pkt, wire)
 
-        def depart():
-            d.occupancy -= 1
-            if self.trace_full:
-                self._emit("Departure", location=link.id, subject=pkt.flow_id,
-                           pkt=pkt.seq, src=src, dst=dst, depth=pkt.depth,
-                           wire_size=wire, teids=pkt.teids_in_stack())
-            self._schedule(self.now + prop, lambda: self._handle(dst, pkt, True))
-
-        self._schedule(finish, depart)
+    def _depart(self, d: _LinkDir, src: str, pkt: Packet, wire: int) -> None:
+        d.occupancy -= 1
+        if self.trace_full:
+            self.trace.emit(self.now, "Departure", d.link.id, pkt.flow_id,
+                            pkt=pkt.seq, src=src, dst=d.dst, depth=pkt.depth,
+                            wire_size=wire, teids=pkt.teids_in_stack())
+        self._schedule(self.now + d.link.propagation_delay_s,
+                       self._handle, d.dst, pkt, True)
 
     # -- summary -------------------------------------------------------------------
 
@@ -437,9 +441,10 @@ class Simulator:
                 "overhead_bytes": st.overhead_bytes,
             }
         links = {}
-        for (lid, src), d in sorted(self._link_dirs.items()):
-            link = next(l for l in self.scn.links if l.id == lid)
-            links[f"{lid}:{src}->{link.other(src)}"] = {
+        # Directions in (link id, sender) order, as summary.json has them.
+        for (src, dst), d in sorted(self._link_dirs.items(),
+                                    key=lambda kv: (kv[1].link.id, kv[0][0])):
+            links[f"{d.link.id}:{src}->{dst}"] = {
                 "utilization": d.busy_s / duration,
                 "overhead_fraction": (d.bytes_header / d.bytes_total
                                       if d.bytes_total else 0.0),

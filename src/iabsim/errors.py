@@ -63,10 +63,6 @@ class EmptyStack(TunnelError):
     pass
 
 
-class TeidExhausted(TunnelError):
-    pass
-
-
 class RoutingError(IabSimError):
     pass
 

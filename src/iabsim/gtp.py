@@ -15,7 +15,7 @@ from typing import Optional, Union
 
 from .errors import (AssociationNotActive, ConflictingEntry, DepthExceeded,
                      EmptyStack, InvalidPath, NoRoute, RoutingLoop,
-                     SessionNotEstablished, TeidExhausted, TeidMismatch)
+                     SessionNotEstablished, TeidMismatch)
 from .topology import Role, Scenario
 
 MAX_HEADER_DEPTH = 2
@@ -67,7 +67,10 @@ class Packet:
 
     @property
     def wire_size_bytes(self) -> int:
-        return self.payload_size_bytes + sum(h.size_bytes for h in self.header_stack)
+        size = self.payload_size_bytes
+        for h in self.header_stack:
+            size += h.size_bytes
+        return size
 
     @property
     def depth(self) -> int:
@@ -99,17 +102,11 @@ class TunnelTable:
 
     def allocate_teid(self, endpoint: str) -> Teid:
         issued = self._issued.setdefault(endpoint, set())
-        if len(issued) >= TEID_MAX:
-            raise TeidExhausted(endpoint)
-        for _ in range(64):
+        while True:
             value = self._rng.randrange(1, TEID_MAX + 1)
             if value not in issued:
                 issued.add(value)
                 return Teid(value)
-        # Vanishingly unlikely at desk scale; fall back to a linear scan.
-        value = next(v for v in range(1, TEID_MAX + 1) if v not in issued)
-        issued.add(value)
-        return Teid(value)
 
     def open_tunnel(self, sender: str, receiver: str, label: str = "") -> Tunnel:
         t = Tunnel(teid=self.allocate_teid(receiver), sender=sender,

@@ -333,8 +333,10 @@ def validate_topology(scenario: Scenario) -> ValidationReport:
             continue
         if not f.start_s < f.stop_s <= scenario.duration_s:
             v.append(f"flow {f.id}: need start < stop <= duration")
-        if f.rate_bps <= 0:
-            v.append(f"flow {f.id}: rate must be positive")
+        if not 0 < f.rate_bps < math.inf:
+            v.append(f"flow {f.id}: rate must be positive and finite")
+        if f.packet_size_bytes <= 0:
+            v.append(f"flow {f.id}: packet size must be positive")
 
     return ValidationReport(violations=v)
 

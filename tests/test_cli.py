@@ -1,10 +1,15 @@
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import iabsim
 from iabsim import Simulator, load_scenario
 from iabsim.cli import main
 from iabsim.trace import Trace
@@ -57,6 +62,16 @@ class TestValidate:
         assert main(["validate", str(p)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, bad", [("packet_size: 1000", "packet_size: 0"),
+                                            ("rate: 5.0e6", "rate: .inf")],
+                             ids=["packet_size-0", "rate-inf"])
+    def test_degenerate_flow_is_a_violation(self, tmp_path, capsys, field, bad):
+        # Either value made the injection interval 0: the run never ended.
+        p = tmp_path / "degenerate.yaml"
+        p.write_text(GOOD.replace(field, bad))
+        assert main(["validate", str(p)]) == 1
+        assert "violation: flow dl-ue1" in capsys.readouterr().out
+
 
 class TestRun:
     def test_artifacts_written(self, good_file, tmp_path, capsys):
@@ -93,6 +108,22 @@ class TestRun:
         out = tmp_path / "seeded"
         assert main(["run", good_file, "--seed", "42", "--out", str(out)]) == 0
         assert json.loads((out / "summary.json").read_text())["seed"] == 42
+
+    def test_summary_identical_across_hash_seeds(self, tmp_path):
+        src = str(Path(iabsim.__file__).resolve().parent.parent)
+        outs = []
+        for hash_seed in ("1", "2"):
+            out = tmp_path / f"hashseed{hash_seed}"
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            subprocess.run([sys.executable, "-m", "iabsim.cli", "run",
+                            "bap-compare", "--trace-level", "summary",
+                            "--out", str(out)],
+                           env=env, check=True, capture_output=True,
+                           timeout=120)
+            outs.append((out / "summary.json").read_bytes())
+        assert outs[0] == outs[1]
 
     def test_failed_scenario_assert_exits_one(self, tmp_path, capsys):
         p = tmp_path / "asserted.yaml"

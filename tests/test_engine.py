@@ -52,7 +52,7 @@ class TestSerialization:
         pkt = Packet(flow_id="x", src="cu", dst="upf", kind="control",
                      payload_size_bytes=1016, created_at_s=0.0)
         sim._transmit(link, "cu", pkt)
-        d = sim._link_dirs[(link.id, "cu")]
+        d = sim._link_dirs[("cu", "upf")]
         # 8 * 1016 / 1e9 seconds of serialization
         assert d.next_free == pytest.approx(8 * 1016 / 1e9)
         assert d.bytes_total == 1016 and d.packets == 1
@@ -65,7 +65,7 @@ class TestSerialization:
                           Packet(flow_id="x", src="cu", dst="upf",
                                  kind="control", payload_size_bytes=1000,
                                  created_at_s=0.0, seq=i))
-        d = sim._link_dirs[(link.id, "cu")]
+        d = sim._link_dirs[("cu", "upf")]
         assert d.next_free == pytest.approx(2 * 8 * 1000 / 1e9)
         assert d.occupancy == 2
 
@@ -77,12 +77,34 @@ class TestSerialization:
                           Packet(flow_id="x", src="cu", dst="upf",
                                  kind="control", payload_size_bytes=1000,
                                  created_at_s=0.0, seq=i))
-        d = sim._link_dirs[(link.id, "cu")]
+        d = sim._link_dirs[("cu", "upf")]
         assert d.occupancy == 256
         drops = [e for e in sim.trace.events if e.kind == "Drop"]
         assert len(drops) == 1
         assert drops[0].fields["cause"] == "queue-overflow"
         assert drops[0].fields["pkt"] == 256  # the 257th packet, zero-based
+
+    def test_capacity_follows_du_carrier_update(self):
+        scn = build_donor_scenario(duration=1.0)
+        scn.add_link("donor-du", "ue1", Medium.RADIO, carrier=N41)
+        sim = Simulator(scn)
+        link = sim.scn.find_link("donor-du", "ue1")
+
+        def serialization_s():
+            d = sim._link_dirs.get(("donor-du", "ue1"))
+            before = d.next_free if d else 0.0
+            sim._transmit(link, "donor-du",
+                          Packet(flow_id="x", src="donor-du", dst="ue1",
+                                 kind="control", payload_size_bytes=1000,
+                                 created_at_s=0.0))
+            return sim._link_dirs[("donor-du", "ue1")].next_free - before
+
+        first = serialization_s()
+        assert first == pytest.approx(1000 * 8 / link_capacity(scn, link, "donor-du"))
+        sim._du_carrier_update("donor-du", N78)
+        second = serialization_s()
+        assert second == pytest.approx(1000 * 8 / link_capacity(scn, link, "donor-du"))
+        assert second < first  # 30 MHz of n78 against 20 MHz of n41
 
 
 class TestRunLifecycle:
@@ -91,6 +113,14 @@ class TestRunLifecycle:
         scn.add_node(Role.CU, (0, 0))
         with pytest.raises(ScenarioInvalid):
             Simulator(scn)
+
+    @pytest.mark.parametrize("field, value", [("packet_size_bytes", 0),
+                                              ("rate_bps", float("inf"))])
+    def test_degenerate_flow_rejected_at_construction(self, field, value):
+        scn = build_mini_scenario()
+        setattr(scn.flows[0], field, value)
+        with pytest.raises(ScenarioInvalid, match="flow dl-ue2"):
+            Simulator(scn)  # never run: the run would not end
 
     def test_simulator_is_single_use(self):
         sim = Simulator(build_donor_scenario(duration=0.01))
