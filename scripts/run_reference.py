@@ -15,8 +15,8 @@ def main():
     args = ap.parse_args()
 
     rows = []
+    scn = load_scenario(args.scenario)  # a run never changes its scenario
     for mode in (PathMode.UPF_REROUTE, PathMode.BAP_BYPASS):
-        scn = load_scenario(args.scenario)
         trace = Simulator(scn, mode=mode, seed=args.seed).run()
         steady = measure_throughput(trace, "dl-ue2", (4.0, 6.5))
         f = trace.summary["flows"]["dl-ue2"]

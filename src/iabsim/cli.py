@@ -1,7 +1,8 @@
 """Command-line entry point: validate / run / compare.
 
 Exit codes: 0 success, 1 violations or failed scenario assertions,
-2 parse/usage errors.
+2 parse/usage errors, among them any malformed scenario file: its ParseError
+names the entry (the README lists what counts as malformed).
 """
 from __future__ import annotations
 

@@ -7,6 +7,7 @@ scenario + seed produce identical traces.
 """
 from __future__ import annotations
 
+import copy
 import heapq
 import random
 from dataclasses import dataclass, field
@@ -76,7 +77,8 @@ class Simulator:
         report = validate_topology(scenario)
         if not report.ok:
             raise ScenarioInvalid("; ".join(report.violations))
-        self.scn = scenario
+        # Directives grow and rewrite this copy, never the caller's scenario.
+        self.scn = scenario = copy.deepcopy(scenario)
         self.mode = PathMode(mode)
         self.seed = scenario.seed if seed is None else seed
         self.rng = random.Random(self.seed)
@@ -295,10 +297,6 @@ class Simulator:
                         d.cap = None
         self._transition(f"du:{du_id}", f"carrier:{old}",
                          f"carrier:{carrier.band_label}", "du-config-update")
-
-    def du_config_update(self, du_id: str, carrier) -> None:
-        """Queue a carrier reconfiguration now (also reachable via schedule)."""
-        self.cp.du_config_update(du_id, carrier)
 
     # -- packets ------------------------------------------------------------------
 

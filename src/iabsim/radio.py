@@ -1,4 +1,4 @@
-"""Radio abstraction: log-distance pathloss, link budget, coverage, capacity.
+"""Radio abstraction: log-distance pathloss, SNR, coverage, capacity.
 
 All functions are pure; the knobs live in :class:`RadioParams`. Capacity uses
 a Shannon bound scaled by an implementation-efficiency factor and the TDD
@@ -40,14 +40,6 @@ class RadioParams:
         return replace(self, **kwargs)
 
 
-@dataclass(frozen=True)
-class LinkBudget:
-    pathloss_db: float
-    rx_power_dbm: float
-    noise_power_dbm: float
-    snr_db: float
-
-
 def path_loss_db(center_frequency_hz: float, distance_m: float,
                  params: RadioParams) -> float:
     """Log-distance pathloss: free-space loss at d0, exponent n beyond it."""
@@ -74,16 +66,6 @@ def snr_db(tx_power_dbm: float, center_frequency_hz: float, bandwidth_hz: float,
            distance_m: float, params: RadioParams) -> float:
     return (rx_power_dbm(tx_power_dbm, center_frequency_hz, distance_m, params)
             - noise_power_dbm(bandwidth_hz, params))
-
-
-def link_budget(tx_power_dbm: float, center_frequency_hz: float,
-                bandwidth_hz: float, distance_m: float,
-                params: RadioParams) -> LinkBudget:
-    pl = path_loss_db(center_frequency_hz, distance_m, params)
-    rx = tx_power_dbm - pl
-    noise = noise_power_dbm(bandwidth_hz, params)
-    return LinkBudget(pathloss_db=pl, rx_power_dbm=rx,
-                      noise_power_dbm=noise, snr_db=rx - noise)
 
 
 def is_covered(tx_power_dbm: float, center_frequency_hz: float,

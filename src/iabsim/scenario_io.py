@@ -1,22 +1,24 @@
 """Strict scenario-file loader (YAML) and bundled scenario lookup.
 
 Unknown keys are errors: a typo in a scenario must fail loudly rather than
-silently fall back to a default. Numeric fields are coerced with float() so
-scientific notation like `2.585e9` works regardless of YAML quirks.
+silently fall back to a default. Numbers go through float(), and must be
+whole where an integer is meant, so `2.585e9` works whatever YAML makes of it.
+Nodes and links are built through `Scenario.add_node`/`add_link`; what they
+reject, like any malformed value, is a ParseError that names the entry.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
 from typing import Optional
 
 import yaml
 
-from .errors import ParseError
+from .errors import ParseError, TopologyError
 from .radio import RadioParams
 from .topology import (Carrier, DuConfigUpdateDirective, FlowAssert, FlowSpec,
-                       IabNodeDirective, Link, Medium, Node, ProtocolConstants,
-                       Role, Scenario)
+                       IabNodeDirective, Medium, ProtocolConstants, Role, Scenario)
 
 TOP_KEYS = {"seed", "duration", "radio_defaults", "protocol", "nodes", "links",
             "flows", "schedule", "asserts"}
@@ -30,51 +32,82 @@ ASSERT_KEYS = {"flow", "window", "min_goodput_bps", "max_goodput_bps",
 RADIO_KEYS = {"pathloss_exponent", "reference_distance", "noise_figure",
               "thermal_noise_density", "coverage_rsrp_threshold", "efficiency",
               "tdd_dl_fraction"}
+# The RadioParams field of each file key spelled differently from it.
+RADIO_RENAME = {"reference_distance": "reference_distance_m",
+                "noise_figure": "noise_figure_db",
+                "thermal_noise_density": "thermal_noise_dbm_hz",
+                "coverage_rsrp_threshold": "coverage_rsrp_threshold_dbm"}
 PROTO_KEYS = {"gtp_header_bytes", "bap_header_bytes", "control_message_bytes",
               "ttl", "link_buffer_packets"}
 IAB_DIRECTIVE_KEYS = {"at", "kind", "position", "access_carrier", "tx_power",
                       "mt_tx_power", "group"}
 DU_UPDATE_KEYS = {"at", "kind", "du", "carrier"}
+_REQUIRED = object()
 
 
-def _check_keys(mapping: dict, allowed: set, where: str) -> None:
+def _check_keys(mapping: dict, allowed: set, where: str, required=()) -> None:
     if not isinstance(mapping, dict):
         raise ParseError(f"{where}: expected a mapping, got {type(mapping).__name__}")
     unknown = set(mapping) - allowed
     if unknown:
         raise ParseError(f"{where}: unknown key {sorted(unknown)[0]!r}")
+    for key in required:
+        if key not in mapping:
+            raise ParseError(f"{where}: missing required key {key!r}")
 
 
-_REQUIRED = object()
+@contextmanager
+def _entry(where: str):
+    """Re-raise what a model constructor rejects as a ParseError naming `where`."""
+    try:
+        yield
+    except (TopologyError, ValueError) as exc:
+        raise ParseError(f"{where}: {type(exc).__name__}: {exc}") from None
 
 
-def _num(mapping: dict, key: str, where: str, default=_REQUIRED) -> Optional[float]:
+def _coerce(value, what: str, integer: bool = False):
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError(f"{what} is not numeric ({value!r})") from None
+    if integer and not x.is_integer():
+        raise ParseError(f"{what} is not an integer ({value!r})")
+    return int(x) if integer else x
+
+
+def _num(mapping: dict, key: str, where: str, default=_REQUIRED, integer=False):
     if key not in mapping:
         if default is _REQUIRED:
             raise ParseError(f"{where}: missing required key {key!r}")
         return default
-    try:
-        return float(mapping[key])
-    except (TypeError, ValueError):
-        raise ParseError(f"{where}: key {key!r} is not numeric "
-                         f"({mapping[key]!r})") from None
+    return _coerce(mapping[key], f"{where}: key {key!r}", integer)
+
+
+def _int(mapping: dict, key: str, where: str, default=_REQUIRED) -> int:
+    return _num(mapping, key, where, default, integer=True)
+
+
+def _pair(raw, what: str, shape: str) -> tuple[float, float]:
+    if not isinstance(raw, (list, tuple)) or len(raw) != 2:
+        raise ParseError(f"{what} must be {shape}")
+    return (_coerce(raw[0], f"{what}[0]"), _coerce(raw[1], f"{what}[1]"))
 
 
 def _carrier(raw: dict, where: str) -> Carrier:
     _check_keys(raw, CARRIER_KEYS, where)
-    try:
+    with _entry(where):
         return Carrier(band_label=str(raw.get("band_label", "")),
                        center_frequency_hz=_num(raw, "center_frequency", where),
                        bandwidth_hz=_num(raw, "bandwidth", where),
                        scs_hz=_num(raw, "scs", where))
-    except ValueError as exc:
-        raise ParseError(f"{where}: {exc}") from None
 
 
-def _position(raw, where: str) -> tuple[float, float]:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 2:
-        raise ParseError(f"{where}: position must be [x, y]")
-    return (float(raw[0]), float(raw[1]))
+def _radio(raw: dict, where: str, base: RadioParams) -> tuple[dict, RadioParams]:
+    """The RadioParams fields that `raw` sets, and `base` with them applied."""
+    _check_keys(raw, RADIO_KEYS, where)
+    fields = {RADIO_RENAME.get(k, k): _num(raw, k, where) for k in raw}
+    with _entry(where):
+        return fields, base.overridden(**fields)
 
 
 def loads(text: str, name: str = "<scenario>") -> Scenario:
@@ -84,115 +117,89 @@ def loads(text: str, name: str = "<scenario>") -> Scenario:
         raise ParseError(f"{name}: not valid YAML: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{name}: top level must be a mapping")
-    _check_keys(doc, TOP_KEYS, name)
-    if "duration" not in doc:
-        raise ParseError(f"{name}: missing required key 'duration'")
+    _check_keys(doc, TOP_KEYS, name, required=("duration",))
 
     radio_params = RadioParams()
     if "radio_defaults" in doc:
-        raw = doc["radio_defaults"]
-        _check_keys(raw, RADIO_KEYS, f"{name}:radio_defaults")
-        rename = {"reference_distance": "reference_distance_m",
-                  "noise_figure": "noise_figure_db",
-                  "thermal_noise_density": "thermal_noise_dbm_hz",
-                  "coverage_rsrp_threshold": "coverage_rsrp_threshold_dbm"}
-        kwargs = {rename.get(k, k): float(v) for k, v in raw.items()}
-        try:
-            radio_params = RadioParams(**kwargs)
-        except ValueError as exc:
-            raise ParseError(f"{name}:radio_defaults: {exc}") from None
+        _, radio_params = _radio(doc["radio_defaults"], f"{name}:radio_defaults",
+                                 radio_params)
 
     protocol = ProtocolConstants()
     if "protocol" in doc:
-        raw = doc["protocol"]
-        _check_keys(raw, PROTO_KEYS, f"{name}:protocol")
-        protocol = ProtocolConstants(**{k: int(v) for k, v in raw.items()})
+        raw, where = doc["protocol"], f"{name}:protocol"
+        _check_keys(raw, PROTO_KEYS, where)
+        protocol = ProtocolConstants(**{k: _int(raw, k, where) for k in raw})
 
     scn = Scenario(duration_s=_num(doc, "duration", name),
-                   seed=int(_num(doc, "seed", name, default=0.0)),
+                   seed=_int(doc, "seed", name, default=0),
                    radio_params=radio_params, protocol=protocol)
 
     for i, raw in enumerate(doc.get("nodes", []) or []):
         where = f"{name}:nodes[{i}]"
-        _check_keys(raw, NODE_KEYS, where)
-        if "role" not in raw:
-            raise ParseError(f"{where}: missing required key 'role'")
+        _check_keys(raw, NODE_KEYS, where, required=("role",))
         try:
             role = Role(raw["role"])
         except ValueError:
             raise ParseError(f"{where}: unknown role {raw['role']!r}") from None
-        node = Node(id=str(raw.get("id") or f"n{len(scn.nodes) + 1}"),
-                    role=role,
-                    position=_position(raw.get("position", [0, 0]), where),
-                    tx_power_dbm=_num(raw, "tx_power", where, default=None),
-                    owner_group=raw.get("owner_group"),
-                    carrier=_carrier(raw["carrier"], f"{where}:carrier")
-                    if "carrier" in raw else None)
-        if node.id in scn.nodes:
-            raise ParseError(f"{where}: duplicate node id {node.id!r}")
-        scn.nodes[node.id] = node
+        with _entry(where):
+            scn.add_node(role, _pair(raw.get("position", [0, 0]),
+                                     f"{where}: position", "[x, y]"),
+                         tx_power_dbm=_num(raw, "tx_power", where, default=None),
+                         owner_group=raw.get("owner_group"),
+                         carrier=_carrier(raw["carrier"], f"{where}:carrier")
+                         if "carrier" in raw else None,
+                         node_id=str(raw["id"]) if raw.get("id") else None)
 
     for i, raw in enumerate(doc.get("links", []) or []):
         where = f"{name}:links[{i}]"
-        _check_keys(raw, LINK_KEYS, where)
-        for req in ("a", "b", "medium"):
-            if req not in raw:
-                raise ParseError(f"{where}: missing required key {req!r}")
+        _check_keys(raw, LINK_KEYS, where, required=("a", "b", "medium"))
         try:
             medium = Medium(raw["medium"])
         except ValueError:
             raise ParseError(f"{where}: unknown medium {raw['medium']!r}") from None
+        a, b = str(raw["a"]), str(raw["b"])
         carrier = (_carrier(raw["carrier"], f"{where}:carrier")
                    if "carrier" in raw else None)
-        a, b = str(raw["a"]), str(raw["b"])
-        if medium is Medium.RADIO and carrier is None:
-            # fall back to the DU endpoint's advertised carrier
-            for end in (a, b):
-                n = scn.nodes.get(end)
-                if n is not None and n.carrier is not None:
-                    carrier = n.carrier
-                    break
-        prop = _num(raw, "propagation_delay", where, default=None)
-        if prop is None:
-            if medium is Medium.RADIO and a in scn.nodes and b in scn.nodes:
-                from .radio import SPEED_OF_LIGHT
-                prop = scn.distance(a, b) / SPEED_OF_LIGHT
-            else:
-                prop = 0.0
-        scn.links.append(Link(
-            id=str(raw.get("id") or f"l{len(scn.links) + 1}"),
-            a=a, b=b, medium=medium, carrier=carrier,
-            wired_capacity_bps=_num(raw, "wired_capacity", where, default=None),
-            propagation_delay_s=prop,
-            radio_overrides=dict(raw.get("radio") or {})))
+        if medium is Medium.RADIO and carrier is None:  # the DU's, by default
+            carrier = next((n.carrier for n in map(scn.nodes.get, (a, b))
+                            if n and n.carrier), None)
+        overrides = (_radio(raw["radio"], f"{where}:radio", radio_params)[0]
+                     if raw.get("radio") else None)
+        with _entry(where):
+            scn.add_link(a, b, medium, carrier=carrier,
+                         wired_capacity_bps=_num(raw, "wired_capacity", where,
+                                                 default=None),
+                         propagation_delay_s=_num(raw, "propagation_delay", where,
+                                                  default=None),
+                         link_id=str(raw["id"]) if raw.get("id") else None,
+                         radio_overrides=overrides)
 
     for i, raw in enumerate(doc.get("flows", []) or []):
         where = f"{name}:flows[{i}]"
-        _check_keys(raw, FLOW_KEYS, where)
-        for req in ("id", "src", "dst", "rate", "start", "stop"):
-            if req not in raw:
-                raise ParseError(f"{where}: missing required key {req!r}")
+        _check_keys(raw, FLOW_KEYS, where,
+                    required=("id", "src", "dst", "rate", "start", "stop"))
         scn.flows.append(FlowSpec(
             id=str(raw["id"]), src=str(raw["src"]), dst=str(raw["dst"]),
             rate_bps=_num(raw, "rate", where),
-            packet_size_bytes=int(raw.get("packet_size", 1400)),
+            packet_size_bytes=_int(raw, "packet_size", where, default=1400),
             start_s=_num(raw, "start", where), stop_s=_num(raw, "stop", where)))
 
     for i, raw in enumerate(doc.get("schedule", []) or []):
         where = f"{name}:schedule[{i}]"
         kind = raw.get("kind") if isinstance(raw, dict) else None
         if kind == "instantiate_iab_node":
-            _check_keys(raw, IAB_DIRECTIVE_KEYS, where)
+            _check_keys(raw, IAB_DIRECTIVE_KEYS, where,
+                        required=("position", "access_carrier"))
             scn.schedule.append(IabNodeDirective(
                 at_s=_num(raw, "at", where),
-                position=_position(raw["position"], where),
+                position=_pair(raw["position"], f"{where}: position", "[x, y]"),
                 access_carrier=_carrier(raw["access_carrier"],
                                         f"{where}:access_carrier"),
                 tx_power_dbm=_num(raw, "tx_power", where),
                 mt_tx_power_dbm=_num(raw, "mt_tx_power", where, default=23.0),
                 group=raw.get("group")))
         elif kind == "du_config_update":
-            _check_keys(raw, DU_UPDATE_KEYS, where)
+            _check_keys(raw, DU_UPDATE_KEYS, where, required=("du", "carrier"))
             scn.schedule.append(DuConfigUpdateDirective(
                 at_s=_num(raw, "at", where), du=str(raw["du"]),
                 carrier=_carrier(raw["carrier"], f"{where}:carrier")))
@@ -201,12 +208,10 @@ def loads(text: str, name: str = "<scenario>") -> Scenario:
 
     for i, raw in enumerate(doc.get("asserts", []) or []):
         where = f"{name}:asserts[{i}]"
-        _check_keys(raw, ASSERT_KEYS, where)
-        window = raw.get("window")
-        if not isinstance(window, (list, tuple)) or len(window) != 2:
-            raise ParseError(f"{where}: window must be [t0, t1]")
+        _check_keys(raw, ASSERT_KEYS, where, required=("flow",))
         scn.asserts.append(FlowAssert(
-            flow=str(raw["flow"]), window=(float(window[0]), float(window[1])),
+            flow=str(raw["flow"]),
+            window=_pair(raw.get("window"), f"{where}: window", "[t0, t1]"),
             min_goodput_bps=_num(raw, "min_goodput_bps", where, default=None),
             max_goodput_bps=_num(raw, "max_goodput_bps", where, default=None),
             max_mean_latency_s=_num(raw, "max_mean_latency_s", where, default=None)))

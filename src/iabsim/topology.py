@@ -1,9 +1,10 @@
 """Network object model: nodes, links, carriers, flows, scenario graph.
 
-A :class:`Scenario` is a flat graph plus workload and schedule. Construction
-helpers (`add_node`, `add_link`) enforce the hard structural rules eagerly;
-`validate_topology` re-checks everything and reports violations as data, so
-scenarios loaded from files can be diagnosed instead of rejected mid-parse.
+A :class:`Scenario` is input only (a Simulator runs on its own deep copy): a
+flat graph plus workload and schedule, built by code and by the loader alike
+through `add_node` and `add_link`, which raise on the hard structural rules.
+`validate_topology` re-checks those and the whole-scenario rules (a wired
+donor, IAB pairs, tx powers, flow, assert and directive bounds) as data.
 """
 from __future__ import annotations
 
@@ -66,8 +67,8 @@ class Node:
     position: tuple[float, float]
     tx_power_dbm: Optional[float] = None
     owner_group: Optional[str] = None
-    # Advertised carrier of a DU; consulted for coverage before any access
-    # link to a UE exists, and replaced by du_config_update.
+    # Advertised carrier of a DU, consulted for coverage before any access link
+    # to a UE exists; du_config_update replaces it in the Simulator's copy.
     carrier: Optional[Carrier] = None
 
 
@@ -186,7 +187,8 @@ class Scenario:
                  carrier: Optional[Carrier] = None,
                  wired_capacity_bps: Optional[float] = None,
                  propagation_delay_s: Optional[float] = None,
-                 link_id: Optional[str] = None) -> str:
+                 link_id: Optional[str] = None,
+                 radio_overrides: Optional[dict] = None) -> str:
         medium = Medium(medium)
         na, nb = self.node(a), self.node(b)
         if medium is Medium.WIRED:
@@ -209,7 +211,8 @@ class Scenario:
         lid = link_id or self._next_id("l")
         self.links.append(Link(id=lid, a=a, b=b, medium=medium, carrier=carrier,
                                wired_capacity_bps=wired_capacity_bps,
-                               propagation_delay_s=propagation_delay_s))
+                               propagation_delay_s=propagation_delay_s,
+                               radio_overrides=dict(radio_overrides or {})))
         return lid
 
     # -- queries -------------------------------------------------------------
@@ -272,10 +275,12 @@ def validate_topology(scenario: Scenario) -> ValidationReport:
     if len(upfs) != 1:
         v.append("no UPF" if not upfs else f"expected exactly one UPF, found {len(upfs)}")
 
+    # A link with an unknown endpoint is reported below and checked no further.
+    known = [l for l in scenario.links if l.a in nodes and l.b in nodes]
     if cus:
         cu = cus[0]
-        donor_wired = [l for l in scenario.links_of(cu.id)
-                       if l.medium is Medium.WIRED
+        donor_wired = [l for l in known
+                       if cu.id in (l.a, l.b) and l.medium is Medium.WIRED
                        and nodes[l.other(cu.id)].role is Role.DONOR_DU]
         if not donor_wired:
             v.append("CU has no wired DonorDU")
@@ -289,8 +294,8 @@ def validate_topology(scenario: Scenario) -> ValidationReport:
                 v.append(f"IabDu {n.id} must share an owner_group with exactly "
                          f"one IabMt, found {len(mts)}")
         if n.role in (Role.UE, Role.IAB_MT):
-            for l in scenario.links_of(n.id):
-                if l.medium is Medium.WIRED:
+            for l in known:
+                if n.id in (l.a, l.b) and l.medium is Medium.WIRED:
                     peer = nodes[l.other(n.id)]
                     internal = (n.role is Role.IAB_MT and peer.role is Role.IAB_DU
                                 and n.owner_group is not None
@@ -324,8 +329,8 @@ def validate_topology(scenario: Scenario) -> ValidationReport:
                 if l.carrier is None:
                     v.append(f"link {l.id}: radio link has no carrier")
 
-    if scenario.duration_s <= 0:
-        v.append("duration must be positive")
+    if not 0 < scenario.duration_s < math.inf:
+        v.append("duration must be positive and finite")
 
     for f in scenario.flows:
         if f.src not in nodes or f.dst not in nodes:
@@ -337,6 +342,12 @@ def validate_topology(scenario: Scenario) -> ValidationReport:
             v.append(f"flow {f.id}: rate must be positive and finite")
         if f.packet_size_bytes <= 0:
             v.append(f"flow {f.id}: packet size must be positive")
+
+    flow_ids = {f.id for f in scenario.flows}
+    v += [f"assert names unknown flow {a.flow}"
+          for a in scenario.asserts if a.flow not in flow_ids]
+    v += [f"{type(d).__name__} at t={d.at_s}: need 0 <= at < duration"
+          for d in scenario.schedule if not 0 <= d.at_s < scenario.duration_s]
 
     return ValidationReport(violations=v)
 

@@ -54,18 +54,25 @@ def timed_run(scenario, mode):
 
 
 @pytest.fixture(scope="session")
-def ref_reroute():
-    """Reference scenario under UpfReroute: (trace, wall seconds)."""
-    return timed_run(load_scenario("paper-reference"), PathMode.UPF_REROUTE)
+def ref_scenario():
+    """The reference scenario, loaded once: runs never change it."""
+    return load_scenario("paper-reference")
 
 
 @pytest.fixture(scope="session")
-def ref_bap():
-    return timed_run(load_scenario("paper-reference"), PathMode.BAP_BYPASS)
+def ref_reroute(ref_scenario):
+    """Reference scenario under UpfReroute: (trace, wall seconds)."""
+    return timed_run(ref_scenario, PathMode.UPF_REROUTE)
+
+
+@pytest.fixture(scope="session")
+def ref_bap(ref_scenario):
+    return timed_run(ref_scenario, PathMode.BAP_BYPASS)
 
 
 @pytest.fixture(scope="session")
 def compare_traces():
     """bap-compare scenario run once per mode: (trace, seconds) per mode."""
-    return {mode: timed_run(load_scenario("bap-compare"), mode)
+    scn = load_scenario("bap-compare")
+    return {mode: timed_run(scn, mode)
             for mode in (PathMode.UPF_REROUTE, PathMode.BAP_BYPASS)}

@@ -1,6 +1,7 @@
 import pytest
 
-from iabsim import PathMode, Simulator, link_capacity, measure_throughput
+from iabsim import (PathMode, Simulator, link_capacity, load_scenario,
+                    measure_throughput)
 from iabsim.engine import run
 from iabsim.errors import ScenarioInvalid, UnknownFlow
 from iabsim.gtp import Packet
@@ -122,6 +123,19 @@ class TestRunLifecycle:
         with pytest.raises(ScenarioInvalid, match="flow dl-ue2"):
             Simulator(scn)  # never run: the run would not end
 
+    def test_runs_leave_the_scenario_unchanged(self):
+        # Directives add the IAB node's nodes and links and rewrite carriers;
+        # on the caller's object a second run lost UE2 (0.0 Mbit/s).
+        from test_golden import COMPARE_SUMMARY_LEVEL, summary_sha256
+        scn = load_scenario("bap-compare")
+        for mode in list(COMPARE_SUMMARY_LEVEL) * 2:
+            trace = Simulator(scn, mode=mode, trace_level="summary").run()
+            assert (trace.content_hash(), summary_sha256(trace.summary)) \
+                == COMPARE_SUMMARY_LEVEL[mode]
+            goodput = trace.summary["flows"]["dl-ue2"]["goodput_bps"]
+            assert round(goodput / 1e6, 1) == 13.0
+        assert scn == load_scenario("bap-compare")
+
     def test_simulator_is_single_use(self):
         sim = Simulator(build_donor_scenario(duration=0.01))
         sim.run()
@@ -185,11 +199,13 @@ class TestDirectives:
         new = Carrier("n41-wide", 2.585e9, 40e6, 30e3)
         scn.schedule.append(DuConfigUpdateDirective(at_s=0.01, du="donor-du",
                                                     carrier=new))
-        trace = run(scn)
+        sim = Simulator(scn)
+        trace = sim.run()
         moved = [e for e in trace.transitions("du:donor-du")
                  if e.fields["cause"] == "du-config-update"]
         assert moved and moved[0].fields["to_state"] == "carrier:n41-wide"
-        assert scn.nodes["donor-du"].carrier == new
+        assert scn.nodes["donor-du"].carrier == N41  # the input is unchanged
+        assert sim.scn.nodes["donor-du"].carrier == new
 
 
 class TestAccounting:

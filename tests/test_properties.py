@@ -21,8 +21,8 @@ MODES = st.sampled_from([PathMode.UPF_REROUTE, PathMode.BAP_BYPASS])
 def run_mini(seed, rate, size, uav_x, mode):
     scn = build_mini_scenario(seed=seed, ue2_rate_bps=rate, packet_size=size,
                               uav_x=uav_x)
-    trace = Simulator(scn, mode=mode).run()
-    return scn, trace
+    sim = Simulator(scn, mode=mode)
+    return sim.scn, sim.run()
 
 
 mini_params = dict(

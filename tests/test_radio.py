@@ -53,11 +53,11 @@ class TestNoiseAndBudget:
         assert hi - lo == pytest.approx(3.0)
 
     def test_link_budget_is_consistent(self):
-        b = radio.link_budget(23.0, 2.585e9, 20e6, 880.0, P)
-        assert b.rx_power_dbm == pytest.approx(23.0 - b.pathloss_db)
-        assert b.snr_db == pytest.approx(b.rx_power_dbm - b.noise_power_dbm)
-        assert b.snr_db == pytest.approx(
-            radio.snr_db(23.0, 2.585e9, 20e6, 880.0, P))
+        pathloss = radio.path_loss_db(2.585e9, 880.0, P)
+        rx = radio.rx_power_dbm(23.0, 2.585e9, 880.0, P)
+        assert rx == pytest.approx(23.0 - pathloss)
+        assert radio.snr_db(23.0, 2.585e9, 20e6, 880.0, P) == pytest.approx(
+            rx - radio.noise_power_dbm(20e6, P))
 
     def test_backhaul_reference_geometry_snr(self):
         # 23 dBm donor on n41/20 MHz at 880 m: the calibrated backhaul SNR

@@ -1,7 +1,10 @@
+import re
+
 import pytest
 
-from iabsim import load_scenario, validate_topology
+from iabsim import Simulator, link_capacity, load_scenario, validate_topology
 from iabsim.errors import ParseError
+from iabsim.radio import SPEED_OF_LIGHT
 from iabsim.scenario_io import bundled_scenario_path, loads
 
 
@@ -20,8 +23,106 @@ links:
   - {id: w, a: cu, b: du, medium: Wired, wired_capacity: 1.0e9}
 """
 
+N41_YAML = "{band_label: n41, center_frequency: 2.585e9, bandwidth: 20.0e6, scs: 30.0e3}"
+
+# Every section of the format, valid as it stands; each case below breaks one
+# entry of it.
+FULL = """
+seed: 3
+duration: 1.0
+radio_defaults: {efficiency: 0.55}
+protocol: {ttl: 16}
+nodes:
+  - {id: cu, role: CU, position: [0.0, 0.0]}
+  - {id: upf, role: Upf, position: [0.0, -1.0]}
+  - {id: du, role: DonorDU, position: [1.0, 0.0], tx_power: 23.0, carrier: N41}
+  - {id: ue, role: Ue, position: [50.0, 0.0], tx_power: 23.0}
+links:
+  - {id: w, a: cu, b: du, medium: Wired, wired_capacity: 1.0e9}
+  - {id: n6, a: cu, b: upf, medium: Wired, wired_capacity: 1.0e9}
+  - {id: r, a: du, b: ue, medium: Radio}
+flows:
+  - {id: dl, src: upf, dst: ue, rate: 1.0e6, packet_size: 1000, start: 0.1, stop: 0.9}
+schedule:
+  - {at: 0.5, kind: instantiate_iab_node, position: [880.0, 0.0], tx_power: 43.0,
+     access_carrier: N41}
+  - {at: 0.6, kind: du_config_update, du: du, carrier: N41}
+asserts:
+  - {flow: dl, window: [0.2, 0.8], min_goodput_bps: 1.0}
+""".replace("N41", N41_YAML)
+
+RADIO_LINK = "{id: r, a: du, b: ue, medium: Radio}"
+
+
+def broken(old: str, new: str) -> str:
+    """FULL with the first `old` replaced by `new`."""
+    assert old in FULL
+    return FULL.replace(old, new, 1)
+
+
+def with_radio(overrides: str) -> str:
+    """FULL's radio link with a per-link `radio` mapping."""
+    return broken(RADIO_LINK, RADIO_LINK[:-1] + f", radio: {overrides}}}")
+
+
+# (scenario text, the entry its error must name); each breaks one entry of FULL
+MALFORMED = {
+    "packet-size-text": (broken("packet_size: 1000", "packet_size: big"),
+                         "flows[0]"),
+    "packet-size-fraction": (broken("packet_size: 1000", "packet_size: 1000.5"),
+                             "flows[0]"),
+    "position-text": (broken("[50.0, 0.0]", "[a, 1]"), "nodes[3]"),
+    "position-inf": (broken("[50.0, 0.0]", "[.inf, 0.0]"), "nodes[3]"),
+    "protocol-text": (broken("{ttl: 16}", "{ttl: x}"), "protocol"),
+    "radio-defaults-text": (broken("{efficiency: 0.55}", "{efficiency: x}"),
+                            "radio_defaults"),
+    "window-text": (broken("window: [0.2, 0.8]", "window: [a, 0.1]"),
+                    "asserts[0]"),
+    "assert-no-flow": (broken("{flow: dl, ", "{"), "asserts[0]"),
+    "update-no-du": (broken("du: du, carrier", "carrier"), "schedule[1]"),
+    "iab-no-position": (broken("position: [880.0, 0.0], ", ""), "schedule[0]"),
+    "link-unknown-node": (broken("b: ue, medium", "b: ue9, medium"), "links[2]"),
+    "second-cu": (broken("role: Upf", "role: CU"), "nodes[1]"),
+    "wired-pair": (broken("a: cu, b: upf", "a: ue, b: upf"), "links[1]"),
+    "radio-pair": (broken("b: ue, medium: Radio", "b: cu, medium: Radio"),
+                   "links[2]"),
+    "radio-no-carrier": (broken(f", carrier: {N41_YAML}}}", "}"), "links[2]"),
+    "wired-no-capacity": (broken("Wired, wired_capacity: 1.0e9}", "Wired}"),
+                          "links[0]"),
+    "radio-override-unknown": (with_radio("{foo: 1}"), "links[2]"),
+    "radio-override-text": (with_radio("{efficiency: x}"), "links[2]"),
+    "radio-override-range": (with_radio("{efficiency: 2.0}"), "links[2]"),
+}
+
 
 class TestStrictParsing:
+    def test_full_scenario_is_valid(self):
+        assert validate_topology(loads(FULL)).ok
+
+    @pytest.mark.parametrize("text, entry", list(MALFORMED.values()),
+                             ids=list(MALFORMED))
+    def test_malformed_entry_is_a_parse_error(self, text, entry):
+        with pytest.raises(ParseError, match=re.escape(f"<scenario>:{entry}")):
+            loads(text)
+
+    def test_link_radio_override_uses_radio_defaults_keys(self):
+        scn = loads(with_radio("{reference_distance: 2.0}"))
+        link = scn.find_link("du", "ue")
+        assert link.radio_overrides == {"reference_distance_m": 2.0}
+        assert link_capacity(scn, link, "du") > 0
+        # add_link's default: the distance over the speed of light
+        assert link.propagation_delay_s == pytest.approx(49.0 / SPEED_OF_LIGHT)
+
+    def test_unnamed_file_and_run_time_links_get_distinct_ids(self):
+        # The run-time access link of the UE once took the id of the file's
+        # first unnamed link.
+        ue = "  - {id: ue, role: Ue, position: [5.0, 0.0], tx_power: 23.0}\n"
+        scn = loads(MINIMAL.replace("{id: w, ", "{").replace("links:", ue + "links:"))
+        sim = Simulator(scn, trace_level="summary")
+        sim.run()
+        assert [l.id for l in scn.links] == ["l1"]
+        assert [l.id for l in sim.scn.links] == ["l1", "l2"]
+
     def test_minimal_scenario_loads(self):
         scn = loads(MINIMAL)
         assert scn.seed == 3

@@ -2,7 +2,8 @@ import pytest
 
 from iabsim.errors import (DirectiveOutOfRange, DuplicateCu, DuplicateUpf,
                            IllegalMedium, MissingCarrier, UnknownNode)
-from iabsim.topology import (Carrier, FlowSpec, Medium, Role, Scenario,
+from iabsim.topology import (Carrier, DuConfigUpdateDirective, FlowAssert,
+                             FlowSpec, Link, Medium, Role, Scenario,
                              instantiate_iab_node, validate_topology)
 
 from conftest import N41, N78, build_donor_scenario
@@ -106,6 +107,33 @@ class TestValidation:
                                   start_s=0.5, stop_s=2.0))
         assert any("start < stop <= duration" in v
                    for v in validate_topology(scn).violations)
+
+    @pytest.mark.parametrize("mutate, violation", [
+        (lambda s: s.links.append(Link("x", "cu", "ghost", Medium.WIRED,
+                                       wired_capacity_bps=1e9)),
+         "link x references unknown node ghost"),
+        (lambda s: s.links.append(Link("x", "ue1", "ghost", Medium.WIRED,
+                                       wired_capacity_bps=1e9)),
+         "link x references unknown node ghost"),
+        (lambda s: setattr(s, "duration_s", float("inf")),
+         "duration must be positive and finite"),
+        (lambda s: setattr(s, "duration_s", float("nan")),
+         "duration must be positive and finite"),
+        (lambda s: s.asserts.append(FlowAssert(flow="nope", window=(0.0, 0.5))),
+         "assert names unknown flow nope"),
+        (lambda s: s.schedule.append(DuConfigUpdateDirective(
+            at_s=1.0, du="donor-du", carrier=N78)),
+         "DuConfigUpdateDirective at t=1.0: need 0 <= at < duration"),
+        (lambda s: s.schedule.append(DuConfigUpdateDirective(
+            at_s=-0.1, du="donor-du", carrier=N78)),
+         "DuConfigUpdateDirective at t=-0.1: need 0 <= at < duration"),
+    ], ids=["endpoint-of-cu-link", "endpoint-of-ue-link", "duration-inf",
+            "duration-nan", "assert-unknown-flow", "directive-at-duration",
+            "directive-before-zero"])
+    def test_rejected_as_data_not_raised(self, mutate, violation):
+        scn = build_donor_scenario(duration=1.0)
+        mutate(scn)
+        assert violation in validate_topology(scn).violations
 
     def test_validation_is_pure(self):
         scn = build_donor_scenario()
