@@ -340,11 +340,11 @@ class Simulator:
             self._drop(node, pkt, "ttl-expired", str(exc))
             return
         if via_link and self.trace_full:
-            self.trace.emit(self.now, "Arrival", node, pkt.flow_id,
-                            pkt=pkt.seq, depth=pkt.depth,
-                            wire_size=pkt.wire_size_bytes,
-                            teids=pkt.teids_in_stack(),
-                            delivered=next_hop is None)
+            # A flat row, its values in ROW_FIELDS["Arrival"] order.
+            self.trace.rows.append((self.now, "Arrival", node, pkt.flow_id,
+                                    next_hop is None, pkt.depth, pkt.seq,
+                                    pkt.teids_in_stack(),
+                                    pkt.wire_size_bytes))
         if next_hop is None:
             self._deliver(node, pkt)
             return
@@ -408,9 +408,10 @@ class Simulator:
     def _depart(self, d: _LinkDir, src: str, pkt: Packet, wire: int) -> None:
         d.occupancy -= 1
         if self.trace_full:
-            self.trace.emit(self.now, "Departure", d.link.id, pkt.flow_id,
-                            pkt=pkt.seq, src=src, dst=d.dst, depth=pkt.depth,
-                            wire_size=wire, teids=pkt.teids_in_stack())
+            # A flat row, its values in ROW_FIELDS["Departure"] order.
+            self.trace.rows.append((self.now, "Departure", d.link.id,
+                                    pkt.flow_id, pkt.depth, d.dst, pkt.seq,
+                                    src, pkt.teids_in_stack(), wire))
         self._schedule(self.now + d.link.propagation_delay_s,
                        self._handle, d.dst, pkt, True)
 
@@ -460,7 +461,7 @@ class Simulator:
             "totals": {
                 "header_bytes": total_header,
                 "bytes": total_bytes,
-                "events": len(self.trace.events),
+                "events": len(self.trace.rows),
             },
         }
 

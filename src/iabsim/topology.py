@@ -154,8 +154,12 @@ class Scenario:
     # -- construction ------------------------------------------------------
 
     def _next_id(self, prefix: str) -> str:
-        self._counter += 1
-        return f"{prefix}{self._counter}"
+        """The next unused `<prefix><k>`: no node or link holds it."""
+        while True:
+            self._counter += 1
+            nid = f"{prefix}{self._counter}"
+            if nid not in self.nodes and not any(l.id == nid for l in self.links):
+                return nid
 
     def node(self, node_id: str) -> Node:
         try:
@@ -208,6 +212,8 @@ class Scenario:
         if propagation_delay_s is None:
             propagation_delay_s = (self.distance(a, b) / radio.SPEED_OF_LIGHT
                                    if medium is Medium.RADIO else 0.0)
+        if link_id and any(l.id == link_id for l in self.links):
+            raise ValueError(f"duplicate link id {link_id!r}")
         lid = link_id or self._next_id("l")
         self.links.append(Link(id=lid, a=a, b=b, medium=medium, carrier=carrier,
                                wired_capacity_bps=wired_capacity_bps,
@@ -348,6 +354,18 @@ def validate_topology(scenario: Scenario) -> ValidationReport:
           for a in scenario.asserts if a.flow not in flow_ids]
     v += [f"{type(d).__name__} at t={d.at_s}: need 0 <= at < duration"
           for d in scenario.schedule if not 0 <= d.at_s < scenario.duration_s]
+
+    # A DU of the file, or one an instantiate_iab_node directive can create:
+    # `<group>-du`, or `iab<k>-du` for an unnamed group, k counting IabDus.
+    iab = [d for d in scenario.schedule if isinstance(d, IabNodeDirective)]
+    dus = {n.id for n in nodes.values() if n.role in DU_ROLES}
+    dus |= {f"{d.group}-du" for d in iab if d.group}
+    if not all(d.group for d in iab):
+        n_iab = len(scenario.nodes_with_role(Role.IAB_DU)) + len(iab)
+        dus |= {f"iab{k}-du" for k in range(1, n_iab + 1)}
+    v += [f"DuConfigUpdateDirective at t={d.at_s}: unknown DU {d.du}"
+          for d in scenario.schedule
+          if isinstance(d, DuConfigUpdateDirective) and d.du not in dus]
 
     return ValidationReport(violations=v)
 

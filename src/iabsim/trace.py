@@ -1,8 +1,20 @@
-"""Run record: ordered trace events, per-flow deliveries, summary, export.
+"""Run record: ordered trace rows, per-flow deliveries, summary, export.
 
-The JSON-lines export uses a fixed field order so that identical runs
+Each trace event is one flat row in `Trace.rows`, and its seq is its index
+there. Arrival and Departure, one per packet hop and nearly all of a full
+trace, are appended by the engine as `(time, kind, location, subject,
+*values)`, with the values in the order of ROW_FIELDS[kind], the sorted
+field names. Every other kind (Drop, StateTransition, Directive, TimerExpiry)
+goes through `emit(**fields)` and is held as `(time, kind, location,
+subject, fields)`. `events` and `transitions()` build read-only TraceEvent
+views of the rows on demand.
+
+Every JSON-lines record has the keys time (rounded to 12 digits), seq, kind,
+location and subject, then the fields sorted by name, so identical runs
 serialize byte-identically; the hash of the export is the determinism
-fingerprint.
+fingerprint. Arrival and Departure lines fill one constant format string per
+kind; the other kinds go through json's C encoder. Both give the bytes
+json.dumps gives for the record.
 """
 from __future__ import annotations
 
@@ -10,6 +22,8 @@ import hashlib
 import json.encoder
 from dataclasses import dataclass, field
 from itertools import islice
+from types import MappingProxyType
+from typing import Mapping
 
 from .errors import UnknownFlow
 
@@ -24,15 +38,48 @@ _ENCODE = json.encoder.c_make_encoder(
 EVENT_KINDS = ("Arrival", "Departure", "TimerExpiry", "Directive", "Drop",
                "StateTransition")
 
+# The values of a flat row, after (time, kind, location, subject).
+ROW_FIELDS = {
+    "Arrival": ("delivered", "depth", "pkt", "teids", "wire_size"),
+    "Departure": ("depth", "dst", "pkt", "src", "teids", "wire_size"),
+}
+# One line of each flat kind: %r of the rounded time and of the list of int
+# TEIDs prints as JSON does, ids are quoted by encode_basestring_ascii, and
+# delivered is "true" or "false".
+_ARRIVAL = ('{"time": %r, "seq": %d, "kind": "Arrival", "location": %s, '
+            '"subject": %s, "delivered": %s, "depth": %d, "pkt": %d, '
+            '"teids": %r, "wire_size": %d}')
+_DEPARTURE = ('{"time": %r, "seq": %d, "kind": "Departure", "location": %s, '
+              '"subject": %s, "depth": %d, "dst": %s, "pkt": %d, "src": %s, '
+              '"teids": %r, "wire_size": %d}')
 
-@dataclass(slots=True)
+
+class _Quoted(dict):
+    """JSON string literal of each id, encoded the first time it is seen."""
+
+    def __missing__(self, s: str) -> str:
+        q = self[s] = json.encoder.encode_basestring_ascii(s)
+        return q
+
+
 class TraceEvent:
-    time: float
-    seq: int
-    kind: str
-    location: str
-    subject: str
-    fields: dict
+    """Read-only view of one trace row; its fields are built when read."""
+    __slots__ = ("_seq", "_row")
+
+    def __init__(self, seq: int, row: tuple):
+        self._seq, self._row = seq, row
+
+    seq = property(lambda self: self._seq)
+    time = property(lambda self: self._row[0])
+    kind = property(lambda self: self._row[1])
+    location = property(lambda self: self._row[2])
+    subject = property(lambda self: self._row[3])
+
+    @property
+    def fields(self) -> Mapping:
+        row = self._row
+        names = ROW_FIELDS.get(row[1])
+        return MappingProxyType(dict(zip(names, row[4:])) if names else row[4])
 
 
 @dataclass(slots=True)
@@ -57,7 +104,7 @@ class Trace:
     mode: str
     seed: int
     flow_ids: tuple[str, ...]
-    events: list[TraceEvent] = field(default_factory=list)
+    rows: list[tuple] = field(default_factory=list)
     deliveries: list[Delivery] = field(default_factory=list)
     control_deliveries: list[ControlDelivery] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
@@ -65,15 +112,22 @@ class Trace:
     _digest: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def emit(self, time: float, kind: str, location: str, subject: str,
-             **fields) -> TraceEvent:
-        ev = TraceEvent(time=time, seq=len(self.events), kind=kind,
-                        location=location, subject=subject, fields=fields)
-        self.events.append(ev)
-        return ev
+             **fields) -> None:
+        """Record an event of a kind that is not held as a flat row."""
+        if kind in ROW_FIELDS:
+            raise ValueError(f"{kind} events are appended to rows as flat "
+                             f"tuples, not emitted")
+        self.rows.append((time, kind, location, subject, fields))
+
+    @property
+    def events(self) -> list[TraceEvent]:
+        """Every event as a read-only view, built from the rows per call."""
+        return [TraceEvent(seq, row) for seq, row in enumerate(self.rows)]
 
     def transitions(self, entity: str | None = None) -> list[TraceEvent]:
-        return [e for e in self.events if e.kind == "StateTransition"
-                and (entity is None or e.location == entity)]
+        return [TraceEvent(seq, row) for seq, row in enumerate(self.rows)
+                if row[1] == "StateTransition"
+                and (entity is None or row[2] == entity)]
 
     # -- export -------------------------------------------------------------
 
@@ -81,12 +135,26 @@ class Trace:
         yield "".join(_ENCODE({"schema_version": SCHEMA_VERSION,
                                "record": "header", "mode": self.mode,
                                "seed": self.seed}, 0))
-        for e in self.events:
-            rec = {"time": round(e.time, 12), "seq": e.seq, "kind": e.kind,
-                   "location": e.location, "subject": e.subject}
-            for k in sorted(e.fields):
-                rec[k] = e.fields[k]
-            yield "".join(_ENCODE(rec, 0))
+        quoted = _Quoted()
+        for seq, row in enumerate(self.rows):
+            kind = row[1]
+            if kind == "Arrival":
+                t, _, loc, sub, delivered, depth, pkt, teids, wire = row
+                yield _ARRIVAL % (round(t, 12), seq, quoted[loc], quoted[sub],
+                                  "true" if delivered else "false", depth,
+                                  pkt, teids, wire)
+            elif kind == "Departure":
+                t, _, loc, sub, depth, dst, pkt, src, teids, wire = row
+                yield _DEPARTURE % (round(t, 12), seq, quoted[loc],
+                                    quoted[sub], depth, quoted[dst], pkt,
+                                    quoted[src], teids, wire)
+            else:
+                t, _, loc, sub, fields = row
+                rec = {"time": round(t, 12), "seq": seq, "kind": kind,
+                       "location": loc, "subject": sub}
+                for k in sorted(fields):
+                    rec[k] = fields[k]
+                yield "".join(_ENCODE(rec, 0))
 
     def write_jsonl(self, fh=None) -> str:
         """Write the JSON-lines export to the binary file `fh`, if given, and
@@ -97,12 +165,12 @@ class Trace:
             h.update(data)
             if fh is not None:
                 fh.write(data)
-        self._digest = (self.mode, self.seed, len(self.events), h.hexdigest())
+        self._digest = (self.mode, self.seed, len(self.rows), h.hexdigest())
         return self._digest[-1]
 
     def content_hash(self) -> str:
         """SHA-256 of the export; the stored one while header and count hold."""
-        if self._digest[:3] == (self.mode, self.seed, len(self.events)):
+        if self._digest[:3] == (self.mode, self.seed, len(self.rows)):
             return self._digest[-1]
         return self.write_jsonl()
 

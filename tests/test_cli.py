@@ -12,6 +12,7 @@ import pytest
 import iabsim
 from iabsim import Simulator, load_scenario
 from iabsim.cli import main
+from iabsim.scenario_io import bundled_scenario_path
 from iabsim.trace import Trace
 
 
@@ -73,6 +74,25 @@ class TestValidate:
         assert "violation: flow dl-ue1" in capsys.readouterr().out
 
 
+    def test_duplicate_link_id_exits_two(self, tmp_path, capsys):
+        p = tmp_path / "dup.yaml"
+        p.write_text(GOOD.replace("id: n6-wire", "id: f1-wire"))
+        assert main(["validate", str(p)]) == 2
+        assert "links[1]: ValueError: duplicate link id 'f1-wire'" in \
+            capsys.readouterr().err
+
+    def test_update_of_unknown_du_is_a_violation(self, tmp_path, capsys):
+        # It once validated, and the run recorded a NotActive Drop.
+        p = tmp_path / "ghost.yaml"
+        p.write_text(bundled_scenario_path("bap-compare").read_text() + (
+            "  - {at: 1.0, kind: du_config_update, du: ghost, carrier: "
+            "{band_label: n41, center_frequency: 2.585e9, bandwidth: 20.0e6, "
+            "scs: 30.0e3}}\n"))
+        assert main(["validate", str(p)]) == 1
+        assert ("violation: DuConfigUpdateDirective at t=1.0: unknown DU ghost"
+                in capsys.readouterr().out)
+
+
 class TestRun:
     def test_artifacts_written(self, good_file, tmp_path, capsys):
         out = tmp_path / "out"
@@ -124,6 +144,18 @@ class TestRun:
                            timeout=120)
             outs.append((out / "summary.json").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_run_time_link_skips_a_file_link_id(self, tmp_path, capsys):
+        # ue1's access link once took the id l1 too, and summary.json merged
+        # l1:cu->donor-du with l1:donor-du->ue1.
+        p = tmp_path / "l1.yaml"
+        p.write_text(GOOD.replace("id: f1-wire", "id: l1"))
+        out = tmp_path / "out"
+        assert main(["run", str(p), "--out", str(out),
+                     "--trace-level", "summary"]) == 0
+        links = json.loads((out / "summary.json").read_text())["links"]
+        assert sorted(links) == ["l1:cu->donor-du", "l1:donor-du->cu",
+                                 "l2:donor-du->ue1", "n6-wire:upf->cu"]
 
     def test_failed_scenario_assert_exits_one(self, tmp_path, capsys):
         p = tmp_path / "asserted.yaml"

@@ -28,6 +28,19 @@ class TestConstruction:
         with pytest.raises(ValueError):
             scn.add_node(Role.UE, (1, 1), node_id="x")
 
+    def test_duplicate_link_id_rejected(self):
+        scn = build_donor_scenario()
+        with pytest.raises(ValueError, match="duplicate link id 'n6-wire'"):
+            scn.add_link("cu", "upf", Medium.WIRED, wired_capacity_bps=1e9,
+                         link_id="n6-wire")
+
+    def test_generated_ids_skip_taken_ones(self):
+        scn = build_donor_scenario()
+        scn.add_link("donor-du", "ue1", Medium.RADIO, carrier=N41, link_id="l1")
+        scn.add_node(Role.UE, (9.0, 0.0), tx_power_dbm=23.0, node_id="n3")
+        assert scn.add_link("donor-du", "ue2", Medium.RADIO, carrier=N41) == "l2"
+        assert scn.add_node(Role.UE, (8.0, 0.0), tx_power_dbm=23.0) == "n4"
+
     def test_unknown_node_lookup(self):
         with pytest.raises(UnknownNode):
             Scenario(duration_s=1.0).node("nope")
@@ -127,13 +140,29 @@ class TestValidation:
         (lambda s: s.schedule.append(DuConfigUpdateDirective(
             at_s=-0.1, du="donor-du", carrier=N78)),
          "DuConfigUpdateDirective at t=-0.1: need 0 <= at < duration"),
+        (lambda s: s.schedule.append(DuConfigUpdateDirective(
+            at_s=0.5, du="ghost", carrier=N78)),
+         "DuConfigUpdateDirective at t=0.5: unknown DU ghost"),
+        (lambda s: s.schedule.append(DuConfigUpdateDirective(
+            at_s=0.5, du="ue1", carrier=N78)),
+         "DuConfigUpdateDirective at t=0.5: unknown DU ue1"),
     ], ids=["endpoint-of-cu-link", "endpoint-of-ue-link", "duration-inf",
             "duration-nan", "assert-unknown-flow", "directive-at-duration",
-            "directive-before-zero"])
+            "directive-before-zero", "update-unknown-du", "update-not-a-du"])
     def test_rejected_as_data_not_raised(self, mutate, violation):
         scn = build_donor_scenario(duration=1.0)
         mutate(scn)
         assert violation in validate_topology(scn).violations
+
+    @pytest.mark.parametrize("group, du, ok", [
+        ("uav1", "uav1-du", True), ("uav1", "iab1-du", False),
+        (None, "iab1-du", True), (None, "iab2-du", False)])
+    def test_update_may_name_a_du_a_directive_creates(self, group, du, ok):
+        scn = build_donor_scenario(duration=1.0)
+        instantiate_iab_node(scn, (880.0, 0.0), N78, tx_power_dbm=43.0,
+                             at_s=0.1, group=group)
+        scn.schedule.append(DuConfigUpdateDirective(at_s=0.5, du=du, carrier=N78))
+        assert validate_topology(scn).ok is ok
 
     def test_validation_is_pure(self):
         scn = build_donor_scenario()
