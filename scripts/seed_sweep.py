@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Sweep seeds on the reference scenario: goodput must be seed-invariant
+"""Sweep seeds on a scenario (paper-reference by default): dl-ue2's steady
+goodput, over the scenario's steady window, must be seed-invariant
 (randomness only feeds TEID allocation), trace hashes must differ.
 
-Usage: python3 scripts/seed_sweep.py [--seeds 5]
+Usage: python3 scripts/seed_sweep.py [--seeds 5] [--scenario NAME]
 """
 import argparse
 
@@ -16,9 +17,11 @@ def main():
     args = ap.parse_args()
 
     goodputs, hashes = [], []
+    scn = load_scenario(args.scenario)  # a run never changes its scenario
+    window = scn.steady_window("dl-ue2")
     for seed in range(args.seeds):
-        trace = Simulator(load_scenario(args.scenario), seed=seed).run()
-        g = measure_throughput(trace, "dl-ue2", (4.0, 6.5))
+        trace = Simulator(scn, seed=seed).run()
+        g = measure_throughput(trace, "dl-ue2", window)
         h = trace.content_hash()
         goodputs.append(g)
         hashes.append(h)

@@ -88,8 +88,8 @@ class Simulator:
         self.proto = proto
         self.trace = Trace(mode=self.mode.value, seed=self.seed,
                            flow_ids=tuple(f.id for f in scenario.flows))
-        self.tunnels = TunnelTable(self.rng, gtp_header_bytes=proto.gtp_header_bytes)
-        self.fwd = Forwarder(self.tunnels, ttl=proto.ttl,
+        self.tunnels = TunnelTable(self.rng)
+        self.fwd = Forwarder(self.tunnels, gtp_header_bytes=proto.gtp_header_bytes,
                              bap_header_bytes=proto.bap_header_bytes)
         self.cp = ControlPlane(send=self._send_control,
                                schedule=self._schedule_timer,
@@ -104,8 +104,6 @@ class Simulator:
         self._link_dirs: dict[tuple[str, str], _LinkDir] = {}
         self._flows = {f.id: _FlowStats(spec=f) for f in scenario.flows}
         self._transport: dict[str, F1TransportTunnels] = {}
-        self._f1_paths: dict[str, tuple[Path, Path]] = {}
-        self._ue_plane: dict[str, UePlaneTunnels] = {}
         self._ran = False
 
     # -- scheduling ------------------------------------------------------------
@@ -158,7 +156,7 @@ class Simulator:
             path = Path(hops=(du.id, cu), mode=self.mode)
             install_routes(self.scn, self.fwd, path, None)
             rtt = 2.0 * self._path_delay(path.hops)
-            self.cp.f1_setup(cu, du.id, path, rtt)
+            self.cp.f1_setup(cu, du.id, rtt)
 
     def _path_delay(self, hops: tuple[str, ...],
                     size_bytes: Optional[int] = None) -> float:
@@ -260,15 +258,13 @@ class Simulator:
         donor_active = self.cp.association_active(
             self.cp.ue_contexts[mt_id].serving_du)
         path_ul = build_f1_transport_path(self.scn, iab_du, self.mode,
-                                          session_established=True,
                                           donor_association_active=donor_active)
         path_dl = path_ul.reversed()
         install_routes(self.scn, self.fwd, path_ul, transport)
         install_routes(self.scn, self.fwd, path_dl, transport)
         self._transport[iab_du] = transport
-        self._f1_paths[iab_du] = (path_ul, path_dl)
         rtt = self._path_delay(path_ul.hops) + self._path_delay(path_dl.hops)
-        self.cp.f1_setup(cu, iab_du, path_ul, rtt)
+        self.cp.f1_setup(cu, iab_du, rtt)
 
     def _install_ue_plane(self, ue_id: str) -> None:
         ctx = self.cp.ue_contexts[ue_id]
@@ -280,10 +276,8 @@ class Simulator:
             session_dl=self.tunnels.open_tunnel(upf, cu, f"sess-dl:{ue_id}"),
             drb_ul=self.tunnels.open_tunnel(du, cu, f"drb-ul:{ue_id}"),
             drb_dl=self.tunnels.open_tunnel(cu, du, f"drb-dl:{ue_id}"))
-        ctx.drb = (tn.drb_ul, tn.drb_dl)
         install_ue_routes(self.scn, self.fwd, ue_id, du, tn, self.mode,
                           transport=self._transport.get(du))
-        self._ue_plane[ue_id] = tn
 
     def _du_carrier_update(self, du_id: str, carrier) -> None:
         du = self.scn.node(du_id)

@@ -55,14 +55,6 @@ class DepthExceeded(TunnelError):
     """Encapsulation would nest more than two headers; a routing bug."""
 
 
-class TeidMismatch(TunnelError):
-    pass
-
-
-class EmptyStack(TunnelError):
-    pass
-
-
 class RoutingError(IabSimError):
     pass
 
@@ -113,10 +105,6 @@ class AlreadyEstablished(ControlError):
 
 
 class NotActive(ControlError):
-    pass
-
-
-class SessionNotEstablished(ControlError):
     pass
 
 

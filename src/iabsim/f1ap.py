@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable
 
 from .errors import (AlreadyEstablished, DuNotReady, MtDetached, NotActive,
                      NotCovered)
-from .gtp import Path, Tunnel
+from .gtp import Tunnel
 
 SETUP_MAX_ATTEMPTS = 2  # one retry after 3x RTT, then fail
 
@@ -22,7 +22,6 @@ class AssocState(str, Enum):
     IDLE = "Idle"
     SETUP_REQUESTED = "SetupRequested"
     ACTIVE = "Active"
-    RELEASED = "Released"
 
 
 class UeState(str, Enum):
@@ -34,7 +33,6 @@ class UeState(str, Enum):
 class SessionState(str, Enum):
     REQUESTED = "Requested"
     ESTABLISHED = "Established"
-    RELEASED = "Released"
 
 
 class MsgKind(str, Enum):
@@ -58,7 +56,6 @@ class F1Association:
     cu: str
     du: str
     state: AssocState = AssocState.IDLE
-    transport: Optional[Path] = None
     rtt_s: float = 0.0
     attempts: int = 0
 
@@ -69,7 +66,6 @@ class UeContext:
     serving_du: str
     cu: str
     state: UeState = UeState.DETACHED
-    drb: Optional[tuple[Tunnel, Tunnel]] = None  # (uplink, downlink)
 
 
 @dataclass
@@ -117,13 +113,12 @@ class ControlPlane:
 
     # -- procedures -------------------------------------------------------------
 
-    def f1_setup(self, cu: str, du: str, transport: Path, rtt_s: float) -> F1Association:
+    def f1_setup(self, cu: str, du: str, rtt_s: float) -> F1Association:
         """Start the setup handshake; Active after one request/response trip."""
         assoc = self.associations.get(du)
-        if assoc is None or assoc.state in (AssocState.IDLE, AssocState.RELEASED):
+        if assoc is None or assoc.state is AssocState.IDLE:
             assoc = F1Association(cu=cu, du=du)
             self.associations[du] = assoc
-        assoc.transport = transport
         assoc.rtt_s = rtt_s
         assoc.attempts = 1
         self._move_assoc(assoc, AssocState.SETUP_REQUESTED, "f1-setup")
@@ -185,7 +180,7 @@ class ControlPlane:
     # -- message delivery ---------------------------------------------------------
 
     def deliverable(self, msg: F1Message) -> bool:
-        """False when the association is Idle/Released; such messages drop."""
+        """False when the association is Idle; such messages drop."""
         assoc = self.associations.get(msg.association)
         return assoc is not None and assoc.state in (AssocState.SETUP_REQUESTED,
                                                      AssocState.ACTIVE)

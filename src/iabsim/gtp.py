@@ -1,54 +1,35 @@
 """User-plane tunneling: TEIDs, header stacks, F1 transport paths, routing.
 
-The forwarding model is table-driven. A :class:`RouteEntry` matches a packet
-by its outermost header (GTP TEID or BAP route id) or, for bare packets, by
-flow destination. The entry names the next hop and any headers to push; pops
-are implied by endpoint ownership (a node that is the receiving endpoint of
-the outermost tunnel strips it).
+The forwarding model is table-driven. A header is its own match key, a plain
+pair: ("teid", value) for GTP, ("bap", route_id) for BAP. A
+:class:`RouteEntry` matches a packet by its outermost header or, for a bare
+packet, by ("dst", node), and names the next hop and the headers to push.
+One set of (node, header) pairs says who strips what: a node pops the
+outermost header while the pair is in that set. Allocating a TEID at a
+receiver and ending a BAP route at a terminus both add to it.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import (AssociationNotActive, ConflictingEntry, DepthExceeded,
-                     EmptyStack, InvalidPath, NoRoute, RoutingLoop,
-                     SessionNotEstablished, TeidMismatch)
+                     InvalidPath, NoRoute, RoutingLoop)
 from .topology import Role, Scenario
 
 MAX_HEADER_DEPTH = 2
 TEID_MAX = 2 ** 32 - 1
 
+# Match keys: ("teid", value) | ("bap", route_id) | ("dst", node_id). The
+# first two are the headers a packet carries.
+MatchKey = tuple[str, object]
+
 
 class PathMode(str, Enum):
     UPF_REROUTE = "UpfReroute"
     BAP_BYPASS = "BapBypass"
-
-
-@dataclass(frozen=True)
-class Teid:
-    value: int
-
-    def __post_init__(self):
-        if not 0 < self.value <= TEID_MAX:
-            raise ValueError(f"TEID must be in [1, 2^32-1], got {self.value}")
-
-
-@dataclass(frozen=True)
-class GtpHeader:
-    teid: Teid
-    size_bytes: int = 8
-
-
-@dataclass(frozen=True)
-class BapHeader:
-    route_id: int
-    size_bytes: int = 4
-
-
-Header = Union[GtpHeader, BapHeader]
 
 
 @dataclass
@@ -62,15 +43,13 @@ class Packet:
     kind: str = "user"  # "user" | "control"
     control: Optional[object] = None
     ttl: int = 16
-    header_stack: list[Header] = field(default_factory=list)  # outermost last
+    header_stack: tuple[MatchKey, ...] = ()  # outermost last
+    header_bytes: int = 0  # wire size of header_stack
     hop_log: list[str] = field(default_factory=list)
 
     @property
     def wire_size_bytes(self) -> int:
-        size = self.payload_size_bytes
-        for h in self.header_stack:
-            size += h.size_bytes
-        return size
+        return self.payload_size_bytes + self.header_bytes
 
     @property
     def depth(self) -> int:
@@ -78,64 +57,50 @@ class Packet:
 
     def teids_in_stack(self) -> list[int]:
         """TEIDs outermost-first, for trace records."""
-        return [h.teid.value for h in reversed(self.header_stack)
-                if isinstance(h, GtpHeader)]
+        return [v for kind, v in reversed(self.header_stack) if kind == "teid"]
 
 
 @dataclass(frozen=True)
 class Tunnel:
     """Unidirectional GTP association; the TEID names it at the receiver."""
-    teid: Teid
+    teid: int
     sender: str
     receiver: str
     label: str = ""
 
+    @property
+    def header(self) -> MatchKey:
+        return ("teid", self.teid)
+
 
 class TunnelTable:
-    """TEID allocation and tunnel registry, deterministic given the RNG."""
+    """TEID allocation, deterministic given the RNG, and the strip set."""
 
-    def __init__(self, rng: random.Random, gtp_header_bytes: int = 8):
+    def __init__(self, rng: random.Random):
         self._rng = rng
-        self.gtp_header_bytes = gtp_header_bytes
-        self._issued: dict[str, set[int]] = {}
-        self._tunnels: dict[tuple[str, int], Tunnel] = {}
+        self.strips: set[tuple[str, MatchKey]] = set()
 
-    def allocate_teid(self, endpoint: str) -> Teid:
-        issued = self._issued.setdefault(endpoint, set())
+    def allocate_teid(self, endpoint: str) -> int:
+        """A TEID unused at `endpoint`, which from now on strips it."""
         while True:
-            value = self._rng.randrange(1, TEID_MAX + 1)
-            if value not in issued:
-                issued.add(value)
-                return Teid(value)
+            teid = self._rng.randrange(1, TEID_MAX + 1)
+            key = (endpoint, ("teid", teid))
+            if key not in self.strips:
+                self.strips.add(key)
+                return teid
 
     def open_tunnel(self, sender: str, receiver: str, label: str = "") -> Tunnel:
-        t = Tunnel(teid=self.allocate_teid(receiver), sender=sender,
-                   receiver=receiver, label=label)
-        self._tunnels[(receiver, t.teid.value)] = t
-        return t
-
-    def owns(self, node: str, teid: Teid) -> bool:
-        return (node, teid.value) in self._tunnels
+        return Tunnel(teid=self.allocate_teid(receiver), sender=sender,
+                      receiver=receiver, label=label)
 
 
-def encapsulate(packet: Packet, tunnel: Tunnel, header_bytes: int = 8) -> Packet:
-    """Push the tunnel's GTP header; triple nesting is a routing bug."""
-    if packet.depth >= MAX_HEADER_DEPTH:
+def encapsulate(packet: Packet, header: MatchKey, size_bytes: int) -> Packet:
+    """Push `header`; triple nesting is a routing bug."""
+    if len(packet.header_stack) >= MAX_HEADER_DEPTH:
         raise DepthExceeded(
             f"packet {packet.flow_id}#{packet.seq} already at depth {packet.depth}")
-    packet.header_stack.append(GtpHeader(teid=tunnel.teid, size_bytes=header_bytes))
-    return packet
-
-
-def decapsulate(packet: Packet, expected: Teid) -> Packet:
-    """Strip the outermost GTP header iff its TEID matches."""
-    if not packet.header_stack:
-        raise EmptyStack(f"packet {packet.flow_id}#{packet.seq} has no headers")
-    top = packet.header_stack[-1]
-    if not isinstance(top, GtpHeader) or top.teid != expected:
-        raise TeidMismatch(
-            f"expected TEID {expected.value}, outermost is {top!r}")
-    packet.header_stack.pop()
+    packet.header_stack += (header,)
+    packet.header_bytes += size_bytes
     return packet
 
 
@@ -159,30 +124,22 @@ class Path:
         return Path(hops=tuple(reversed(self.hops)), mode=self.mode)
 
 
-# Match keys: ("teid", value) | ("bap", route_id) | ("dst", node_id)
-MatchKey = tuple[str, object]
-# Encap directives applied after the implied pops: ("gtp", Tunnel) | ("bap", rid)
-EncapDirective = tuple[str, object]
-
-
 @dataclass(frozen=True)
 class RouteEntry:
     at_node: str
     match: MatchKey
     next_hop: Optional[str]  # None = hand the packet to this node's upper layer
-    encaps: tuple[EncapDirective, ...] = ()
+    encaps: tuple[MatchKey, ...] = ()  # headers pushed after the strips
 
 
 class Forwarder:
     """Routing tables plus the per-node forwarding function."""
 
-    def __init__(self, tunnels: TunnelTable, ttl: int = 16,
+    def __init__(self, tunnels: TunnelTable, gtp_header_bytes: int = 8,
                  bap_header_bytes: int = 4):
-        self.tunnels = tunnels
-        self.ttl = ttl
-        self.bap_header_bytes = bap_header_bytes
+        self.strips = tunnels.strips
+        self.header_bytes = {"teid": gtp_header_bytes, "bap": bap_header_bytes}
         self.entries: dict[tuple[str, MatchKey], RouteEntry] = {}
-        self.bap_terminus: dict[int, str] = {}
         self._bap_route_counter = 0
 
     # -- table management -----------------------------------------------------
@@ -202,30 +159,16 @@ class Forwarder:
         self.entries[key] = entry
         return entry
 
-    def set_bap_terminus(self, route_id: int, node: str) -> None:
-        self.bap_terminus[route_id] = node
-
     # -- forwarding ------------------------------------------------------------
 
-    @staticmethod
-    def _key(packet: Packet) -> MatchKey:
-        if packet.header_stack:
-            top = packet.header_stack[-1]
-            if isinstance(top, GtpHeader):
-                return ("teid", top.teid.value)
-            return ("bap", top.route_id)
-        return ("dst", packet.dst)
-
-    def _pop_owned(self, node: str, packet: Packet) -> None:
-        while packet.header_stack:
-            top = packet.header_stack[-1]
-            if isinstance(top, GtpHeader) and self.tunnels.owns(node, top.teid):
-                decapsulate(packet, top.teid)
-            elif (isinstance(top, BapHeader)
-                  and self.bap_terminus.get(top.route_id) == node):
-                packet.header_stack.pop()
-            else:
-                break
+    def strip(self, node: str, packet: Packet) -> Packet:
+        """Pop the outermost header while `node` strips it."""
+        stack = packet.header_stack
+        while stack and (node, stack[-1]) in self.strips:
+            packet.header_bytes -= self.header_bytes[stack[-1][0]]
+            stack = stack[:-1]
+        packet.header_stack = stack
+        return packet
 
     def forward(self, node: str, packet: Packet) -> tuple[Optional[str], Packet]:
         """Advance a packet at `node`; returns (next_hop, packet).
@@ -238,21 +181,16 @@ class Forwarder:
             raise RoutingLoop(f"TTL expired for {packet.flow_id}#{packet.seq} at {node}")
         packet.hop_log.append(node)
         for _ in range(2 * MAX_HEADER_DEPTH + 2):
-            key = self._key(packet)
+            stack = packet.header_stack
+            key = stack[-1] if stack else ("dst", packet.dst)
             entry = self.entries.get((node, key))
             if entry is None:
-                if not packet.header_stack and packet.dst == node:
+                if not stack and packet.dst == node:
                     return None, packet
                 raise NoRoute(node, key)
-            self._pop_owned(node, packet)
-            for kind, arg in entry.encaps:
-                if kind == "gtp":
-                    encapsulate(packet, arg, header_bytes=self.tunnels.gtp_header_bytes)
-                else:
-                    if packet.depth >= MAX_HEADER_DEPTH:
-                        raise DepthExceeded(f"BAP push at depth {packet.depth}")
-                    packet.header_stack.append(
-                        BapHeader(route_id=arg, size_bytes=self.bap_header_bytes))
+            self.strip(node, packet)
+            for header in entry.encaps:
+                encapsulate(packet, header, self.header_bytes[header[0]])
             if entry.next_hop is not None:
                 return entry.next_hop, packet
             # local handoff: re-match with the inner header / bare packet
@@ -269,11 +207,8 @@ class F1TransportTunnels:
 
 
 def build_f1_transport_path(scenario: Scenario, iab_du: str, mode: PathMode,
-                            session_established: bool,
                             donor_association_active: bool) -> Path:
     """Hop sequence the over-the-air F1 interface rides on, per mode."""
-    if not session_established:
-        raise SessionNotEstablished(f"IAB-MT session for {iab_du} not established")
     if not donor_association_active:
         raise AssociationNotActive("donor DU F1 association is not active")
     mt = scenario.group_peer(iab_du)
@@ -303,7 +238,7 @@ def install_routes(scenario: Scenario, forwarder: Forwarder, path: Path,
     installed: list[RouteEntry] = []
 
     def put(at: str, match: MatchKey, nxt: Optional[str],
-            encaps: tuple[EncapDirective, ...] = ()):
+            encaps: tuple[MatchKey, ...] = ()):
         installed.append(forwarder.install(
             RouteEntry(at_node=at, match=match, next_hop=nxt, encaps=encaps)))
 
@@ -326,35 +261,35 @@ def install_routes(scenario: Scenario, forwarder: Forwarder, path: Path,
     if path.mode is PathMode.UPF_REROUTE:
         upf = scenario.the_upf().id
         if uplink:
-            mt_ul = tunnels.mt_session_ul
+            ul = tunnels.mt_session_ul.header
             put(iab_du, ("dst", cu), mt)
-            put(mt, ("dst", cu), donor_du, encaps=(("gtp", mt_ul),))
-            put(donor_du, ("teid", mt_ul.teid.value), cu)
-            put(cu, ("teid", mt_ul.teid.value), upf)
+            put(mt, ("dst", cu), donor_du, encaps=(ul,))
+            put(donor_du, ul, cu)
+            put(cu, ul, upf)
             # The reroute leg: the UPF terminates the MT session tunnel and
             # hands the inner F1 traffic back to the CU.
-            put(upf, ("teid", mt_ul.teid.value), cu)
+            put(upf, ul, cu)
         else:
-            mt_dl = tunnels.mt_session_dl
+            dl = tunnels.mt_session_dl.header
             put(cu, ("dst", iab_du), upf)
-            put(upf, ("dst", iab_du), cu, encaps=(("gtp", mt_dl),))
-            put(cu, ("teid", mt_dl.teid.value), donor_du)
-            put(donor_du, ("teid", mt_dl.teid.value), mt)
-            put(mt, ("teid", mt_dl.teid.value), iab_du)
+            put(upf, ("dst", iab_du), cu, encaps=(dl,))
+            put(cu, dl, donor_du)
+            put(donor_du, dl, mt)
+            put(mt, dl, iab_du)
     else:
         if uplink:
-            rid = tunnels.bap_route_ul
+            bap = ("bap", tunnels.bap_route_ul)
             put(iab_du, ("dst", cu), mt)
-            put(mt, ("dst", cu), donor_du, encaps=(("bap", rid),))
-            put(donor_du, ("bap", rid), cu)
-            put(cu, ("bap", rid), None)  # strip BAP, re-dispatch locally
-            forwarder.set_bap_terminus(rid, cu)
+            put(mt, ("dst", cu), donor_du, encaps=(bap,))
+            put(donor_du, bap, cu)
+            put(cu, bap, None)  # strip BAP, re-dispatch locally
+            forwarder.strips.add((cu, bap))
         else:
-            rid = tunnels.bap_route_dl
-            put(cu, ("dst", iab_du), donor_du, encaps=(("bap", rid),))
-            put(donor_du, ("bap", rid), mt)
-            put(mt, ("bap", rid), iab_du)
-            forwarder.set_bap_terminus(rid, mt)
+            bap = ("bap", tunnels.bap_route_dl)
+            put(cu, ("dst", iab_du), donor_du, encaps=(bap,))
+            put(donor_du, bap, mt)
+            put(mt, bap, iab_du)
+            forwarder.strips.add((mt, bap))
     return installed
 
 
@@ -390,45 +325,39 @@ def install_ue_routes(scenario: Scenario, forwarder: Forwarder, ue: str,
         installed.append(forwarder.install(
             RouteEntry(at_node=at, match=match, next_hop=nxt, encaps=tuple(encaps))))
 
-    mt = scenario.group_peer(serving_du).id if behind_iab else None
+    if behind_iab:
+        mt = scenario.group_peer(serving_du).id
+        donor_du = _donor_du_of(scenario, mt)
+    session_ul, session_dl = tunnels.session_ul.header, tunnels.session_dl.header
+    drb_ul, drb_dl = tunnels.drb_ul.header, tunnels.drb_dl.header
 
     # Downlink: UPF -> ... -> UE
-    put(upf, ("dst", ue), cu, encaps=[("gtp", tunnels.session_dl)])
+    put(upf, ("dst", ue), cu, encaps=[session_dl])
     if not behind_iab:
-        put(cu, ("teid", tunnels.session_dl.teid.value), serving_du,
-            encaps=[("gtp", tunnels.drb_dl)])
+        put(cu, session_dl, serving_du, encaps=[drb_dl])
     elif mode is PathMode.UPF_REROUTE:
-        put(cu, ("teid", tunnels.session_dl.teid.value), upf,
-            encaps=[("gtp", tunnels.drb_dl)])
-        put(upf, ("teid", tunnels.drb_dl.teid.value), cu,
-            encaps=[("gtp", transport.mt_session_dl)])
+        put(cu, session_dl, upf, encaps=[drb_dl])
+        put(upf, drb_dl, cu, encaps=[transport.mt_session_dl.header])
     else:
-        donor_du = _donor_du_of(scenario, mt)
-        put(cu, ("teid", tunnels.session_dl.teid.value), donor_du,
-            encaps=[("gtp", tunnels.drb_dl), ("bap", transport.bap_route_dl)])
-    put(serving_du, ("teid", tunnels.drb_dl.teid.value), ue)
+        put(cu, session_dl, donor_du,
+            encaps=[drb_dl, ("bap", transport.bap_route_dl)])
+    put(serving_du, drb_dl, ue)
 
     # Uplink: UE -> ... -> UPF
     put(ue, ("dst", upf), serving_du)
     if not behind_iab:
-        put(serving_du, ("dst", upf), cu, encaps=[("gtp", tunnels.drb_ul)])
-        put(cu, ("teid", tunnels.drb_ul.teid.value), upf,
-            encaps=[("gtp", tunnels.session_ul)])
+        put(serving_du, ("dst", upf), cu, encaps=[drb_ul])
+        put(cu, drb_ul, upf, encaps=[session_ul])
     else:
-        put(serving_du, ("dst", upf), mt, encaps=[("gtp", tunnels.drb_ul)])
+        put(serving_du, ("dst", upf), mt, encaps=[drb_ul])
         if mode is PathMode.UPF_REROUTE:
-            donor_du = _donor_du_of(scenario, mt)
-            put(mt, ("teid", tunnels.drb_ul.teid.value), donor_du,
-                encaps=[("gtp", transport.mt_session_ul)])
-            put(cu, ("teid", tunnels.drb_ul.teid.value), upf,
-                encaps=[("gtp", tunnels.session_ul)])
+            put(mt, drb_ul, donor_du, encaps=[transport.mt_session_ul.header])
+            put(cu, drb_ul, upf, encaps=[session_ul])
         else:
-            donor_du = _donor_du_of(scenario, mt)
-            put(mt, ("teid", tunnels.drb_ul.teid.value), donor_du,
-                encaps=[("bap", transport.bap_route_ul)])
+            put(mt, drb_ul, donor_du, encaps=[("bap", transport.bap_route_ul)])
             # After the CU strips BAP + DRB the bare packet re-matches here.
-            put(cu, ("dst", upf), upf, encaps=[("gtp", tunnels.session_ul)])
-    put(upf, ("teid", tunnels.session_ul.teid.value), None)
+            put(cu, ("dst", upf), upf, encaps=[session_ul])
+    put(upf, session_ul, None)
     return installed
 
 

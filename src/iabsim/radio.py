@@ -31,6 +31,8 @@ class RadioParams:
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise ValueError(f"RadioParams.{name} must be finite, got {v!r}")
+        if self.reference_distance_m <= 0.0:
+            raise ValueError("reference_distance must be positive")
         if not 0.0 < self.efficiency <= 1.0:
             raise ValueError("efficiency must be in (0, 1]")
         if not 0.0 < self.tdd_dl_fraction <= 1.0:

@@ -50,7 +50,7 @@ def _check_keys(mapping: dict, allowed: set, where: str, required=()) -> None:
         raise ParseError(f"{where}: expected a mapping, got {type(mapping).__name__}")
     unknown = set(mapping) - allowed
     if unknown:
-        raise ParseError(f"{where}: unknown key {sorted(unknown)[0]!r}")
+        raise ParseError(f"{where}: unknown key {sorted(unknown, key=str)[0]!r}")
     for key in required:
         if key not in mapping:
             raise ParseError(f"{where}: missing required key {key!r}")
@@ -110,6 +110,15 @@ def _radio(raw: dict, where: str, base: RadioParams) -> tuple[dict, RadioParams]
         return fields, base.overridden(**fields)
 
 
+def _section(doc: dict, key: str, name: str) -> list:
+    raw = doc.get(key)
+    if raw is None:
+        return []
+    if not isinstance(raw, list):
+        raise ParseError(f"{name}:{key}: expected a list, got {type(raw).__name__}")
+    return raw
+
+
 def loads(text: str, name: str = "<scenario>") -> Scenario:
     try:
         doc = yaml.safe_load(text)
@@ -134,7 +143,7 @@ def loads(text: str, name: str = "<scenario>") -> Scenario:
                    seed=_int(doc, "seed", name, default=0),
                    radio_params=radio_params, protocol=protocol)
 
-    for i, raw in enumerate(doc.get("nodes", []) or []):
+    for i, raw in enumerate(_section(doc, "nodes", name)):
         where = f"{name}:nodes[{i}]"
         _check_keys(raw, NODE_KEYS, where, required=("role",))
         try:
@@ -150,7 +159,7 @@ def loads(text: str, name: str = "<scenario>") -> Scenario:
                          if "carrier" in raw else None,
                          node_id=str(raw["id"]) if raw.get("id") else None)
 
-    for i, raw in enumerate(doc.get("links", []) or []):
+    for i, raw in enumerate(_section(doc, "links", name)):
         where = f"{name}:links[{i}]"
         _check_keys(raw, LINK_KEYS, where, required=("a", "b", "medium"))
         try:
@@ -174,7 +183,7 @@ def loads(text: str, name: str = "<scenario>") -> Scenario:
                          link_id=str(raw["id"]) if raw.get("id") else None,
                          radio_overrides=overrides)
 
-    for i, raw in enumerate(doc.get("flows", []) or []):
+    for i, raw in enumerate(_section(doc, "flows", name)):
         where = f"{name}:flows[{i}]"
         _check_keys(raw, FLOW_KEYS, where,
                     required=("id", "src", "dst", "rate", "start", "stop"))
@@ -184,7 +193,7 @@ def loads(text: str, name: str = "<scenario>") -> Scenario:
             packet_size_bytes=_int(raw, "packet_size", where, default=1400),
             start_s=_num(raw, "start", where), stop_s=_num(raw, "stop", where)))
 
-    for i, raw in enumerate(doc.get("schedule", []) or []):
+    for i, raw in enumerate(_section(doc, "schedule", name)):
         where = f"{name}:schedule[{i}]"
         kind = raw.get("kind") if isinstance(raw, dict) else None
         if kind == "instantiate_iab_node":
@@ -206,7 +215,7 @@ def loads(text: str, name: str = "<scenario>") -> Scenario:
         else:
             raise ParseError(f"{where}: unknown directive kind {kind!r}")
 
-    for i, raw in enumerate(doc.get("asserts", []) or []):
+    for i, raw in enumerate(_section(doc, "asserts", name)):
         where = f"{name}:asserts[{i}]"
         _check_keys(raw, ASSERT_KEYS, where, required=("flow",))
         scn.asserts.append(FlowAssert(

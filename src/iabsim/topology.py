@@ -4,7 +4,8 @@ A :class:`Scenario` is input only (a Simulator runs on its own deep copy): a
 flat graph plus workload and schedule, built by code and by the loader alike
 through `add_node` and `add_link`, which raise on the hard structural rules.
 `validate_topology` re-checks those and the whole-scenario rules (a wired
-donor, IAB pairs, tx powers, flow, assert and directive bounds) as data.
+donor, IAB pairs, finite tx powers, link and protocol numbers, unique flow
+ids, flow, assert and directive bounds) as data.
 """
 from __future__ import annotations
 
@@ -52,12 +53,13 @@ class Carrier:
     scs_hz: float
 
     def __post_init__(self):
-        if self.bandwidth_hz <= 0:
-            raise ValueError("bandwidth must be positive")
+        if not 0 < self.bandwidth_hz < math.inf:
+            raise ValueError("bandwidth must be positive and finite")
         if self.scs_hz not in VALID_SCS_HZ:
             raise ValueError(f"scs must be one of {VALID_SCS_HZ}")
-        if self.center_frequency_hz <= self.bandwidth_hz / 2:
-            raise ValueError("center frequency must exceed half the bandwidth")
+        if not self.bandwidth_hz / 2 < self.center_frequency_hz < math.inf:
+            raise ValueError("center frequency must be finite and exceed half "
+                             "the bandwidth")
 
 
 @dataclass
@@ -245,6 +247,15 @@ class Scenario:
     def the_upf(self) -> Node:
         return self.nodes_with_role(Role.UPF)[0]
 
+    def steady_window(self, flow_id: str) -> tuple[float, float]:
+        """Where a flow's goodput is judged: the window of its first
+        min_goodput_bps assert, or else the flow's own [start, stop)."""
+        for a in self.asserts:
+            if a.flow == flow_id and a.min_goodput_bps is not None:
+                return a.window
+        f = next(f for f in self.flows if f.id == flow_id)
+        return (f.start_s, f.stop_s)
+
     def group_peer(self, node_id: str) -> Optional[Node]:
         """The IabMt paired with an IabDu (or vice versa) via owner_group."""
         n = self.node(node_id)
@@ -310,6 +321,8 @@ def validate_topology(scenario: Scenario) -> ValidationReport:
                         v.append(f"{n.role.value} {n.id} has a wired link {l.id}")
         if n.role in RADIO_ROLES and n.tx_power_dbm is None:
             v.append(f"radio-capable node {n.id} has no tx_power")
+        elif n.tx_power_dbm is not None and not math.isfinite(n.tx_power_dbm):
+            v.append(f"node {n.id}: tx_power must be finite")
         if n.role in DU_ROLES and n.carrier is None:
             v.append(f"DU {n.id} advertises no carrier")
 
@@ -324,8 +337,9 @@ def validate_topology(scenario: Scenario) -> ValidationReport:
                 if frozenset({ra, rb}) not in WIRED_PAIRS:
                     v.append(f"link {l.id}: wired link not permitted between "
                              f"{ra.value} and {rb.value}")
-                if l.wired_capacity_bps is None or l.wired_capacity_bps <= 0:
-                    v.append(f"link {l.id}: wired link needs positive capacity")
+                if not 0 < (l.wired_capacity_bps or 0) < math.inf:
+                    v.append(f"link {l.id}: wired link needs positive, finite "
+                             f"capacity")
             else:
                 du_side = {ra, rb} & DU_ROLES
                 term_side = {ra, rb} & {Role.UE, Role.IAB_MT}
@@ -334,9 +348,17 @@ def validate_topology(scenario: Scenario) -> ValidationReport:
                              f"a UE/IAB-MT")
                 if l.carrier is None:
                     v.append(f"link {l.id}: radio link has no carrier")
+            if not 0 <= l.propagation_delay_s < math.inf:
+                v.append(f"link {l.id}: propagation delay must be finite and >= 0")
 
     if not 0 < scenario.duration_s < math.inf:
         v.append("duration must be positive and finite")
+    proto = scenario.protocol
+    v += [f"protocol: {k} must be >= {low}"
+          for k, low in (("gtp_header_bytes", 0), ("bap_header_bytes", 0),
+                         ("control_message_bytes", 1), ("ttl", 1),
+                         ("link_buffer_packets", 1))
+          if getattr(proto, k) < low]
 
     for f in scenario.flows:
         if f.src not in nodes or f.dst not in nodes:
@@ -350,14 +372,22 @@ def validate_topology(scenario: Scenario) -> ValidationReport:
             v.append(f"flow {f.id}: packet size must be positive")
 
     flow_ids = {f.id for f in scenario.flows}
+    v += [f"duplicate flow id {fid}" for fid in sorted(flow_ids)
+          if sum(f.id == fid for f in scenario.flows) > 1]
     v += [f"assert names unknown flow {a.flow}"
           for a in scenario.asserts if a.flow not in flow_ids]
+    v += [f"assert on {a.flow}: window {a.window} needs 0 <= t0 < t1 <= duration"
+          for a in scenario.asserts
+          if not 0 <= a.window[0] < a.window[1] <= scenario.duration_s]
     v += [f"{type(d).__name__} at t={d.at_s}: need 0 <= at < duration"
           for d in scenario.schedule if not 0 <= d.at_s < scenario.duration_s]
 
     # A DU of the file, or one an instantiate_iab_node directive can create:
     # `<group>-du`, or `iab<k>-du` for an unnamed group, k counting IabDus.
     iab = [d for d in scenario.schedule if isinstance(d, IabNodeDirective)]
+    v += [f"IabNodeDirective at t={d.at_s}: tx_power must be finite"
+          for d in iab
+          if not all(map(math.isfinite, (d.tx_power_dbm, d.mt_tx_power_dbm)))]
     dus = {n.id for n in nodes.values() if n.role in DU_ROLES}
     dus |= {f"{d.group}-du" for d in iab if d.group}
     if not all(d.group for d in iab):

@@ -7,11 +7,8 @@ from iabsim.errors import (AlreadyEstablished, DuNotReady, MtDetached,
                            NotActive, NotCovered)
 from iabsim.f1ap import (AssocState, ControlPlane, MsgKind, SessionState,
                          UeState)
-from iabsim.gtp import Path, PathMode, TunnelTable
+from iabsim.gtp import TunnelTable
 from iabsim.topology import Carrier
-
-
-PATH = Path(hops=("du", "cu"), mode=PathMode.UPF_REROUTE)
 
 
 class Bus:
@@ -45,7 +42,7 @@ class Bus:
 class TestF1Setup:
     def test_handshake_reaches_active(self):
         bus = Bus()
-        assoc = bus.cp.f1_setup("cu", "du", PATH, rtt_s=0.001)
+        assoc = bus.cp.f1_setup("cu", "du", rtt_s=0.001)
         assert assoc.state is AssocState.ACTIVE
         kinds = [k for k, _, _ in bus.sent]
         assert kinds == [MsgKind.SETUP_REQUEST, MsgKind.SETUP_RESPONSE]
@@ -56,13 +53,13 @@ class TestF1Setup:
         bus = Bus()
         seen = []
         bus.cp.on_association_active = seen.append
-        bus.cp.f1_setup("cu", "du", PATH, rtt_s=0.001)
+        bus.cp.f1_setup("cu", "du", rtt_s=0.001)
         bus.fire_timers()  # stale timeout must not re-trigger anything
         assert seen == ["du"]
 
     def test_retry_once_then_idle_on_dead_transport(self):
         bus = Bus(connected=False)
-        assoc = bus.cp.f1_setup("cu", "du", PATH, rtt_s=0.001)
+        assoc = bus.cp.f1_setup("cu", "du", rtt_s=0.001)
         assert assoc.state is AssocState.SETUP_REQUESTED
         assert assoc.attempts == 1
         bus.fire_timers()  # first 3*RTT timeout: retransmit
@@ -74,23 +71,23 @@ class TestF1Setup:
 
     def test_timeout_delay_is_three_rtt(self):
         bus = Bus(connected=False)
-        bus.cp.f1_setup("cu", "du", PATH, rtt_s=0.004)
+        bus.cp.f1_setup("cu", "du", rtt_s=0.004)
         assert bus.timers[0][0] == pytest.approx(0.012)
 
     def test_setup_can_restart_after_failure(self):
         bus = Bus(connected=False)
-        bus.cp.f1_setup("cu", "du", PATH, rtt_s=0.001)
+        bus.cp.f1_setup("cu", "du", rtt_s=0.001)
         bus.fire_timers()
         bus.fire_timers()
         bus.connected = True
-        assoc = bus.cp.f1_setup("cu", "du", PATH, rtt_s=0.001)
+        assoc = bus.cp.f1_setup("cu", "du", rtt_s=0.001)
         assert assoc.state is AssocState.ACTIVE
 
 
 class TestDeliverability:
     def test_messages_undeliverable_while_idle(self):
         bus = Bus(connected=False)
-        assoc = bus.cp.f1_setup("cu", "du", PATH, rtt_s=0.001)
+        assoc = bus.cp.f1_setup("cu", "du", rtt_s=0.001)
         bus.fire_timers()
         bus.fire_timers()
         assert assoc.state is AssocState.IDLE
@@ -101,11 +98,11 @@ class TestDeliverability:
 
     def test_messages_deliverable_while_requested_and_active(self):
         bus = Bus(connected=False)
-        bus.cp.f1_setup("cu", "du", PATH, rtt_s=0.001)
+        bus.cp.f1_setup("cu", "du", rtt_s=0.001)
         from iabsim.f1ap import F1Message
         assert bus.cp.deliverable(F1Message(MsgKind.SETUP_REQUEST, "du"))
         bus.connected = True
-        bus.cp.f1_setup("cu", "du", PATH, rtt_s=0.001)
+        bus.cp.f1_setup("cu", "du", rtt_s=0.001)
         assert bus.cp.deliverable(F1Message(MsgKind.DU_CONFIG_UPDATE, "du"))
 
     def test_unknown_association_undeliverable(self):
@@ -116,7 +113,7 @@ class TestDeliverability:
 class TestUeAttach:
     def _active_bus(self):
         bus = Bus()
-        bus.cp.f1_setup("cu", "du", PATH, rtt_s=0.001)
+        bus.cp.f1_setup("cu", "du", rtt_s=0.001)
         return bus
 
     def test_attach_reaches_connected(self):
@@ -136,7 +133,7 @@ class TestUeAttach:
 
     def test_attach_before_association_active_rejected(self):
         bus = Bus(connected=False)
-        bus.cp.f1_setup("cu", "du", PATH, rtt_s=0.001)  # stuck in SetupRequested
+        bus.cp.f1_setup("cu", "du", rtt_s=0.001)  # stuck in SetupRequested
         with pytest.raises(DuNotReady):
             bus.cp.ue_attach("ue1", "du", "cu", covered=True)
 
@@ -144,7 +141,7 @@ class TestUeAttach:
 class TestPduSession:
     def _connected_mt(self):
         bus = Bus()
-        bus.cp.f1_setup("cu", "du", PATH, rtt_s=0.001)
+        bus.cp.f1_setup("cu", "du", rtt_s=0.001)
         bus.cp.ue_attach("mt", "du", "cu", covered=True)
         return bus
 
@@ -155,8 +152,8 @@ class TestPduSession:
         assert s.state is SessionState.ESTABLISHED
         assert s.uplink.receiver == "upf" and s.uplink.sender == "mt"
         assert s.downlink.receiver == "mt" and s.downlink.sender == "upf"
-        assert table.owns("upf", s.uplink.teid)
-        assert table.owns("mt", s.downlink.teid)
+        assert ("upf", s.uplink.header) in table.strips
+        assert ("mt", s.downlink.header) in table.strips
 
     def test_establish_without_connected_context_rejected(self):
         bus = Bus()
@@ -175,7 +172,7 @@ class TestPduSession:
 class TestDuConfigUpdate:
     def test_update_round_trip_reaches_hook(self):
         bus = Bus()
-        bus.cp.f1_setup("cu", "du", PATH, rtt_s=0.001)
+        bus.cp.f1_setup("cu", "du", rtt_s=0.001)
         got = []
         bus.cp.on_du_carrier_update = lambda du, c: got.append((du, c))
         carrier = Carrier("n78", 3.47e9, 30e6, 30e3)
@@ -186,6 +183,6 @@ class TestDuConfigUpdate:
 
     def test_update_on_inactive_association_rejected(self):
         bus = Bus(connected=False)
-        bus.cp.f1_setup("cu", "du", PATH, rtt_s=0.001)
+        bus.cp.f1_setup("cu", "du", rtt_s=0.001)
         with pytest.raises(NotActive):
             bus.cp.du_config_update("du", Carrier("n78", 3.47e9, 30e6, 30e3))

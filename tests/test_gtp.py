@@ -3,12 +3,11 @@ import random
 import pytest
 
 from iabsim.errors import (AssociationNotActive, ConflictingEntry,
-                           DepthExceeded, EmptyStack, InvalidPath, NoRoute,
-                           RoutingLoop, SessionNotEstablished, TeidMismatch)
+                           DepthExceeded, InvalidPath, NoRoute, RoutingLoop)
 from iabsim.gtp import (F1TransportTunnels, Forwarder, Packet, Path, PathMode,
-                        RouteEntry, Teid, TunnelTable, UePlaneTunnels,
-                        build_f1_transport_path, decapsulate, encapsulate,
-                        install_routes, install_ue_routes)
+                        RouteEntry, TEID_MAX, TunnelTable, UePlaneTunnels,
+                        build_f1_transport_path, encapsulate, install_routes,
+                        install_ue_routes)
 from iabsim.topology import Medium, Role
 
 from conftest import N78, build_donor_scenario
@@ -38,29 +37,25 @@ def scenario_with_iab():
 
 
 class TestTeids:
-    def test_teid_range_enforced(self):
-        with pytest.raises(ValueError):
-            Teid(0)
-        with pytest.raises(ValueError):
-            Teid(2 ** 32)
-        assert Teid(1).value == 1
-        assert Teid(2 ** 32 - 1).value == 2 ** 32 - 1
+    def test_allocated_teids_in_range(self):
+        t = make_table()
+        assert all(1 <= t.allocate_teid("upf") <= TEID_MAX for _ in range(500))
 
     def test_allocation_is_deterministic_per_seed(self):
-        a = [make_table(7).allocate_teid("upf").value for _ in range(3)]
+        a = [make_table(7).allocate_teid("upf") for _ in range(3)]
         assert a[0] == a[1] == a[2]
-        assert make_table(8).allocate_teid("upf").value != a[0]
+        assert make_table(8).allocate_teid("upf") != a[0]
 
     def test_allocation_unique_per_endpoint(self):
         t = make_table()
-        seen = {t.allocate_teid("upf").value for _ in range(500)}
+        seen = {t.allocate_teid("upf") for _ in range(500)}
         assert len(seen) == 500
 
     def test_ownership_keyed_by_receiver(self):
         t = make_table()
         tun = t.open_tunnel("uav1-mt", "upf", "session-ul")
-        assert t.owns("upf", tun.teid)
-        assert not t.owns("uav1-mt", tun.teid)
+        assert ("upf", tun.header) in t.strips
+        assert ("uav1-mt", tun.header) not in t.strips
 
 
 class TestEncapDecap:
@@ -68,49 +63,50 @@ class TestEncapDecap:
         t = make_table()
         tun = t.open_tunnel("a", "b")
         pkt = make_packet()
-        encapsulate(pkt, tun)
+        encapsulate(pkt, tun.header, 8)
         assert pkt.wire_size_bytes == 1408  # 1400 payload + 8 GTP
-        decapsulate(pkt, tun.teid)
+        Forwarder(t).strip("b", pkt)
         assert pkt.wire_size_bytes == 1400
         assert pkt.depth == 0
 
     def test_double_nesting_allowed_triple_rejected(self):
         t = make_table()
         pkt = make_packet()
-        encapsulate(pkt, t.open_tunnel("a", "b"))
-        encapsulate(pkt, t.open_tunnel("b", "c"))
+        encapsulate(pkt, t.open_tunnel("a", "b").header, 8)
+        encapsulate(pkt, t.open_tunnel("b", "c").header, 8)
         assert pkt.wire_size_bytes == 1416  # two 8-byte headers
         with pytest.raises(DepthExceeded):
-            encapsulate(pkt, t.open_tunnel("c", "d"))
+            encapsulate(pkt, t.open_tunnel("c", "d").header, 8)
 
-    def test_decap_wrong_teid_rejected(self):
+    def test_strip_only_what_the_node_owns(self):
         t = make_table()
-        tun = t.open_tunnel("a", "b")
-        other = t.open_tunnel("a", "b")
+        inner, outer = t.open_tunnel("a", "b"), t.open_tunnel("a", "c")
         pkt = make_packet()
-        encapsulate(pkt, tun)
-        with pytest.raises(TeidMismatch):
-            decapsulate(pkt, other.teid)
-        assert pkt.depth == 1  # failed decap must not strip anything
-
-    def test_decap_empty_stack_rejected(self):
-        with pytest.raises(EmptyStack):
-            decapsulate(make_packet(), Teid(5))
+        encapsulate(pkt, inner.header, 8)
+        encapsulate(pkt, outer.header, 8)
+        fwd = Forwarder(t)
+        fwd.strip("b", pkt)
+        assert pkt.header_stack == (inner.header, outer.header)  # c's is outermost
+        fwd.strip("c", pkt)
+        assert pkt.header_stack == (inner.header,)
+        assert pkt.wire_size_bytes == 1408
+        fwd.strip("b", pkt)
+        fwd.strip("b", pkt)  # a bare packet has nothing to strip
+        assert pkt.header_stack == () and pkt.wire_size_bytes == 1400
 
     def test_teids_in_stack_outermost_first(self):
         t = make_table()
         inner, outer = t.open_tunnel("a", "b"), t.open_tunnel("b", "c")
         pkt = make_packet()
-        encapsulate(pkt, inner)
-        encapsulate(pkt, outer)
-        assert pkt.teids_in_stack() == [outer.teid.value, inner.teid.value]
+        encapsulate(pkt, inner.header, 8)
+        encapsulate(pkt, outer.header, 8)
+        assert pkt.teids_in_stack() == [outer.teid, inner.teid]
 
 
 class TestPaths:
     def test_reroute_path_hops(self):
         path = build_f1_transport_path(scenario_with_iab(), "uav1-du",
                                        PathMode.UPF_REROUTE,
-                                       session_established=True,
                                        donor_association_active=True)
         assert path.hops == ("uav1-du", "uav1-mt", "donor-du", "cu", "upf", "cu")
         assert path.reversed().hops == ("cu", "upf", "cu", "donor-du",
@@ -119,22 +115,13 @@ class TestPaths:
     def test_bypass_path_hops(self):
         path = build_f1_transport_path(scenario_with_iab(), "uav1-du",
                                        PathMode.BAP_BYPASS,
-                                       session_established=True,
                                        donor_association_active=True)
         assert path.hops == ("uav1-du", "uav1-mt", "donor-du", "cu")
-
-    def test_path_requires_session(self):
-        with pytest.raises(SessionNotEstablished):
-            build_f1_transport_path(scenario_with_iab(), "uav1-du",
-                                    PathMode.UPF_REROUTE,
-                                    session_established=False,
-                                    donor_association_active=True)
 
     def test_path_requires_active_donor_association(self):
         with pytest.raises(AssociationNotActive):
             build_f1_transport_path(scenario_with_iab(), "uav1-du",
                                     PathMode.UPF_REROUTE,
-                                    session_established=True,
                                     donor_association_active=False)
 
     def test_path_validate_rejects_missing_link(self):
@@ -159,7 +146,6 @@ def build_transport(scn, table, fwd, mode):
     transport = F1TransportTunnels(mt_session_ul=ul, mt_session_dl=dl,
                                    bap_route_ul=bap_ul, bap_route_dl=bap_dl)
     path = build_f1_transport_path(scn, "uav1-du", mode,
-                                   session_established=True,
                                    donor_association_active=True)
     install_routes(scn, fwd, path, transport)
     install_routes(scn, fwd, path.reversed(), transport)
@@ -191,7 +177,7 @@ class TestRouteInstallation:
         transport, _ = build_transport(scn, table, fwd, PathMode.UPF_REROUTE)
         upf_entries = [e for (node, _), e in fwd.entries.items() if node == "upf"]
         ul = [e for e in upf_entries
-              if e.match == ("teid", transport.mt_session_ul.teid.value)]
+              if e.match == transport.mt_session_ul.header]
         assert len(ul) == 1 and ul[0].next_hop == "cu"
 
     def test_bypass_installs_nothing_at_upf(self):
@@ -206,8 +192,8 @@ class TestRouteInstallation:
         table = make_table()
         fwd = Forwarder(table)
         transport, _ = build_transport(scn, table, fwd, PathMode.BAP_BYPASS)
-        assert fwd.bap_terminus[transport.bap_route_ul] == "cu"
-        assert fwd.bap_terminus[transport.bap_route_dl] == "uav1-mt"
+        assert ("cu", ("bap", transport.bap_route_ul)) in fwd.strips
+        assert ("uav1-mt", ("bap", transport.bap_route_dl)) in fwd.strips
 
 
 def forward_to_delivery(fwd, start, pkt, limit=32):
@@ -278,9 +264,9 @@ class TestForwarding:
             if nxt is None:
                 break
             if {node, nxt} == {"donor-du", "uav1-mt"}:
-                stack_on_backhaul = [type(h).__name__ for h in pkt.header_stack]
+                stack_on_backhaul = [kind for kind, _ in pkt.header_stack]
             node = nxt
-        assert stack_on_backhaul == ["GtpHeader", "BapHeader"]  # outermost last
+        assert stack_on_backhaul == ["teid", "bap"]  # outermost last
 
     def test_no_route_raises_with_node_and_key(self):
         fwd = Forwarder(make_table())

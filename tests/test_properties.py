@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from iabsim import PathMode, Simulator, link_capacity, measure_throughput, radio
-from iabsim.gtp import Packet, TunnelTable, decapsulate, encapsulate
+from iabsim.gtp import Forwarder, Packet, TunnelTable, encapsulate
 from iabsim.radio import RadioParams
 
 from conftest import build_mini_scenario
@@ -39,16 +39,21 @@ mini_params = dict(
        seed=st.integers(min_value=0, max_value=2 ** 31),
        labels=st.lists(st.text(min_size=1, max_size=8), min_size=1, max_size=2))
 def test_encapsulation_round_trip(payload, seed, labels):
-    """Pushing then popping any legal tunnel stack restores the packet."""
+    """Pushing any legal tunnel stack, then stripping it at the tunnels'
+    receiver, restores the packet; the push and the strip are the ones
+    Forwarder.forward uses."""
     table = TunnelTable(random.Random(seed))
+    fwd = Forwarder(table)
     pkt = Packet(flow_id="f", src="a", dst="z", payload_size_bytes=payload,
                  created_at_s=0.0)
     tunnels = [table.open_tunnel("a", "b", lbl) for lbl in labels]
     for t in tunnels:
-        encapsulate(pkt, t)
+        encapsulate(pkt, t.header, fwd.header_bytes["teid"])
     assert pkt.wire_size_bytes == payload + 8 * len(tunnels)
-    for t in reversed(tunnels):
-        decapsulate(pkt, t.teid)
+    assert pkt.teids_in_stack() == [t.teid for t in reversed(tunnels)]
+    fwd.strip("a", pkt)  # the sender strips nothing
+    assert pkt.depth == len(tunnels)
+    fwd.strip("b", pkt)
     assert pkt.wire_size_bytes == payload
     assert pkt.depth == 0 and pkt.payload_size_bytes == payload
 

@@ -1,6 +1,9 @@
+import copy
 import re
 
 import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
 
 from iabsim import Simulator, link_capacity, load_scenario, validate_topology
 from iabsim.errors import ParseError
@@ -65,7 +68,8 @@ def with_radio(overrides: str) -> str:
     return broken(RADIO_LINK, RADIO_LINK[:-1] + f", radio: {overrides}}}")
 
 
-# (scenario text, the entry its error must name); each breaks one entry of FULL
+# (scenario text, the entry its error must name); each breaks one entry of
+# FULL, or makes a list section a scalar
 MALFORMED = {
     "packet-size-text": (broken("packet_size: 1000", "packet_size: big"),
                          "flows[0]"),
@@ -76,6 +80,8 @@ MALFORMED = {
     "protocol-text": (broken("{ttl: 16}", "{ttl: x}"), "protocol"),
     "radio-defaults-text": (broken("{efficiency: 0.55}", "{efficiency: x}"),
                             "radio_defaults"),
+    "radio-defaults-zero-distance": (
+        broken("{efficiency: 0.55}", "{reference_distance: 0}"), "radio_defaults"),
     "window-text": (broken("window: [0.2, 0.8]", "window: [a, 0.1]"),
                     "asserts[0]"),
     "assert-no-flow": (broken("{flow: dl, ", "{"), "asserts[0]"),
@@ -92,6 +98,10 @@ MALFORMED = {
     "radio-override-unknown": (with_radio("{foo: 1}"), "links[2]"),
     "radio-override-text": (with_radio("{efficiency: x}"), "links[2]"),
     "radio-override-range": (with_radio("{efficiency: 2.0}"), "links[2]"),
+    "carrier-bandwidth-nan": (broken("bandwidth: 20.0e6", "bandwidth: .nan"),
+                              "nodes[2]"),
+    **{f"{section}-scalar": (f"duration: 1.0\n{section}: 5\n", section)
+       for section in ("nodes", "links", "flows", "schedule", "asserts")},
 }
 
 
@@ -202,3 +212,54 @@ class TestBundledScenarios:
         p.write_text(MINIMAL)
         scn = load_scenario(p)
         assert set(scn.nodes) == {"cu", "upf", "du"}
+
+
+# Values a mutation puts in place of any entry: degenerate numbers (1e400 as
+# YAML reads it, a string, and as a whole number too big for a float), and
+# the other types a section, entry or field may wrongly hold.
+ODD_VALUES = [0, -1, 0.0, -1.5, float("nan"), float("inf"), float("-inf"),
+              "1e400", 10 ** 400, "x", "", True, None, [], [1, 2], {},
+              {"a": 1}]
+BUNDLED = {name: yaml.safe_load(bundled_scenario_path(name).read_text())
+           for name in ("paper-reference", "bap-compare")}
+
+
+def mutate(draw, doc):
+    """`doc` with one entry, found by a random walk from the top, dropped,
+    renamed or replaced by an odd value."""
+    odd = lambda: copy.deepcopy(draw(st.sampled_from(ODD_VALUES)))
+    parent, key, node = None, None, doc
+    while isinstance(node, (dict, list)) and node and (
+            parent is None or draw(st.booleans())):
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        key = draw(st.sampled_from(keys))
+        parent, node = node, node[key]
+    if parent is None:
+        return odd()
+    op = draw(st.sampled_from(["drop", "rename", "replace"]))
+    if op == "replace":
+        parent[key] = odd()
+    elif isinstance(parent, list):
+        del parent[key]
+    else:
+        value = parent.pop(key)
+        if op == "rename":
+            parent[draw(st.sampled_from([f"{key}x", "id", "at", 1]))] = value
+    return doc
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), name=st.sampled_from(sorted(BUNDLED)),
+       n_mutations=st.integers(min_value=1, max_value=3))
+def test_mutated_bundled_yaml_fails_only_as_data(data, name, n_mutations):
+    """A bundled scenario with keys dropped or renamed, or values swapped for
+    other types or degenerate numbers, loads OK, or is a ParseError, or
+    validates to violations: never any other exception."""
+    doc = copy.deepcopy(BUNDLED[name])
+    for _ in range(n_mutations):
+        doc = mutate(data.draw, doc)
+    try:
+        scn = loads(yaml.safe_dump(doc))
+    except ParseError:
+        return
+    assert isinstance(validate_topology(scn).violations, list)

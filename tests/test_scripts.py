@@ -29,6 +29,9 @@ def test_run_reference_reports_both_modes():
     # mode, steady Mbit/s, latency ms, hops, flow overhead B, total header B
     assert [(r[0], r[3]) for r in rows] == [("UpfReroute", "8.00"),
                                             ("BapBypass", "6.00")]
+    # bap-compare has no goodput assert: the steady window is dl-ue2's own
+    # [start, stop), where it is delivered in full in both modes.
+    assert all(float(r[1]) > 19.0 for r in rows)
 
 
 def test_seed_sweep_reports_every_seed():
@@ -37,3 +40,7 @@ def test_seed_sweep_reports_every_seed():
     assert [line.split(":")[0] for line in lines if line.startswith("seed ")] \
         == ["seed 0", "seed 1"]
     assert "distinct trace hashes: 2/2" in lines
+    goodputs = {line.split()[4] for line in lines if line.startswith("seed ")}
+    assert len(goodputs) == 1 and float(goodputs.pop()) > 19.0
+    assert ("goodput spread across seeds: 0.000000 bps (OK: seed-invariant)"
+            in lines)

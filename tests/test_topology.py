@@ -3,8 +3,8 @@ import pytest
 from iabsim.errors import (DirectiveOutOfRange, DuplicateCu, DuplicateUpf,
                            IllegalMedium, MissingCarrier, UnknownNode)
 from iabsim.topology import (Carrier, DuConfigUpdateDirective, FlowAssert,
-                             FlowSpec, Link, Medium, Role, Scenario,
-                             instantiate_iab_node, validate_topology)
+                             FlowSpec, Link, Medium, ProtocolConstants, Role,
+                             Scenario, instantiate_iab_node, validate_topology)
 
 from conftest import N41, N78, build_donor_scenario
 
@@ -146,9 +146,47 @@ class TestValidation:
         (lambda s: s.schedule.append(DuConfigUpdateDirective(
             at_s=0.5, du="ue1", carrier=N78)),
          "DuConfigUpdateDirective at t=0.5: unknown DU ue1"),
+        (lambda s: s.flows.extend(
+            FlowSpec(id="dl", src="upf", dst="ue1", rate_bps=1e6, stop_s=0.5)
+            for _ in range(2)),
+         "duplicate flow id dl"),
+        (lambda s: setattr(s.links[0], "wired_capacity_bps", float("nan")),
+         "link f1-wire: wired link needs positive, finite capacity"),
+        (lambda s: setattr(s.links[0], "wired_capacity_bps", float("inf")),
+         "link f1-wire: wired link needs positive, finite capacity"),
+        (lambda s: setattr(s.links[1], "propagation_delay_s", -1.0),
+         "link n6-wire: propagation delay must be finite and >= 0"),
+        (lambda s: setattr(s.links[1], "propagation_delay_s", float("nan")),
+         "link n6-wire: propagation delay must be finite and >= 0"),
+        (lambda s: setattr(s.nodes["donor-du"], "tx_power_dbm", float("nan")),
+         "node donor-du: tx_power must be finite"),
+        (lambda s: instantiate_iab_node(s, (880.0, 0.0), N78,
+                                        tx_power_dbm=float("nan"), at_s=0.1),
+         "IabNodeDirective at t=0.1: tx_power must be finite"),
+        (lambda s: setattr(s, "protocol", ProtocolConstants(ttl=0)),
+         "protocol: ttl must be >= 1"),
+        (lambda s: setattr(s, "protocol",
+                           ProtocolConstants(link_buffer_packets=-1)),
+         "protocol: link_buffer_packets must be >= 1"),
+        (lambda s: setattr(s, "protocol",
+                           ProtocolConstants(control_message_bytes=0)),
+         "protocol: control_message_bytes must be >= 1"),
+        (lambda s: setattr(s, "protocol",
+                           ProtocolConstants(gtp_header_bytes=-100)),
+         "protocol: gtp_header_bytes must be >= 0"),
+        (lambda s: s.asserts.append(FlowAssert(flow="dl", window=(0.5, 0.2))),
+         "assert on dl: window (0.5, 0.2) needs 0 <= t0 < t1 <= duration"),
+        (lambda s: s.asserts.append(
+            FlowAssert(flow="dl", window=(float("nan"), 0.2))),
+         "assert on dl: window (nan, 0.2) needs 0 <= t0 < t1 <= duration"),
     ], ids=["endpoint-of-cu-link", "endpoint-of-ue-link", "duration-inf",
             "duration-nan", "assert-unknown-flow", "directive-at-duration",
-            "directive-before-zero", "update-unknown-du", "update-not-a-du"])
+            "directive-before-zero", "update-unknown-du", "update-not-a-du",
+            "duplicate-flow-id", "wired-capacity-nan", "wired-capacity-inf",
+            "propagation-negative", "propagation-nan", "node-tx-power-nan",
+            "directive-tx-power-nan", "ttl-zero", "buffer-negative",
+            "control-size-zero", "header-size-negative", "assert-window-reversed",
+            "assert-window-nan"])
     def test_rejected_as_data_not_raised(self, mutate, violation):
         scn = build_donor_scenario(duration=1.0)
         mutate(scn)
