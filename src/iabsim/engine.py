@@ -17,15 +17,19 @@ from . import radio
 from .errors import (IabSimError, NoDonorCoverage, NoRoute, RoutingLoop,
                      ScenarioInvalid, TransportDown)
 from .f1ap import AssocState, ControlPlane, F1Message, UeState
-from .gtp import (F1TransportTunnels, Forwarder, Packet, Path, PathMode,
-                  TunnelTable, UePlaneTunnels, build_f1_transport_path,
-                  install_routes, install_ue_routes)
+from .gtp import (F1TransportTunnels, Forwarder, Packet, PathMode, RouteEntry,
+                  TunnelTable, UePlaneTunnels, install_f1_transport,
+                  install_ue_routes)
 from .topology import (DU_ROLES, DuConfigUpdateDirective, FlowSpec,
                        IabNodeDirective, Link, Medium, Node, Role, Scenario,
                        validate_topology)
 from .trace import SCHEMA_VERSION, Trace, ControlDelivery, Delivery, measure_throughput
 
 __all__ = ["Simulator", "run", "link_capacity", "measure_throughput", "PathMode"]
+
+# The wired hop between an IAB node's MT and DU on one airframe. It is not
+# free: its serialization time shows in the trace's 12-digit times.
+IAB_INTERNAL_CAPACITY_BPS = 1e15
 
 
 def link_capacity(scenario: Scenario, link: Link, tx_node_id: str) -> float:
@@ -153,15 +157,15 @@ class Simulator:
             link = self.scn.find_link(cu, du.id)
             if link is None or link.medium is not Medium.WIRED:
                 continue
-            path = Path(hops=(du.id, cu), mode=self.mode)
-            install_routes(self.scn, self.fwd, path, None)
-            rtt = 2.0 * self._path_delay(path.hops)
-            self.cp.f1_setup(cu, du.id, rtt)
+            self.fwd.install(RouteEntry(at_node=du.id, match=("dst", cu),
+                                        next_hop=cu))
+            self.fwd.install(RouteEntry(at_node=cu, match=("dst", du.id),
+                                        next_hop=du.id))
+            self.cp.f1_setup(cu, du.id, 2.0 * self._path_delay((du.id, cu)))
 
-    def _path_delay(self, hops: tuple[str, ...],
-                    size_bytes: Optional[int] = None) -> float:
+    def _path_delay(self, hops: tuple[str, ...]) -> float:
         """Nominal one-way latency of a control message along `hops`."""
-        size = size_bytes or self.proto.control_message_bytes
+        size = self.proto.control_message_bytes
         total = 0.0
         for a, b in zip(hops, hops[1:]):
             link = self.scn.find_link(a, b)
@@ -215,7 +219,8 @@ class Simulator:
                                   tx_power_dbm=d.tx_power_dbm, owner_group=group,
                                   carrier=d.access_carrier, node_id=f"{group}-du")
         self.scn.add_link(mt_id, du_id, Medium.WIRED,
-                          wired_capacity_bps=1e15, propagation_delay_s=0.0)
+                          wired_capacity_bps=IAB_INTERNAL_CAPACITY_BPS,
+                          propagation_delay_s=0.0)
         self.scn.add_link(best.id, mt_id, Medium.RADIO, carrier=best.carrier)
         self._start_ue_attach(self.scn.node(mt_id), best)
 
@@ -244,27 +249,13 @@ class Simulator:
             self._install_ue_plane(ue_id)
 
     def _bring_up_iab_node(self, mt_id: str) -> None:
-        cu = self.scn.the_cu().id
-        upf = self.scn.the_upf().id
-        session = self.cp.establish_pdu_session(mt_id, upf, self.tunnels.open_tunnel)
+        session = self.cp.establish_pdu_session(mt_id, self.scn.the_upf().id,
+                                                self.tunnels.open_tunnel)
         iab_du = self.scn.group_peer(mt_id).id
-        bap_ul = bap_dl = None
-        if self.mode is PathMode.BAP_BYPASS:
-            bap_ul = self.fwd.next_bap_route_id()
-            bap_dl = self.fwd.next_bap_route_id()
-        transport = F1TransportTunnels(mt_session_ul=session.uplink,
-                                       mt_session_dl=session.downlink,
-                                       bap_route_ul=bap_ul, bap_route_dl=bap_dl)
-        donor_active = self.cp.association_active(
-            self.cp.ue_contexts[mt_id].serving_du)
-        path_ul = build_f1_transport_path(self.scn, iab_du, self.mode,
-                                          donor_association_active=donor_active)
-        path_dl = path_ul.reversed()
-        install_routes(self.scn, self.fwd, path_ul, transport)
-        install_routes(self.scn, self.fwd, path_dl, transport)
-        self._transport[iab_du] = transport
-        rtt = self._path_delay(path_ul.hops) + self._path_delay(path_dl.hops)
-        self.cp.f1_setup(cu, iab_du, rtt)
+        hops, self._transport[iab_du] = install_f1_transport(
+            self.scn, self.fwd, iab_du, self.mode, session.uplink, session.downlink)
+        rtt = self._path_delay(hops) + self._path_delay(hops[::-1])
+        self.cp.f1_setup(self.scn.the_cu().id, iab_du, rtt)
 
     def _install_ue_plane(self, ue_id: str) -> None:
         ctx = self.cp.ue_contexts[ue_id]

@@ -74,10 +74,6 @@ class RoutingLoop(RoutingError):
     pass
 
 
-class InvalidPath(RoutingError):
-    pass
-
-
 # --- control plane ----------------------------------------------------------
 
 class ControlError(IabSimError):
@@ -105,10 +101,6 @@ class AlreadyEstablished(ControlError):
 
 
 class NotActive(ControlError):
-    pass
-
-
-class AssociationNotActive(ControlError):
     pass
 
 

@@ -1,4 +1,4 @@
-"""User-plane tunneling: TEIDs, header stacks, F1 transport paths, routing.
+"""User-plane tunneling: TEIDs, header stacks, route installers, forwarding.
 
 The forwarding model is table-driven. A header is its own match key, a plain
 pair: ("teid", value) for GTP, ("bap", route_id) for BAP. A
@@ -7,6 +7,11 @@ packet, by ("dst", node), and names the next hop and the headers to push.
 One set of (node, header) pairs says who strips what: a node pops the
 outermost header while the pair is in that set. Allocating a TEID at a
 receiver and ending a BAP route at a terminus both add to it.
+
+Two installers write the tables, and only they know a mode's layout:
+:func:`install_f1_transport` carries an IAB node's F1 from its IAB-DU over
+its IAB-MT and donor DU to the CU, and :func:`install_ue_routes` nests one
+UE's user plane into that transport.
 """
 from __future__ import annotations
 
@@ -15,8 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .errors import (AssociationNotActive, ConflictingEntry, DepthExceeded,
-                     InvalidPath, NoRoute, RoutingLoop)
+from .errors import ConflictingEntry, DepthExceeded, NoRoute, RoutingLoop
 from .topology import Role, Scenario
 
 MAX_HEADER_DEPTH = 2
@@ -105,26 +109,6 @@ def encapsulate(packet: Packet, header: MatchKey, size_bytes: int) -> Packet:
 
 
 @dataclass(frozen=True)
-class Path:
-    hops: tuple[str, ...]
-    mode: PathMode
-
-    def validate(self, scenario: Scenario) -> None:
-        if len(self.hops) < 2:
-            raise InvalidPath("path needs at least two hops")
-        prev_pair = None
-        for a, b in zip(self.hops, self.hops[1:]):
-            if scenario.find_link(a, b) is None:
-                raise InvalidPath(f"no link between consecutive hops {a} and {b}")
-            if (a, b) == prev_pair:
-                raise InvalidPath(f"link {a}-{b} traversed twice in a row")
-            prev_pair = (a, b)
-
-    def reversed(self) -> "Path":
-        return Path(hops=tuple(reversed(self.hops)), mode=self.mode)
-
-
-@dataclass(frozen=True)
 class RouteEntry:
     at_node: str
     match: MatchKey
@@ -199,98 +183,67 @@ class Forwarder:
 
 @dataclass(frozen=True)
 class F1TransportTunnels:
-    """Tunnel material the F1 transport path is built from (per IAB node)."""
+    """The headers an IAB node's F1 transport rides in, which its UEs' user
+    plane nests into."""
     mt_session_ul: Tunnel  # IabMt -> Upf, TEID owned by the UPF
     mt_session_dl: Tunnel  # Upf -> IabMt, TEID owned by the MT
     bap_route_ul: Optional[int] = None
     bap_route_dl: Optional[int] = None
 
 
-def build_f1_transport_path(scenario: Scenario, iab_du: str, mode: PathMode,
-                            donor_association_active: bool) -> Path:
-    """Hop sequence the over-the-air F1 interface rides on, per mode."""
-    if not donor_association_active:
-        raise AssociationNotActive("donor DU F1 association is not active")
-    mt = scenario.group_peer(iab_du)
-    if mt is None:
-        raise InvalidPath(f"{iab_du} has no grouped IAB-MT")
-    donor_du = _donor_du_of(scenario, mt.id)
-    cu = scenario.the_cu().id
-    if mode is PathMode.UPF_REROUTE:
-        hops = (iab_du, mt.id, donor_du, cu, scenario.the_upf().id, cu)
-    else:
-        hops = (iab_du, mt.id, donor_du, cu)
-    path = Path(hops=hops, mode=mode)
-    path.validate(scenario)
-    return path
+def install_f1_transport(scenario: Scenario, forwarder: Forwarder, iab_du: str,
+                         mode: PathMode, mt_session_ul: Tunnel,
+                         mt_session_dl: Tunnel
+                         ) -> tuple[tuple[str, ...], F1TransportTunnels]:
+    """Install both directions of the F1 transport of `iab_du`'s IAB node.
 
-
-def install_routes(scenario: Scenario, forwarder: Forwarder, path: Path,
-                   tunnels: Optional[F1TransportTunnels]) -> list[RouteEntry]:
-    """Install the route entries realizing `path` in its stated direction.
-
-    With `tunnels` None the path must be a plain wired control path and gets
-    simple destination-chained entries (both directions). Otherwise the path
-    is an F1 transport path for an IAB node; uplink starts at the IabDu,
-    downlink at the CU. Re-installing the same path is idempotent.
+    Returns the uplink hops, the IAB-DU first; the downlink takes them in
+    reverse. UpfReroute carries F1 in the IAB-MT's PDU session through the
+    UPF and back to the CU; BapBypass forwards by two BAP route ids, drawn
+    here uplink first, and the CU and the MT end them. Re-installing
+    UpfReroute with the same session is idempotent; BapBypass draws new ids
+    each call, so a second call conflicts.
     """
-    path.validate(scenario)
-    installed: list[RouteEntry] = []
+    mt = scenario.group_peer(iab_du).id
+    donor_du = _donor_du_of(scenario, mt)
+    cu = scenario.the_cu().id
 
-    def put(at: str, match: MatchKey, nxt: Optional[str],
-            encaps: tuple[MatchKey, ...] = ()):
-        installed.append(forwarder.install(
-            RouteEntry(at_node=at, match=match, next_hop=nxt, encaps=encaps)))
+    def put(at, match, nxt, encaps=()):
+        forwarder.install(
+            RouteEntry(at_node=at, match=match, next_hop=nxt, encaps=encaps))
 
-    if tunnels is None:
-        for hops in (path.hops, tuple(reversed(path.hops))):
-            dst = hops[-1]
-            for at, nxt in zip(hops[:-1], hops[1:]):
-                if at == dst:
-                    continue
-                put(at, ("dst", dst), nxt)
-        return installed
-
-    uplink = scenario.node(path.hops[0]).role is Role.IAB_DU
-    if uplink:
-        iab_du, mt, donor_du, cu = path.hops[0], path.hops[1], path.hops[2], path.hops[3]
-    else:
-        cu = path.hops[0]
-        iab_du, mt, donor_du = path.hops[-1], path.hops[-2], path.hops[-3]
-
-    if path.mode is PathMode.UPF_REROUTE:
+    if mode is PathMode.UPF_REROUTE:
         upf = scenario.the_upf().id
-        if uplink:
-            ul = tunnels.mt_session_ul.header
-            put(iab_du, ("dst", cu), mt)
-            put(mt, ("dst", cu), donor_du, encaps=(ul,))
-            put(donor_du, ul, cu)
-            put(cu, ul, upf)
-            # The reroute leg: the UPF terminates the MT session tunnel and
-            # hands the inner F1 traffic back to the CU.
-            put(upf, ul, cu)
-        else:
-            dl = tunnels.mt_session_dl.header
-            put(cu, ("dst", iab_du), upf)
-            put(upf, ("dst", iab_du), cu, encaps=(dl,))
-            put(cu, dl, donor_du)
-            put(donor_du, dl, mt)
-            put(mt, dl, iab_du)
-    else:
-        if uplink:
-            bap = ("bap", tunnels.bap_route_ul)
-            put(iab_du, ("dst", cu), mt)
-            put(mt, ("dst", cu), donor_du, encaps=(bap,))
-            put(donor_du, bap, cu)
-            put(cu, bap, None)  # strip BAP, re-dispatch locally
-            forwarder.strips.add((cu, bap))
-        else:
-            bap = ("bap", tunnels.bap_route_dl)
-            put(cu, ("dst", iab_du), donor_du, encaps=(bap,))
-            put(donor_du, bap, mt)
-            put(mt, bap, iab_du)
-            forwarder.strips.add((mt, bap))
-    return installed
+        ul, dl = mt_session_ul.header, mt_session_dl.header
+        put(iab_du, ("dst", cu), mt)
+        put(mt, ("dst", cu), donor_du, encaps=(ul,))
+        put(donor_du, ul, cu)
+        put(cu, ul, upf)
+        # The reroute leg: the UPF terminates the MT session tunnel and
+        # hands the inner F1 traffic back to the CU.
+        put(upf, ul, cu)
+        put(cu, ("dst", iab_du), upf)
+        put(upf, ("dst", iab_du), cu, encaps=(dl,))
+        put(cu, dl, donor_du)
+        put(donor_du, dl, mt)
+        put(mt, dl, iab_du)
+        return ((iab_du, mt, donor_du, cu, upf, cu),
+                F1TransportTunnels(mt_session_ul, mt_session_dl))
+
+    tunnels = F1TransportTunnels(mt_session_ul, mt_session_dl,
+                                 bap_route_ul=forwarder.next_bap_route_id(),
+                                 bap_route_dl=forwarder.next_bap_route_id())
+    ul, dl = ("bap", tunnels.bap_route_ul), ("bap", tunnels.bap_route_dl)
+    put(iab_du, ("dst", cu), mt)
+    put(mt, ("dst", cu), donor_du, encaps=(ul,))
+    put(donor_du, ul, cu)
+    put(cu, ul, None)  # strip BAP, re-dispatch locally
+    forwarder.strips.add((cu, ul))
+    put(cu, ("dst", iab_du), donor_du, encaps=(dl,))
+    put(donor_du, dl, mt)
+    put(mt, dl, iab_du)
+    forwarder.strips.add((mt, dl))
+    return (iab_du, mt, donor_du, cu), tunnels
 
 
 @dataclass(frozen=True)
@@ -305,8 +258,7 @@ class UePlaneTunnels:
 def install_ue_routes(scenario: Scenario, forwarder: Forwarder, ue: str,
                       serving_du: str, tunnels: UePlaneTunnels,
                       mode: PathMode,
-                      transport: Optional[F1TransportTunnels] = None
-                      ) -> list[RouteEntry]:
+                      transport: Optional[F1TransportTunnels] = None) -> None:
     """Install the user-plane entries carrying one UE's traffic.
 
     For a UE on the donor DU the DRB rides the wired CU-DU link directly;
@@ -317,13 +269,10 @@ def install_ue_routes(scenario: Scenario, forwarder: Forwarder, ue: str,
     upf = scenario.the_upf().id
     du_node = scenario.node(serving_du)
     behind_iab = du_node.role is Role.IAB_DU
-    if behind_iab and transport is None:
-        raise InvalidPath(f"UE {ue} behind {serving_du} needs transport tunnels")
-    installed: list[RouteEntry] = []
 
     def put(at, match, nxt, encaps=()):
-        installed.append(forwarder.install(
-            RouteEntry(at_node=at, match=match, next_hop=nxt, encaps=tuple(encaps))))
+        forwarder.install(
+            RouteEntry(at_node=at, match=match, next_hop=nxt, encaps=tuple(encaps)))
 
     if behind_iab:
         mt = scenario.group_peer(serving_du).id
@@ -358,12 +307,9 @@ def install_ue_routes(scenario: Scenario, forwarder: Forwarder, ue: str,
             # After the CU strips BAP + DRB the bare packet re-matches here.
             put(cu, ("dst", upf), upf, encaps=[session_ul])
     put(upf, session_ul, None)
-    return installed
 
 
 def _donor_du_of(scenario: Scenario, mt: str) -> str:
-    for link in scenario.links_of(mt):
-        peer = scenario.node(link.other(mt))
-        if peer.role is Role.DONOR_DU:
-            return peer.id
-    raise InvalidPath(f"IAB-MT {mt} has no link to a DonorDU")
+    """The donor DU that an IAB-MT's backhaul link, added with the MT, reaches."""
+    return next(link.other(mt) for link in scenario.links_of(mt)
+                if scenario.node(link.other(mt)).role is Role.DONOR_DU)

@@ -87,6 +87,14 @@ def _int(mapping: dict, key: str, where: str, default=_REQUIRED) -> int:
     return _num(mapping, key, where, default, integer=True)
 
 
+def _name(mapping: dict, key: str, where: str) -> Optional[str]:
+    """An optional name, made a string as every id is; absent stays None."""
+    value = mapping.get(key)
+    if isinstance(value, (list, dict)):
+        raise ParseError(f"{where}: key {key!r} is not a name ({value!r})")
+    return None if value is None else str(value)
+
+
 def _pair(raw, what: str, shape: str) -> tuple[float, float]:
     if not isinstance(raw, (list, tuple)) or len(raw) != 2:
         raise ParseError(f"{what} must be {shape}")
@@ -154,7 +162,7 @@ def loads(text: str, name: str = "<scenario>") -> Scenario:
             scn.add_node(role, _pair(raw.get("position", [0, 0]),
                                      f"{where}: position", "[x, y]"),
                          tx_power_dbm=_num(raw, "tx_power", where, default=None),
-                         owner_group=raw.get("owner_group"),
+                         owner_group=_name(raw, "owner_group", where),
                          carrier=_carrier(raw["carrier"], f"{where}:carrier")
                          if "carrier" in raw else None,
                          node_id=str(raw["id"]) if raw.get("id") else None)
@@ -206,7 +214,7 @@ def loads(text: str, name: str = "<scenario>") -> Scenario:
                                         f"{where}:access_carrier"),
                 tx_power_dbm=_num(raw, "tx_power", where),
                 mt_tx_power_dbm=_num(raw, "mt_tx_power", where, default=23.0),
-                group=raw.get("group")))
+                group=_name(raw, "group", where)))
         elif kind == "du_config_update":
             _check_keys(raw, DU_UPDATE_KEYS, where, required=("du", "carrier"))
             scn.schedule.append(DuConfigUpdateDirective(

@@ -2,12 +2,11 @@ import random
 
 import pytest
 
-from iabsim.errors import (AssociationNotActive, ConflictingEntry,
-                           DepthExceeded, InvalidPath, NoRoute, RoutingLoop)
-from iabsim.gtp import (F1TransportTunnels, Forwarder, Packet, Path, PathMode,
-                        RouteEntry, TEID_MAX, TunnelTable, UePlaneTunnels,
-                        build_f1_transport_path, encapsulate, install_routes,
-                        install_ue_routes)
+from iabsim.engine import IAB_INTERNAL_CAPACITY_BPS
+from iabsim.errors import ConflictingEntry, DepthExceeded, NoRoute, RoutingLoop
+from iabsim.gtp import (Forwarder, Packet, PathMode, RouteEntry, TEID_MAX,
+                        TunnelTable, UePlaneTunnels, encapsulate,
+                        install_f1_transport, install_ue_routes)
 from iabsim.topology import Medium, Role
 
 from conftest import N78, build_donor_scenario
@@ -30,7 +29,8 @@ def scenario_with_iab():
                  owner_group="uav1", node_id="uav1-mt")
     scn.add_node(Role.IAB_DU, (880.0, 0.0), tx_power_dbm=43.0,
                  owner_group="uav1", carrier=N78, node_id="uav1-du")
-    scn.add_link("uav1-mt", "uav1-du", Medium.WIRED, wired_capacity_bps=1e15)
+    scn.add_link("uav1-mt", "uav1-du", Medium.WIRED,
+                 wired_capacity_bps=IAB_INTERNAL_CAPACITY_BPS)
     scn.add_link("donor-du", "uav1-mt", Medium.RADIO, carrier=scn.nodes["donor-du"].carrier)
     scn.add_link("uav1-du", "ue2", Medium.RADIO, carrier=N78)
     return scn
@@ -104,52 +104,34 @@ class TestEncapDecap:
 
 
 class TestPaths:
+    """The uplink hops the installer returns are where F1 goes, over links
+    only: uplink along them, downlink along them reversed."""
+
+    def check_hops(self, mode, hops):
+        scn = scenario_with_iab()
+        table = make_table()
+        fwd = Forwarder(table)
+        _, got = build_transport(scn, table, fwd, mode)
+        assert got == hops
+        assert all(scn.find_link(a, b) is not None for a, b in zip(hops, hops[1:]))
+        up = forward_to_delivery(fwd, "uav1-du", make_packet(src="uav1-du", dst="cu"))
+        down = forward_to_delivery(fwd, "cu", make_packet(src="cu", dst="uav1-du"))
+        assert tuple(up.hop_log) == hops
+        assert tuple(down.hop_log) == hops[::-1]
+
     def test_reroute_path_hops(self):
-        path = build_f1_transport_path(scenario_with_iab(), "uav1-du",
-                                       PathMode.UPF_REROUTE,
-                                       donor_association_active=True)
-        assert path.hops == ("uav1-du", "uav1-mt", "donor-du", "cu", "upf", "cu")
-        assert path.reversed().hops == ("cu", "upf", "cu", "donor-du",
-                                        "uav1-mt", "uav1-du")
+        self.check_hops(PathMode.UPF_REROUTE,
+                        ("uav1-du", "uav1-mt", "donor-du", "cu", "upf", "cu"))
 
     def test_bypass_path_hops(self):
-        path = build_f1_transport_path(scenario_with_iab(), "uav1-du",
-                                       PathMode.BAP_BYPASS,
-                                       donor_association_active=True)
-        assert path.hops == ("uav1-du", "uav1-mt", "donor-du", "cu")
-
-    def test_path_requires_active_donor_association(self):
-        with pytest.raises(AssociationNotActive):
-            build_f1_transport_path(scenario_with_iab(), "uav1-du",
-                                    PathMode.UPF_REROUTE,
-                                    donor_association_active=False)
-
-    def test_path_validate_rejects_missing_link(self):
-        scn = scenario_with_iab()
-        with pytest.raises(InvalidPath):
-            Path(hops=("uav1-du", "donor-du"), mode=PathMode.BAP_BYPASS).validate(scn)
-
-    def test_path_validate_allows_pingpong_but_needs_two_hops(self):
-        scn = scenario_with_iab()
-        # cu-upf alternation crosses the same link in opposite directions,
-        # which the reroute leg legitimately does
-        Path(hops=("cu", "upf", "cu"), mode=PathMode.UPF_REROUTE).validate(scn)
-        with pytest.raises(InvalidPath):
-            Path(hops=("cu",), mode=PathMode.UPF_REROUTE).validate(scn)
+        self.check_hops(PathMode.BAP_BYPASS, ("uav1-du", "uav1-mt", "donor-du", "cu"))
 
 
 def build_transport(scn, table, fwd, mode):
     ul = table.open_tunnel("uav1-mt", "upf", "mt-ul")
     dl = table.open_tunnel("upf", "uav1-mt", "mt-dl")
-    bap_ul = fwd.next_bap_route_id() if mode is PathMode.BAP_BYPASS else None
-    bap_dl = fwd.next_bap_route_id() if mode is PathMode.BAP_BYPASS else None
-    transport = F1TransportTunnels(mt_session_ul=ul, mt_session_dl=dl,
-                                   bap_route_ul=bap_ul, bap_route_dl=bap_dl)
-    path = build_f1_transport_path(scn, "uav1-du", mode,
-                                   donor_association_active=True)
-    install_routes(scn, fwd, path, transport)
-    install_routes(scn, fwd, path.reversed(), transport)
-    return transport, path
+    hops, transport = install_f1_transport(scn, fwd, "uav1-du", mode, ul, dl)
+    return transport, hops
 
 
 class TestRouteInstallation:
@@ -157,10 +139,12 @@ class TestRouteInstallation:
         scn = scenario_with_iab()
         table = make_table()
         fwd = Forwarder(table)
-        transport, path = build_transport(scn, table, fwd, PathMode.UPF_REROUTE)
-        n = len(fwd.entries)
-        install_routes(scn, fwd, path, transport)
-        assert len(fwd.entries) == n
+        transport, hops = build_transport(scn, table, fwd, PathMode.UPF_REROUTE)
+        entries = dict(fwd.entries)
+        again = install_f1_transport(scn, fwd, "uav1-du", PathMode.UPF_REROUTE,
+                                     transport.mt_session_ul, transport.mt_session_dl)
+        assert again == (hops, transport)
+        assert fwd.entries == entries
 
     def test_conflicting_entry_rejected(self):
         fwd = Forwarder(make_table())
@@ -192,6 +176,7 @@ class TestRouteInstallation:
         table = make_table()
         fwd = Forwarder(table)
         transport, _ = build_transport(scn, table, fwd, PathMode.BAP_BYPASS)
+        assert (transport.bap_route_ul, transport.bap_route_dl) == (1, 2)
         assert ("cu", ("bap", transport.bap_route_ul)) in fwd.strips
         assert ("uav1-mt", ("bap", transport.bap_route_dl)) in fwd.strips
 

@@ -87,6 +87,12 @@ MALFORMED = {
     "assert-no-flow": (broken("{flow: dl, ", "{"), "asserts[0]"),
     "update-no-du": (broken("du: du, carrier", "carrier"), "schedule[1]"),
     "iab-no-position": (broken("position: [880.0, 0.0], ", ""), "schedule[0]"),
+    "iab-group-list": (broken("kind: instantiate_iab_node,",
+                              "kind: instantiate_iab_node, group: [1, 2],"),
+                       "schedule[0]"),
+    "owner-group-mapping": (broken("{id: ue, role: Ue,",
+                                   "{id: ue, role: Ue, owner_group: {a: 1},"),
+                            "nodes[3]"),
     "link-unknown-node": (broken("b: ue, medium", "b: ue9, medium"), "links[2]"),
     "second-cu": (broken("role: Upf", "role: CU"), "nodes[1]"),
     "wired-pair": (broken("a: cu, b: upf", "a: ue, b: upf"), "links[1]"),
@@ -132,6 +138,13 @@ class TestStrictParsing:
         sim.run()
         assert [l.id for l in scn.links] == ["l1"]
         assert [l.id for l in sim.scn.links] == ["l1", "l2"]
+
+    def test_group_names_are_strings(self):
+        scn = loads(broken("kind: instantiate_iab_node,",
+                           "kind: instantiate_iab_node, group: 7,")
+                    .replace("{id: ue, role: Ue,", "{id: ue, role: Ue, owner_group: 7,"))
+        assert scn.schedule[0].group == "7" and scn.nodes["ue"].owner_group == "7"
+        assert loads(FULL).schedule[0].group is None
 
     def test_minimal_scenario_loads(self):
         scn = loads(MINIMAL)

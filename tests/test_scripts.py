@@ -32,15 +32,3 @@ def test_run_reference_reports_both_modes():
     # bap-compare has no goodput assert: the steady window is dl-ue2's own
     # [start, stop), where it is delivered in full in both modes.
     assert all(float(r[1]) > 19.0 for r in rows)
-
-
-def test_seed_sweep_reports_every_seed():
-    lines = run_script("seed_sweep.py", "--scenario", "bap-compare",
-                       "--seeds", "2")
-    assert [line.split(":")[0] for line in lines if line.startswith("seed ")] \
-        == ["seed 0", "seed 1"]
-    assert "distinct trace hashes: 2/2" in lines
-    goodputs = {line.split()[4] for line in lines if line.startswith("seed ")}
-    assert len(goodputs) == 1 and float(goodputs.pop()) > 19.0
-    assert ("goodput spread across seeds: 0.000000 bps (OK: seed-invariant)"
-            in lines)
