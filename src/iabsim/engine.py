@@ -17,9 +17,8 @@ from . import radio
 from .errors import (IabSimError, NoDonorCoverage, NoRoute, RoutingLoop,
                      ScenarioInvalid, TransportDown)
 from .f1ap import AssocState, ControlPlane, F1Message, UeState
-from .gtp import (F1TransportTunnels, Forwarder, Packet, PathMode, RouteEntry,
-                  TunnelTable, UePlaneTunnels, install_f1_transport,
-                  install_ue_routes)
+from .gtp import (Forwarder, Packet, PathMode, RouteEntry, TunnelTable,
+                  install_f1_transport, install_ue_routes)
 from .topology import (DU_ROLES, DuConfigUpdateDirective, FlowSpec,
                        IabNodeDirective, Link, Medium, Node, Role, Scenario,
                        validate_topology)
@@ -107,7 +106,6 @@ class Simulator:
         self._ctl_seq = 0
         self._link_dirs: dict[tuple[str, str], _LinkDir] = {}
         self._flows = {f.id: _FlowStats(spec=f) for f in scenario.flows}
-        self._transport: dict[str, F1TransportTunnels] = {}
         self._ran = False
 
     # -- scheduling ------------------------------------------------------------
@@ -242,33 +240,20 @@ class Simulator:
                 self._start_ue_attach(ue, du)
 
     def _ue_connected(self, ue_id: str) -> None:
-        node = self.scn.node(ue_id)
-        if node.role is Role.IAB_MT:
+        if self.scn.node(ue_id).role is Role.IAB_MT:
             self._bring_up_iab_node(ue_id)
         else:
-            self._install_ue_plane(ue_id)
+            install_ue_routes(self.scn, self.fwd, self.tunnels, ue_id,
+                              self.cp.ue_contexts[ue_id].serving_du)
 
     def _bring_up_iab_node(self, mt_id: str) -> None:
         session = self.cp.establish_pdu_session(mt_id, self.scn.the_upf().id,
                                                 self.tunnels.open_tunnel)
         iab_du = self.scn.group_peer(mt_id).id
-        hops, self._transport[iab_du] = install_f1_transport(
-            self.scn, self.fwd, iab_du, self.mode, session.uplink, session.downlink)
+        hops = install_f1_transport(self.scn, self.fwd, iab_du, self.mode,
+                                    session.uplink, session.downlink)
         rtt = self._path_delay(hops) + self._path_delay(hops[::-1])
         self.cp.f1_setup(self.scn.the_cu().id, iab_du, rtt)
-
-    def _install_ue_plane(self, ue_id: str) -> None:
-        ctx = self.cp.ue_contexts[ue_id]
-        cu = self.scn.the_cu().id
-        upf = self.scn.the_upf().id
-        du = ctx.serving_du
-        tn = UePlaneTunnels(
-            session_ul=self.tunnels.open_tunnel(cu, upf, f"sess-ul:{ue_id}"),
-            session_dl=self.tunnels.open_tunnel(upf, cu, f"sess-dl:{ue_id}"),
-            drb_ul=self.tunnels.open_tunnel(du, cu, f"drb-ul:{ue_id}"),
-            drb_dl=self.tunnels.open_tunnel(cu, du, f"drb-dl:{ue_id}"))
-        install_ue_routes(self.scn, self.fwd, ue_id, du, tn, self.mode,
-                          transport=self._transport.get(du))
 
     def _du_carrier_update(self, du_id: str, carrier) -> None:
         du = self.scn.node(du_id)

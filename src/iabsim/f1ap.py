@@ -13,7 +13,7 @@ from typing import Callable
 
 from .errors import (AlreadyEstablished, DuNotReady, MtDetached, NotActive,
                      NotCovered)
-from .gtp import Tunnel
+from .gtp import MatchKey
 
 SETUP_MAX_ATTEMPTS = 2  # one retry after 3x RTT, then fail
 
@@ -72,8 +72,8 @@ class UeContext:
 class PduSession:
     mt: str
     upf: str
-    uplink: Tunnel
-    downlink: Tunnel
+    uplink: MatchKey  # the header of the MT -> UPF tunnel
+    downlink: MatchKey  # the header of the UPF -> MT tunnel
     state: SessionState = SessionState.REQUESTED
 
 
@@ -153,7 +153,7 @@ class ControlPlane:
         return ctx
 
     def establish_pdu_session(self, mt: str, upf: str,
-                              open_tunnel: Callable[[str, str, str], Tunnel]
+                              open_tunnel: Callable[[str], MatchKey]
                               ) -> PduSession:
         """Core signalling collapsed to tunnel allocation + state change."""
         ctx = self.ue_contexts.get(mt)
@@ -161,8 +161,8 @@ class ControlPlane:
             raise MtDetached(f"IAB-MT {mt} has no Connected UE context")
         if mt in self.sessions:
             raise AlreadyEstablished(f"{mt} already has a PDU session")
-        uplink = open_tunnel(mt, upf, f"mt-session-ul:{mt}")
-        downlink = open_tunnel(upf, mt, f"mt-session-dl:{mt}")
+        uplink = open_tunnel(upf)
+        downlink = open_tunnel(mt)
         session = PduSession(mt=mt, upf=upf, uplink=uplink, downlink=downlink)
         self.sessions[mt] = session
         self._transition(f"pdu:{mt}", SessionState.REQUESTED.value,

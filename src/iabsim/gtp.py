@@ -3,15 +3,17 @@
 The forwarding model is table-driven. A header is its own match key, a plain
 pair: ("teid", value) for GTP, ("bap", route_id) for BAP. A
 :class:`RouteEntry` matches a packet by its outermost header or, for a bare
-packet, by ("dst", node), and names the next hop and the headers to push.
-One set of (node, header) pairs says who strips what: a node pops the
-outermost header while the pair is in that set. Allocating a TEID at a
-receiver and ending a BAP route at a terminus both add to it.
+packet, by ("dst", node) or ("src", node), and names the next hop and the
+headers to push. One set of (node, header) pairs says who strips what: each
+entry matched at a node pops the outermost header if the pair is in that
+set. Allocating a TEID at a receiver and ending a BAP route at a terminus
+both add to it.
 
-Two installers write the tables, and only they know a mode's layout:
-:func:`install_f1_transport` carries an IAB node's F1 from its IAB-DU over
-its IAB-MT and donor DU to the CU, and :func:`install_ue_routes` nests one
-UE's user plane into that transport.
+Only :func:`install_f1_transport` knows a mode's layout: it carries an IAB
+node's F1 from its IAB-DU over its IAB-MT and donor DU to the CU.
+:func:`install_ue_routes` knows no mode: with :meth:`Forwarder.nest` it
+carries a UE's DRB along whatever route reaches its DU, which for an IAB-DU
+is that F1 transport.
 """
 from __future__ import annotations
 
@@ -26,8 +28,8 @@ from .topology import Role, Scenario
 MAX_HEADER_DEPTH = 2
 TEID_MAX = 2 ** 32 - 1
 
-# Match keys: ("teid", value) | ("bap", route_id) | ("dst", node_id). The
-# first two are the headers a packet carries.
+# Match keys: ("teid", value) | ("bap", route_id) | ("dst", node_id) |
+# ("src", node_id). The first two are the headers a packet carries.
 MatchKey = tuple[str, object]
 
 
@@ -64,19 +66,6 @@ class Packet:
         return [v for kind, v in reversed(self.header_stack) if kind == "teid"]
 
 
-@dataclass(frozen=True)
-class Tunnel:
-    """Unidirectional GTP association; the TEID names it at the receiver."""
-    teid: int
-    sender: str
-    receiver: str
-    label: str = ""
-
-    @property
-    def header(self) -> MatchKey:
-        return ("teid", self.teid)
-
-
 class TunnelTable:
     """TEID allocation, deterministic given the RNG, and the strip set."""
 
@@ -93,9 +82,9 @@ class TunnelTable:
                 self.strips.add(key)
                 return teid
 
-    def open_tunnel(self, sender: str, receiver: str, label: str = "") -> Tunnel:
-        return Tunnel(teid=self.allocate_teid(receiver), sender=sender,
-                      receiver=receiver, label=label)
+    def open_tunnel(self, receiver: str) -> MatchKey:
+        """The header of a new GTP tunnel that `receiver` ends."""
+        return ("teid", self.allocate_teid(receiver))
 
 
 def encapsulate(packet: Packet, header: MatchKey, size_bytes: int) -> Packet:
@@ -138,27 +127,52 @@ class Forwarder:
         if existing is not None:
             if existing != entry:
                 raise ConflictingEntry(
-                    f"{key} already maps to {existing.next_hop}, not {entry.next_hop}")
+                    f"{key} already maps to {existing.next_hop} "
+                    f"{list(existing.encaps)}, not {entry.next_hop} "
+                    f"{list(entry.encaps)}")
             return existing  # idempotent re-install
         self.entries[key] = entry
         return entry
 
+    def nest(self, node: str, match: MatchKey, header: MatchKey,
+             route: MatchKey) -> None:
+        """Carry what `match` selects at `node` inside `header`, along the
+        entries for `route`.
+
+        At `node`, `match` gets the entry for `route` with `header` pushed
+        first, innermost. Each following hop's entry for `route` is copied
+        under `header`, up to and including the first that pushes a header of
+        its own: from there on the packet is matched by that header.
+        """
+        entry = self.entries.get((node, route))
+        if entry is None:
+            raise NoRoute(node, route)
+        self.install(RouteEntry(node, match, entry.next_hop,
+                                (header,) + entry.encaps))
+        while not entry.encaps and entry.next_hop is not None:
+            entry = self.entries.get((entry.next_hop, route))
+            if entry is None:
+                return
+            self.install(RouteEntry(entry.at_node, header, entry.next_hop,
+                                    entry.encaps))
+
     # -- forwarding ------------------------------------------------------------
 
     def strip(self, node: str, packet: Packet) -> Packet:
-        """Pop the outermost header while `node` strips it."""
+        """Pop the outermost header if `node` strips it."""
         stack = packet.header_stack
-        while stack and (node, stack[-1]) in self.strips:
+        if stack and (node, stack[-1]) in self.strips:
             packet.header_bytes -= self.header_bytes[stack[-1][0]]
-            stack = stack[:-1]
-        packet.header_stack = stack
+            packet.header_stack = stack[:-1]
         return packet
 
     def forward(self, node: str, packet: Packet) -> tuple[Optional[str], Packet]:
         """Advance a packet at `node`; returns (next_hop, packet).
 
-        next_hop None means the packet terminated here. Raises NoRoute when
-        nothing matches.
+        next_hop None means the packet terminated here. A bare packet away
+        from its dst that no ("dst", ...) entry matches is matched by
+        ("src", ...). Raises NoRoute, with the first key tried, when nothing
+        matches.
         """
         packet.ttl -= 1
         if packet.ttl <= 0:
@@ -169,9 +183,13 @@ class Forwarder:
             key = stack[-1] if stack else ("dst", packet.dst)
             entry = self.entries.get((node, key))
             if entry is None:
-                if not stack and packet.dst == node:
+                if stack:
+                    raise NoRoute(node, key)
+                if packet.dst == node:
                     return None, packet
-                raise NoRoute(node, key)
+                entry = self.entries.get((node, ("src", packet.src)))
+                if entry is None:
+                    raise NoRoute(node, key)
             self.strip(node, packet)
             for header in entry.encaps:
                 encapsulate(packet, header, self.header_bytes[header[0]])
@@ -181,20 +199,9 @@ class Forwarder:
         raise RoutingLoop(f"local rematch did not terminate at {node}")
 
 
-@dataclass(frozen=True)
-class F1TransportTunnels:
-    """The headers an IAB node's F1 transport rides in, which its UEs' user
-    plane nests into."""
-    mt_session_ul: Tunnel  # IabMt -> Upf, TEID owned by the UPF
-    mt_session_dl: Tunnel  # Upf -> IabMt, TEID owned by the MT
-    bap_route_ul: Optional[int] = None
-    bap_route_dl: Optional[int] = None
-
-
 def install_f1_transport(scenario: Scenario, forwarder: Forwarder, iab_du: str,
-                         mode: PathMode, mt_session_ul: Tunnel,
-                         mt_session_dl: Tunnel
-                         ) -> tuple[tuple[str, ...], F1TransportTunnels]:
+                         mode: PathMode, mt_session_ul: MatchKey,
+                         mt_session_dl: MatchKey) -> tuple[str, ...]:
     """Install both directions of the F1 transport of `iab_du`'s IAB node.
 
     Returns the uplink hops, the IAB-DU first; the downlink takes them in
@@ -214,7 +221,7 @@ def install_f1_transport(scenario: Scenario, forwarder: Forwarder, iab_du: str,
 
     if mode is PathMode.UPF_REROUTE:
         upf = scenario.the_upf().id
-        ul, dl = mt_session_ul.header, mt_session_dl.header
+        ul, dl = mt_session_ul, mt_session_dl
         put(iab_du, ("dst", cu), mt)
         put(mt, ("dst", cu), donor_du, encaps=(ul,))
         put(donor_du, ul, cu)
@@ -227,13 +234,10 @@ def install_f1_transport(scenario: Scenario, forwarder: Forwarder, iab_du: str,
         put(cu, dl, donor_du)
         put(donor_du, dl, mt)
         put(mt, dl, iab_du)
-        return ((iab_du, mt, donor_du, cu, upf, cu),
-                F1TransportTunnels(mt_session_ul, mt_session_dl))
+        return iab_du, mt, donor_du, cu, upf, cu
 
-    tunnels = F1TransportTunnels(mt_session_ul, mt_session_dl,
-                                 bap_route_ul=forwarder.next_bap_route_id(),
-                                 bap_route_dl=forwarder.next_bap_route_id())
-    ul, dl = ("bap", tunnels.bap_route_ul), ("bap", tunnels.bap_route_dl)
+    ul = ("bap", forwarder.next_bap_route_id())
+    dl = ("bap", forwarder.next_bap_route_id())
     put(iab_du, ("dst", cu), mt)
     put(mt, ("dst", cu), donor_du, encaps=(ul,))
     put(donor_du, ul, cu)
@@ -243,70 +247,31 @@ def install_f1_transport(scenario: Scenario, forwarder: Forwarder, iab_du: str,
     put(donor_du, dl, mt)
     put(mt, dl, iab_du)
     forwarder.strips.add((mt, dl))
-    return (iab_du, mt, donor_du, cu), tunnels
+    return iab_du, mt, donor_du, cu
 
 
-@dataclass(frozen=True)
-class UePlaneTunnels:
-    """Per-UE user-plane tunnel pair: core session leg and F1-U DRB leg."""
-    session_ul: Tunnel  # CU -> UPF, TEID at the UPF
-    session_dl: Tunnel  # UPF -> CU, TEID at the CU
-    drb_ul: Tunnel      # serving DU -> CU, TEID at the CU
-    drb_dl: Tunnel      # CU -> serving DU, TEID at the serving DU
+def install_ue_routes(scenario: Scenario, forwarder: Forwarder,
+                      tunnels: TunnelTable, ue: str, serving_du: str) -> None:
+    """Open one UE's tunnels and install the entries that carry its traffic.
 
-
-def install_ue_routes(scenario: Scenario, forwarder: Forwarder, ue: str,
-                      serving_du: str, tunnels: UePlaneTunnels,
-                      mode: PathMode,
-                      transport: Optional[F1TransportTunnels] = None) -> None:
-    """Install the user-plane entries carrying one UE's traffic.
-
-    For a UE on the donor DU the DRB rides the wired CU-DU link directly;
-    for a UE behind an IAB node `transport` supplies the MT-session/BAP
-    material and the DRB is nested into it per the selected mode.
+    The UE's session tunnel runs between the UPF and the CU, its DRB between
+    the CU and `serving_du`. The DRB is nested into the route between the CU
+    and that DU, so whatever carries F1 there carries the DRB too. Uplink is
+    matched at the DU by the UE as source, so one DU serves several UEs.
     """
     cu = scenario.the_cu().id
     upf = scenario.the_upf().id
-    du_node = scenario.node(serving_du)
-    behind_iab = du_node.role is Role.IAB_DU
-
-    def put(at, match, nxt, encaps=()):
-        forwarder.install(
-            RouteEntry(at_node=at, match=match, next_hop=nxt, encaps=tuple(encaps)))
-
-    if behind_iab:
-        mt = scenario.group_peer(serving_du).id
-        donor_du = _donor_du_of(scenario, mt)
-    session_ul, session_dl = tunnels.session_ul.header, tunnels.session_dl.header
-    drb_ul, drb_dl = tunnels.drb_ul.header, tunnels.drb_dl.header
-
-    # Downlink: UPF -> ... -> UE
-    put(upf, ("dst", ue), cu, encaps=[session_dl])
-    if not behind_iab:
-        put(cu, session_dl, serving_du, encaps=[drb_dl])
-    elif mode is PathMode.UPF_REROUTE:
-        put(cu, session_dl, upf, encaps=[drb_dl])
-        put(upf, drb_dl, cu, encaps=[transport.mt_session_dl.header])
-    else:
-        put(cu, session_dl, donor_du,
-            encaps=[drb_dl, ("bap", transport.bap_route_dl)])
-    put(serving_du, drb_dl, ue)
-
-    # Uplink: UE -> ... -> UPF
-    put(ue, ("dst", upf), serving_du)
-    if not behind_iab:
-        put(serving_du, ("dst", upf), cu, encaps=[drb_ul])
-        put(cu, drb_ul, upf, encaps=[session_ul])
-    else:
-        put(serving_du, ("dst", upf), mt, encaps=[drb_ul])
-        if mode is PathMode.UPF_REROUTE:
-            put(mt, drb_ul, donor_du, encaps=[transport.mt_session_ul.header])
-            put(cu, drb_ul, upf, encaps=[session_ul])
-        else:
-            put(mt, drb_ul, donor_du, encaps=[("bap", transport.bap_route_ul)])
-            # After the CU strips BAP + DRB the bare packet re-matches here.
-            put(cu, ("dst", upf), upf, encaps=[session_ul])
-    put(upf, session_ul, None)
+    session_ul = tunnels.open_tunnel(upf)
+    session_dl = tunnels.open_tunnel(cu)
+    drb_ul = tunnels.open_tunnel(cu)
+    drb_dl = tunnels.open_tunnel(serving_du)
+    forwarder.install(RouteEntry(upf, ("dst", ue), cu, (session_dl,)))
+    forwarder.nest(cu, session_dl, drb_dl, ("dst", serving_du))
+    forwarder.install(RouteEntry(serving_du, drb_dl, ue))
+    forwarder.install(RouteEntry(ue, ("dst", upf), serving_du))
+    forwarder.nest(serving_du, ("src", ue), drb_ul, ("dst", cu))
+    forwarder.install(RouteEntry(cu, drb_ul, upf, (session_ul,)))
+    forwarder.install(RouteEntry(upf, session_ul, None))
 
 
 def _donor_du_of(scenario: Scenario, mt: str) -> str:

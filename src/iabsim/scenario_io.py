@@ -52,7 +52,7 @@ def _check_keys(mapping: dict, allowed: set, where: str, required=()) -> None:
     if unknown:
         raise ParseError(f"{where}: unknown key {sorted(unknown, key=str)[0]!r}")
     for key in required:
-        if key not in mapping:
+        if mapping.get(key) is None:
             raise ParseError(f"{where}: missing required key {key!r}")
 
 
@@ -88,9 +88,9 @@ def _int(mapping: dict, key: str, where: str, default=_REQUIRED) -> int:
 
 
 def _name(mapping: dict, key: str, where: str) -> Optional[str]:
-    """An optional name, made a string as every id is; absent stays None."""
+    """A name, made a string as every id is; absent or null is None."""
     value = mapping.get(key)
-    if isinstance(value, (list, dict)):
+    if isinstance(value, (list, dict)) or value == "":
         raise ParseError(f"{where}: key {key!r} is not a name ({value!r})")
     return None if value is None else str(value)
 
@@ -165,7 +165,7 @@ def loads(text: str, name: str = "<scenario>") -> Scenario:
                          owner_group=_name(raw, "owner_group", where),
                          carrier=_carrier(raw["carrier"], f"{where}:carrier")
                          if "carrier" in raw else None,
-                         node_id=str(raw["id"]) if raw.get("id") else None)
+                         node_id=_name(raw, "id", where))
 
     for i, raw in enumerate(_section(doc, "links", name)):
         where = f"{name}:links[{i}]"
@@ -174,7 +174,7 @@ def loads(text: str, name: str = "<scenario>") -> Scenario:
             medium = Medium(raw["medium"])
         except ValueError:
             raise ParseError(f"{where}: unknown medium {raw['medium']!r}") from None
-        a, b = str(raw["a"]), str(raw["b"])
+        a, b = _name(raw, "a", where), _name(raw, "b", where)
         carrier = (_carrier(raw["carrier"], f"{where}:carrier")
                    if "carrier" in raw else None)
         if medium is Medium.RADIO and carrier is None:  # the DU's, by default
@@ -188,7 +188,7 @@ def loads(text: str, name: str = "<scenario>") -> Scenario:
                                                  default=None),
                          propagation_delay_s=_num(raw, "propagation_delay", where,
                                                   default=None),
-                         link_id=str(raw["id"]) if raw.get("id") else None,
+                         link_id=_name(raw, "id", where),
                          radio_overrides=overrides)
 
     for i, raw in enumerate(_section(doc, "flows", name)):
@@ -196,7 +196,8 @@ def loads(text: str, name: str = "<scenario>") -> Scenario:
         _check_keys(raw, FLOW_KEYS, where,
                     required=("id", "src", "dst", "rate", "start", "stop"))
         scn.flows.append(FlowSpec(
-            id=str(raw["id"]), src=str(raw["src"]), dst=str(raw["dst"]),
+            id=_name(raw, "id", where), src=_name(raw, "src", where),
+            dst=_name(raw, "dst", where),
             rate_bps=_num(raw, "rate", where),
             packet_size_bytes=_int(raw, "packet_size", where, default=1400),
             start_s=_num(raw, "start", where), stop_s=_num(raw, "stop", where)))
@@ -218,7 +219,7 @@ def loads(text: str, name: str = "<scenario>") -> Scenario:
         elif kind == "du_config_update":
             _check_keys(raw, DU_UPDATE_KEYS, where, required=("du", "carrier"))
             scn.schedule.append(DuConfigUpdateDirective(
-                at_s=_num(raw, "at", where), du=str(raw["du"]),
+                at_s=_num(raw, "at", where), du=_name(raw, "du", where),
                 carrier=_carrier(raw["carrier"], f"{where}:carrier")))
         else:
             raise ParseError(f"{where}: unknown directive kind {kind!r}")
@@ -227,7 +228,7 @@ def loads(text: str, name: str = "<scenario>") -> Scenario:
         where = f"{name}:asserts[{i}]"
         _check_keys(raw, ASSERT_KEYS, where, required=("flow",))
         scn.asserts.append(FlowAssert(
-            flow=str(raw["flow"]),
+            flow=_name(raw, "flow", where),
             window=_pair(raw.get("window"), f"{where}: window", "[t0, t1]"),
             min_goodput_bps=_num(raw, "min_goodput_bps", where, default=None),
             max_goodput_bps=_num(raw, "max_goodput_bps", where, default=None),

@@ -3,9 +3,9 @@
 A :class:`Scenario` is input only (a Simulator runs on its own deep copy): a
 flat graph plus workload and schedule, built by code and by the loader alike
 through `add_node` and `add_link`, which raise on the hard structural rules.
-`validate_topology` re-checks those and the whole-scenario rules (a wired
-donor, IAB pairs, finite tx powers, link and protocol numbers, unique flow
-ids, flow, assert and directive bounds) as data.
+`validate_topology` re-checks those and the whole-scenario rules (a CU wired
+to a donor DU and to the UPF, IAB pairs, finite tx powers, link and protocol
+numbers, unique flow ids, flow, assert and directive bounds) as data.
 """
 from __future__ import annotations
 
@@ -301,6 +301,10 @@ def validate_topology(scenario: Scenario) -> ValidationReport:
                        and nodes[l.other(cu.id)].role is Role.DONOR_DU]
         if not donor_wired:
             v.append("CU has no wired DonorDU")
+        if len(upfs) == 1 and not any(
+                {l.a, l.b} == {cu.id, upfs[0].id} and l.medium is Medium.WIRED
+                for l in known):
+            v.append("CU has no wired UPF")
 
     for n in nodes.values():
         if n.role is Role.IAB_DU:

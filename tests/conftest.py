@@ -16,6 +16,11 @@ UE2_DL_HOPS_REROUTE = ("upf", "cu", "upf", "cu", "donor-du", "uav1-mt",
                        "uav1-du", "ue2")
 UE2_DL_HOPS_BAP = ("upf", "cu", "donor-du", "uav1-mt", "uav1-du", "ue2")
 UE1_DL_HOPS = ("upf", "cu", "donor-du", "ue1")
+# The same UEs' uplink hop sequences.
+UE2_UL_HOPS_REROUTE = ("ue2", "uav1-du", "uav1-mt", "donor-du", "cu", "upf",
+                       "cu", "upf")
+UE2_UL_HOPS_BAP = ("ue2", "uav1-du", "uav1-mt", "donor-du", "cu", "upf")
+UE1_UL_HOPS = ("ue1", "donor-du", "cu", "upf")
 
 
 def build_donor_scenario(duration=1.0, seed=1, ue2_x=6000.0) -> Scenario:

@@ -81,6 +81,17 @@ class TestValidate:
         assert "links[1]: ValueError: duplicate link id 'f1-wire'" in \
             capsys.readouterr().err
 
+    def test_missing_n6_link_is_a_violation(self, tmp_path, capsys):
+        # It once validated: UpfReroute then aborted with TransportDown and
+        # BapBypass exited 0 with every packet dropped.
+        text = bundled_scenario_path("bap-compare").read_text()
+        n6 = next(line for line in text.splitlines(keepends=True)
+                  if "id: n6-wire" in line)
+        p = tmp_path / "no-n6.yaml"
+        p.write_text(text.replace(n6, ""))
+        assert main(["validate", str(p)]) == 1
+        assert "violation: CU has no wired UPF" in capsys.readouterr().out
+
     def test_update_of_unknown_du_is_a_violation(self, tmp_path, capsys):
         # It once validated, and the run recorded a NotActive Drop.
         p = tmp_path / "ghost.yaml"

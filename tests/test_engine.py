@@ -8,8 +8,9 @@ from iabsim.gtp import Packet
 from iabsim.topology import (FlowSpec, Medium, Role, Scenario,
                              instantiate_iab_node)
 
-from conftest import (N41, N78, build_donor_scenario, build_mini_scenario,
-                      UE2_DL_HOPS_REROUTE)
+from conftest import (N41, N78, UE1_DL_HOPS, UE1_UL_HOPS, UE2_DL_HOPS_BAP,
+                      UE2_DL_HOPS_REROUTE, UE2_UL_HOPS_BAP, UE2_UL_HOPS_REROUTE,
+                      build_donor_scenario, build_mini_scenario)
 
 
 class TestLinkCapacity:
@@ -242,3 +243,44 @@ class TestAccounting:
         for stats in trace.summary["links"].values():
             assert 0.0 <= stats["utilization"] <= 1.0
             assert 0.0 <= stats["overhead_fraction"] < 1.0
+
+
+class TestSeveralUes:
+    """One DU serves several UEs: each UE's uplink is matched at the DU by
+    the UE as source, so the second UE no longer conflicts with the first."""
+
+    # Per DU and mode: the DU's first UE and that UE's hops down and up.
+    CASES = {
+        ("donor-du", PathMode.UPF_REROUTE): ("ue1", UE1_DL_HOPS, UE1_UL_HOPS),
+        ("donor-du", PathMode.BAP_BYPASS): ("ue1", UE1_DL_HOPS, UE1_UL_HOPS),
+        ("uav1-du", PathMode.UPF_REROUTE): ("ue2", UE2_DL_HOPS_REROUTE,
+                                            UE2_UL_HOPS_REROUTE),
+        ("uav1-du", PathMode.BAP_BYPASS): ("ue2", UE2_DL_HOPS_BAP,
+                                           UE2_UL_HOPS_BAP),
+    }
+    # Where the DU's further UEs stand, on the x axis.
+    MORE_AT = {"donor-du": (80.0, 30.0), "uav1-du": (6050.0, 5950.0)}
+
+    @pytest.mark.parametrize("n_ues", [2, 3])
+    @pytest.mark.parametrize("mode", list(PathMode))
+    @pytest.mark.parametrize("du", ["donor-du", "uav1-du"])
+    def test_du_serves_several_ues(self, du, mode, n_ues):
+        first, dl_hops, ul_hops = self.CASES[(du, mode)]
+        scn = build_mini_scenario()
+        ues = [first] + [f"ue{3 + i}" for i in range(n_ues - 1)]
+        for ue, x in zip(ues[1:], self.MORE_AT[du]):
+            scn.add_node(Role.UE, (x, 0.0), tx_power_dbm=23.0, node_id=ue)
+        scn.flows = [FlowSpec(id=f"{d}-{ue}", src=src, dst=dst, rate_bps=1e6,
+                              packet_size_bytes=500, start_s=0.05, stop_s=0.13)
+                     for ue in ues
+                     for d, src, dst in (("dl", "upf", ue), ("ul", ue, "upf"))]
+        trace = run(scn, mode=mode, trace_level="summary")  # no ConflictingEntry
+        for row in trace.summary["flows"].values():
+            assert row["delivered"] > 0 and row["in_flight"] >= 0
+            assert (row["injected"]
+                    == row["delivered"] + row["dropped"] + row["in_flight"])
+        paths = {d.flow_id: d.hop_log for d in trace.deliveries}
+        assert (paths[f"dl-{first}"], paths[f"ul-{first}"]) == (dl_hops, ul_hops)
+        for ue in ues[1:]:  # the first UE's paths, with this UE's name
+            for flow, hops in ((f"dl-{ue}", dl_hops), (f"ul-{ue}", ul_hops)):
+                assert paths[flow] == tuple(ue if h == first else h for h in hops)

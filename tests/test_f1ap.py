@@ -150,10 +150,10 @@ class TestPduSession:
         table = TunnelTable(random.Random(3))
         s = bus.cp.establish_pdu_session("mt", "upf", table.open_tunnel)
         assert s.state is SessionState.ESTABLISHED
-        assert s.uplink.receiver == "upf" and s.uplink.sender == "mt"
-        assert s.downlink.receiver == "mt" and s.downlink.sender == "upf"
-        assert ("upf", s.uplink.header) in table.strips
-        assert ("mt", s.downlink.header) in table.strips
+        assert ("upf", s.uplink) in table.strips
+        assert ("mt", s.uplink) not in table.strips
+        assert ("mt", s.downlink) in table.strips
+        assert ("upf", s.downlink) not in table.strips
 
     def test_establish_without_connected_context_rejected(self):
         bus = Bus()

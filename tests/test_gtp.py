@@ -1,12 +1,13 @@
 import random
+import re
 
 import pytest
 
 from iabsim.engine import IAB_INTERNAL_CAPACITY_BPS
 from iabsim.errors import ConflictingEntry, DepthExceeded, NoRoute, RoutingLoop
 from iabsim.gtp import (Forwarder, Packet, PathMode, RouteEntry, TEID_MAX,
-                        TunnelTable, UePlaneTunnels, encapsulate,
-                        install_f1_transport, install_ue_routes)
+                        TunnelTable, encapsulate, install_f1_transport,
+                        install_ue_routes)
 from iabsim.topology import Medium, Role
 
 from conftest import N78, build_donor_scenario
@@ -53,17 +54,16 @@ class TestTeids:
 
     def test_ownership_keyed_by_receiver(self):
         t = make_table()
-        tun = t.open_tunnel("uav1-mt", "upf", "session-ul")
-        assert ("upf", tun.header) in t.strips
-        assert ("uav1-mt", tun.header) not in t.strips
+        header = t.open_tunnel("upf")
+        assert header[0] == "teid" and ("upf", header) in t.strips
+        assert ("uav1-mt", header) not in t.strips
 
 
 class TestEncapDecap:
     def test_round_trip_restores_wire_size(self):
         t = make_table()
-        tun = t.open_tunnel("a", "b")
         pkt = make_packet()
-        encapsulate(pkt, tun.header, 8)
+        encapsulate(pkt, t.open_tunnel("b"), 8)
         assert pkt.wire_size_bytes == 1408  # 1400 payload + 8 GTP
         Forwarder(t).strip("b", pkt)
         assert pkt.wire_size_bytes == 1400
@@ -72,23 +72,23 @@ class TestEncapDecap:
     def test_double_nesting_allowed_triple_rejected(self):
         t = make_table()
         pkt = make_packet()
-        encapsulate(pkt, t.open_tunnel("a", "b").header, 8)
-        encapsulate(pkt, t.open_tunnel("b", "c").header, 8)
+        encapsulate(pkt, t.open_tunnel("b"), 8)
+        encapsulate(pkt, t.open_tunnel("c"), 8)
         assert pkt.wire_size_bytes == 1416  # two 8-byte headers
         with pytest.raises(DepthExceeded):
-            encapsulate(pkt, t.open_tunnel("c", "d").header, 8)
+            encapsulate(pkt, t.open_tunnel("d"), 8)
 
     def test_strip_only_what_the_node_owns(self):
         t = make_table()
-        inner, outer = t.open_tunnel("a", "b"), t.open_tunnel("a", "c")
+        inner, outer = t.open_tunnel("b"), t.open_tunnel("c")
         pkt = make_packet()
-        encapsulate(pkt, inner.header, 8)
-        encapsulate(pkt, outer.header, 8)
+        encapsulate(pkt, inner, 8)
+        encapsulate(pkt, outer, 8)
         fwd = Forwarder(t)
         fwd.strip("b", pkt)
-        assert pkt.header_stack == (inner.header, outer.header)  # c's is outermost
+        assert pkt.header_stack == (inner, outer)  # c's is outermost
         fwd.strip("c", pkt)
-        assert pkt.header_stack == (inner.header,)
+        assert pkt.header_stack == (inner,)
         assert pkt.wire_size_bytes == 1408
         fwd.strip("b", pkt)
         fwd.strip("b", pkt)  # a bare packet has nothing to strip
@@ -96,11 +96,11 @@ class TestEncapDecap:
 
     def test_teids_in_stack_outermost_first(self):
         t = make_table()
-        inner, outer = t.open_tunnel("a", "b"), t.open_tunnel("b", "c")
+        inner, outer = t.open_tunnel("b"), t.open_tunnel("c")
         pkt = make_packet()
-        encapsulate(pkt, inner.header, 8)
-        encapsulate(pkt, outer.header, 8)
-        assert pkt.teids_in_stack() == [outer.teid, inner.teid]
+        encapsulate(pkt, inner, 8)
+        encapsulate(pkt, outer, 8)
+        assert pkt.teids_in_stack() == [outer[1], inner[1]]
 
 
 class TestPaths:
@@ -128,10 +128,9 @@ class TestPaths:
 
 
 def build_transport(scn, table, fwd, mode):
-    ul = table.open_tunnel("uav1-mt", "upf", "mt-ul")
-    dl = table.open_tunnel("upf", "uav1-mt", "mt-dl")
-    hops, transport = install_f1_transport(scn, fwd, "uav1-du", mode, ul, dl)
-    return transport, hops
+    """The MT's session headers (uplink, downlink) and the F1 uplink hops."""
+    session = table.open_tunnel("upf"), table.open_tunnel("uav1-mt")
+    return session, install_f1_transport(scn, fwd, "uav1-du", mode, *session)
 
 
 class TestRouteInstallation:
@@ -139,12 +138,12 @@ class TestRouteInstallation:
         scn = scenario_with_iab()
         table = make_table()
         fwd = Forwarder(table)
-        transport, hops = build_transport(scn, table, fwd, PathMode.UPF_REROUTE)
-        entries = dict(fwd.entries)
+        session, hops = build_transport(scn, table, fwd, PathMode.UPF_REROUTE)
+        entries, strips = dict(fwd.entries), set(fwd.strips)
         again = install_f1_transport(scn, fwd, "uav1-du", PathMode.UPF_REROUTE,
-                                     transport.mt_session_ul, transport.mt_session_dl)
-        assert again == (hops, transport)
-        assert fwd.entries == entries
+                                     *session)
+        assert again == hops
+        assert fwd.entries == entries and fwd.strips == strips
 
     def test_conflicting_entry_rejected(self):
         fwd = Forwarder(make_table())
@@ -152,16 +151,22 @@ class TestRouteInstallation:
         with pytest.raises(ConflictingEntry):
             fwd.install(RouteEntry(at_node="cu", match=("dst", "x"), next_hop="b"))
 
+    def test_conflict_in_pushed_headers_names_both(self):
+        fwd = Forwarder(make_table())
+        fwd.install(RouteEntry("cu", ("dst", "x"), "a", encaps=(("teid", 1),)))
+        with pytest.raises(ConflictingEntry,
+                           match=re.escape("a [('teid', 1)], not a [('teid', 2)]")):
+            fwd.install(RouteEntry("cu", ("dst", "x"), "a", encaps=(("teid", 2),)))
+
     def test_reroute_upf_entry_points_back_at_cu(self):
         # the reroute leg: the UPF's only transport entry sends the
         # decapsulated F1 traffic back to the CU
         scn = scenario_with_iab()
         table = make_table()
         fwd = Forwarder(table)
-        transport, _ = build_transport(scn, table, fwd, PathMode.UPF_REROUTE)
+        (session_ul, _), _ = build_transport(scn, table, fwd, PathMode.UPF_REROUTE)
         upf_entries = [e for (node, _), e in fwd.entries.items() if node == "upf"]
-        ul = [e for e in upf_entries
-              if e.match == transport.mt_session_ul.header]
+        ul = [e for e in upf_entries if e.match == session_ul]
         assert len(ul) == 1 and ul[0].next_hop == "cu"
 
     def test_bypass_installs_nothing_at_upf(self):
@@ -175,10 +180,38 @@ class TestRouteInstallation:
         scn = scenario_with_iab()
         table = make_table()
         fwd = Forwarder(table)
-        transport, _ = build_transport(scn, table, fwd, PathMode.BAP_BYPASS)
-        assert (transport.bap_route_ul, transport.bap_route_dl) == (1, 2)
-        assert ("cu", ("bap", transport.bap_route_ul)) in fwd.strips
-        assert ("uav1-mt", ("bap", transport.bap_route_dl)) in fwd.strips
+        _, (_, mt, _, cu) = build_transport(scn, table, fwd, PathMode.BAP_BYPASS)
+        # route ids are drawn uplink first; the CU ends the uplink route and
+        # the MT the downlink route
+        assert {(node, key) for node, key in fwd.strips if key[0] == "bap"} \
+            == {(cu, ("bap", 1)), (mt, ("bap", 2))}
+
+
+class TestNest:
+    def chain(self):
+        """a -> b -> c -> d for ("dst", "d"); c pushes a BAP header."""
+        fwd = Forwarder(make_table())
+        for at, nxt, encaps in (("a", "b", ()), ("b", "c", ()),
+                                ("c", "d", (("bap", 9),)), ("d", "e", ())):
+            fwd.install(RouteEntry(at, ("dst", "d"), nxt, encaps))
+        return fwd
+
+    def test_walk_stops_at_the_first_pushing_hop(self):
+        fwd = self.chain()
+        fwd.nest("a", ("src", "ue"), ("teid", 5), ("dst", "d"))
+        added = {k: e for k, e in fwd.entries.items() if k[1] != ("dst", "d")}
+        assert added == {
+            ("a", ("src", "ue")): RouteEntry("a", ("src", "ue"), "b", (("teid", 5),)),
+            ("b", ("teid", 5)): RouteEntry("b", ("teid", 5), "c"),
+            ("c", ("teid", 5)): RouteEntry("c", ("teid", 5), "d", (("bap", 9),)),
+        }
+
+    def test_missing_route_raises_no_route(self):
+        fwd = self.chain()
+        with pytest.raises(NoRoute) as err:
+            fwd.nest("x", ("src", "ue"), ("teid", 5), ("dst", "d"))
+        assert (err.value.node, err.value.key) == ("x", ("dst", "d"))
+        assert len(fwd.entries) == 4
 
 
 def forward_to_delivery(fwd, start, pkt, limit=32):
@@ -196,37 +229,40 @@ class TestForwarding:
         scn = scenario_with_iab()
         table = make_table()
         fwd = Forwarder(table)
-        transport, _ = build_transport(scn, table, fwd, mode)
-        tn = UePlaneTunnels(session_ul=table.open_tunnel("cu", "upf"),
-                            session_dl=table.open_tunnel("upf", "cu"),
-                            drb_ul=table.open_tunnel("uav1-du", "cu"),
-                            drb_dl=table.open_tunnel("cu", "uav1-du"))
-        install_ue_routes(scn, fwd, "ue2", "uav1-du", tn, mode,
-                          transport=transport)
-        return scn, fwd, tn
+        build_transport(scn, table, fwd, mode)
+        install_ue_routes(scn, fwd, table, "ue2", "uav1-du")
+        return scn, fwd
 
     def test_reroute_downlink_hop_log(self):
-        _, fwd, _ = self._user_plane(PathMode.UPF_REROUTE)
+        _, fwd = self._user_plane(PathMode.UPF_REROUTE)
         pkt = forward_to_delivery(fwd, "upf", make_packet(dst="ue2"))
         assert tuple(pkt.hop_log) == ("upf", "cu", "upf", "cu", "donor-du",
                                       "uav1-mt", "uav1-du", "ue2")
         assert pkt.depth == 0  # delivered bare
 
     def test_bypass_downlink_hop_log(self):
-        _, fwd, _ = self._user_plane(PathMode.BAP_BYPASS)
+        _, fwd = self._user_plane(PathMode.BAP_BYPASS)
         pkt = forward_to_delivery(fwd, "upf", make_packet(dst="ue2"))
         assert tuple(pkt.hop_log) == ("upf", "cu", "donor-du", "uav1-mt",
                                       "uav1-du", "ue2")
         assert pkt.depth == 0
 
     def test_reroute_uplink_hop_log(self):
-        _, fwd, _ = self._user_plane(PathMode.UPF_REROUTE)
+        _, fwd = self._user_plane(PathMode.UPF_REROUTE)
         pkt = forward_to_delivery(fwd, "ue2", make_packet(src="ue2", dst="upf"))
         assert tuple(pkt.hop_log) == ("ue2", "uav1-du", "uav1-mt", "donor-du",
                                       "cu", "upf", "cu", "upf")
 
+    def test_bypass_uplink_hop_log(self):
+        # The CU ends the BAP route and then the DRB, one header per entry.
+        _, fwd = self._user_plane(PathMode.BAP_BYPASS)
+        pkt = forward_to_delivery(fwd, "ue2", make_packet(src="ue2", dst="upf"))
+        assert tuple(pkt.hop_log) == ("ue2", "uav1-du", "uav1-mt", "donor-du",
+                                      "cu", "upf")
+        assert pkt.depth == 0 and pkt.wire_size_bytes == 1400  # delivered bare
+
     def test_backhaul_depth_exactly_two_in_reroute(self):
-        _, fwd, _ = self._user_plane(PathMode.UPF_REROUTE)
+        _, fwd = self._user_plane(PathMode.UPF_REROUTE)
         pkt = make_packet(dst="ue2")
         node = "upf"
         depth_on_backhaul = None
@@ -240,7 +276,7 @@ class TestForwarding:
         assert depth_on_backhaul == 2  # DRB GTP nested in the MT session GTP
 
     def test_backhaul_stack_is_gtp_plus_bap_in_bypass(self):
-        _, fwd, _ = self._user_plane(PathMode.BAP_BYPASS)
+        _, fwd = self._user_plane(PathMode.BAP_BYPASS)
         pkt = make_packet(dst="ue2")
         node = "upf"
         stack_on_backhaul = None
@@ -270,7 +306,7 @@ class TestForwarding:
                 node = nxt
 
     def test_payload_size_never_changes(self):
-        _, fwd, _ = self._user_plane(PathMode.UPF_REROUTE)
+        _, fwd = self._user_plane(PathMode.UPF_REROUTE)
         pkt = make_packet(dst="ue2", payload_size_bytes=999)
         out = forward_to_delivery(fwd, "upf", pkt)
         assert out.payload_size_bytes == 999

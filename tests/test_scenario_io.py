@@ -24,6 +24,7 @@ nodes:
     carrier: {band_label: n41, center_frequency: 2.585e9, bandwidth: 20.0e6, scs: 30.0e3}
 links:
   - {id: w, a: cu, b: du, medium: Wired, wired_capacity: 1.0e9}
+  - {id: n6, a: cu, b: upf, medium: Wired, wired_capacity: 1.0e9}
 """
 
 N41_YAML = "{band_label: n41, center_frequency: 2.585e9, bandwidth: 20.0e6, scs: 30.0e3}"
@@ -93,6 +94,18 @@ MALFORMED = {
     "owner-group-mapping": (broken("{id: ue, role: Ue,",
                                    "{id: ue, role: Ue, owner_group: {a: 1},"),
                             "nodes[3]"),
+    "node-id-list": (broken("{id: ue, role: Ue,", "{id: [1, 2], role: Ue,"),
+                     "nodes[3]"),
+    "link-id-mapping": (broken("{id: r, a: du", "{id: {r: 1}, a: du"), "links[2]"),
+    "link-id-empty": (broken("{id: r, a: du", "{id: '', a: du"), "links[2]"),
+    "link-end-list": (broken("b: ue, medium", "b: [ue], medium"), "links[2]"),
+    "link-end-null": (broken("b: ue, medium", "b: null, medium"), "links[2]"),
+    "flow-id-list": (broken("{id: dl, src", "{id: [dl], src"), "flows[0]"),
+    "flow-src-null": (broken("src: upf, dst", "src: null, dst"), "flows[0]"),
+    "flow-dst-mapping": (broken("dst: ue, rate", "dst: {ue: 1}, rate"), "flows[0]"),
+    "assert-flow-list": (broken("{flow: dl,", "{flow: [dl],"), "asserts[0]"),
+    "update-du-list": (broken("du: du, carrier", "du: [du], carrier"),
+                       "schedule[1]"),
     "link-unknown-node": (broken("b: ue, medium", "b: ue9, medium"), "links[2]"),
     "second-cu": (broken("role: Upf", "role: CU"), "nodes[1]"),
     "wired-pair": (broken("a: cu, b: upf", "a: ue, b: upf"), "links[1]"),
@@ -136,8 +149,8 @@ class TestStrictParsing:
         scn = loads(MINIMAL.replace("{id: w, ", "{").replace("links:", ue + "links:"))
         sim = Simulator(scn, trace_level="summary")
         sim.run()
-        assert [l.id for l in scn.links] == ["l1"]
-        assert [l.id for l in sim.scn.links] == ["l1", "l2"]
+        assert [l.id for l in scn.links] == ["l1", "n6"]
+        assert [l.id for l in sim.scn.links] == ["l1", "n6", "l2"]
 
     def test_group_names_are_strings(self):
         scn = loads(broken("kind: instantiate_iab_node,",
@@ -145,6 +158,15 @@ class TestStrictParsing:
                     .replace("{id: ue, role: Ue,", "{id: ue, role: Ue, owner_group: 7,"))
         assert scn.schedule[0].group == "7" and scn.nodes["ue"].owner_group == "7"
         assert loads(FULL).schedule[0].group is None
+
+    def test_zero_is_an_id_and_null_is_absent(self):
+        scn = loads(broken("{id: ue, role: Ue,", "{id: 0, role: Ue,")
+                    .replace("b: ue, medium", "b: 0, medium")
+                    .replace("dst: ue, rate", "dst: 0, rate")
+                    .replace("{id: r, a: du", "{id: null, a: du"))
+        assert "0" in scn.nodes and "ue" not in scn.nodes
+        assert (scn.links[2].id, scn.links[2].b) == ("l1", "0")
+        assert scn.flows[0].dst == "0" and validate_topology(scn).ok
 
     def test_minimal_scenario_loads(self):
         scn = loads(MINIMAL)

@@ -179,6 +179,7 @@ class TestValidation:
         (lambda s: s.asserts.append(
             FlowAssert(flow="dl", window=(float("nan"), 0.2))),
          "assert on dl: window (nan, 0.2) needs 0 <= t0 < t1 <= duration"),
+        (lambda s: s.links.remove(s.links[1]), "CU has no wired UPF"),
     ], ids=["endpoint-of-cu-link", "endpoint-of-ue-link", "duration-inf",
             "duration-nan", "assert-unknown-flow", "directive-at-duration",
             "directive-before-zero", "update-unknown-du", "update-not-a-du",
@@ -186,7 +187,7 @@ class TestValidation:
             "propagation-negative", "propagation-nan", "node-tx-power-nan",
             "directive-tx-power-nan", "ttl-zero", "buffer-negative",
             "control-size-zero", "header-size-negative", "assert-window-reversed",
-            "assert-window-nan"])
+            "assert-window-nan", "no-n6-link"])
     def test_rejected_as_data_not_raised(self, mutate, violation):
         scn = build_donor_scenario(duration=1.0)
         mutate(scn)
