@@ -4,19 +4,25 @@ One single-threaded event queue drives everything: flow packet injection,
 per-link FIFO serialization, control handshakes, timed scenario directives.
 Ties are broken by a global sequence number, so two runs of the same
 scenario + seed produce identical traces.
+
+A hop is one event at summary level: the packet's arrival at the next node
+is scheduled when it is queued on the link. At full level a Departure event
+comes first, for its trace row. A packet takes buffer room until its finish
+time at both levels.
 """
 from __future__ import annotations
 
 import copy
 import heapq
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
 from . import radio
 from .errors import (IabSimError, NoDonorCoverage, NoRoute, RoutingLoop,
                      ScenarioInvalid, TransportDown)
-from .f1ap import AssocState, ControlPlane, F1Message, UeState
+from .f1ap import ControlPlane, F1Message, UeState
 from .gtp import (Forwarder, Packet, PathMode, RouteEntry, TunnelTable,
                   install_f1_transport, install_ue_routes)
 from .topology import (DU_ROLES, DuConfigUpdateDirective, FlowSpec,
@@ -55,7 +61,8 @@ class _LinkDir:
     dst: str
     cap: Optional[float] = None  # cleared when the link's carrier changes
     next_free: float = 0.0
-    occupancy: int = 0
+    # Finish times of the queued packets; one not after `now` has left.
+    finish_times: deque = field(default_factory=deque)
     busy_s: float = 0.0
     bytes_total: int = 0
     bytes_header: int = 0
@@ -353,7 +360,10 @@ class Simulator:
         d = self._link_dirs.get((src, dst))
         if d is None:
             d = self._link_dirs[(src, dst)] = _LinkDir(link, dst)
-        if d.occupancy >= self.proto.link_buffer_packets:
+        queue = d.finish_times
+        while queue and queue[0] <= self.now:
+            queue.popleft()
+        if len(queue) >= self.proto.link_buffer_packets:
             self._drop(src, pkt, "queue-overflow", f"link {link.id}")
             return
         cap = d.cap
@@ -366,22 +376,24 @@ class Simulator:
         start = max(self.now, d.next_free)
         finish = start + wire * 8 / cap
         d.next_free = finish
-        d.occupancy += 1
+        queue.append(finish)
         d.busy_s += finish - start
         d.bytes_total += wire
         d.bytes_header += wire - pkt.payload_size_bytes
         d.packets += 1
         if pkt.kind == "user":
             self._flows[pkt.flow_id].overhead_bytes += wire - pkt.payload_size_bytes
-        self._schedule(finish, self._depart, d, src, pkt, wire)
+        if self.trace_full:
+            self._schedule(finish, self._depart, d, src, pkt, wire)
+        else:
+            self._schedule(finish + link.propagation_delay_s,
+                           self._handle, dst, pkt, True)
 
     def _depart(self, d: _LinkDir, src: str, pkt: Packet, wire: int) -> None:
-        d.occupancy -= 1
-        if self.trace_full:
-            # A flat row, its values in ROW_FIELDS["Departure"] order.
-            self.trace.rows.append((self.now, "Departure", d.link.id,
-                                    pkt.flow_id, pkt.depth, d.dst, pkt.seq,
-                                    src, pkt.teids_in_stack(), wire))
+        # A flat row, its values in ROW_FIELDS["Departure"] order.
+        self.trace.rows.append((self.now, "Departure", d.link.id,
+                                pkt.flow_id, pkt.depth, d.dst, pkt.seq,
+                                src, pkt.teids_in_stack(), wire))
         self._schedule(self.now + d.link.propagation_delay_s,
                        self._handle, d.dst, pkt, True)
 

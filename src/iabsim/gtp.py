@@ -114,6 +114,12 @@ class Forwarder:
         self.header_bytes = {"teid": gtp_header_bytes, "bap": bap_header_bytes}
         self.entries: dict[tuple[str, MatchKey], RouteEntry] = {}
         self._bap_route_counter = 0
+        # (node, header_stack, dst, src) -> (next_hop, header_stack, change
+        # in header_bytes); nothing else but the tables decides. Both tables
+        # only grow (install adds entries, TEIDs and BAP termini add strips),
+        # so the memo is dropped whenever their sizes move.
+        self._memo: dict = {}
+        self._memo_size = (0, 0)
 
     # -- table management -----------------------------------------------------
 
@@ -172,12 +178,31 @@ class Forwarder:
         next_hop None means the packet terminated here. A bare packet away
         from its dst that no ("dst", ...) entry matches is matched by
         ("src", ...). Raises NoRoute, with the first key tried, when nothing
-        matches.
+        matches. Only a decision is memoized, never a raise.
         """
         packet.ttl -= 1
         if packet.ttl <= 0:
             raise RoutingLoop(f"TTL expired for {packet.flow_id}#{packet.seq} at {node}")
         packet.hop_log.append(node)
+        size = (len(self.entries), len(self.strips))
+        if size != self._memo_size:
+            self._memo.clear()
+            self._memo_size = size
+        key = (node, packet.header_stack, packet.dst, packet.src)
+        hit = self._memo.get(key)
+        if hit is None:
+            header_bytes = packet.header_bytes
+            next_hop = self._decide(node, packet)
+            self._memo[key] = (next_hop, packet.header_stack,
+                               packet.header_bytes - header_bytes)
+            return next_hop, packet
+        next_hop, packet.header_stack, delta = hit
+        packet.header_bytes += delta
+        return next_hop, packet
+
+    def _decide(self, node: str, packet: Packet) -> Optional[str]:
+        """Match, strip and push at `node` until the packet leaves it or
+        terminates there; returns the next hop, None for the latter."""
         for _ in range(2 * MAX_HEADER_DEPTH + 2):
             stack = packet.header_stack
             key = stack[-1] if stack else ("dst", packet.dst)
@@ -186,7 +211,7 @@ class Forwarder:
                 if stack:
                     raise NoRoute(node, key)
                 if packet.dst == node:
-                    return None, packet
+                    return None
                 entry = self.entries.get((node, ("src", packet.src)))
                 if entry is None:
                     raise NoRoute(node, key)
@@ -194,7 +219,7 @@ class Forwarder:
             for header in entry.encaps:
                 encapsulate(packet, header, self.header_bytes[header[0]])
             if entry.next_hop is not None:
-                return entry.next_hop, packet
+                return entry.next_hop
             # local handoff: re-match with the inner header / bare packet
         raise RoutingLoop(f"local rematch did not terminate at {node}")
 

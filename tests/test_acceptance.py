@@ -4,8 +4,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. The randomized invariant suites referenced by criterion 5 live in
 test_properties.py and run as part of the same pytest session.
 """
-import pytest
-
 from iabsim import PathMode, measure_throughput, radio
 from iabsim.radio import RadioParams
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from iabsim import (PathMode, Simulator, link_capacity, load_scenario,
@@ -69,7 +71,7 @@ class TestSerialization:
                                  created_at_s=0.0, seq=i))
         d = sim._link_dirs[("cu", "upf")]
         assert d.next_free == pytest.approx(2 * 8 * 1000 / 1e9)
-        assert d.occupancy == 2
+        assert len(d.finish_times) == 2
 
     def test_queue_overflow_on_257th_packet(self):
         sim = self._sim()
@@ -80,11 +82,32 @@ class TestSerialization:
                                  kind="control", payload_size_bytes=1000,
                                  created_at_s=0.0, seq=i))
         d = sim._link_dirs[("cu", "upf")]
-        assert d.occupancy == 256
+        assert len(d.finish_times) == 256
         drops = [e for e in sim.trace.events if e.kind == "Drop"]
         assert len(drops) == 1
         assert drops[0].fields["cause"] == "queue-overflow"
         assert drops[0].fields["pkt"] == 256  # the 257th packet, zero-based
+
+    def test_packet_leaves_the_queue_at_its_finish_time(self):
+        sim = self._sim()
+        sim.proto = dataclasses.replace(sim.proto, link_buffer_packets=1)
+        link = sim.scn.find_link("cu", "upf")
+
+        def send(i):
+            sim._transmit(link, "cu",
+                          Packet(flow_id="x", src="cu", dst="upf",
+                                 kind="control", payload_size_bytes=1000,
+                                 created_at_s=0.0, seq=i))
+        send(0)
+        d = sim._link_dirs[("cu", "upf")]
+        finish = d.next_free
+        sim.now = finish / 2
+        send(1)  # the first packet is still on the wire: no room
+        sim.now = finish
+        send(2)  # the first packet has just left: it takes no room
+        drops = [e for e in sim.trace.events if e.kind == "Drop"]
+        assert [e.fields["pkt"] for e in drops] == [1]
+        assert d.packets == 2 and list(d.finish_times) == [d.next_free]
 
     def test_capacity_follows_du_carrier_update(self):
         scn = build_donor_scenario(duration=1.0)
@@ -107,6 +130,25 @@ class TestSerialization:
         second = serialization_s()
         assert second == pytest.approx(1000 * 8 / link_capacity(scn, link, "donor-du"))
         assert second < first  # 30 MHz of n78 against 20 MHz of n41
+
+
+class TestTraceLevel:
+    """The trace level decides what is recorded, never what happens."""
+
+    @pytest.mark.parametrize("fixture", ["ref_reroute", "ref_bap"])
+    def test_summary_level_keeps_flows_and_links(self, request, ref_scenario,
+                                                 fixture):
+        full, _ = request.getfixturevalue(fixture)
+        brief = Simulator(ref_scenario, mode=full.mode,
+                          trace_level="summary").run()
+        assert brief.summary["flows"] == full.summary["flows"]
+        assert brief.summary["links"] == full.summary["links"]
+
+    def test_reroute_reference_overflows_queues(self, ref_reroute):
+        trace, _ = ref_reroute
+        overflows = [e for e in trace.events if e.kind == "Drop"
+                     and e.fields["cause"] == "queue-overflow"]
+        assert len(overflows) == 1406
 
 
 class TestRunLifecycle:

@@ -310,3 +310,65 @@ class TestForwarding:
         pkt = make_packet(dst="ue2", payload_size_bytes=999)
         out = forward_to_delivery(fwd, "upf", pkt)
         assert out.payload_size_bytes == 999
+
+
+class TestMemo:
+    """Forwarding decisions are memoized; a change to the tables is seen."""
+
+    def test_memoized_decision_equals_a_fresh_one(self):
+        _, fwd = TestForwarding()._user_plane(PathMode.UPF_REROUTE)
+        first, second = (forward_to_delivery(fwd, "upf", make_packet(dst="ue2"))
+                         for _ in range(2))
+        assert first.hop_log == second.hop_log
+        assert first.wire_size_bytes == second.wire_size_bytes == 1400
+        assert first.ttl == second.ttl  # decremented on every hop
+
+    def test_bare_packets_of_two_sources_decided_apart(self):
+        # One DU, two UEs: each UE's uplink gets its own DRB header.
+        fwd = Forwarder(make_table())
+        for ue, teid in (("ue1", 1), ("ue2", 2)):
+            fwd.install(RouteEntry("du", ("src", ue), "cu", (("teid", teid),)))
+        for ue, teid in (("ue1", 1), ("ue2", 2), ("ue1", 1), ("ue2", 2)):
+            _, pkt = fwd.forward("du", make_packet(src=ue, dst="upf"))
+            assert pkt.header_stack == (("teid", teid),)
+
+    def test_src_match_redecided_after_dst_entry(self):
+        fwd = Forwarder(make_table())
+        fwd.install(RouteEntry("du", ("src", "ue"), "mt"))
+        for _ in range(2):
+            assert fwd.forward("du", make_packet(src="ue", dst="cu"))[0] == "mt"
+        fwd.install(RouteEntry("du", ("dst", "cu"), "cu"))
+        assert fwd.forward("du", make_packet(src="ue", dst="cu"))[0] == "cu"
+
+    def test_decision_changes_when_node_starts_stripping(self):
+        table = make_table()
+        fwd = Forwarder(table)
+        fwd.install(RouteEntry("b", ("teid", 5), "c"))
+
+        def packet():
+            return encapsulate(make_packet(dst="x"), ("teid", 5), 8)
+        for _ in range(2):
+            nxt, pkt = fwd.forward("b", packet())
+            assert (nxt, pkt.header_stack, pkt.wire_size_bytes) \
+                == ("c", (("teid", 5),), 1408)
+        table.strips.add(("b", ("teid", 5)))
+        nxt, pkt = fwd.forward("b", packet())
+        assert (nxt, pkt.header_stack, pkt.wire_size_bytes) == ("c", (), 1400)
+
+    def test_no_route_is_never_cached(self):
+        table = make_table()
+        fwd = Forwarder(table)
+        fwd.install(RouteEntry("b", ("teid", 5), None))
+        table.strips.add(("b", ("teid", 5)))
+
+        def packet():
+            return encapsulate(make_packet(dst="x"), ("teid", 5), 8)
+        for _ in range(2):
+            pkt = packet()
+            with pytest.raises(NoRoute) as err:
+                fwd.forward("b", pkt)
+            # The inner packet is matched after the strip, both times.
+            assert err.value.key == ("dst", "x") and pkt.depth == 0
+        fwd.install(RouteEntry("b", ("dst", "x"), "c"))
+        nxt, pkt = fwd.forward("b", packet())
+        assert nxt == "c" and pkt.depth == 0
