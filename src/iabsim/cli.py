@@ -105,8 +105,6 @@ def _load_summary(path: str) -> dict:
 def cmd_compare(args) -> int:
     a = _load_summary(args.trace_a)
     b = _load_summary(args.trace_b)
-    if a["schema_version"] != b["schema_version"]:
-        raise SchemaMismatch("summaries use different schema versions")
     flows = sorted(set(a["flows"]) | set(b["flows"]))
     print(f"comparing {args.trace_a} ({a['mode']}) vs {args.trace_b} ({b['mode']})")
     for fid in flows:

@@ -23,7 +23,7 @@ from . import radio
 from .errors import (IabSimError, NoDonorCoverage, NoRoute, RoutingLoop,
                      ScenarioInvalid, TransportDown)
 from .f1ap import ControlPlane, F1Message, UeState
-from .gtp import (Forwarder, Packet, PathMode, RouteEntry, TunnelTable,
+from .gtp import (Forwarder, Packet, PathMode, RouteEntry,
                   install_f1_transport, install_ue_routes)
 from .topology import (DU_ROLES, DuConfigUpdateDirective, FlowSpec,
                        IabNodeDirective, Link, Medium, Node, Role, Scenario,
@@ -91,19 +91,18 @@ class Simulator:
         self.scn = scenario = copy.deepcopy(scenario)
         self.mode = PathMode(mode)
         self.seed = scenario.seed if seed is None else seed
-        self.rng = random.Random(self.seed)
         self.trace_full = trace_level == "full"
         self.now = 0.0
         proto = scenario.protocol
         self.proto = proto
         self.trace = Trace(mode=self.mode.value, seed=self.seed,
                            flow_ids=tuple(f.id for f in scenario.flows))
-        self.tunnels = TunnelTable(self.rng)
-        self.fwd = Forwarder(self.tunnels, gtp_header_bytes=proto.gtp_header_bytes,
+        # The Forwarder draws every TEID, so it owns the run's RNG.
+        self.fwd = Forwarder(random.Random(self.seed),
+                             gtp_header_bytes=proto.gtp_header_bytes,
                              bap_header_bytes=proto.bap_header_bytes)
         self.cp = ControlPlane(send=self._send_control,
                                schedule=self._schedule_timer,
-                               now=lambda: self.now,
                                transition=self._transition)
         self.cp.on_association_active = self._assoc_active
         self.cp.on_ue_connected = self._ue_connected
@@ -232,8 +231,8 @@ class Simulator:
     # -- control orchestration -------------------------------------------------------
 
     def _start_ue_attach(self, ue: Node, du: Node) -> None:
-        covered = self._covered_rx_dbm(du, self.scn.distance(ue.id, du.id)) is not None
-        self.cp.ue_attach(ue.id, du.id, self.scn.the_cu().id, covered)
+        """Attach `ue` to `du`, which its caller found to cover it."""
+        self.cp.ue_attach(ue.id, du.id, self.scn.the_cu().id)
         if self.scn.find_link(ue.id, du.id) is None:
             self.scn.add_link(du.id, ue.id, Medium.RADIO, carrier=du.carrier)
 
@@ -250,15 +249,19 @@ class Simulator:
         if self.scn.node(ue_id).role is Role.IAB_MT:
             self._bring_up_iab_node(ue_id)
         else:
-            install_ue_routes(self.scn, self.fwd, self.tunnels, ue_id,
+            install_ue_routes(self.scn, self.fwd, ue_id,
                               self.cp.ue_contexts[ue_id].serving_du)
 
     def _bring_up_iab_node(self, mt_id: str) -> None:
-        session = self.cp.establish_pdu_session(mt_id, self.scn.the_upf().id,
-                                                self.tunnels.open_tunnel)
+        # The MT's PDU session is its two tunnels, with no core signalling.
+        # Uplink is drawn first: the TEID draw order shows in every trace.
+        uplink = self.fwd.open_tunnel(self.scn.the_upf().id)
+        downlink = self.fwd.open_tunnel(mt_id)
+        self._transition(f"pdu:{mt_id}", "Requested", "Established",
+                         "pdu-session-establish")
         iab_du = self.scn.group_peer(mt_id).id
         hops = install_f1_transport(self.scn, self.fwd, iab_du, self.mode,
-                                    session.uplink, session.downlink)
+                                    uplink, downlink)
         rtt = self._path_delay(hops) + self._path_delay(hops[::-1])
         self.cp.f1_setup(self.scn.the_cu().id, iab_du, rtt)
 

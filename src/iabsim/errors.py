@@ -47,60 +47,36 @@ class TooClose(IabSimError):
 
 # --- tunneling / routing ---------------------------------------------------
 
-class TunnelError(IabSimError):
-    pass
-
-
-class DepthExceeded(TunnelError):
+class DepthExceeded(IabSimError):
     """Encapsulation would nest more than two headers; a routing bug."""
 
 
-class RoutingError(IabSimError):
-    pass
-
-
-class NoRoute(RoutingError):
+class NoRoute(IabSimError):
     def __init__(self, node, key):
         super().__init__(f"no route at {node} for {key}")
         self.node = node
         self.key = key
 
 
-class ConflictingEntry(RoutingError):
+class ConflictingEntry(IabSimError):
     pass
 
 
-class RoutingLoop(RoutingError):
+class RoutingLoop(IabSimError):
     pass
 
 
 # --- control plane ----------------------------------------------------------
 
-class ControlError(IabSimError):
+class TransportDown(IabSimError):
     pass
 
 
-class TransportDown(ControlError):
+class DuNotReady(IabSimError):
     pass
 
 
-class NotCovered(ControlError):
-    pass
-
-
-class DuNotReady(ControlError):
-    pass
-
-
-class MtDetached(ControlError):
-    pass
-
-
-class AlreadyEstablished(ControlError):
-    pass
-
-
-class NotActive(ControlError):
+class NotActive(IabSimError):
     pass
 
 

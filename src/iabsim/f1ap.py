@@ -1,9 +1,10 @@
-"""Control-plane state machines: F1 association, UE context, PDU session.
+"""Control-plane state machines: F1 association and UE context.
 
 The state machines do not know about links or queues: the owner (normally
-the simulation engine) injects `send`, `schedule` and `now` callbacks and
-feeds delivered messages back through :meth:`ControlPlane.on_message`. That
-keeps the machines unit-testable over a synchronous loopback.
+the simulation engine) injects `send`, `schedule` and `transition` callbacks
+and feeds delivered messages back through :meth:`ControlPlane.on_message`.
+That keeps the machines unit-testable over a synchronous loopback. There is
+no PDU session here: the engine opens an IAB-MT's session tunnels itself.
 """
 from __future__ import annotations
 
@@ -11,9 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
-from .errors import (AlreadyEstablished, DuNotReady, MtDetached, NotActive,
-                     NotCovered)
-from .gtp import MatchKey
+from .errors import DuNotReady, NotActive
 
 SETUP_MAX_ATTEMPTS = 2  # one retry after 3x RTT, then fail
 
@@ -28,11 +27,6 @@ class UeState(str, Enum):
     DETACHED = "Detached"
     ATTACHING = "Attaching"
     CONNECTED = "Connected"
-
-
-class SessionState(str, Enum):
-    REQUESTED = "Requested"
-    ESTABLISHED = "Established"
 
 
 class MsgKind(str, Enum):
@@ -64,32 +58,19 @@ class F1Association:
 class UeContext:
     ue: str
     serving_du: str
-    cu: str
     state: UeState = UeState.DETACHED
-
-
-@dataclass
-class PduSession:
-    mt: str
-    upf: str
-    uplink: MatchKey  # the header of the MT -> UPF tunnel
-    downlink: MatchKey  # the header of the UPF -> MT tunnel
-    state: SessionState = SessionState.REQUESTED
 
 
 class ControlPlane:
     def __init__(self, *,
                  send: Callable[[F1Message, str, str], None],
                  schedule: Callable[[float, Callable[[], None]], None],
-                 now: Callable[[], float],
                  transition: Callable[[str, str, str, str], None]):
         self._send = send
         self._schedule = schedule
-        self._now = now
         self._transition = transition
         self.associations: dict[str, F1Association] = {}
         self.ue_contexts: dict[str, UeContext] = {}
-        self.sessions: dict[str, PduSession] = {}
         # Engine hooks; default no-ops so the module tests can omit them.
         self.on_association_active: Callable[[str], None] = lambda du: None
         self.on_ue_connected: Callable[[str], None] = lambda ue: None
@@ -139,36 +120,17 @@ class ControlPlane:
         assoc.attempts += 1
         self._send_setup_request(assoc)
 
-    def ue_attach(self, ue: str, du: str, cu: str, covered: bool) -> UeContext:
-        """Begin attachment; Connected once the UE context handshake completes."""
-        if not covered:
-            raise NotCovered(f"{ue} is not covered by {du}")
+    def ue_attach(self, ue: str, du: str, cu: str) -> UeContext:
+        """Begin attachment to `du`, which the caller has found covers `ue`;
+        Connected once the UE context handshake completes."""
         if not self.association_active(du):
             raise DuNotReady(f"F1 association of {du} is not Active")
-        ctx = UeContext(ue=ue, serving_du=du, cu=cu)
+        ctx = UeContext(ue=ue, serving_du=du)
         self.ue_contexts[ue] = ctx
         self._move_ue(ctx, UeState.ATTACHING, "attach")
         self._send(F1Message(MsgKind.UE_CONTEXT_SETUP_REQUEST, du, {"ue": ue}),
                    cu, du)
         return ctx
-
-    def establish_pdu_session(self, mt: str, upf: str,
-                              open_tunnel: Callable[[str], MatchKey]
-                              ) -> PduSession:
-        """Core signalling collapsed to tunnel allocation + state change."""
-        ctx = self.ue_contexts.get(mt)
-        if ctx is None or ctx.state is not UeState.CONNECTED:
-            raise MtDetached(f"IAB-MT {mt} has no Connected UE context")
-        if mt in self.sessions:
-            raise AlreadyEstablished(f"{mt} already has a PDU session")
-        uplink = open_tunnel(upf)
-        downlink = open_tunnel(mt)
-        session = PduSession(mt=mt, upf=upf, uplink=uplink, downlink=downlink)
-        self.sessions[mt] = session
-        self._transition(f"pdu:{mt}", SessionState.REQUESTED.value,
-                         SessionState.ESTABLISHED.value, "pdu-session-establish")
-        session.state = SessionState.ESTABLISHED
-        return session
 
     def du_config_update(self, du: str, new_carrier) -> None:
         assoc = self.associations.get(du)

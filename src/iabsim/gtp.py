@@ -6,8 +6,8 @@ pair: ("teid", value) for GTP, ("bap", route_id) for BAP. A
 packet, by ("dst", node) or ("src", node), and names the next hop and the
 headers to push. One set of (node, header) pairs says who strips what: each
 entry matched at a node pops the outermost header if the pair is in that
-set. Allocating a TEID at a receiver and ending a BAP route at a terminus
-both add to it.
+set. The :class:`Forwarder` owns that set and every header: opening a GTP
+tunnel or a BAP route names the node that strips it.
 
 Only :func:`install_f1_transport` knows a mode's layout: it carries an IAB
 node's F1 from its IAB-DU over its IAB-MT and donor DU to the CU.
@@ -66,27 +66,6 @@ class Packet:
         return [v for kind, v in reversed(self.header_stack) if kind == "teid"]
 
 
-class TunnelTable:
-    """TEID allocation, deterministic given the RNG, and the strip set."""
-
-    def __init__(self, rng: random.Random):
-        self._rng = rng
-        self.strips: set[tuple[str, MatchKey]] = set()
-
-    def allocate_teid(self, endpoint: str) -> int:
-        """A TEID unused at `endpoint`, which from now on strips it."""
-        while True:
-            teid = self._rng.randrange(1, TEID_MAX + 1)
-            key = (endpoint, ("teid", teid))
-            if key not in self.strips:
-                self.strips.add(key)
-                return teid
-
-    def open_tunnel(self, receiver: str) -> MatchKey:
-        """The header of a new GTP tunnel that `receiver` ends."""
-        return ("teid", self.allocate_teid(receiver))
-
-
 def encapsulate(packet: Packet, header: MatchKey, size_bytes: int) -> Packet:
     """Push `header`; triple nesting is a routing bug."""
     if len(packet.header_stack) >= MAX_HEADER_DEPTH:
@@ -106,26 +85,44 @@ class RouteEntry:
 
 
 class Forwarder:
-    """Routing tables plus the per-node forwarding function."""
+    """The headers, routing tables and per-node forwarding function.
 
-    def __init__(self, tunnels: TunnelTable, gtp_header_bytes: int = 8,
+    TEIDs are drawn from `rng`, so they are deterministic given its seed.
+    """
+
+    def __init__(self, rng: random.Random, gtp_header_bytes: int = 8,
                  bap_header_bytes: int = 4):
-        self.strips = tunnels.strips
+        self._rng = rng
+        self.strips: set[tuple[str, MatchKey]] = set()
         self.header_bytes = {"teid": gtp_header_bytes, "bap": bap_header_bytes}
         self.entries: dict[tuple[str, MatchKey], RouteEntry] = {}
-        self._bap_route_counter = 0
+        self._bap_routes = 0
         # (node, header_stack, dst, src) -> (next_hop, header_stack, change
-        # in header_bytes); nothing else but the tables decides. Both tables
-        # only grow (install adds entries, TEIDs and BAP termini add strips),
-        # so the memo is dropped whenever their sizes move.
+        # in header_bytes); nothing else but the two tables decides. Both are
+        # this Forwarder's own and only grow (install adds entries, opening a
+        # tunnel or a BAP route adds a strip), so the memo is dropped
+        # whenever their sizes move.
         self._memo: dict = {}
         self._memo_size = (0, 0)
 
     # -- table management -----------------------------------------------------
 
-    def next_bap_route_id(self) -> int:
-        self._bap_route_counter += 1
-        return self._bap_route_counter
+    def open_tunnel(self, receiver: str) -> MatchKey:
+        """The header of a new GTP tunnel, its TEID unused at `receiver`,
+        which strips it."""
+        while True:
+            header = ("teid", self._rng.randrange(1, TEID_MAX + 1))
+            if (receiver, header) not in self.strips:
+                self.strips.add((receiver, header))
+                return header
+
+    def open_bap_route(self, terminus: str) -> MatchKey:
+        """The header of a new BAP route, ids 1, 2, ... in opening order,
+        which `terminus` strips."""
+        self._bap_routes += 1
+        header = ("bap", self._bap_routes)
+        self.strips.add((terminus, header))
+        return header
 
     def install(self, entry: RouteEntry) -> RouteEntry:
         key = (entry.at_node, entry.match)
@@ -231,10 +228,10 @@ def install_f1_transport(scenario: Scenario, forwarder: Forwarder, iab_du: str,
 
     Returns the uplink hops, the IAB-DU first; the downlink takes them in
     reverse. UpfReroute carries F1 in the IAB-MT's PDU session through the
-    UPF and back to the CU; BapBypass forwards by two BAP route ids, drawn
+    UPF and back to the CU; BapBypass forwards by two BAP routes, opened
     here uplink first, and the CU and the MT end them. Re-installing
-    UpfReroute with the same session is idempotent; BapBypass draws new ids
-    each call, so a second call conflicts.
+    UpfReroute with the same session is idempotent; BapBypass opens new
+    routes each call, so a second call conflicts.
     """
     mt = scenario.group_peer(iab_du).id
     donor_du = _donor_du_of(scenario, mt)
@@ -261,22 +258,20 @@ def install_f1_transport(scenario: Scenario, forwarder: Forwarder, iab_du: str,
         put(mt, dl, iab_du)
         return iab_du, mt, donor_du, cu, upf, cu
 
-    ul = ("bap", forwarder.next_bap_route_id())
-    dl = ("bap", forwarder.next_bap_route_id())
+    ul = forwarder.open_bap_route(cu)
+    dl = forwarder.open_bap_route(mt)
     put(iab_du, ("dst", cu), mt)
     put(mt, ("dst", cu), donor_du, encaps=(ul,))
     put(donor_du, ul, cu)
     put(cu, ul, None)  # strip BAP, re-dispatch locally
-    forwarder.strips.add((cu, ul))
     put(cu, ("dst", iab_du), donor_du, encaps=(dl,))
     put(donor_du, dl, mt)
     put(mt, dl, iab_du)
-    forwarder.strips.add((mt, dl))
     return iab_du, mt, donor_du, cu
 
 
-def install_ue_routes(scenario: Scenario, forwarder: Forwarder,
-                      tunnels: TunnelTable, ue: str, serving_du: str) -> None:
+def install_ue_routes(scenario: Scenario, forwarder: Forwarder, ue: str,
+                      serving_du: str) -> None:
     """Open one UE's tunnels and install the entries that carry its traffic.
 
     The UE's session tunnel runs between the UPF and the CU, its DRB between
@@ -286,10 +281,10 @@ def install_ue_routes(scenario: Scenario, forwarder: Forwarder,
     """
     cu = scenario.the_cu().id
     upf = scenario.the_upf().id
-    session_ul = tunnels.open_tunnel(upf)
-    session_dl = tunnels.open_tunnel(cu)
-    drb_ul = tunnels.open_tunnel(cu)
-    drb_dl = tunnels.open_tunnel(serving_du)
+    session_ul = forwarder.open_tunnel(upf)
+    session_dl = forwarder.open_tunnel(cu)
+    drb_ul = forwarder.open_tunnel(cu)
+    drb_dl = forwarder.open_tunnel(serving_du)
     forwarder.install(RouteEntry(upf, ("dst", ue), cu, (session_dl,)))
     forwarder.nest(cu, session_dl, drb_dl, ("dst", serving_du))
     forwarder.install(RouteEntry(serving_du, drb_dl, ue))

@@ -314,14 +314,14 @@ def validate_topology(scenario: Scenario) -> ValidationReport:
             if len(mts) != 1:
                 v.append(f"IabDu {n.id} must share an owner_group with exactly "
                          f"one IabMt, found {len(mts)}")
-        if n.role in (Role.UE, Role.IAB_MT):
+        if n.role is Role.IAB_MT:
+            # WIRED_PAIRS allows an MT-DU wire; only its own DU's is internal.
             for l in known:
                 if n.id in (l.a, l.b) and l.medium is Medium.WIRED:
                     peer = nodes[l.other(n.id)]
-                    internal = (n.role is Role.IAB_MT and peer.role is Role.IAB_DU
-                                and n.owner_group is not None
-                                and peer.owner_group == n.owner_group)
-                    if not internal:
+                    if peer.role is Role.IAB_DU and (
+                            n.owner_group is None
+                            or peer.owner_group != n.owner_group):
                         v.append(f"{n.role.value} {n.id} has a wired link {l.id}")
         if n.role in RADIO_ROLES and n.tx_power_dbm is None:
             v.append(f"radio-capable node {n.id} has no tx_power")

@@ -231,6 +231,21 @@ class TestDirectives:
         assert len(drops) == 1
         assert "far-du" not in trace.summary.get("links", {})
 
+    def test_mt_session_is_two_tunnels_and_one_transition(self):
+        sim = Simulator(build_mini_scenario(), trace_level="summary")
+        trace = sim.run()
+        pdu = trace.transitions("pdu:uav1-mt")
+        assert [(e.fields["from_state"], e.fields["to_state"], e.fields["cause"])
+                for e in pdu] == [("Requested", "Established",
+                                   "pdu-session-establish")]
+        f1 = trace.transitions("f1:uav1-du")
+        assert pdu[0].seq < f1[0].seq  # the session carries F1 setup
+        # The uplink tunnel ends at the UPF, the downlink one at the MT.
+        ul = sim.fwd.entries[("uav1-mt", ("dst", "cu"))].encaps[0]
+        dl = sim.fwd.entries[("upf", ("dst", "uav1-du"))].encaps[0]
+        assert {n for n, h in sim.fwd.strips if h == ul} == {"upf"}
+        assert {n for n, h in sim.fwd.strips if h == dl} == {"uav1-mt"}
+
     def test_directive_event_emitted(self):
         trace = run(build_mini_scenario())
         assert any(e.kind == "Directive" and e.subject == "IabNodeDirective"

@@ -1,13 +1,8 @@
 """Control-plane state machines exercised over a synchronous loopback bus."""
-import random
-
 import pytest
 
-from iabsim.errors import (AlreadyEstablished, DuNotReady, MtDetached,
-                           NotActive, NotCovered)
-from iabsim.f1ap import (AssocState, ControlPlane, MsgKind, SessionState,
-                         UeState)
-from iabsim.gtp import TunnelTable
+from iabsim.errors import DuNotReady, NotActive
+from iabsim.f1ap import AssocState, ControlPlane, MsgKind, UeState
 from iabsim.topology import Carrier
 
 
@@ -20,7 +15,7 @@ class Bus:
         self.transitions = []
         self.sent = []
         self.cp = ControlPlane(send=self._send, schedule=self._schedule,
-                               now=lambda: 0.0, transition=self._transition)
+                               transition=self._transition)
 
     def _send(self, msg, src, dst):
         self.sent.append((msg.kind, src, dst))
@@ -120,53 +115,17 @@ class TestUeAttach:
         bus = self._active_bus()
         seen = []
         bus.cp.on_ue_connected = seen.append
-        ctx = bus.cp.ue_attach("ue1", "du", "cu", covered=True)
+        ctx = bus.cp.ue_attach("ue1", "du", "cu")
         assert ctx.state is UeState.CONNECTED
         assert seen == ["ue1"]
         assert ("ue:ue1", "Detached", "Attaching", "attach") in bus.transitions
         assert ("ue:ue1", "Attaching", "Connected", "ue-context-setup") in bus.transitions
 
-    def test_attach_outside_coverage_rejected(self):
-        bus = self._active_bus()
-        with pytest.raises(NotCovered):
-            bus.cp.ue_attach("ue1", "du", "cu", covered=False)
-
     def test_attach_before_association_active_rejected(self):
         bus = Bus(connected=False)
         bus.cp.f1_setup("cu", "du", rtt_s=0.001)  # stuck in SetupRequested
         with pytest.raises(DuNotReady):
-            bus.cp.ue_attach("ue1", "du", "cu", covered=True)
-
-
-class TestPduSession:
-    def _connected_mt(self):
-        bus = Bus()
-        bus.cp.f1_setup("cu", "du", rtt_s=0.001)
-        bus.cp.ue_attach("mt", "du", "cu", covered=True)
-        return bus
-
-    def test_establish_allocates_tunnel_pair(self):
-        bus = self._connected_mt()
-        table = TunnelTable(random.Random(3))
-        s = bus.cp.establish_pdu_session("mt", "upf", table.open_tunnel)
-        assert s.state is SessionState.ESTABLISHED
-        assert ("upf", s.uplink) in table.strips
-        assert ("mt", s.uplink) not in table.strips
-        assert ("mt", s.downlink) in table.strips
-        assert ("upf", s.downlink) not in table.strips
-
-    def test_establish_without_connected_context_rejected(self):
-        bus = Bus()
-        table = TunnelTable(random.Random(3))
-        with pytest.raises(MtDetached):
-            bus.cp.establish_pdu_session("mt", "upf", table.open_tunnel)
-
-    def test_double_establish_rejected(self):
-        bus = self._connected_mt()
-        table = TunnelTable(random.Random(3))
-        bus.cp.establish_pdu_session("mt", "upf", table.open_tunnel)
-        with pytest.raises(AlreadyEstablished):
-            bus.cp.establish_pdu_session("mt", "upf", table.open_tunnel)
+            bus.cp.ue_attach("ue1", "du", "cu")
 
 
 class TestDuConfigUpdate:

@@ -6,15 +6,14 @@ import pytest
 from iabsim.engine import IAB_INTERNAL_CAPACITY_BPS
 from iabsim.errors import ConflictingEntry, DepthExceeded, NoRoute, RoutingLoop
 from iabsim.gtp import (Forwarder, Packet, PathMode, RouteEntry, TEID_MAX,
-                        TunnelTable, encapsulate, install_f1_transport,
-                        install_ue_routes)
+                        encapsulate, install_f1_transport, install_ue_routes)
 from iabsim.topology import Medium, Role
 
 from conftest import N78, build_donor_scenario
 
 
-def make_table(seed=1):
-    return TunnelTable(random.Random(seed))
+def make_forwarder(seed=1):
+    return Forwarder(random.Random(seed))
 
 
 def make_packet(**kw):
@@ -39,38 +38,62 @@ def scenario_with_iab():
 
 class TestTeids:
     def test_allocated_teids_in_range(self):
-        t = make_table()
-        assert all(1 <= t.allocate_teid("upf") <= TEID_MAX for _ in range(500))
+        t = make_forwarder()
+        assert all(1 <= t.open_tunnel("upf")[1] <= TEID_MAX for _ in range(500))
 
     def test_allocation_is_deterministic_per_seed(self):
-        a = [make_table(7).allocate_teid("upf") for _ in range(3)]
+        a = [make_forwarder(7).open_tunnel("upf")[1] for _ in range(3)]
         assert a[0] == a[1] == a[2]
-        assert make_table(8).allocate_teid("upf") != a[0]
+        assert make_forwarder(8).open_tunnel("upf")[1] != a[0]
 
     def test_allocation_unique_per_endpoint(self):
-        t = make_table()
-        seen = {t.allocate_teid("upf") for _ in range(500)}
+        t = make_forwarder()
+        seen = {t.open_tunnel("upf")[1] for _ in range(500)}
         assert len(seen) == 500
 
     def test_ownership_keyed_by_receiver(self):
-        t = make_table()
+        t = make_forwarder()
         header = t.open_tunnel("upf")
         assert header[0] == "teid" and ("upf", header) in t.strips
         assert ("uav1-mt", header) not in t.strips
 
 
+class TestBapRoutes:
+    def test_route_ids_run_from_one_per_forwarder(self):
+        fwd = make_forwarder()
+        assert [fwd.open_bap_route(n) for n in ("cu", "mt", "cu")] \
+            == [("bap", 1), ("bap", 2), ("bap", 3)]
+        assert make_forwarder().open_bap_route("mt") == ("bap", 1)
+
+    def test_routes_draw_no_teid(self):
+        plain, mixed = make_forwarder(), make_forwarder()
+        mixed.open_bap_route("cu")
+        assert mixed.open_tunnel("upf") == plain.open_tunnel("upf")
+
+    def test_stripped_at_its_terminus_and_nowhere_else(self):
+        fwd = make_forwarder()
+        header = fwd.open_bap_route("cu")
+        assert {(n, h) for n, h in fwd.strips if h == header} == {("cu", header)}
+        pkt = encapsulate(make_packet(), header, 4)
+        for node in ("donor-du", "uav1-mt", "upf"):
+            fwd.strip(node, pkt)
+            assert pkt.header_stack == (header,)
+        fwd.strip("cu", pkt)
+        assert pkt.depth == 0 and pkt.wire_size_bytes == 1400
+
+
 class TestEncapDecap:
     def test_round_trip_restores_wire_size(self):
-        t = make_table()
+        t = make_forwarder()
         pkt = make_packet()
         encapsulate(pkt, t.open_tunnel("b"), 8)
         assert pkt.wire_size_bytes == 1408  # 1400 payload + 8 GTP
-        Forwarder(t).strip("b", pkt)
+        t.strip("b", pkt)
         assert pkt.wire_size_bytes == 1400
         assert pkt.depth == 0
 
     def test_double_nesting_allowed_triple_rejected(self):
-        t = make_table()
+        t = make_forwarder()
         pkt = make_packet()
         encapsulate(pkt, t.open_tunnel("b"), 8)
         encapsulate(pkt, t.open_tunnel("c"), 8)
@@ -79,23 +102,22 @@ class TestEncapDecap:
             encapsulate(pkt, t.open_tunnel("d"), 8)
 
     def test_strip_only_what_the_node_owns(self):
-        t = make_table()
+        t = make_forwarder()
         inner, outer = t.open_tunnel("b"), t.open_tunnel("c")
         pkt = make_packet()
         encapsulate(pkt, inner, 8)
         encapsulate(pkt, outer, 8)
-        fwd = Forwarder(t)
-        fwd.strip("b", pkt)
+        t.strip("b", pkt)
         assert pkt.header_stack == (inner, outer)  # c's is outermost
-        fwd.strip("c", pkt)
+        t.strip("c", pkt)
         assert pkt.header_stack == (inner,)
         assert pkt.wire_size_bytes == 1408
-        fwd.strip("b", pkt)
-        fwd.strip("b", pkt)  # a bare packet has nothing to strip
+        t.strip("b", pkt)
+        t.strip("b", pkt)  # a bare packet has nothing to strip
         assert pkt.header_stack == () and pkt.wire_size_bytes == 1400
 
     def test_teids_in_stack_outermost_first(self):
-        t = make_table()
+        t = make_forwarder()
         inner, outer = t.open_tunnel("b"), t.open_tunnel("c")
         pkt = make_packet()
         encapsulate(pkt, inner, 8)
@@ -109,9 +131,8 @@ class TestPaths:
 
     def check_hops(self, mode, hops):
         scn = scenario_with_iab()
-        table = make_table()
-        fwd = Forwarder(table)
-        _, got = build_transport(scn, table, fwd, mode)
+        fwd = make_forwarder()
+        _, got = build_transport(scn, fwd, mode)
         assert got == hops
         assert all(scn.find_link(a, b) is not None for a, b in zip(hops, hops[1:]))
         up = forward_to_delivery(fwd, "uav1-du", make_packet(src="uav1-du", dst="cu"))
@@ -127,18 +148,17 @@ class TestPaths:
         self.check_hops(PathMode.BAP_BYPASS, ("uav1-du", "uav1-mt", "donor-du", "cu"))
 
 
-def build_transport(scn, table, fwd, mode):
+def build_transport(scn, fwd, mode):
     """The MT's session headers (uplink, downlink) and the F1 uplink hops."""
-    session = table.open_tunnel("upf"), table.open_tunnel("uav1-mt")
+    session = fwd.open_tunnel("upf"), fwd.open_tunnel("uav1-mt")
     return session, install_f1_transport(scn, fwd, "uav1-du", mode, *session)
 
 
 class TestRouteInstallation:
     def test_reinstall_is_idempotent(self):
         scn = scenario_with_iab()
-        table = make_table()
-        fwd = Forwarder(table)
-        session, hops = build_transport(scn, table, fwd, PathMode.UPF_REROUTE)
+        fwd = make_forwarder()
+        session, hops = build_transport(scn, fwd, PathMode.UPF_REROUTE)
         entries, strips = dict(fwd.entries), set(fwd.strips)
         again = install_f1_transport(scn, fwd, "uav1-du", PathMode.UPF_REROUTE,
                                      *session)
@@ -146,13 +166,13 @@ class TestRouteInstallation:
         assert fwd.entries == entries and fwd.strips == strips
 
     def test_conflicting_entry_rejected(self):
-        fwd = Forwarder(make_table())
+        fwd = make_forwarder()
         fwd.install(RouteEntry(at_node="cu", match=("dst", "x"), next_hop="a"))
         with pytest.raises(ConflictingEntry):
             fwd.install(RouteEntry(at_node="cu", match=("dst", "x"), next_hop="b"))
 
     def test_conflict_in_pushed_headers_names_both(self):
-        fwd = Forwarder(make_table())
+        fwd = make_forwarder()
         fwd.install(RouteEntry("cu", ("dst", "x"), "a", encaps=(("teid", 1),)))
         with pytest.raises(ConflictingEntry,
                            match=re.escape("a [('teid', 1)], not a [('teid', 2)]")):
@@ -162,25 +182,22 @@ class TestRouteInstallation:
         # the reroute leg: the UPF's only transport entry sends the
         # decapsulated F1 traffic back to the CU
         scn = scenario_with_iab()
-        table = make_table()
-        fwd = Forwarder(table)
-        (session_ul, _), _ = build_transport(scn, table, fwd, PathMode.UPF_REROUTE)
+        fwd = make_forwarder()
+        (session_ul, _), _ = build_transport(scn, fwd, PathMode.UPF_REROUTE)
         upf_entries = [e for (node, _), e in fwd.entries.items() if node == "upf"]
         ul = [e for e in upf_entries if e.match == session_ul]
         assert len(ul) == 1 and ul[0].next_hop == "cu"
 
     def test_bypass_installs_nothing_at_upf(self):
         scn = scenario_with_iab()
-        table = make_table()
-        fwd = Forwarder(table)
-        build_transport(scn, table, fwd, PathMode.BAP_BYPASS)
+        fwd = make_forwarder()
+        build_transport(scn, fwd, PathMode.BAP_BYPASS)
         assert not [e for (node, _), e in fwd.entries.items() if node == "upf"]
 
     def test_bypass_registers_bap_termini(self):
         scn = scenario_with_iab()
-        table = make_table()
-        fwd = Forwarder(table)
-        _, (_, mt, _, cu) = build_transport(scn, table, fwd, PathMode.BAP_BYPASS)
+        fwd = make_forwarder()
+        _, (_, mt, _, cu) = build_transport(scn, fwd, PathMode.BAP_BYPASS)
         # route ids are drawn uplink first; the CU ends the uplink route and
         # the MT the downlink route
         assert {(node, key) for node, key in fwd.strips if key[0] == "bap"} \
@@ -190,7 +207,7 @@ class TestRouteInstallation:
 class TestNest:
     def chain(self):
         """a -> b -> c -> d for ("dst", "d"); c pushes a BAP header."""
-        fwd = Forwarder(make_table())
+        fwd = make_forwarder()
         for at, nxt, encaps in (("a", "b", ()), ("b", "c", ()),
                                 ("c", "d", (("bap", 9),)), ("d", "e", ())):
             fwd.install(RouteEntry(at, ("dst", "d"), nxt, encaps))
@@ -227,10 +244,9 @@ def forward_to_delivery(fwd, start, pkt, limit=32):
 class TestForwarding:
     def _user_plane(self, mode):
         scn = scenario_with_iab()
-        table = make_table()
-        fwd = Forwarder(table)
-        build_transport(scn, table, fwd, mode)
-        install_ue_routes(scn, fwd, table, "ue2", "uav1-du")
+        fwd = make_forwarder()
+        build_transport(scn, fwd, mode)
+        install_ue_routes(scn, fwd, "ue2", "uav1-du")
         return scn, fwd
 
     def test_reroute_downlink_hop_log(self):
@@ -290,12 +306,12 @@ class TestForwarding:
         assert stack_on_backhaul == ["teid", "bap"]  # outermost last
 
     def test_no_route_raises_with_node_and_key(self):
-        fwd = Forwarder(make_table())
+        fwd = make_forwarder()
         with pytest.raises(NoRoute):
             fwd.forward("cu", make_packet(dst="elsewhere"))
 
     def test_ttl_expiry_detected(self):
-        fwd = Forwarder(make_table())
+        fwd = make_forwarder()
         fwd.install(RouteEntry(at_node="a", match=("dst", "x"), next_hop="b"))
         fwd.install(RouteEntry(at_node="b", match=("dst", "x"), next_hop="a"))
         pkt = make_packet(dst="x", src="a")
@@ -325,7 +341,7 @@ class TestMemo:
 
     def test_bare_packets_of_two_sources_decided_apart(self):
         # One DU, two UEs: each UE's uplink gets its own DRB header.
-        fwd = Forwarder(make_table())
+        fwd = make_forwarder()
         for ue, teid in (("ue1", 1), ("ue2", 2)):
             fwd.install(RouteEntry("du", ("src", ue), "cu", (("teid", teid),)))
         for ue, teid in (("ue1", 1), ("ue2", 2), ("ue1", 1), ("ue2", 2)):
@@ -333,7 +349,7 @@ class TestMemo:
             assert pkt.header_stack == (("teid", teid),)
 
     def test_src_match_redecided_after_dst_entry(self):
-        fwd = Forwarder(make_table())
+        fwd = make_forwarder()
         fwd.install(RouteEntry("du", ("src", "ue"), "mt"))
         for _ in range(2):
             assert fwd.forward("du", make_packet(src="ue", dst="cu"))[0] == "mt"
@@ -341,28 +357,26 @@ class TestMemo:
         assert fwd.forward("du", make_packet(src="ue", dst="cu"))[0] == "cu"
 
     def test_decision_changes_when_node_starts_stripping(self):
-        table = make_table()
-        fwd = Forwarder(table)
-        fwd.install(RouteEntry("b", ("teid", 5), "c"))
+        fwd = make_forwarder()
+        fwd.install(RouteEntry("b", ("bap", 1), "c"))
 
         def packet():
-            return encapsulate(make_packet(dst="x"), ("teid", 5), 8)
+            return encapsulate(make_packet(dst="x"), ("bap", 1), 4)
         for _ in range(2):
             nxt, pkt = fwd.forward("b", packet())
             assert (nxt, pkt.header_stack, pkt.wire_size_bytes) \
-                == ("c", (("teid", 5),), 1408)
-        table.strips.add(("b", ("teid", 5)))
+                == ("c", (("bap", 1),), 1404)
+        assert fwd.open_bap_route("b") == ("bap", 1)
         nxt, pkt = fwd.forward("b", packet())
         assert (nxt, pkt.header_stack, pkt.wire_size_bytes) == ("c", (), 1400)
 
     def test_no_route_is_never_cached(self):
-        table = make_table()
-        fwd = Forwarder(table)
-        fwd.install(RouteEntry("b", ("teid", 5), None))
-        table.strips.add(("b", ("teid", 5)))
+        fwd = make_forwarder()
+        header = fwd.open_bap_route("b")
+        fwd.install(RouteEntry("b", header, None))
 
         def packet():
-            return encapsulate(make_packet(dst="x"), ("teid", 5), 8)
+            return encapsulate(make_packet(dst="x"), header, 4)
         for _ in range(2):
             pkt = packet()
             with pytest.raises(NoRoute) as err:

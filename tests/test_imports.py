@@ -1,8 +1,10 @@
-"""Every imported name is read somewhere in its module.
+"""Every imported name is read somewhere in its module, and every error
+class is named outside `errors.py`.
 
-A stdlib-only check (ast), so an unused import fails the suite without a
-linter. Package `__init__.py` files re-export by importing, so they are left
-out, and so are `from __future__` imports and names listed in `__all__`.
+A stdlib-only check (ast), so an unused import or a dead error class fails
+the suite without a linter. Package `__init__.py` files re-export by
+importing, so they are left out of the import check, and so are
+`from __future__` imports and names listed in `__all__`.
 """
 import ast
 from pathlib import Path
@@ -46,3 +48,26 @@ def test_an_unused_import_is_found():
                          ids=[str(p.relative_to(ROOT)) for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def names_in(source: str) -> set[str]:
+    """Every name a module reads, imports or reaches as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_every_error_class_is_named_elsewhere():
+    package = ROOT / "src" / "iabsim"
+    errors = package / "errors.py"
+    defined = {node.name for node in ast.parse(errors.read_text()).body
+               if isinstance(node, ast.ClassDef)}
+    named = set().union(*(names_in(p.read_text())
+                          for p in package.glob("*.py") if p != errors))
+    assert sorted(defined - named) == []

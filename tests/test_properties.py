@@ -5,7 +5,7 @@ import random
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from iabsim import PathMode, Simulator, link_capacity, measure_throughput, radio
-from iabsim.gtp import Forwarder, Packet, TunnelTable, encapsulate
+from iabsim.gtp import Forwarder, Packet, encapsulate
 from iabsim.radio import RadioParams
 
 from conftest import build_mini_scenario
@@ -45,11 +45,10 @@ def test_encapsulation_round_trip(payload, seed, depth):
     """Pushing any legal tunnel stack, then stripping it at the tunnels'
     receiver, restores the packet; the push and the strip are the ones
     Forwarder.forward uses."""
-    table = TunnelTable(random.Random(seed))
-    fwd = Forwarder(table)
+    fwd = Forwarder(random.Random(seed))
     pkt = Packet(flow_id="f", src="a", dst="z", payload_size_bytes=payload,
                  created_at_s=0.0)
-    tunnels = [table.open_tunnel("b") for _ in range(depth)]
+    tunnels = [fwd.open_tunnel("b") for _ in range(depth)]
     for header in tunnels:
         encapsulate(pkt, header, fwd.header_bytes["teid"])
     assert pkt.wire_size_bytes == payload + 8 * len(tunnels)

@@ -203,6 +203,28 @@ class TestValidation:
         scn.schedule.append(DuConfigUpdateDirective(at_s=0.5, du=du, carrier=N78))
         assert validate_topology(scn).ok is ok
 
+    def test_wired_ue_link_reported_once(self):
+        scn = build_donor_scenario()
+        scn.links.append(Link("x", "ue1", "cu", Medium.WIRED,
+                              wired_capacity_bps=1e9))
+        assert validate_topology(scn).violations \
+            == ["link x: wired link not permitted between Ue and CU"]
+
+    def test_wired_mt_to_another_groups_du_reported(self):
+        scn = build_donor_scenario()
+        for g in ("g1", "g2"):
+            scn.add_node(Role.IAB_MT, (880.0, 0.0), tx_power_dbm=23.0,
+                         owner_group=g, node_id=f"{g}-mt")
+            scn.add_node(Role.IAB_DU, (880.0, 0.0), tx_power_dbm=43.0,
+                         owner_group=g, carrier=N78, node_id=f"{g}-du")
+            scn.add_link(f"{g}-mt", f"{g}-du", Medium.WIRED,
+                         wired_capacity_bps=1e15)
+        assert validate_topology(scn).ok
+        scn.add_link("g1-mt", "g2-du", Medium.WIRED, wired_capacity_bps=1e15,
+                     link_id="x")
+        assert validate_topology(scn).violations \
+            == ["IabMt g1-mt has a wired link x"]
+
     def test_validation_is_pure(self):
         scn = build_donor_scenario()
         before = (dict(scn.nodes), list(scn.links))
