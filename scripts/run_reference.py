@@ -25,13 +25,11 @@ def main():
         rows.append((mode.value, steady, f["mean_latency_s"],
                      f["mean_hop_count"], f["overhead_bytes"],
                      trace.summary["totals"]["header_bytes"]))
-        ctl = [c for c in trace.control_deliveries
-               if c.association == "uav1-du"]
-        print(f"{mode.value}: example F1 uplink path "
-              f"{' -> '.join(ctl[0].hop_log)}")
-        ue2 = [d for d in trace.deliveries if d.flow_id == "dl-ue2"]
-        print(f"{mode.value}: UE2 downlink path "
-              f"{' -> '.join(ue2[-1].hop_log)}")
+        # A Counter keeps its keys in first-seen order: the setup request's.
+        f1_path = next(iter(trace.paths["f1c:uav1-du"]))
+        print(f"{mode.value}: example F1 uplink path {' -> '.join(f1_path)}")
+        (ue2_path,) = trace.paths["dl-ue2"]
+        print(f"{mode.value}: UE2 downlink path {' -> '.join(ue2_path)}")
 
     print(f"\n{'mode':<12} {'steady Mbit/s':>14} {'latency ms':>11} "
           f"{'hops':>6} {'flow ovh B':>11} {'total hdr B':>12}")

@@ -16,6 +16,7 @@ import copy
 import heapq
 import random
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -28,7 +29,7 @@ from .gtp import (Forwarder, Packet, PathMode, RouteEntry,
 from .topology import (DU_ROLES, DuConfigUpdateDirective, FlowSpec,
                        IabNodeDirective, Link, Medium, Node, Role, Scenario,
                        validate_topology)
-from .trace import SCHEMA_VERSION, Trace, ControlDelivery, Delivery, measure_throughput
+from .trace import SCHEMA_VERSION, Trace, measure_throughput
 
 __all__ = ["Simulator", "run", "link_capacity", "measure_throughput", "PathMode"]
 
@@ -73,11 +74,8 @@ class _LinkDir:
 class _FlowStats:
     spec: FlowSpec
     injected: int = 0
-    delivered: int = 0
     dropped: int = 0
     latency_sum_s: float = 0.0
-    hops_sum: int = 0
-    payload_bytes_delivered: int = 0
     overhead_bytes: int = 0
 
 
@@ -96,7 +94,8 @@ class Simulator:
         proto = scenario.protocol
         self.proto = proto
         self.trace = Trace(mode=self.mode.value, seed=self.seed,
-                           flow_ids=tuple(f.id for f in scenario.flows))
+                           flow_ids={f.id: f.packet_size_bytes
+                                     for f in scenario.flows})
         # The Forwarder draws every TEID, so it owns the run's RNG.
         self.fwd = Forwarder(random.Random(self.seed),
                              gtp_header_bytes=proto.gtp_header_bytes,
@@ -181,20 +180,25 @@ class Simulator:
 
     # -- directives -------------------------------------------------------------
 
+    @contextmanager
+    def _failure_as_drop(self, location: str, subject: str):
+        """A failure inside is trace data, a Drop row, not a run abort."""
+        try:
+            yield
+        except (IabSimError, ValueError) as exc:
+            self._emit("Drop", location=location, subject=subject,
+                       cause=type(exc).__name__, detail=str(exc))
+
     def _apply_directive(self, d) -> None:
         self._emit("Directive", location="scenario", subject=type(d).__name__,
                    at=d.at_s)
-        try:
+        with self._failure_as_drop("scenario", type(d).__name__):
             if isinstance(d, IabNodeDirective):
                 self._instantiate_iab(d)
             elif isinstance(d, DuConfigUpdateDirective):
                 self.cp.du_config_update(d.du, d.carrier)
             else:
                 raise ScenarioInvalid(f"unknown directive {d!r}")
-        except (IabSimError, ValueError) as exc:
-            # Directive failures are trace data, not run aborts.
-            self._emit("Drop", location="scenario", subject=type(d).__name__,
-                       cause=type(exc).__name__, detail=str(exc))
 
     def _covered_rx_dbm(self, du: Node, dist: float) -> Optional[float]:
         """Received power of `du`'s carrier `dist` metres away; None when
@@ -237,20 +241,29 @@ class Simulator:
             self.scn.add_link(du.id, ue.id, Medium.RADIO, carrier=du.carrier)
 
     def _assoc_active(self, du_id: str) -> None:
+        # Attach each detached UE the DU covers, and each detached IAB-MT that
+        # came up before its donor DU was Active: its backhaul link is there.
         du = self.scn.node(du_id)
-        for ue in self.scn.nodes_with_role(Role.UE):
-            ctx = self.cp.ue_contexts.get(ue.id)
+        for node in self.scn.nodes.values():
+            ctx = self.cp.ue_contexts.get(node.id)
             if ctx is not None and ctx.state is not UeState.DETACHED:
                 continue
-            if self._covered_rx_dbm(du, self.scn.distance(ue.id, du.id)) is not None:
-                self._start_ue_attach(ue, du)
+            if node.role is Role.UE:
+                dist = self.scn.distance(node.id, du_id)
+                reach = self._covered_rx_dbm(du, dist) is not None
+            else:
+                reach = (node.role is Role.IAB_MT
+                         and self.scn.find_link(node.id, du_id) is not None)
+            if reach:
+                self._start_ue_attach(node, du)
 
     def _ue_connected(self, ue_id: str) -> None:
-        if self.scn.node(ue_id).role is Role.IAB_MT:
-            self._bring_up_iab_node(ue_id)
-        else:
-            install_ue_routes(self.scn, self.fwd, ue_id,
-                              self.cp.ue_contexts[ue_id].serving_du)
+        with self._failure_as_drop(f"ue:{ue_id}", ue_id):
+            if self.scn.node(ue_id).role is Role.IAB_MT:
+                self._bring_up_iab_node(ue_id)
+            else:
+                install_ue_routes(self.scn, self.fwd, ue_id,
+                                  self.cp.ue_contexts[ue_id].serving_du)
 
     def _bring_up_iab_node(self, mt_id: str) -> None:
         # The MT's PDU session is its two tunnels, with no core signalling.
@@ -338,25 +351,17 @@ class Simulator:
         self._transmit(link, node, pkt)
 
     def _deliver(self, node: str, pkt: Packet) -> None:
-        if pkt.kind == "control":
-            msg: F1Message = pkt.control
-            if not self.cp.deliverable(msg):
-                self._drop(node, pkt, "assoc-inactive")
-                return
-            self.trace.control_deliveries.append(ControlDelivery(
-                time=self.now, kind=msg.kind.value, association=msg.association,
-                hop_log=tuple(pkt.hop_log)))
-            self.cp.on_message(msg)
+        control = pkt.kind == "control"
+        if control and not self.cp.deliverable(pkt.control):
+            self._drop(node, pkt, "assoc-inactive")
             return
-        stats = self._flows[pkt.flow_id]
-        stats.delivered += 1
-        stats.latency_sum_s += self.now - pkt.created_at_s
-        stats.hops_sum += len(pkt.hop_log)
-        stats.payload_bytes_delivered += pkt.payload_size_bytes
-        self.trace.deliveries.append(Delivery(
-            time=self.now, flow_id=pkt.flow_id,
-            payload_bytes=pkt.payload_size_bytes,
-            created_at=pkt.created_at_s, hop_log=tuple(pkt.hop_log)))
+        fid = pkt.flow_id
+        self.trace.paths[fid][tuple(pkt.hop_log)] += 1
+        self.trace.delivered_at[fid].append(self.now)
+        if control:
+            self.cp.on_message(pkt.control)
+            return
+        self._flows[fid].latency_sum_s += self.now - pkt.created_at_s
 
     def _transmit(self, link: Link, src: str, pkt: Packet) -> None:
         dst = link.other(src)
@@ -409,19 +414,21 @@ class Simulator:
         total_bytes = sum(d.bytes_total for d in self._link_dirs.values())
         for fid, st in self._flows.items():
             f = st.spec
+            delivered = len(self.trace.delivered_at.get(fid, ()))
+            hops = sum(len(path) * n
+                       for path, n in self.trace.paths.get(fid, {}).items())
             flows[fid] = {
                 "flow_id": fid,
                 "offered_bps": st.injected * f.packet_size_bytes * 8
                                / (f.stop_s - f.start_s),
                 "injected": st.injected,
-                "delivered": st.delivered,
+                "delivered": delivered,
                 "dropped": st.dropped,
-                "in_flight": st.injected - st.delivered - st.dropped,
-                "goodput_bps": st.payload_bytes_delivered * 8 / duration,
-                "mean_latency_s": (st.latency_sum_s / st.delivered
-                                   if st.delivered else 0.0),
-                "mean_hop_count": (st.hops_sum / st.delivered
-                                   if st.delivered else 0.0),
+                "in_flight": st.injected - delivered - st.dropped,
+                "goodput_bps": delivered * f.packet_size_bytes * 8 / duration,
+                "mean_latency_s": (st.latency_sum_s / delivered
+                                   if delivered else 0.0),
+                "mean_hop_count": hops / delivered if delivered else 0.0,
                 "overhead_bytes": st.overhead_bytes,
             }
         links = {}

@@ -1,4 +1,5 @@
-"""Run record: ordered trace rows, per-flow deliveries, summary, export.
+"""Run record: ordered trace rows, per-flow paths and delivery times,
+summary, export.
 
 Each trace event is one flat row in `Trace.rows`, and its seq is its index
 there. Arrival and Departure, one per packet hop and nearly all of a full
@@ -20,6 +21,8 @@ from __future__ import annotations
 
 import hashlib
 import json.encoder
+from bisect import bisect_left
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import islice
 from types import MappingProxyType
@@ -82,31 +85,19 @@ class TraceEvent:
         return MappingProxyType(dict(zip(names, row[4:])) if names else row[4])
 
 
-@dataclass(slots=True)
-class Delivery:
-    time: float
-    flow_id: str
-    payload_bytes: int
-    created_at: float
-    hop_log: tuple[str, ...]
-
-
-@dataclass(slots=True)
-class ControlDelivery:
-    time: float
-    kind: str
-    association: str
-    hop_log: tuple[str, ...]
-
-
 @dataclass
 class Trace:
     mode: str
     seed: int
-    flow_ids: tuple[str, ...]
+    # Each user flow's id and its fixed payload bytes per packet.
+    flow_ids: Mapping[str, int]
     rows: list[tuple] = field(default_factory=list)
-    deliveries: list[Delivery] = field(default_factory=list)
-    control_deliveries: list[ControlDelivery] = field(default_factory=list)
+    # Per flow id, user or F1 (`f1c:<du>`): how many delivered packets took
+    # each hop sequence, and the delivery times, in time order.
+    paths: dict[str, Counter] = field(
+        default_factory=lambda: defaultdict(Counter))
+    delivered_at: dict[str, list[float]] = field(
+        default_factory=lambda: defaultdict(list))
     summary: dict = field(default_factory=dict)
     # (mode, seed, event count, SHA-256) of the last export.
     _digest: tuple = field(default=(), init=False, repr=False, compare=False)
@@ -177,12 +168,12 @@ class Trace:
 
 def measure_throughput(trace: Trace, flow_id: str,
                        window: tuple[float, float]) -> float:
-    """Goodput: delivered payload bits inside the window over its width."""
+    """Goodput: payload bits delivered in [t0, t1) over the window's width."""
     t0, t1 = window
     if t1 <= t0:
         raise ValueError(f"window must satisfy t1 > t0, got {window}")
     if flow_id not in trace.flow_ids:
         raise UnknownFlow(flow_id)
-    bits = sum(d.payload_bytes * 8 for d in trace.deliveries
-               if d.flow_id == flow_id and t0 <= d.time < t1)
-    return bits / (t1 - t0)
+    times = trace.delivered_at.get(flow_id, ())
+    n = bisect_left(times, t1) - bisect_left(times, t0)
+    return n * trace.flow_ids[flow_id] * 8 / (t1 - t0)

@@ -1,4 +1,5 @@
 import time
+from collections import Counter
 
 import pytest
 
@@ -21,6 +22,12 @@ UE2_UL_HOPS_REROUTE = ("ue2", "uav1-du", "uav1-mt", "donor-du", "cu", "upf",
                        "cu", "upf")
 UE2_UL_HOPS_BAP = ("ue2", "uav1-du", "uav1-mt", "donor-du", "cu", "upf")
 UE1_UL_HOPS = ("ue1", "donor-du", "cu", "upf")
+
+
+def took_only(trace, flow, hops) -> bool:
+    """Packets of `flow` were delivered, and every one of them took `hops`."""
+    n = len(trace.delivered_at.get(flow, ()))
+    return n > 0 and trace.paths[flow] == Counter({hops: n})
 
 
 def build_donor_scenario(duration=1.0, seed=1, ue2_x=6000.0) -> Scenario:

@@ -2,17 +2,17 @@ import dataclasses
 
 import pytest
 
-from iabsim import (PathMode, Simulator, link_capacity, load_scenario,
+from iabsim import (PathMode, Simulator, engine, link_capacity, load_scenario,
                     measure_throughput)
 from iabsim.engine import run
-from iabsim.errors import ScenarioInvalid, UnknownFlow
+from iabsim.errors import NoRoute, ScenarioInvalid, UnknownFlow
 from iabsim.gtp import Packet
 from iabsim.topology import (FlowSpec, Medium, Role, Scenario,
                              instantiate_iab_node)
 
 from conftest import (N41, N78, UE1_DL_HOPS, UE1_UL_HOPS, UE2_DL_HOPS_BAP,
                       UE2_DL_HOPS_REROUTE, UE2_UL_HOPS_BAP, UE2_UL_HOPS_REROUTE,
-                      build_donor_scenario, build_mini_scenario)
+                      build_donor_scenario, build_mini_scenario, took_only)
 
 
 class TestLinkCapacity:
@@ -188,7 +188,7 @@ class TestRunLifecycle:
     def test_empty_flow_list_runs_clean(self):
         trace = run(build_donor_scenario(duration=0.05))
         assert trace.summary["flows"] == {}
-        assert not trace.deliveries
+        assert list(trace.delivered_at) == ["f1c:donor-du"]  # F1 setup only
         # bootstrap still brings the donor association up
         assert any(e.fields.get("to_state") == "Active"
                    for e in trace.transitions("f1:donor-du"))
@@ -218,8 +218,24 @@ class TestDirectives:
     def test_iab_node_materializes_and_serves_ue2(self):
         trace = run(build_mini_scenario())
         assert measure_throughput(trace, "dl-ue2", (0.05, 0.13)) > 0
-        last = trace.deliveries[-1]
-        assert last.hop_log == UE2_DL_HOPS_REROUTE
+        assert took_only(trace, "dl-ue2", UE2_DL_HOPS_REROUTE)
+
+    @pytest.mark.parametrize("at_s", [0.0, 1e-6])
+    def test_iab_node_before_donor_f1_attaches_once_it_is_active(self, at_s):
+        # The donor's F1 setup takes ~3 us: the first attach fails with
+        # DuNotReady, and the MT attaches over its one backhaul link later.
+        scn = build_donor_scenario(duration=0.1)
+        scn.flows.append(FlowSpec(id="dl-ue2", src="upf", dst="ue2",
+                                  rate_bps=6e6, packet_size_bytes=1000,
+                                  start_s=0.03, stop_s=0.08))
+        instantiate_iab_node(scn, (880.0, 0.0), N78, tx_power_dbm=43.0,
+                             at_s=at_s, group="uav1")
+        sim = Simulator(scn)
+        trace = sim.run()
+        assert [e.fields["to_state"] for e in trace.transitions("ue:uav1-mt")] \
+            == ["Attaching", "Connected"]
+        assert trace.summary["flows"]["dl-ue2"]["delivered"] > 0
+        assert len(sim.scn.links_of("uav1-mt")) == 2  # backhaul + internal
 
     def test_directive_outside_all_coverage_is_a_trace_drop(self):
         scn = build_donor_scenario(duration=0.1)
@@ -230,6 +246,16 @@ class TestDirectives:
                  and e.fields.get("cause") == "NoDonorCoverage"]
         assert len(drops) == 1
         assert "far-du" not in trace.summary.get("links", {})
+
+    def test_routing_error_at_attach_is_a_trace_drop(self, monkeypatch):
+        def no_route(scn, fwd, ue, du):
+            raise NoRoute(du, ("src", ue))
+        monkeypatch.setattr(engine, "install_ue_routes", no_route)
+        trace = run(build_donor_scenario(duration=0.05))  # must not raise
+        drops = [e for e in trace.events if e.kind == "Drop"]
+        assert [(e.location, e.fields["cause"]) for e in drops] \
+            == [("ue:ue1", "NoRoute")]
+        assert trace.summary["totals"]["events"] == len(trace.rows)
 
     def test_mt_session_is_two_tunnels_and_one_transition(self):
         sim = Simulator(build_mini_scenario(), trace_level="summary")
@@ -267,6 +293,20 @@ class TestDirectives:
 
 
 class TestAccounting:
+    @pytest.mark.parametrize("mode", list(PathMode))
+    def test_window_holds_t0_and_leaves_out_t1(self, mode):
+        trace = run(build_mini_scenario(), mode=mode)
+        times = [e.time for e in trace.events if e.kind == "Arrival"
+                 and e.subject == "dl-ue2" and e.fields["delivered"]]
+        assert len(times) == trace.summary["flows"]["dl-ue2"]["delivered"] > 9
+        assert all(a < b for a, b in zip(times, times[1:]))
+        last = len(times) - 1
+        # Edges on delivery times: [times[i], times[j]) holds i .. j-1.
+        for i, j in ((0, 1), (0, last), (3, 7), (last // 2, last)):
+            window = (times[i], times[j])
+            assert measure_throughput(trace, "dl-ue2", window) \
+                == (j - i) * 1000 * 8 / (times[j] - times[i])
+
     def test_per_flow_conservation(self):
         trace = run(build_mini_scenario())
         for row in trace.summary["flows"].values():
@@ -285,6 +325,8 @@ class TestAccounting:
         trace = run(build_mini_scenario())
         with pytest.raises(UnknownFlow):
             measure_throughput(trace, "nope", (0.0, 1.0))
+        with pytest.raises(UnknownFlow):  # F1 flows are not user flows
+            measure_throughput(trace, "f1c:uav1-du", (0.0, 1.0))
         with pytest.raises(ValueError):
             measure_throughput(trace, "dl-ue2", (1.0, 1.0))
 
@@ -336,8 +378,7 @@ class TestSeveralUes:
             assert row["delivered"] > 0 and row["in_flight"] >= 0
             assert (row["injected"]
                     == row["delivered"] + row["dropped"] + row["in_flight"])
-        paths = {d.flow_id: d.hop_log for d in trace.deliveries}
-        assert (paths[f"dl-{first}"], paths[f"ul-{first}"]) == (dl_hops, ul_hops)
-        for ue in ues[1:]:  # the first UE's paths, with this UE's name
+        for ue in ues:  # the first UE's paths, with this UE's name
             for flow, hops in ((f"dl-{ue}", dl_hops), (f"ul-{ue}", ul_hops)):
-                assert paths[flow] == tuple(ue if h == first else h for h in hops)
+                assert took_only(trace, flow,
+                                 tuple(ue if h == first else h for h in hops))

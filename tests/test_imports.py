@@ -13,7 +13,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in [*(ROOT / "src" / "iabsim").glob("*.py"),
-                             *(ROOT / "tests").glob("*.py")]
+                             *(ROOT / "tests").glob("*.py"),
+                             *(ROOT / "scripts").glob("*.py")]
                  if p.name != "__init__.py")
 
 

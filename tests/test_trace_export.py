@@ -58,7 +58,7 @@ def reference_line(time, seq, kind, location, subject, fields) -> str:
 @settings(max_examples=300, deadline=None)
 @given(st.lists(arrivals | departures, min_size=1, max_size=8))
 def test_flat_rows_export_as_json_dumps(events):
-    trace = Trace(mode="UpfReroute", seed=1, flow_ids=())
+    trace = Trace(mode="UpfReroute", seed=1, flow_ids={})
     for row, _ in events:
         trace.rows.append(row)
     for time, kind, location, subject, fields in GENERIC:
@@ -81,5 +81,5 @@ def test_flat_rows_export_as_json_dumps(events):
 
 def test_flat_kinds_are_not_emitted():
     with pytest.raises(ValueError, match="Departure events are appended"):
-        Trace(mode="UpfReroute", seed=1, flow_ids=()).emit(
+        Trace(mode="UpfReroute", seed=1, flow_ids={}).emit(
             0.0, "Departure", "l1", "dl-ue1", pkt=0)
