@@ -3,10 +3,10 @@
 from .engine import PathMode, Simulator, link_capacity, measure_throughput, run
 from .scenario_io import load_scenario
 from .topology import (Carrier, FlowSpec, Link, Medium, Node, Role, Scenario,
-                       instantiate_iab_node, validate_topology)
+                       validate_topology)
 
 __all__ = [
     "Carrier", "FlowSpec", "Link", "Medium", "Node", "PathMode", "Role",
-    "Scenario", "Simulator", "instantiate_iab_node", "link_capacity",
+    "Scenario", "Simulator", "link_capacity",
     "load_scenario", "measure_throughput", "run", "validate_topology",
 ]

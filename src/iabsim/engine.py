@@ -229,7 +229,7 @@ class Simulator:
         self.scn.add_link(mt_id, du_id, Medium.WIRED,
                           wired_capacity_bps=IAB_INTERNAL_CAPACITY_BPS,
                           propagation_delay_s=0.0)
-        self.scn.add_link(best.id, mt_id, Medium.RADIO, carrier=best.carrier)
+        self.scn.add_link(best.id, mt_id, Medium.RADIO)
         self._start_ue_attach(self.scn.node(mt_id), best)
 
     # -- control orchestration -------------------------------------------------------
@@ -238,7 +238,7 @@ class Simulator:
         """Attach `ue` to `du`, which its caller found to cover it."""
         self.cp.ue_attach(ue.id, du.id, self.scn.the_cu().id)
         if self.scn.find_link(ue.id, du.id) is None:
-            self.scn.add_link(du.id, ue.id, Medium.RADIO, carrier=du.carrier)
+            self.scn.add_link(du.id, ue.id, Medium.RADIO)
 
     def _assoc_active(self, du_id: str) -> None:
         # Attach each detached UE the DU covers, and each detached IAB-MT that

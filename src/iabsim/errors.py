@@ -35,10 +35,6 @@ class NoDonorCoverage(TopologyError):
     pass
 
 
-class DirectiveOutOfRange(TopologyError):
-    pass
-
-
 # --- radio ----------------------------------------------------------------
 
 class TooClose(IabSimError):

@@ -2,7 +2,8 @@
 
 Unknown keys are errors: a typo in a scenario must fail loudly rather than
 silently fall back to a default. Numbers go through float(), and must be
-whole where an integer is meant, so `2.585e9` works whatever YAML makes of it.
+whole where an integer is meant, so `2.585e9` works whatever YAML makes of it;
+a YAML boolean is not a number.
 Nodes and links are built through `Scenario.add_node`/`add_link`; what they
 reject, like any malformed value, is a ParseError that names the entry.
 """
@@ -66,8 +67,8 @@ def _entry(where: str):
 
 
 def _coerce(value, what: str, integer: bool = False):
-    try:
-        x = float(value)
+    try:  # float(True) is 1.0, but a YAML boolean is no number
+        x = float(None if isinstance(value, bool) else value)
     except (TypeError, ValueError, OverflowError):
         raise ParseError(f"{what} is not numeric ({value!r})") from None
     if integer and not x.is_integer():
@@ -174,16 +175,12 @@ def loads(text: str, name: str = "<scenario>") -> Scenario:
             medium = Medium(raw["medium"])
         except ValueError:
             raise ParseError(f"{where}: unknown medium {raw['medium']!r}") from None
-        a, b = _name(raw, "a", where), _name(raw, "b", where)
-        carrier = (_carrier(raw["carrier"], f"{where}:carrier")
-                   if "carrier" in raw else None)
-        if medium is Medium.RADIO and carrier is None:  # the DU's, by default
-            carrier = next((n.carrier for n in map(scn.nodes.get, (a, b))
-                            if n and n.carrier), None)
         overrides = (_radio(raw["radio"], f"{where}:radio", radio_params)[0]
                      if raw.get("radio") else None)
         with _entry(where):
-            scn.add_link(a, b, medium, carrier=carrier,
+            scn.add_link(_name(raw, "a", where), _name(raw, "b", where), medium,
+                         carrier=_carrier(raw["carrier"], f"{where}:carrier")
+                         if "carrier" in raw else None,
                          wired_capacity_bps=_num(raw, "wired_capacity", where,
                                                  default=None),
                          propagation_delay_s=_num(raw, "propagation_delay", where,

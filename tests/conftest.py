@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from iabsim import PathMode, Scenario, Simulator, load_scenario
-from iabsim.topology import Carrier, FlowSpec, Medium, Role, instantiate_iab_node
+from iabsim.topology import Carrier, FlowSpec, IabNodeDirective, Medium, Role
 
 N41 = Carrier(band_label="n41", center_frequency_hz=2.585e9,
               bandwidth_hz=20e6, scs_hz=30e3)
@@ -30,7 +30,8 @@ def took_only(trace, flow, hops) -> bool:
     return n > 0 and trace.paths[flow] == Counter({hops: n})
 
 
-def build_donor_scenario(duration=1.0, seed=1, ue2_x=6000.0) -> Scenario:
+def build_donor_scenario(duration=1.0, seed=1, ue2_x=6000.0,
+                         n6_link=True) -> Scenario:
     """CU + UPF + donor DU + near UE1 + far UE2, no IAB node yet."""
     scn = Scenario(duration_s=duration, seed=seed)
     scn.add_node(Role.CU, (0.0, -20.0), node_id="cu")
@@ -41,8 +42,9 @@ def build_donor_scenario(duration=1.0, seed=1, ue2_x=6000.0) -> Scenario:
     scn.add_node(Role.UE, (ue2_x, 0.0), tx_power_dbm=23.0, node_id="ue2")
     scn.add_link("cu", "donor-du", Medium.WIRED, wired_capacity_bps=1e9,
                  propagation_delay_s=1e-6, link_id="f1-wire")
-    scn.add_link("cu", "upf", Medium.WIRED, wired_capacity_bps=1e9,
-                 propagation_delay_s=1e-6, link_id="n6-wire")
+    if n6_link:
+        scn.add_link("cu", "upf", Medium.WIRED, wired_capacity_bps=1e9,
+                     propagation_delay_s=1e-6, link_id="n6-wire")
     return scn
 
 
@@ -54,8 +56,9 @@ def build_mini_scenario(seed=1, ue2_rate_bps=6e6, packet_size=1000,
                               rate_bps=ue2_rate_bps,
                               packet_size_bytes=packet_size,
                               start_s=0.03, stop_s=duration - 0.02))
-    instantiate_iab_node(scn, (uav_x, 0.0), N78, tx_power_dbm=43.0, at_s=0.01,
-                         group="uav1")
+    scn.schedule.append(IabNodeDirective(at_s=0.01, position=(uav_x, 0.0),
+                                         access_carrier=N78, tx_power_dbm=43.0,
+                                         group="uav1"))
     return scn
 
 

@@ -7,8 +7,8 @@ from iabsim import (PathMode, Simulator, engine, link_capacity, load_scenario,
 from iabsim.engine import run
 from iabsim.errors import NoRoute, ScenarioInvalid, UnknownFlow
 from iabsim.gtp import Packet
-from iabsim.topology import (FlowSpec, Medium, Role, Scenario,
-                             instantiate_iab_node)
+from iabsim.topology import (FlowSpec, IabNodeDirective, Medium, Role,
+                             Scenario)
 
 from conftest import (N41, N78, UE1_DL_HOPS, UE1_UL_HOPS, UE2_DL_HOPS_BAP,
                       UE2_DL_HOPS_REROUTE, UE2_UL_HOPS_BAP, UE2_UL_HOPS_REROUTE,
@@ -228,8 +228,9 @@ class TestDirectives:
         scn.flows.append(FlowSpec(id="dl-ue2", src="upf", dst="ue2",
                                   rate_bps=6e6, packet_size_bytes=1000,
                                   start_s=0.03, stop_s=0.08))
-        instantiate_iab_node(scn, (880.0, 0.0), N78, tx_power_dbm=43.0,
-                             at_s=at_s, group="uav1")
+        scn.schedule.append(IabNodeDirective(
+            at_s=at_s, position=(880.0, 0.0), access_carrier=N78,
+            tx_power_dbm=43.0, group="uav1"))
         sim = Simulator(scn)
         trace = sim.run()
         assert [e.fields["to_state"] for e in trace.transitions("ue:uav1-mt")] \
@@ -239,8 +240,9 @@ class TestDirectives:
 
     def test_directive_outside_all_coverage_is_a_trace_drop(self):
         scn = build_donor_scenario(duration=0.1)
-        instantiate_iab_node(scn, (10_000.0, 0.0), N78, tx_power_dbm=43.0,
-                             at_s=0.01, group="far")
+        scn.schedule.append(IabNodeDirective(
+            at_s=0.01, position=(10_000.0, 0.0), access_carrier=N78,
+            tx_power_dbm=43.0, group="far"))
         trace = run(scn)  # must not raise
         drops = [e for e in trace.events if e.kind == "Drop"
                  and e.fields.get("cause") == "NoDonorCoverage"]

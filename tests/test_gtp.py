@@ -31,7 +31,7 @@ def scenario_with_iab():
                  owner_group="uav1", carrier=N78, node_id="uav1-du")
     scn.add_link("uav1-mt", "uav1-du", Medium.WIRED,
                  wired_capacity_bps=IAB_INTERNAL_CAPACITY_BPS)
-    scn.add_link("donor-du", "uav1-mt", Medium.RADIO, carrier=scn.nodes["donor-du"].carrier)
+    scn.add_link("donor-du", "uav1-mt", Medium.RADIO)
     scn.add_link("uav1-du", "ue2", Medium.RADIO, carrier=N78)
     return scn
 

@@ -1,10 +1,11 @@
-"""Every imported name is read somewhere in its module, and every error
-class is named outside `errors.py`.
+"""Every imported name is read somewhere in its module, every error class
+is named outside `errors.py`, and nodes and links enter a scenario only
+through `Scenario.add_node`/`add_link`.
 
-A stdlib-only check (ast), so an unused import or a dead error class fails
-the suite without a linter. Package `__init__.py` files re-export by
-importing, so they are left out of the import check, and so are
-`from __future__` imports and names listed in `__all__`.
+Stdlib-only checks (ast), so an unused import, a dead error class or a
+bypassed builder fails the suite without a linter. Package `__init__.py`
+files re-export by importing, so they are left out of the import check, and
+so are `from __future__` imports and names listed in `__all__`.
 """
 import ast
 from pathlib import Path
@@ -72,3 +73,51 @@ def test_every_error_class_is_named_elsewhere():
     named = set().union(*(names_in(p.read_text())
                           for p in package.glob("*.py") if p != errors))
     assert sorted(defined - named) == []
+
+
+# What changes a list or a dict in place.
+MUTATORS = {"append", "extend", "insert", "remove", "pop", "clear", "update",
+            "setdefault", "popitem"}
+
+
+def builder_bypasses(source: str) -> list[int]:
+    """Lines that make a Node or Link, or change a `.nodes` or `.links`
+    attribute or one of its items, other than by Scenario's builders."""
+    def graph(node) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr in ("nodes", "links")
+
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            f = node.func
+            made = getattr(f, "id", getattr(f, "attr", None)) in ("Node", "Link")
+            changed = (isinstance(f, ast.Attribute) and f.attr in MUTATORS
+                       and graph(f.value))
+            if made or changed:
+                lines.append(node.lineno)
+        elif (isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del))
+              and (graph(node) or isinstance(node, ast.Subscript)
+                   and graph(node.value))):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_a_builder_bypass_is_found():
+    assert builder_bypasses(
+        "s.links.append(Link('x', 'a', 'b', m))\n"
+        "s.nodes['x'] = n\n"
+        "del s.links[0]\n"
+        "s.links += []\n"
+        "s.nodes.pop('x')\n"
+        "t.Node('x')\n") == [1, 1, 2, 3, 4, 5, 6]
+    assert builder_bypasses("s.nodes['du'].carrier = None\n"
+                            "s.links[0].propagation_delay_s = 1.0\n"
+                            "links.append(1)\nx = s.nodes['du']\n") == []
+
+
+def test_nodes_and_links_enter_only_through_the_builders():
+    found = [f"{p.relative_to(ROOT)}:{line}"
+             for p in [*MODULES, ROOT / "src" / "iabsim" / "__init__.py"]
+             if p.name != "topology.py"
+             for line in builder_bypasses(p.read_text())]
+    assert found == []

@@ -5,7 +5,8 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from iabsim import Simulator, link_capacity, load_scenario, validate_topology
+from iabsim import (PathMode, Simulator, link_capacity, load_scenario,
+                    validate_topology)
 from iabsim.errors import ParseError
 from iabsim.radio import SPEED_OF_LIGHT
 from iabsim.scenario_io import bundled_scenario_path, loads
@@ -76,6 +77,9 @@ MALFORMED = {
                          "flows[0]"),
     "packet-size-fraction": (broken("packet_size: 1000", "packet_size: 1000.5"),
                              "flows[0]"),
+    "packet-size-bool": (broken("packet_size: 1000", "packet_size: true"),
+                         "flows[0]"),
+    "tx-power-bool": (broken("tx_power: 23.0}", "tx_power: true}"), "nodes[3]"),
     "position-text": (broken("[50.0, 0.0]", "[a, 1]"), "nodes[3]"),
     "position-inf": (broken("[50.0, 0.0]", "[.inf, 0.0]"), "nodes[3]"),
     "protocol-text": (broken("{ttl: 16}", "{ttl: x}"), "protocol"),
@@ -112,6 +116,12 @@ MALFORMED = {
     "radio-pair": (broken("b: ue, medium: Radio", "b: cu, medium: Radio"),
                    "links[2]"),
     "radio-no-carrier": (broken(f", carrier: {N41_YAML}}}", "}"), "links[2]"),
+    # A radio link takes its DU's carrier, never its UE's.
+    "radio-carrier-only-on-ue": (
+        broken(f", carrier: {N41_YAML}}}", "}").replace(
+            "[50.0, 0.0], tx_power: 23.0}",
+            f"[50.0, 0.0], tx_power: 23.0, carrier: {N41_YAML}}}"),
+        "links[2]"),
     "wired-no-capacity": (broken("Wired, wired_capacity: 1.0e9}", "Wired}"),
                           "links[0]"),
     "radio-override-unknown": (with_radio("{foo: 1}"), "links[2]"),
@@ -283,6 +293,18 @@ def mutate(draw, doc):
     return doc
 
 
+def load_mutant(draw, name: str, n_mutations: int):
+    """Bundled scenario `name` after `n_mutations` mutations, loaded; None
+    when that is a ParseError."""
+    doc = copy.deepcopy(BUNDLED[name])
+    for _ in range(n_mutations):
+        doc = mutate(draw, doc)
+    try:
+        return loads(yaml.safe_dump(doc))
+    except ParseError:
+        return None
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(data=st.data(), name=st.sampled_from(sorted(BUNDLED)),
        n_mutations=st.integers(min_value=1, max_value=3))
@@ -290,11 +312,23 @@ def test_mutated_bundled_yaml_fails_only_as_data(data, name, n_mutations):
     """A bundled scenario with keys dropped or renamed, or values swapped for
     other types or degenerate numbers, loads OK, or is a ParseError, or
     validates to violations: never any other exception."""
-    doc = copy.deepcopy(BUNDLED[name])
-    for _ in range(n_mutations):
-        doc = mutate(data.draw, doc)
-    try:
-        scn = loads(yaml.safe_dump(doc))
-    except ParseError:
+    scn = load_mutant(data.draw, name, n_mutations)
+    if scn is not None:
+        assert isinstance(validate_topology(scn).violations, list)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(data=st.data(), mode=st.sampled_from(list(PathMode)),
+       n_mutations=st.integers(min_value=1, max_value=3))
+def test_mutated_yaml_that_validates_runs_to_a_summary(data, mode, n_mutations):
+    """A mutant of bap-compare that loads and validates runs to a summary in
+    which every packet of every flow is delivered, dropped or in flight."""
+    scn = load_mutant(data.draw, "bap-compare", n_mutations)
+    if scn is None or not validate_topology(scn).ok:
         return
-    assert isinstance(validate_topology(scn).violations, list)
+    flows = Simulator(scn, mode=mode, trace_level="summary").run() \
+        .summary["flows"]
+    assert list(flows) == [f.id for f in scn.flows]
+    for f in flows.values():
+        assert f["in_flight"] >= 0
+        assert f["injected"] == f["delivered"] + f["dropped"] + f["in_flight"]

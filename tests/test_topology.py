@@ -1,12 +1,21 @@
 import pytest
 
-from iabsim.errors import (DirectiveOutOfRange, DuplicateCu, DuplicateUpf,
-                           IllegalMedium, MissingCarrier, UnknownNode)
-from iabsim.topology import (Carrier, DuConfigUpdateDirective, FlowAssert,
-                             FlowSpec, Link, Medium, ProtocolConstants, Role,
-                             Scenario, instantiate_iab_node, validate_topology)
+from iabsim.errors import (DuplicateCu, DuplicateUpf, IllegalMedium,
+                           MissingCarrier, UnknownNode)
+from iabsim.topology import (MAX_INJECTED_PACKETS, Carrier,
+                             DuConfigUpdateDirective, FlowAssert, FlowSpec,
+                             IabNodeDirective, Medium, ProtocolConstants, Role,
+                             Scenario, validate_topology)
 
 from conftest import N41, N78, build_donor_scenario
+
+
+def with_flow(duration, **flow) -> Scenario:
+    """A donor scenario of `duration` with one downlink flow over all of it."""
+    scn = build_donor_scenario(duration=duration)
+    scn.flows.append(FlowSpec(id="dl", src="upf", dst="ue1", stop_s=duration,
+                              **flow))
+    return scn
 
 
 class TestConstruction:
@@ -45,6 +54,17 @@ class TestConstruction:
         with pytest.raises(UnknownNode):
             Scenario(duration_s=1.0).node("nope")
 
+    @pytest.mark.parametrize("graph", ["nodes", "links"])
+    def test_nodes_and_links_are_not_init_arguments(self, graph):
+        with pytest.raises(TypeError):
+            Scenario(duration_s=1.0, **{graph: {}})
+
+    @pytest.mark.parametrize("end", ["cu", "ue1"])
+    def test_link_to_unknown_node_rejected(self, end):
+        scn = build_donor_scenario()
+        with pytest.raises(UnknownNode, match="ghost"):
+            scn.add_link(end, "ghost", Medium.WIRED, wired_capacity_bps=1e9)
+
     def test_wired_link_between_ue_and_cu_rejected(self):
         scn = Scenario(duration_s=1.0)
         cu = scn.add_node(Role.CU, (0, 0))
@@ -61,10 +81,20 @@ class TestConstruction:
 
     def test_radio_link_requires_carrier(self):
         scn = Scenario(duration_s=1.0)
-        du = scn.add_node(Role.DONOR_DU, (0, 0), tx_power_dbm=23.0, carrier=N41)
+        du = scn.add_node(Role.DONOR_DU, (0, 0), tx_power_dbm=23.0)
         ue = scn.add_node(Role.UE, (10, 0), tx_power_dbm=23.0)
         with pytest.raises(MissingCarrier):
             scn.add_link(du, ue, Medium.RADIO)
+        assert scn.links == []
+
+    @pytest.mark.parametrize("du_first", [True, False])
+    def test_radio_link_defaults_to_its_dus_carrier(self, du_first):
+        scn = build_donor_scenario()
+        scn.add_node(Role.UE, (10, 0), tx_power_dbm=23.0, carrier=N78,
+                     node_id="ue3")
+        ends = ("donor-du", "ue3") if du_first else ("ue3", "donor-du")
+        scn.add_link(*ends, Medium.RADIO)
+        assert scn.find_link("donor-du", "ue3").carrier == N41
 
     def test_radio_propagation_delay_defaults_to_distance_over_c(self):
         scn = Scenario(duration_s=1.0)
@@ -122,12 +152,6 @@ class TestValidation:
                    for v in validate_topology(scn).violations)
 
     @pytest.mark.parametrize("mutate, violation", [
-        (lambda s: s.links.append(Link("x", "cu", "ghost", Medium.WIRED,
-                                       wired_capacity_bps=1e9)),
-         "link x references unknown node ghost"),
-        (lambda s: s.links.append(Link("x", "ue1", "ghost", Medium.WIRED,
-                                       wired_capacity_bps=1e9)),
-         "link x references unknown node ghost"),
         (lambda s: setattr(s, "duration_s", float("inf")),
          "duration must be positive and finite"),
         (lambda s: setattr(s, "duration_s", float("nan")),
@@ -160,9 +184,14 @@ class TestValidation:
          "link n6-wire: propagation delay must be finite and >= 0"),
         (lambda s: setattr(s.nodes["donor-du"], "tx_power_dbm", float("nan")),
          "node donor-du: tx_power must be finite"),
-        (lambda s: instantiate_iab_node(s, (880.0, 0.0), N78,
-                                        tx_power_dbm=float("nan"), at_s=0.1),
+        (lambda s: s.schedule.append(IabNodeDirective(
+            at_s=0.1, position=(880.0, 0.0), access_carrier=N78,
+            tx_power_dbm=float("nan"))),
          "IabNodeDirective at t=0.1: tx_power must be finite"),
+        (lambda s: s.schedule.append(IabNodeDirective(
+            at_s=3.0, position=(880.0, 0.0), access_carrier=N78,
+            tx_power_dbm=43.0)),
+         "IabNodeDirective at t=3.0: need 0 <= at < duration"),
         (lambda s: setattr(s, "protocol", ProtocolConstants(ttl=0)),
          "protocol: ttl must be >= 1"),
         (lambda s: setattr(s, "protocol",
@@ -179,18 +208,30 @@ class TestValidation:
         (lambda s: s.asserts.append(
             FlowAssert(flow="dl", window=(float("nan"), 0.2))),
          "assert on dl: window (nan, 0.2) needs 0 <= t0 < t1 <= duration"),
-        (lambda s: s.links.remove(s.links[1]), "CU has no wired UPF"),
-    ], ids=["endpoint-of-cu-link", "endpoint-of-ue-link", "duration-inf",
-            "duration-nan", "assert-unknown-flow", "directive-at-duration",
-            "directive-before-zero", "update-unknown-du", "update-not-a-du",
-            "duplicate-flow-id", "wired-capacity-nan", "wired-capacity-inf",
-            "propagation-negative", "propagation-nan", "node-tx-power-nan",
-            "directive-tx-power-nan", "ttl-zero", "buffer-negative",
-            "control-size-zero", "header-size-negative", "assert-window-reversed",
-            "assert-window-nan", "no-n6-link"])
+        (lambda s: build_donor_scenario(duration=1.0, n6_link=False),
+         "CU has no wired UPF"),
+        # 1.25e11 packets in one simulated second
+        (lambda s: with_flow(1.0, rate_bps=1e12, packet_size_bytes=1),
+         f"flows inject 1.25e+11 packets, more than {MAX_INJECTED_PACKETS}"),
+        # a packet count past the largest float
+        (lambda s: with_flow(1e300, rate_bps=1e308),
+         f"flows inject inf packets, more than {MAX_INJECTED_PACKETS}"),
+        (lambda s: with_flow(1.0, rate_bps=10 ** 400),
+         f"flows inject inf packets, more than {MAX_INJECTED_PACKETS}"),
+    ], ids=["duration-inf", "duration-nan", "assert-unknown-flow",
+            "directive-at-duration", "directive-before-zero",
+            "update-unknown-du", "update-not-a-du", "duplicate-flow-id",
+            "wired-capacity-nan", "wired-capacity-inf", "propagation-negative",
+            "propagation-nan", "node-tx-power-nan", "directive-tx-power-nan",
+            "directive-past-duration", "ttl-zero", "buffer-negative",
+            "control-size-zero", "header-size-negative",
+            "assert-window-reversed", "assert-window-nan", "no-n6-link",
+            "packets-over-bound", "packets-overflow-float",
+            "packets-overflow-int"])
     def test_rejected_as_data_not_raised(self, mutate, violation):
         scn = build_donor_scenario(duration=1.0)
-        mutate(scn)
+        # A mutation changes the scenario in place, or returns another one.
+        scn = mutate(scn) or scn
         assert violation in validate_topology(scn).violations
 
     @pytest.mark.parametrize("group, du, ok", [
@@ -198,17 +239,11 @@ class TestValidation:
         (None, "iab1-du", True), (None, "iab2-du", False)])
     def test_update_may_name_a_du_a_directive_creates(self, group, du, ok):
         scn = build_donor_scenario(duration=1.0)
-        instantiate_iab_node(scn, (880.0, 0.0), N78, tx_power_dbm=43.0,
-                             at_s=0.1, group=group)
+        scn.schedule.append(IabNodeDirective(
+            at_s=0.1, position=(880.0, 0.0), access_carrier=N78,
+            tx_power_dbm=43.0, group=group))
         scn.schedule.append(DuConfigUpdateDirective(at_s=0.5, du=du, carrier=N78))
         assert validate_topology(scn).ok is ok
-
-    def test_wired_ue_link_reported_once(self):
-        scn = build_donor_scenario()
-        scn.links.append(Link("x", "ue1", "cu", Medium.WIRED,
-                              wired_capacity_bps=1e9))
-        assert validate_topology(scn).violations \
-            == ["link x: wired link not permitted between Ue and CU"]
 
     def test_wired_mt_to_another_groups_du_reported(self):
         scn = build_donor_scenario()
@@ -233,19 +268,6 @@ class TestValidation:
 
 
 class TestIabDirective:
-    def test_directive_past_duration_rejected(self):
-        scn = build_donor_scenario(duration=2.0)
-        with pytest.raises(DirectiveOutOfRange):
-            instantiate_iab_node(scn, (880.0, 0.0), N78, tx_power_dbm=43.0,
-                                 at_s=3.0)
-
-    def test_directive_is_queued_not_applied(self):
-        scn = build_donor_scenario(duration=2.0)
-        d = instantiate_iab_node(scn, (880.0, 0.0), N78, tx_power_dbm=43.0,
-                                 at_s=1.0, group="uav1")
-        assert d in scn.schedule
-        assert "uav1-du" not in scn.nodes  # nothing exists until it fires
-
     def test_group_peer_query(self):
         scn = build_donor_scenario()
         mt = scn.add_node(Role.IAB_MT, (880, 0), tx_power_dbm=23.0,
