@@ -5,10 +5,11 @@ per-link FIFO serialization, control handshakes, timed scenario directives.
 Ties are broken by a global sequence number, so two runs of the same
 scenario + seed produce identical traces.
 
-A hop is one event at summary level: the packet's arrival at the next node
-is scheduled when it is queued on the link. At full level a Departure event
-comes first, for its trace row. A packet takes buffer room until its finish
-time at both levels.
+A hop is one event at summary level: the packet's arrival at the next node is
+scheduled when it is queued on the link. At full level a Departure event comes
+first, for its trace row. A packet takes buffer room until its finish time at
+both levels. The Forwarder's memoized decision carries the outgoing link
+direction, so a repeated hop makes one memo lookup and no link search.
 """
 from __future__ import annotations
 
@@ -59,6 +60,7 @@ def link_capacity(scenario: Scenario, link: Link, tx_node_id: str) -> float:
 class _LinkDir:
     """One direction of a link: its FIFO state and its cached capacity."""
     link: Link
+    src: str
     dst: str
     cap: Optional[float] = None  # cleared when the link's carrier changes
     next_free: float = 0.0
@@ -160,10 +162,8 @@ class Simulator:
             link = self.scn.find_link(cu, du.id)
             if link is None or link.medium is not Medium.WIRED:
                 continue
-            self.fwd.install(RouteEntry(at_node=du.id, match=("dst", cu),
-                                        next_hop=cu))
-            self.fwd.install(RouteEntry(at_node=cu, match=("dst", du.id),
-                                        next_hop=du.id))
+            self.fwd.install(RouteEntry(du.id, ("dst", cu), cu))
+            self.fwd.install(RouteEntry(cu, ("dst", du.id), du.id))
             self.cp.f1_setup(cu, du.id, 2.0 * self._path_delay((du.id, cu)))
 
     def _path_delay(self, hops: tuple[str, ...]) -> float:
@@ -325,7 +325,7 @@ class Simulator:
 
     def _handle(self, node: str, pkt: Packet, via_link: bool) -> None:
         try:
-            next_hop, pkt = self.fwd.forward(node, pkt)
+            hop = self.fwd.forward(node, pkt)
         except NoRoute as exc:
             self._drop(node, pkt, "no-route", str(exc))
             return
@@ -335,20 +335,27 @@ class Simulator:
         if via_link and self.trace_full:
             # A flat row, its values in ROW_FIELDS["Arrival"] order.
             self.trace.rows.append((self.now, "Arrival", node, pkt.flow_id,
-                                    next_hop is None, pkt.depth, pkt.seq,
+                                    hop.next_hop is None, pkt.depth, pkt.seq,
                                     pkt.teids_in_stack(),
                                     pkt.wire_size_bytes))
-        if next_hop is None:
+        if hop.next_hop is None:
             self._deliver(node, pkt)
             return
-        # Links are only appended, so a pair with no link is looked up again.
-        d = self._link_dirs.get((node, next_hop))
-        link = d.link if d is not None else self.scn.find_link(node, next_hop)
-        if link is None:
-            self._drop(node, pkt, "transport-down",
-                       f"no link {node}->{next_hop}")
-            return
-        self._transmit(link, node, pkt)
+        d = hop.out
+        if d is None:  # a new decision, or no link yet: never cached
+            d = hop.out = self._link_dir(node, hop.next_hop)
+            if d is None:
+                self._drop(node, pkt, "transport-down",
+                           f"no link {node}->{hop.next_hop}")
+                return
+        self._transmit(d, pkt)
+
+    def _link_dir(self, src: str, dst: str) -> Optional[_LinkDir]:
+        """The direction src->dst of the link between them; None if none."""
+        d = self._link_dirs.get((src, dst))
+        if d is None and (link := self.scn.find_link(src, dst)) is not None:
+            d = self._link_dirs[(src, dst)] = _LinkDir(link, src, dst)
+        return d
 
     def _deliver(self, node: str, pkt: Packet) -> None:
         control = pkt.kind == "control"
@@ -363,45 +370,44 @@ class Simulator:
             return
         self._flows[fid].latency_sum_s += self.now - pkt.created_at_s
 
-    def _transmit(self, link: Link, src: str, pkt: Packet) -> None:
-        dst = link.other(src)
-        d = self._link_dirs.get((src, dst))
-        if d is None:
-            d = self._link_dirs[(src, dst)] = _LinkDir(link, dst)
+    def _transmit(self, d: _LinkDir, pkt: Packet) -> None:
         queue = d.finish_times
         while queue and queue[0] <= self.now:
             queue.popleft()
         if len(queue) >= self.proto.link_buffer_packets:
-            self._drop(src, pkt, "queue-overflow", f"link {link.id}")
+            self._drop(d.src, pkt, "queue-overflow", f"link {d.link.id}")
             return
         cap = d.cap
         if cap is None:
-            cap = d.cap = link_capacity(self.scn, link, src)
+            cap = d.cap = link_capacity(self.scn, d.link, d.src)
         if cap <= 0:
-            self._drop(src, pkt, "no-capacity", f"link {link.id}")
+            self._drop(d.src, pkt, "no-capacity", f"link {d.link.id}")
             return
-        wire = pkt.wire_size_bytes
+        header = pkt.header_bytes
+        wire = pkt.payload_size_bytes + header
         start = max(self.now, d.next_free)
         finish = start + wire * 8 / cap
         d.next_free = finish
         queue.append(finish)
         d.busy_s += finish - start
         d.bytes_total += wire
-        d.bytes_header += wire - pkt.payload_size_bytes
+        d.bytes_header += header
         d.packets += 1
         if pkt.kind == "user":
-            self._flows[pkt.flow_id].overhead_bytes += wire - pkt.payload_size_bytes
+            self._flows[pkt.flow_id].overhead_bytes += header
         if self.trace_full:
-            self._schedule(finish, self._depart, d, src, pkt, wire)
+            event = (finish, self._heap_seq, self._depart, (d, pkt, wire))
         else:
-            self._schedule(finish + link.propagation_delay_s,
-                           self._handle, dst, pkt, True)
+            event = (finish + d.link.propagation_delay_s, self._heap_seq,
+                     self._handle, (d.dst, pkt, True))
+        heapq.heappush(self._heap, event)
+        self._heap_seq += 1
 
-    def _depart(self, d: _LinkDir, src: str, pkt: Packet, wire: int) -> None:
+    def _depart(self, d: _LinkDir, pkt: Packet, wire: int) -> None:
         # A flat row, its values in ROW_FIELDS["Departure"] order.
         self.trace.rows.append((self.now, "Departure", d.link.id,
                                 pkt.flow_id, pkt.depth, d.dst, pkt.seq,
-                                src, pkt.teids_in_stack(), wire))
+                                d.src, pkt.teids_in_stack(), wire))
         self._schedule(self.now + d.link.propagation_delay_s,
                        self._handle, d.dst, pkt, True)
 

@@ -9,6 +9,9 @@ entry matched at a node pops the outermost header if the pair is in that
 set. The :class:`Forwarder` owns that set and every header: opening a GTP
 tunnel or a BAP route names the node that strips it.
 
+A memoized :class:`Decision` has a slot for the caller's outgoing link
+direction; the Forwarder's own writers of its tables clear the memo.
+
 Only :func:`install_f1_transport` knows a mode's layout: it carries an IAB
 node's F1 from its IAB-DU over its IAB-MT and donor DU to the CU.
 :func:`install_ue_routes` knows no mode: with :meth:`Forwarder.nest` it
@@ -76,6 +79,15 @@ def encapsulate(packet: Packet, header: MatchKey, size_bytes: int) -> Packet:
     return packet
 
 
+@dataclass(slots=True)
+class Decision:
+    """What `forward` did at one node to one (header stack, dst, src)."""
+    next_hop: Optional[str]  # None: the packet terminated here
+    header_stack: tuple[MatchKey, ...]
+    delta: int  # change in header_bytes
+    out: object = None  # the caller's: the engine keeps its _LinkDir here
+
+
 @dataclass(frozen=True)
 class RouteEntry:
     at_node: str
@@ -97,13 +109,10 @@ class Forwarder:
         self.header_bytes = {"teid": gtp_header_bytes, "bap": bap_header_bytes}
         self.entries: dict[tuple[str, MatchKey], RouteEntry] = {}
         self._bap_routes = 0
-        # (node, header_stack, dst, src) -> (next_hop, header_stack, change
-        # in header_bytes); nothing else but the two tables decides. Both are
-        # this Forwarder's own and only grow (install adds entries, opening a
-        # tunnel or a BAP route adds a strip), so the memo is dropped
-        # whenever their sizes move.
-        self._memo: dict = {}
-        self._memo_size = (0, 0)
+        # (node, header_stack, dst, src) -> Decision; nothing else but the
+        # two tables decides. Only install and opening a tunnel or a BAP
+        # route write them, and each clears the memo when it does.
+        self._memo: dict[tuple, Decision] = {}
 
     # -- table management -----------------------------------------------------
 
@@ -114,6 +123,7 @@ class Forwarder:
             header = ("teid", self._rng.randrange(1, TEID_MAX + 1))
             if (receiver, header) not in self.strips:
                 self.strips.add((receiver, header))
+                self._memo.clear()
                 return header
 
     def open_bap_route(self, terminus: str) -> MatchKey:
@@ -122,9 +132,10 @@ class Forwarder:
         self._bap_routes += 1
         header = ("bap", self._bap_routes)
         self.strips.add((terminus, header))
+        self._memo.clear()
         return header
 
-    def install(self, entry: RouteEntry) -> RouteEntry:
+    def install(self, entry: RouteEntry) -> None:
         key = (entry.at_node, entry.match)
         existing = self.entries.get(key)
         if existing is not None:
@@ -133,9 +144,9 @@ class Forwarder:
                     f"{key} already maps to {existing.next_hop} "
                     f"{list(existing.encaps)}, not {entry.next_hop} "
                     f"{list(entry.encaps)}")
-            return existing  # idempotent re-install
+            return  # idempotent re-install
         self.entries[key] = entry
-        return entry
+        self._memo.clear()
 
     def nest(self, node: str, match: MatchKey, header: MatchKey,
              route: MatchKey) -> None:
@@ -161,19 +172,18 @@ class Forwarder:
 
     # -- forwarding ------------------------------------------------------------
 
-    def strip(self, node: str, packet: Packet) -> Packet:
+    def strip(self, node: str, packet: Packet) -> None:
         """Pop the outermost header if `node` strips it."""
         stack = packet.header_stack
         if stack and (node, stack[-1]) in self.strips:
             packet.header_bytes -= self.header_bytes[stack[-1][0]]
             packet.header_stack = stack[:-1]
-        return packet
 
-    def forward(self, node: str, packet: Packet) -> tuple[Optional[str], Packet]:
-        """Advance a packet at `node`; returns (next_hop, packet).
+    def forward(self, node: str, packet: Packet) -> Decision:
+        """Advance a packet at `node`; returns the decision taken.
 
-        next_hop None means the packet terminated here. A bare packet away
-        from its dst that no ("dst", ...) entry matches is matched by
+        Its next_hop None means the packet terminated here. A bare packet
+        away from its dst that no ("dst", ...) entry matches is matched by
         ("src", ...). Raises NoRoute, with the first key tried, when nothing
         matches. Only a decision is memoized, never a raise.
         """
@@ -181,21 +191,17 @@ class Forwarder:
         if packet.ttl <= 0:
             raise RoutingLoop(f"TTL expired for {packet.flow_id}#{packet.seq} at {node}")
         packet.hop_log.append(node)
-        size = (len(self.entries), len(self.strips))
-        if size != self._memo_size:
-            self._memo.clear()
-            self._memo_size = size
         key = (node, packet.header_stack, packet.dst, packet.src)
         hit = self._memo.get(key)
         if hit is None:
             header_bytes = packet.header_bytes
             next_hop = self._decide(node, packet)
-            self._memo[key] = (next_hop, packet.header_stack,
-                               packet.header_bytes - header_bytes)
-            return next_hop, packet
-        next_hop, packet.header_stack, delta = hit
-        packet.header_bytes += delta
-        return next_hop, packet
+            hit = self._memo[key] = Decision(next_hop, packet.header_stack,
+                                             packet.header_bytes - header_bytes)
+            return hit
+        packet.header_stack = hit.header_stack
+        packet.header_bytes += hit.delta
+        return hit
 
     def _decide(self, node: str, packet: Packet) -> Optional[str]:
         """Match, strip and push at `node` until the packet leaves it or

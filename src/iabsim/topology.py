@@ -5,8 +5,9 @@ flat graph plus workload and schedule. Its nodes and links enter only through
 `add_node` and `add_link`, for code and the loader alike, and those two own
 the per-entry structural rules: they raise on a break. `validate_topology`
 reports the whole-scenario rules as data: a CU wired to a donor DU and to the
-UPF, IAB pairs, finite tx powers, link and protocol numbers, unique flow ids,
-flow, assert and directive bounds, and a bound on the packets flows inject.
+UPF, IAB pairs, finite tx powers, link and protocol numbers, unique flow ids
+outside the f1c: prefix, flow, assert and directive bounds, and a bound on the
+packets flows inject. A link's ends are fixed once `add_link` made it.
 """
 from __future__ import annotations
 
@@ -87,6 +88,11 @@ class Link:
     wired_capacity_bps: Optional[float] = None
     propagation_delay_s: float = 0.0
     radio_overrides: dict = field(default_factory=dict)
+
+    def __setattr__(self, name, value):
+        if name in ("a", "b") and name in self.__dict__:
+            raise AttributeError(f"link {self.id}: its ends are fixed")
+        object.__setattr__(self, name, value)
 
     def other(self, node_id: str) -> str:
         return self.b if node_id == self.a else self.a
@@ -372,6 +378,8 @@ def validate_topology(scenario: Scenario) -> ValidationReport:
     flow_ids = {f.id for f in scenario.flows}
     v += [f"duplicate flow id {fid}" for fid in sorted(flow_ids)
           if sum(f.id == fid for f in scenario.flows) > 1]
+    v += [f"flow id {fid}: the f1c: prefix names F1 associations"
+          for fid in sorted(flow_ids) if fid.startswith("f1c:")]
     v += [f"assert names unknown flow {a.flow}"
           for a in scenario.asserts if a.flow not in flow_ids]
     v += [f"assert on {a.flow}: window {a.window} needs 0 <= t0 < t1 <= duration"

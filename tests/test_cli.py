@@ -92,6 +92,18 @@ class TestValidate:
         assert main(["validate", str(p)]) == 1
         assert "violation: CU has no wired UPF" in capsys.readouterr().out
 
+    def test_flow_named_like_an_f1_association_is_a_violation(self, tmp_path,
+                                                               capsys):
+        # It once ran with exit 0 and merged the F1 deliveries into the
+        # flow's: delivered 1864 of 1858 injected, in_flight -6.
+        p = tmp_path / "f1c.yaml"
+        text = bundled_scenario_path("bap-compare").read_text()
+        assert "dl-ue1" in text
+        p.write_text(text.replace("dl-ue1", "f1c:donor-du"))
+        assert main(["validate", str(p)]) == 1
+        assert ("violation: flow id f1c:donor-du: the f1c: prefix names F1 "
+                "associations" in capsys.readouterr().out)
+
     def test_update_of_unknown_du_is_a_violation(self, tmp_path, capsys):
         # It once validated, and the run recorded a NotActive Drop.
         p = tmp_path / "ghost.yaml"

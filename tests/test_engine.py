@@ -7,8 +7,8 @@ from iabsim import (PathMode, Simulator, engine, link_capacity, load_scenario,
 from iabsim.engine import run
 from iabsim.errors import NoRoute, ScenarioInvalid, UnknownFlow
 from iabsim.gtp import Packet
-from iabsim.topology import (FlowSpec, IabNodeDirective, Medium, Role,
-                             Scenario)
+from iabsim.topology import (DuConfigUpdateDirective, FlowSpec,
+                             IabNodeDirective, Medium, Role, Scenario)
 
 from conftest import (N41, N78, UE1_DL_HOPS, UE1_UL_HOPS, UE2_DL_HOPS_BAP,
                       UE2_DL_HOPS_REROUTE, UE2_UL_HOPS_BAP, UE2_UL_HOPS_REROUTE,
@@ -52,36 +52,31 @@ class TestSerialization:
 
     def test_departure_time_matches_wire_size_over_capacity(self):
         sim = self._sim()
-        link = sim.scn.find_link("cu", "upf")
+        d = sim._link_dir("cu", "upf")
         pkt = Packet(flow_id="x", src="cu", dst="upf", kind="control",
                      payload_size_bytes=1016, created_at_s=0.0)
-        sim._transmit(link, "cu", pkt)
-        d = sim._link_dirs[("cu", "upf")]
+        sim._transmit(d, pkt)
         # 8 * 1016 / 1e9 seconds of serialization
         assert d.next_free == pytest.approx(8 * 1016 / 1e9)
         assert d.bytes_total == 1016 and d.packets == 1
 
     def test_fifo_back_to_back(self):
         sim = self._sim()
-        link = sim.scn.find_link("cu", "upf")
+        d = sim._link_dir("cu", "upf")
         for i in range(2):
-            sim._transmit(link, "cu",
-                          Packet(flow_id="x", src="cu", dst="upf",
-                                 kind="control", payload_size_bytes=1000,
-                                 created_at_s=0.0, seq=i))
-        d = sim._link_dirs[("cu", "upf")]
+            sim._transmit(d, Packet(flow_id="x", src="cu", dst="upf",
+                                    kind="control", payload_size_bytes=1000,
+                                    created_at_s=0.0, seq=i))
         assert d.next_free == pytest.approx(2 * 8 * 1000 / 1e9)
         assert len(d.finish_times) == 2
 
     def test_queue_overflow_on_257th_packet(self):
         sim = self._sim()
-        link = sim.scn.find_link("cu", "upf")
+        d = sim._link_dir("cu", "upf")
         for i in range(257):
-            sim._transmit(link, "cu",
-                          Packet(flow_id="x", src="cu", dst="upf",
-                                 kind="control", payload_size_bytes=1000,
-                                 created_at_s=0.0, seq=i))
-        d = sim._link_dirs[("cu", "upf")]
+            sim._transmit(d, Packet(flow_id="x", src="cu", dst="upf",
+                                    kind="control", payload_size_bytes=1000,
+                                    created_at_s=0.0, seq=i))
         assert len(d.finish_times) == 256
         drops = [e for e in sim.trace.events if e.kind == "Drop"]
         assert len(drops) == 1
@@ -91,15 +86,13 @@ class TestSerialization:
     def test_packet_leaves_the_queue_at_its_finish_time(self):
         sim = self._sim()
         sim.proto = dataclasses.replace(sim.proto, link_buffer_packets=1)
-        link = sim.scn.find_link("cu", "upf")
+        d = sim._link_dir("cu", "upf")
 
         def send(i):
-            sim._transmit(link, "cu",
-                          Packet(flow_id="x", src="cu", dst="upf",
-                                 kind="control", payload_size_bytes=1000,
-                                 created_at_s=0.0, seq=i))
+            sim._transmit(d, Packet(flow_id="x", src="cu", dst="upf",
+                                    kind="control", payload_size_bytes=1000,
+                                    created_at_s=0.0, seq=i))
         send(0)
-        d = sim._link_dirs[("cu", "upf")]
         finish = d.next_free
         sim.now = finish / 2
         send(1)  # the first packet is still on the wire: no room
@@ -114,15 +107,14 @@ class TestSerialization:
         scn.add_link("donor-du", "ue1", Medium.RADIO, carrier=N41)
         sim = Simulator(scn)
         link = sim.scn.find_link("donor-du", "ue1")
+        d = sim._link_dir("donor-du", "ue1")
 
         def serialization_s():
-            d = sim._link_dirs.get(("donor-du", "ue1"))
-            before = d.next_free if d else 0.0
-            sim._transmit(link, "donor-du",
-                          Packet(flow_id="x", src="donor-du", dst="ue1",
-                                 kind="control", payload_size_bytes=1000,
-                                 created_at_s=0.0))
-            return sim._link_dirs[("donor-du", "ue1")].next_free - before
+            before = d.next_free
+            sim._transmit(d, Packet(flow_id="x", src="donor-du", dst="ue1",
+                                    kind="control", payload_size_bytes=1000,
+                                    created_at_s=0.0))
+            return d.next_free - before
 
         first = serialization_s()
         assert first == pytest.approx(1000 * 8 / link_capacity(scn, link, "donor-du"))
@@ -292,6 +284,60 @@ class TestDirectives:
         assert moved and moved[0].fields["to_state"] == "carrier:n41-wide"
         assert scn.nodes["donor-du"].carrier == N41  # the input is unchanged
         assert sim.scn.nodes["donor-du"].carrier == new
+
+
+class TestCachedDecision:
+    """A memoized decision carries its outgoing link direction; the link's
+    capacity and the routing tables can still change under it."""
+
+    @pytest.mark.parametrize("level", ["full", "summary"])
+    def test_carrier_change_and_new_routes_under_cached_decisions(self,
+                                                                  level):
+        scn = build_mini_scenario()
+        scn.flows[0].start_s = 0.0  # dl-ue2 before its routes exist
+        scn.flows.append(FlowSpec(id="dl-ue1", src="upf", dst="ue1",
+                                  rate_bps=4e6, packet_size_bytes=1000,
+                                  start_s=0.005, stop_s=0.13))
+        scn.schedule.append(DuConfigUpdateDirective(at_s=0.08, du="donor-du",
+                                                    carrier=N78))
+        sim = Simulator(scn, trace_level=level)
+        forward, transmit = sim.fwd.forward, sim._transmit
+        decided, sent = [], []
+
+        def forward_seen(node, pkt):
+            hop = forward(node, pkt)
+            if (node, pkt.flow_id) == ("donor-du", "dl-ue1"):
+                decided.append((sim.now, hop, hop.out))
+            return hop
+
+        def transmit_seen(d, pkt):
+            start, packets = max(sim.now, d.next_free), d.packets
+            transmit(d, pkt)
+            if (d.src, d.dst) == ("donor-du", "ue1") and d.packets > packets:
+                cap = link_capacity(sim.scn, d.link, "donor-du")
+                sent.append((sim.now, d.link.carrier, d.next_free - start,
+                             pkt.wire_size_bytes * 8 / cap))
+        sim.fwd.forward, sim._transmit = forward_seen, transmit_seen
+        trace = sim.run()
+        update = next(e.time for e in trace.transitions("du:donor-du")
+                      if e.fields["cause"] == "du-config-update")
+        # Before the update, the decision and its link direction are cached;
+        # after it, that same decision serves every packet.
+        cached = [(hop, out) for t, hop, out in decided if t < update]
+        assert cached and cached[-1][1] is not None
+        after = [(hop, out) for t, hop, out in decided if t > update]
+        assert after and all(hop is cached[-1][0] and out is cached[-1][1]
+                             for hop, out in after)
+        # Each packet is serialized at the capacity of the carrier it meets.
+        assert {c.band_label for t, c, _, _ in sent if t < update} == {"n41"}
+        assert {c.band_label for t, c, _, _ in sent if t > update} == {"n78"}
+        for _, _, took, want in sent:
+            assert took == pytest.approx(want, rel=1e-9)
+        # dl-ue2 met no route until the IAB node's routes were installed,
+        # and was then delivered on the new path only.
+        assert trace.summary["flows"]["dl-ue2"]["dropped"] > 0
+        assert took_only(trace, "dl-ue2", UE2_DL_HOPS_REROUTE)
+        assert took_only(trace, "dl-ue1", UE1_DL_HOPS)
 
 
 class TestAccounting:

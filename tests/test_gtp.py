@@ -234,7 +234,7 @@ class TestNest:
 def forward_to_delivery(fwd, start, pkt, limit=32):
     node = start
     for _ in range(limit):
-        nxt, pkt = fwd.forward(node, pkt)
+        nxt = fwd.forward(node, pkt).next_hop
         if nxt is None:
             return pkt
         node = nxt
@@ -283,7 +283,7 @@ class TestForwarding:
         node = "upf"
         depth_on_backhaul = None
         for _ in range(16):
-            nxt, pkt = fwd.forward(node, pkt)
+            nxt = fwd.forward(node, pkt).next_hop
             if nxt is None:
                 break
             if {node, nxt} == {"donor-du", "uav1-mt"}:
@@ -297,7 +297,7 @@ class TestForwarding:
         node = "upf"
         stack_on_backhaul = None
         for _ in range(16):
-            nxt, pkt = fwd.forward(node, pkt)
+            nxt = fwd.forward(node, pkt).next_hop
             if nxt is None:
                 break
             if {node, nxt} == {"donor-du", "uav1-mt"}:
@@ -318,7 +318,7 @@ class TestForwarding:
         node = "a"
         with pytest.raises(RoutingLoop):
             for _ in range(64):
-                nxt, pkt = fwd.forward(node, pkt)
+                nxt = fwd.forward(node, pkt).next_hop
                 node = nxt
 
     def test_payload_size_never_changes(self):
@@ -345,16 +345,18 @@ class TestMemo:
         for ue, teid in (("ue1", 1), ("ue2", 2)):
             fwd.install(RouteEntry("du", ("src", ue), "cu", (("teid", teid),)))
         for ue, teid in (("ue1", 1), ("ue2", 2), ("ue1", 1), ("ue2", 2)):
-            _, pkt = fwd.forward("du", make_packet(src=ue, dst="upf"))
+            fwd.forward("du", pkt := make_packet(src=ue, dst="upf"))
             assert pkt.header_stack == (("teid", teid),)
 
     def test_src_match_redecided_after_dst_entry(self):
         fwd = make_forwarder()
         fwd.install(RouteEntry("du", ("src", "ue"), "mt"))
         for _ in range(2):
-            assert fwd.forward("du", make_packet(src="ue", dst="cu"))[0] == "mt"
+            assert fwd.forward("du", make_packet(src="ue", dst="cu")) \
+                .next_hop == "mt"
         fwd.install(RouteEntry("du", ("dst", "cu"), "cu"))
-        assert fwd.forward("du", make_packet(src="ue", dst="cu"))[0] == "cu"
+        assert fwd.forward("du", make_packet(src="ue", dst="cu")) \
+            .next_hop == "cu"
 
     def test_decision_changes_when_node_starts_stripping(self):
         fwd = make_forwarder()
@@ -363,12 +365,27 @@ class TestMemo:
         def packet():
             return encapsulate(make_packet(dst="x"), ("bap", 1), 4)
         for _ in range(2):
-            nxt, pkt = fwd.forward("b", packet())
+            nxt = fwd.forward("b", pkt := packet()).next_hop
             assert (nxt, pkt.header_stack, pkt.wire_size_bytes) \
                 == ("c", (("bap", 1),), 1404)
         assert fwd.open_bap_route("b") == ("bap", 1)
-        nxt, pkt = fwd.forward("b", packet())
+        nxt = fwd.forward("b", pkt := packet()).next_hop
         assert (nxt, pkt.header_stack, pkt.wire_size_bytes) == ("c", (), 1400)
+
+    def test_decision_changes_when_a_tunnel_opens_at_the_node(self):
+        # The TEID that a fresh Forwarder of seed 1 opens first.
+        header = make_forwarder().open_tunnel("x")
+        fwd = make_forwarder()
+        fwd.install(RouteEntry("b", header, "c"))
+
+        def packet():
+            return encapsulate(make_packet(dst="x"), header, 8)
+        for _ in range(2):
+            assert fwd.forward("b", pkt := packet()).next_hop == "c"
+            assert pkt.header_stack == (header,)
+        assert fwd.open_tunnel("b") == header
+        assert fwd.forward("b", pkt := packet()).next_hop == "c"
+        assert pkt.header_stack == () and pkt.wire_size_bytes == 1400
 
     def test_no_route_is_never_cached(self):
         fwd = make_forwarder()
@@ -384,5 +401,5 @@ class TestMemo:
             # The inner packet is matched after the strip, both times.
             assert err.value.key == ("dst", "x") and pkt.depth == 0
         fwd.install(RouteEntry("b", ("dst", "x"), "c"))
-        nxt, pkt = fwd.forward("b", packet())
+        nxt = fwd.forward("b", pkt := packet()).next_hop
         assert nxt == "c" and pkt.depth == 0

@@ -1,6 +1,7 @@
 """Every imported name is read somewhere in its module, every error class
-is named outside `errors.py`, and nodes and links enter a scenario only
-through `Scenario.add_node`/`add_link`.
+is named outside `errors.py`, nodes and links enter a scenario only
+through `Scenario.add_node`/`add_link`, and only `gtp.py` writes the
+Forwarder's routing tables and memo.
 
 Stdlib-only checks (ast), so an unused import, a dead error class or a
 bypassed builder fails the suite without a linter. Package `__init__.py`
@@ -75,31 +76,39 @@ def test_every_error_class_is_named_elsewhere():
     assert sorted(defined - named) == []
 
 
-# What changes a list or a dict in place.
+# What changes a list, a dict or a set in place.
 MUTATORS = {"append", "extend", "insert", "remove", "pop", "clear", "update",
-            "setdefault", "popitem"}
+            "setdefault", "popitem", "add", "discard"}
 
 
-def builder_bypasses(source: str) -> list[int]:
-    """Lines that make a Node or Link, or change a `.nodes` or `.links`
-    attribute or one of its items, other than by Scenario's builders."""
-    def graph(node) -> bool:
-        return isinstance(node, ast.Attribute) and node.attr in ("nodes", "links")
+def writes(source: str, attrs: tuple[str, ...]) -> list[int]:
+    """Lines that store to or delete an attribute named in `attrs` or one of
+    its items, or call a mutator on it."""
+    def named(node) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr in attrs
 
     lines = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
             f = node.func
-            made = getattr(f, "id", getattr(f, "attr", None)) in ("Node", "Link")
-            changed = (isinstance(f, ast.Attribute) and f.attr in MUTATORS
-                       and graph(f.value))
-            if made or changed:
+            if (isinstance(f, ast.Attribute) and f.attr in MUTATORS
+                    and named(f.value)):
                 lines.append(node.lineno)
         elif (isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del))
-              and (graph(node) or isinstance(node, ast.Subscript)
-                   and graph(node.value))):
+              and (named(node) or isinstance(node, ast.Subscript)
+                   and named(node.value))):
             lines.append(node.lineno)
     return sorted(lines)
+
+
+def builder_bypasses(source: str) -> list[int]:
+    """Lines that make a Node or Link, or change a `.nodes` or `.links`
+    attribute or one of its items, other than by Scenario's builders."""
+    made = [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and getattr(
+                node.func, "id", getattr(node.func, "attr", None))
+            in ("Node", "Link")]
+    return sorted(made + writes(source, ("nodes", "links")))
 
 
 def test_a_builder_bypass_is_found():
@@ -120,4 +129,33 @@ def test_nodes_and_links_enter_only_through_the_builders():
              for p in [*MODULES, ROOT / "src" / "iabsim" / "__init__.py"]
              if p.name != "topology.py"
              for line in builder_bypasses(p.read_text())]
+    assert found == []
+
+
+# The Forwarder's routing tables and the memo of decisions they decide.
+FORWARDER_TABLES = ("entries", "strips", "_memo")
+
+
+def test_a_table_write_is_found():
+    assert writes("f.entries[k] = e\n"
+                  "f.strips.add(p)\n"
+                  "f._memo.clear()\n"
+                  "f._memo = {}\n"
+                  "del f.entries[k]\n"
+                  "f.entries.setdefault(k, e)\n"
+                  "f.strips.update(s)\n"
+                  "f._memo.pop(k)\n", FORWARDER_TABLES) == list(range(1, 9))
+    assert writes("e = f.entries[k]\nn = len(f.strips)\n"
+                  "d = dict(f.entries)\nf._memo.get(k)\n"
+                  "f.header_bytes['teid'] = 8\n", FORWARDER_TABLES) == []
+
+
+def test_only_the_forwarder_writes_its_tables():
+    # The memo is right only while the Forwarder's own methods, which clear
+    # it, are the only writers of the tables.
+    gtp = ROOT / "src" / "iabsim" / "gtp.py"
+    found = [f"{p.relative_to(ROOT)}:{line}"
+             for p in [*MODULES, ROOT / "src" / "iabsim" / "__init__.py"]
+             if p != gtp
+             for line in writes(p.read_text(), FORWARDER_TABLES)]
     assert found == []

@@ -218,6 +218,10 @@ class TestValidation:
          f"flows inject inf packets, more than {MAX_INJECTED_PACKETS}"),
         (lambda s: with_flow(1.0, rate_bps=10 ** 400),
          f"flows inject inf packets, more than {MAX_INJECTED_PACKETS}"),
+        # The F1 deliveries of donor-du would be counted as this flow's.
+        (lambda s: s.flows.append(FlowSpec(
+            id="f1c:donor-du", src="upf", dst="ue1", rate_bps=1e6, stop_s=0.5)),
+         "flow id f1c:donor-du: the f1c: prefix names F1 associations"),
     ], ids=["duration-inf", "duration-nan", "assert-unknown-flow",
             "directive-at-duration", "directive-before-zero",
             "update-unknown-du", "update-not-a-du", "duplicate-flow-id",
@@ -227,7 +231,7 @@ class TestValidation:
             "control-size-zero", "header-size-negative",
             "assert-window-reversed", "assert-window-nan", "no-n6-link",
             "packets-over-bound", "packets-overflow-float",
-            "packets-overflow-int"])
+            "packets-overflow-int", "flow-id-f1c-prefix"])
     def test_rejected_as_data_not_raised(self, mutate, violation):
         scn = build_donor_scenario(duration=1.0)
         # A mutation changes the scenario in place, or returns another one.
@@ -259,6 +263,18 @@ class TestValidation:
                      link_id="x")
         assert validate_topology(scn).violations \
             == ["IabMt g1-mt has a wired link x"]
+
+    def test_link_ends_are_read_only(self):
+        # A moved end once made validate_topology raise KeyError: 'ghost'.
+        scn = build_donor_scenario()
+        link = scn.links[0]
+        for end in ("a", "b"):
+            with pytest.raises(AttributeError, match="its ends are fixed"):
+                setattr(link, end, "ghost")
+        link.carrier = N78  # what a DU config update writes stays writable
+        link.radio_overrides = {"efficiency": 0.5}
+        assert (link.a, link.b) == ("cu", "donor-du")
+        assert validate_topology(scn).ok
 
     def test_validation_is_pure(self):
         scn = build_donor_scenario()
