@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import copy
 import heapq
+import math
 import random
 from collections import deque
 from contextlib import contextmanager
@@ -47,9 +48,8 @@ def link_capacity(scenario: Scenario, link: Link, tx_node_id: str) -> float:
     if link.radio_overrides:
         params = params.overridden(**link.radio_overrides)
     tx = scenario.node(tx_node_id)
-    rx = scenario.node(link.other(tx_node_id))
     downlink = tx.role in DU_ROLES
-    dist = max(scenario.distance(tx.id, rx.id), params.reference_distance_m)
+    dist = scenario.distance(tx_node_id, link.other(tx_node_id))
     carrier = link.carrier
     s = radio.snr_db(tx.tx_power_dbm, carrier.center_frequency_hz,
                      carrier.bandwidth_hz, dist, params)
@@ -84,6 +84,8 @@ class _FlowStats:
 class Simulator:
     def __init__(self, scenario: Scenario, mode: PathMode = PathMode.UPF_REROUTE,
                  seed: Optional[int] = None, trace_level: str = "full"):
+        if trace_level not in ("full", "summary"):
+            raise ValueError(f"unknown trace_level {trace_level!r}")
         report = validate_topology(scenario)
         if not report.ok:
             raise ScenarioInvalid("; ".join(report.violations))
@@ -157,11 +159,9 @@ class Simulator:
         return self.trace
 
     def _bootstrap(self):
+        # Validation has wired every donor DU to the CU.
         cu = self.scn.the_cu().id
         for du in self.scn.nodes_with_role(Role.DONOR_DU):
-            link = self.scn.find_link(cu, du.id)
-            if link is None or link.medium is not Medium.WIRED:
-                continue
             self.fwd.install(RouteEntry(du.id, ("dst", cu), cu))
             self.fwd.install(RouteEntry(cu, ("dst", du.id), du.id))
             self.cp.f1_setup(cu, du.id, 2.0 * self._path_delay((du.id, cu)))
@@ -200,32 +200,30 @@ class Simulator:
             else:
                 raise ScenarioInvalid(f"unknown directive {d!r}")
 
-    def _covered_rx_dbm(self, du: Node, dist: float) -> Optional[float]:
-        """Received power of `du`'s carrier `dist` metres away; None when
-        that is outside its coverage."""
-        params = self.scn.radio_params
-        dist = max(dist, params.reference_distance_m)
-        freq = du.carrier.center_frequency_hz
-        if not radio.is_covered(du.tx_power_dbm, freq, dist, params):
-            return None
-        return radio.rx_power_dbm(du.tx_power_dbm, freq, dist, params)
+    def _covered_rx_dbm(self, du: Node, position) -> Optional[float]:
+        """Received power of `du`'s carrier at `position`; None when that is
+        outside its coverage."""
+        dist = math.hypot(position[0] - du.position[0],
+                          position[1] - du.position[1])
+        return radio.covered_rx_dbm(du.tx_power_dbm,
+                                    du.carrier.center_frequency_hz, dist,
+                                    self.scn.radio_params)
 
     def _instantiate_iab(self, d: IabNodeDirective) -> None:
         best, best_rx = None, None
         for du in self.scn.nodes_with_role(Role.DONOR_DU):
-            dx, dy = d.position[0] - du.position[0], d.position[1] - du.position[1]
-            rx = self._covered_rx_dbm(du, (dx ** 2 + dy ** 2) ** 0.5)
+            rx = self._covered_rx_dbm(du, d.position)
             if rx is not None and (best_rx is None or rx > best_rx):
                 best, best_rx = du, rx
         if best is None:
             raise NoDonorCoverage(f"no donor-side DU covers {d.position}")
-        group = d.group or f"iab{1 + len(self.scn.nodes_with_role(Role.IAB_DU))}"
         mt_id = self.scn.add_node(Role.IAB_MT, d.position,
                                   tx_power_dbm=d.mt_tx_power_dbm,
-                                  owner_group=group, node_id=f"{group}-mt")
+                                  owner_group=d.group, node_id=f"{d.group}-mt")
         du_id = self.scn.add_node(Role.IAB_DU, d.position,
-                                  tx_power_dbm=d.tx_power_dbm, owner_group=group,
-                                  carrier=d.access_carrier, node_id=f"{group}-du")
+                                  tx_power_dbm=d.tx_power_dbm,
+                                  owner_group=d.group, carrier=d.access_carrier,
+                                  node_id=f"{d.group}-du")
         self.scn.add_link(mt_id, du_id, Medium.WIRED,
                           wired_capacity_bps=IAB_INTERNAL_CAPACITY_BPS,
                           propagation_delay_s=0.0)
@@ -249,8 +247,7 @@ class Simulator:
             if ctx is not None and ctx.state is not UeState.DETACHED:
                 continue
             if node.role is Role.UE:
-                dist = self.scn.distance(node.id, du_id)
-                reach = self._covered_rx_dbm(du, dist) is not None
+                reach = self._covered_rx_dbm(du, node.position) is not None
             else:
                 reach = (node.role is Role.IAB_MT
                          and self.scn.find_link(node.id, du_id) is not None)

@@ -35,12 +35,6 @@ class NoDonorCoverage(TopologyError):
     pass
 
 
-# --- radio ----------------------------------------------------------------
-
-class TooClose(IabSimError):
-    """Distance below the pathloss reference distance."""
-
-
 # --- tunneling / routing ---------------------------------------------------
 
 class DepthExceeded(IabSimError):

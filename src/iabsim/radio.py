@@ -2,14 +2,15 @@
 
 All functions are pure; the knobs live in :class:`RadioParams`. Capacity uses
 a Shannon bound scaled by an implementation-efficiency factor and the TDD
-split, which are the two calibration knobs of the bundled scenarios.
+split, which are the two calibration knobs of the bundled scenarios. Only this
+module reads the reference distance, inside which the loss is flat, and the
+RSRP coverage threshold, which `covered_rx_dbm` applies.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-
-from .errors import TooClose
+from typing import Optional
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -44,10 +45,10 @@ class RadioParams:
 
 def path_loss_db(center_frequency_hz: float, distance_m: float,
                  params: RadioParams) -> float:
-    """Log-distance pathloss: free-space loss at d0, exponent n beyond it."""
+    """Log-distance pathloss: free-space loss at d0, exponent n beyond it.
+    A distance inside d0 has d0's loss."""
     d0 = params.reference_distance_m
-    if distance_m < d0:
-        raise TooClose(f"distance {distance_m} m below reference {d0} m")
+    distance_m = max(distance_m, d0)
     free_space_d0 = 20.0 * math.log10(
         4.0 * math.pi * d0 * center_frequency_hz / SPEED_OF_LIGHT)
     return free_space_d0 + 10.0 * params.pathloss_exponent * math.log10(distance_m / d0)
@@ -70,14 +71,11 @@ def snr_db(tx_power_dbm: float, center_frequency_hz: float, bandwidth_hz: float,
             - noise_power_dbm(bandwidth_hz, params))
 
 
-def is_covered(tx_power_dbm: float, center_frequency_hz: float,
-               distance_m: float, params: RadioParams) -> bool:
-    """Coverage predicate: received power at or above the RSRP threshold."""
-    try:
-        rx = rx_power_dbm(tx_power_dbm, center_frequency_hz, distance_m, params)
-    except TooClose:
-        return True  # closer than the reference distance is trivially covered
-    return rx >= params.coverage_rsrp_threshold_dbm
+def covered_rx_dbm(tx_power_dbm: float, center_frequency_hz: float,
+                   distance_m: float, params: RadioParams) -> Optional[float]:
+    """Received power, or None below the RSRP coverage threshold."""
+    rx = rx_power_dbm(tx_power_dbm, center_frequency_hz, distance_m, params)
+    return rx if rx >= params.coverage_rsrp_threshold_dbm else None
 
 
 def shannon_capacity_bps(bandwidth_hz: float, snr_value_db: float,

@@ -204,7 +204,7 @@ def loads(text: str, name: str = "<scenario>") -> Scenario:
         kind = raw.get("kind") if isinstance(raw, dict) else None
         if kind == "instantiate_iab_node":
             _check_keys(raw, IAB_DIRECTIVE_KEYS, where,
-                        required=("position", "access_carrier"))
+                        required=("position", "access_carrier", "group"))
             scn.schedule.append(IabNodeDirective(
                 at_s=_num(raw, "at", where),
                 position=_pair(raw["position"], f"{where}: position", "[x, y]"),

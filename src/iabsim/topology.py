@@ -4,10 +4,12 @@ A :class:`Scenario` is input only (a Simulator runs on its own deep copy): a
 flat graph plus workload and schedule. Its nodes and links enter only through
 `add_node` and `add_link`, for code and the loader alike, and those two own
 the per-entry structural rules: they raise on a break. `validate_topology`
-reports the whole-scenario rules as data: a CU wired to a donor DU and to the
-UPF, IAB pairs, finite tx powers, link and protocol numbers, unique flow ids
-outside the f1c: prefix, flow, assert and directive bounds, and a bound on the
-packets flows inject. A link's ends are fixed once `add_link` made it.
+reports the whole-scenario rules as data: a CU wired to every donor DU and to
+the UPF, IAB pairs, finite tx powers, link and protocol numbers, unique flow
+ids outside the f1c: prefix, flow, assert and directive bounds, an assert's
+bound, and a bound on the packets flows inject. A link's ends are fixed once
+`add_link` made it. An IAB node directive names its group, and the nodes it
+creates are `<group>-mt` and `<group>-du`.
 """
 from __future__ import annotations
 
@@ -114,13 +116,14 @@ class FlowSpec:
 
 @dataclass
 class IabNodeDirective:
-    """Timed instantiation of an IAB node (IabMt + IabDu pair)."""
+    """Timed instantiation of an IAB node: IabMt `<group>-mt` and IabDu
+    `<group>-du`."""
     at_s: float
     position: tuple[float, float]
     access_carrier: Carrier
     tx_power_dbm: float
+    group: str
     mt_tx_power_dbm: float = 23.0
-    group: Optional[str] = None
 
 
 @dataclass
@@ -305,11 +308,12 @@ def validate_topology(scenario: Scenario) -> ValidationReport:
 
     if cus:
         cu = cus[0]
-        donor_wired = [l for l in scenario.links
-                       if cu.id in (l.a, l.b) and l.medium is Medium.WIRED
-                       and nodes[l.other(cu.id)].role is Role.DONOR_DU]
-        if not donor_wired:
+        donors = scenario.nodes_with_role(Role.DONOR_DU)
+        if not donors:
             v.append("CU has no wired DonorDU")
+        # A CU-DonorDU link is wired: add_link allows no radio one.
+        v += [f"DonorDU {du.id} has no wire to the CU" for du in donors
+              if scenario.find_link(cu.id, du.id) is None]
         if upfs and not any(
                 {l.a, l.b} == {cu.id, upfs[0].id} and l.medium is Medium.WIRED
                 for l in scenario.links):
@@ -385,20 +389,20 @@ def validate_topology(scenario: Scenario) -> ValidationReport:
     v += [f"assert on {a.flow}: window {a.window} needs 0 <= t0 < t1 <= duration"
           for a in scenario.asserts
           if not 0 <= a.window[0] < a.window[1] <= scenario.duration_s]
+    v += [f"assert on {a.flow}: sets no min_goodput_bps, max_goodput_bps or "
+          f"max_mean_latency_s" for a in scenario.asserts
+          if a.min_goodput_bps is None and a.max_goodput_bps is None
+          and a.max_mean_latency_s is None]
     v += [f"{type(d).__name__} at t={d.at_s}: need 0 <= at < duration"
           for d in scenario.schedule if not 0 <= d.at_s < scenario.duration_s]
 
-    # A DU of the file, or one an instantiate_iab_node directive can create:
-    # `<group>-du`, or `iab<k>-du` for an unnamed group, k counting IabDus.
+    # A DU of the file, or one an instantiate_iab_node directive creates.
     iab = [d for d in scenario.schedule if isinstance(d, IabNodeDirective)]
     v += [f"IabNodeDirective at t={d.at_s}: tx_power must be finite"
           for d in iab
           if not all(map(math.isfinite, (d.tx_power_dbm, d.mt_tx_power_dbm)))]
     dus = {n.id for n in nodes.values() if n.role in DU_ROLES}
-    dus |= {f"{d.group}-du" for d in iab if d.group}
-    if not all(d.group for d in iab):
-        n_iab = len(scenario.nodes_with_role(Role.IAB_DU)) + len(iab)
-        dus |= {f"iab{k}-du" for k in range(1, n_iab + 1)}
+    dus |= {f"{d.group}-du" for d in iab}
     v += [f"DuConfigUpdateDirective at t={d.at_s}: unknown DU {d.du}"
           for d in scenario.schedule
           if isinstance(d, DuConfigUpdateDirective) and d.du not in dus]

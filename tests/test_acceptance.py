@@ -74,7 +74,8 @@ def test_criterion_3_coverage_extension(ref_reroute):
     node is instantiated at t=2s."""
     trace, _ = ref_reroute
     p = RadioParams()
-    ok = not radio.is_covered(23.0, 2.585e9, 6000.0, p)  # donor cannot reach it
+    # The donor cannot reach it.
+    ok = radio.covered_rx_dbm(23.0, 2.585e9, 6000.0, p) is None
     before = measure_throughput(trace, "dl-ue2", (0.0, 2.0))
     after = measure_throughput(trace, "dl-ue2", (4.0, 6.5))
     ok &= before == 0.0

@@ -188,6 +188,20 @@ class TestRun:
         assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 1
         assert "assert failed" in capsys.readouterr().out
 
+    def test_latency_bound_fails_when_nothing_is_delivered(self, tmp_path,
+                                                           capsys):
+        # ue1 is out of every DU's coverage, so each packet drops; the
+        # summary's mean latency of 0.0 once met any bound.
+        p = tmp_path / "silent.yaml"
+        p.write_text(GOOD.replace("[50.0, 0.0]", "[9000.0, 0.0]") + (
+            "asserts:\n"
+            "  - {flow: dl-ue1, window: [0.0, 0.2], max_mean_latency_s: 1.0}\n"))
+        assert main(["run", str(p), "--out", str(tmp_path / "o"),
+                     "--trace-level", "summary"]) == 1
+        out = capsys.readouterr().out
+        assert "delivered 0," in out
+        assert "assert failed: dl-ue1: no packet delivered" in out
+
 
 def _sha256_of_lines(trace) -> str:
     """Reference digest: every export line and its newline, hashed in order."""

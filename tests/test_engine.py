@@ -158,6 +158,12 @@ class TestRunLifecycle:
         with pytest.raises(ScenarioInvalid, match="flow dl-ue2"):
             Simulator(scn)  # never run: the run would not end
 
+    @pytest.mark.parametrize("level", ["ful", "Full"])
+    def test_unknown_trace_level_rejected_at_construction(self, level):
+        # "ful" once ran at summary level, without a word.
+        with pytest.raises(ValueError, match="trace_level"):
+            Simulator(build_donor_scenario(duration=0.01), trace_level=level)
+
     def test_runs_leave_the_scenario_unchanged(self):
         # Directives add the IAB node's nodes and links and rewrite carriers;
         # on the caller's object a second run lost UE2 (0.0 Mbit/s).

@@ -1,7 +1,8 @@
 """Every imported name is read somewhere in its module, every error class
 is named outside `errors.py`, nodes and links enter a scenario only
-through `Scenario.add_node`/`add_link`, and only `gtp.py` writes the
-Forwarder's routing tables and memo.
+through `Scenario.add_node`/`add_link`, only `gtp.py` writes the
+Forwarder's routing tables and memo, and only `radio.py` reads the reference
+distance and the coverage threshold.
 
 Stdlib-only checks (ast), so an unused import, a dead error class or a
 bypassed builder fails the suite without a linter. Package `__init__.py`
@@ -158,4 +159,34 @@ def test_only_the_forwarder_writes_its_tables():
              for p in [*MODULES, ROOT / "src" / "iabsim" / "__init__.py"]
              if p != gtp
              for line in writes(p.read_text(), FORWARDER_TABLES)]
+    assert found == []
+
+
+# The radio parameters behind every distance and coverage decision.
+RADIO_REACH = ("reference_distance_m", "coverage_rsrp_threshold_dbm")
+
+
+def reads(source: str, attrs: tuple[str, ...]) -> list[int]:
+    """Lines that read an attribute named in `attrs`."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in attrs
+                  and isinstance(node.ctx, ast.Load))
+
+
+def test_a_radio_reach_read_is_found():
+    assert reads("d = max(d, p.reference_distance_m)\n"
+                 "ok = rx >= params.coverage_rsrp_threshold_dbm\n"
+                 "f(scn.radio_params.reference_distance_m)\n",
+                 RADIO_REACH) == [1, 2, 3]
+    assert reads("RENAME = {'reference': 'reference_distance_m'}\n"
+                 "p.coverage_rsrp_threshold_dbm = -90.0\n"
+                 "p.reference_distance = 1.0\n", RADIO_REACH) == []
+
+
+def test_only_radio_reads_the_reach_parameters():
+    # A clamp or threshold test outside radio.py is a second owner of reach.
+    package = ROOT / "src" / "iabsim"
+    found = [f"{p.relative_to(ROOT)}:{line}"
+             for p in package.glob("*.py") if p.name != "radio.py"
+             for line in reads(p.read_text(), RADIO_REACH)]
     assert found == []

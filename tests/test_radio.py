@@ -3,7 +3,6 @@ import math
 import pytest
 
 from iabsim import radio
-from iabsim.errors import TooClose
 from iabsim.radio import RadioParams
 
 
@@ -29,9 +28,10 @@ class TestPathLoss:
                 - radio.path_loss_db(2.585e9, 100.0, P))
         assert step == pytest.approx(6.622659904607587)
 
-    def test_below_reference_distance_raises(self):
-        with pytest.raises(TooClose):
-            radio.path_loss_db(3.47e9, 0.5, P)
+    @pytest.mark.parametrize("distance_m", [0.0, 0.5])
+    def test_inside_reference_distance_has_the_reference_loss(self, distance_m):
+        assert radio.path_loss_db(3.47e9, distance_m, P) \
+            == radio.path_loss_db(3.47e9, 1.0, P)
 
     def test_custom_reference_distance(self):
         p = P.overridden(reference_distance_m=10.0)
@@ -70,16 +70,18 @@ class TestCoverage:
         # find the exact distance where rx == threshold, check both sides
         edge = 10 ** ((23.0 + 100.0 - radio.path_loss_db(2.585e9, 1.0, P)) / 22.0)
         assert edge == pytest.approx(5508.656846876735)
-        assert radio.is_covered(23.0, 2.585e9, edge, P)
-        assert not radio.is_covered(23.0, 2.585e9, edge * 1.001, P)
+        assert radio.covered_rx_dbm(23.0, 2.585e9, edge, P) \
+            == pytest.approx(-100.0)
+        assert radio.covered_rx_dbm(23.0, 2.585e9, edge * 1.001, P) is None
 
     def test_closer_than_reference_distance_is_covered(self):
-        assert radio.is_covered(23.0, 2.585e9, 0.1, P)
+        assert radio.covered_rx_dbm(23.0, 2.585e9, 0.1, P) \
+            == radio.rx_power_dbm(23.0, 2.585e9, 1.0, P)
 
     def test_reference_ue2_outside_donor_coverage(self):
         assert radio.rx_power_dbm(23.0, 2.585e9, 6000.0, P) == pytest.approx(
             -100.81632167892276)
-        assert not radio.is_covered(23.0, 2.585e9, 6000.0, P)
+        assert radio.covered_rx_dbm(23.0, 2.585e9, 6000.0, P) is None
 
 
 class TestCapacity:

@@ -50,7 +50,7 @@ flows:
   - {id: dl, src: upf, dst: ue, rate: 1.0e6, packet_size: 1000, start: 0.1, stop: 0.9}
 schedule:
   - {at: 0.5, kind: instantiate_iab_node, position: [880.0, 0.0], tx_power: 43.0,
-     access_carrier: N41}
+     access_carrier: N41, group: uav1}
   - {at: 0.6, kind: du_config_update, du: du, carrier: N41}
 asserts:
   - {flow: dl, window: [0.2, 0.8], min_goodput_bps: 1.0}
@@ -92,9 +92,9 @@ MALFORMED = {
     "assert-no-flow": (broken("{flow: dl, ", "{"), "asserts[0]"),
     "update-no-du": (broken("du: du, carrier", "carrier"), "schedule[1]"),
     "iab-no-position": (broken("position: [880.0, 0.0], ", ""), "schedule[0]"),
-    "iab-group-list": (broken("kind: instantiate_iab_node,",
-                              "kind: instantiate_iab_node, group: [1, 2],"),
-                       "schedule[0]"),
+    "iab-group-list": (broken("group: uav1", "group: [1, 2]"), "schedule[0]"),
+    "iab-no-group": (broken(", group: uav1", ""), "schedule[0]"),
+    "iab-group-null": (broken("group: uav1", "group: null"), "schedule[0]"),
     "owner-group-mapping": (broken("{id: ue, role: Ue,",
                                    "{id: ue, role: Ue, owner_group: {a: 1},"),
                             "nodes[3]"),
@@ -163,11 +163,9 @@ class TestStrictParsing:
         assert [l.id for l in sim.scn.links] == ["l1", "n6", "l2"]
 
     def test_group_names_are_strings(self):
-        scn = loads(broken("kind: instantiate_iab_node,",
-                           "kind: instantiate_iab_node, group: 7,")
+        scn = loads(broken("group: uav1", "group: 7")
                     .replace("{id: ue, role: Ue,", "{id: ue, role: Ue, owner_group: 7,"))
         assert scn.schedule[0].group == "7" and scn.nodes["ue"].owner_group == "7"
-        assert loads(FULL).schedule[0].group is None
 
     def test_zero_is_an_id_and_null_is_absent(self):
         scn = loads(broken("{id: ue, role: Ue,", "{id: 0, role: Ue,")

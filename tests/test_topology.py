@@ -186,11 +186,11 @@ class TestValidation:
          "node donor-du: tx_power must be finite"),
         (lambda s: s.schedule.append(IabNodeDirective(
             at_s=0.1, position=(880.0, 0.0), access_carrier=N78,
-            tx_power_dbm=float("nan"))),
+            tx_power_dbm=float("nan"), group="uav1")),
          "IabNodeDirective at t=0.1: tx_power must be finite"),
         (lambda s: s.schedule.append(IabNodeDirective(
             at_s=3.0, position=(880.0, 0.0), access_carrier=N78,
-            tx_power_dbm=43.0)),
+            tx_power_dbm=43.0, group="uav1")),
          "IabNodeDirective at t=3.0: need 0 <= at < duration"),
         (lambda s: setattr(s, "protocol", ProtocolConstants(ttl=0)),
          "protocol: ttl must be >= 1"),
@@ -222,6 +222,14 @@ class TestValidation:
         (lambda s: s.flows.append(FlowSpec(
             id="f1c:donor-du", src="upf", dst="ue1", rate_bps=1e6, stop_s=0.5)),
          "flow id f1c:donor-du: the f1c: prefix names F1 associations"),
+        # An assert with no bound always passed.
+        (lambda s: s.asserts.append(FlowAssert(flow="dl", window=(0.2, 0.8))),
+         "assert on dl: sets no min_goodput_bps, max_goodput_bps or "
+         "max_mean_latency_s"),
+        # Its F1 never came up, yet an IAB node could pick it as its donor.
+        (lambda s: s.add_node(Role.DONOR_DU, (1000.0, 0.0), tx_power_dbm=23.0,
+                              carrier=N41, node_id="donor2") and s,
+         "DonorDU donor2 has no wire to the CU"),
     ], ids=["duration-inf", "duration-nan", "assert-unknown-flow",
             "directive-at-duration", "directive-before-zero",
             "update-unknown-du", "update-not-a-du", "duplicate-flow-id",
@@ -231,7 +239,8 @@ class TestValidation:
             "control-size-zero", "header-size-negative",
             "assert-window-reversed", "assert-window-nan", "no-n6-link",
             "packets-over-bound", "packets-overflow-float",
-            "packets-overflow-int", "flow-id-f1c-prefix"])
+            "packets-overflow-int", "flow-id-f1c-prefix", "assert-no-bound",
+            "donor-du-unwired"])
     def test_rejected_as_data_not_raised(self, mutate, violation):
         scn = build_donor_scenario(duration=1.0)
         # A mutation changes the scenario in place, or returns another one.
@@ -239,8 +248,7 @@ class TestValidation:
         assert violation in validate_topology(scn).violations
 
     @pytest.mark.parametrize("group, du, ok", [
-        ("uav1", "uav1-du", True), ("uav1", "iab1-du", False),
-        (None, "iab1-du", True), (None, "iab2-du", False)])
+        ("uav1", "uav1-du", True), ("uav1", "iab1-du", False)])
     def test_update_may_name_a_du_a_directive_creates(self, group, du, ok):
         scn = build_donor_scenario(duration=1.0)
         scn.schedule.append(IabNodeDirective(
