@@ -10,6 +10,12 @@ scheduled when it is queued on the link. At full level a Departure event comes
 first, for its trace row. A packet takes buffer room until its finish time at
 both levels. The Forwarder's memoized decision carries the outgoing link
 direction, so a repeated hop makes one memo lookup and no link search.
+
+An Arrival or Departure row holds only strings, numbers and the decision's
+shared tuple of TEIDs, never an object built for the row. Python's cyclic GC
+stops tracking a tuple of such atoms within two collections, so the rows of
+finished hops, hundreds of thousands in a full-level trace, cost later
+collections nothing.
 """
 from __future__ import annotations
 
@@ -26,7 +32,7 @@ from . import radio
 from .errors import (IabSimError, NoDonorCoverage, NoRoute, RoutingLoop,
                      ScenarioInvalid, TransportDown)
 from .f1ap import ControlPlane, F1Message, UeState
-from .gtp import (Forwarder, Packet, PathMode, RouteEntry,
+from .gtp import (Decision, Forwarder, Packet, PathMode, RouteEntry,
                   install_f1_transport, install_ue_routes)
 from .topology import (DU_ROLES, DuConfigUpdateDirective, FlowSpec,
                        IabNodeDirective, Link, Medium, Node, Role, Scenario,
@@ -332,20 +338,18 @@ class Simulator:
         if via_link and self.trace_full:
             # A flat row, its values in ROW_FIELDS["Arrival"] order.
             self.trace.rows.append((self.now, "Arrival", node, pkt.flow_id,
-                                    hop.next_hop is None, pkt.depth, pkt.seq,
-                                    pkt.teids_in_stack(),
-                                    pkt.wire_size_bytes))
+                                    hop.next_hop is None, hop.depth, pkt.seq,
+                                    hop.teids, pkt.wire_size_bytes))
         if hop.next_hop is None:
             self._deliver(node, pkt)
             return
-        d = hop.out
-        if d is None:  # a new decision, or no link yet: never cached
-            d = hop.out = self._link_dir(node, hop.next_hop)
-            if d is None:
+        if hop.out is None:  # a new decision, or no link yet: never cached
+            hop.out = self._link_dir(node, hop.next_hop)
+            if hop.out is None:
                 self._drop(node, pkt, "transport-down",
                            f"no link {node}->{hop.next_hop}")
                 return
-        self._transmit(d, pkt)
+        self._transmit(hop, pkt)
 
     def _link_dir(self, src: str, dst: str) -> Optional[_LinkDir]:
         """The direction src->dst of the link between them; None if none."""
@@ -367,7 +371,9 @@ class Simulator:
             return
         self._flows[fid].latency_sum_s += self.now - pkt.created_at_s
 
-    def _transmit(self, d: _LinkDir, pkt: Packet) -> None:
+    def _transmit(self, hop: Decision, pkt: Packet) -> None:
+        """Queue `pkt` on `hop.out`, the link direction `hop` sends it on."""
+        d = hop.out
         queue = d.finish_times
         while queue and queue[0] <= self.now:
             queue.popleft()
@@ -393,20 +399,23 @@ class Simulator:
         if pkt.kind == "user":
             self._flows[pkt.flow_id].overhead_bytes += header
         if self.trace_full:
-            event = (finish, self._heap_seq, self._depart, (d, pkt, wire))
+            event = (finish, self._heap_seq, self._depart, (hop, pkt, wire))
         else:
             event = (finish + d.link.propagation_delay_s, self._heap_seq,
                      self._handle, (d.dst, pkt, True))
         heapq.heappush(self._heap, event)
         self._heap_seq += 1
 
-    def _depart(self, d: _LinkDir, pkt: Packet, wire: int) -> None:
+    def _depart(self, hop: Decision, pkt: Packet, wire: int) -> None:
+        d = hop.out
         # A flat row, its values in ROW_FIELDS["Departure"] order.
         self.trace.rows.append((self.now, "Departure", d.link.id,
-                                pkt.flow_id, pkt.depth, d.dst, pkt.seq,
-                                d.src, pkt.teids_in_stack(), wire))
-        self._schedule(self.now + d.link.propagation_delay_s,
-                       self._handle, d.dst, pkt, True)
+                                pkt.flow_id, hop.depth, d.dst, pkt.seq,
+                                d.src, hop.teids, wire))
+        heapq.heappush(self._heap, (self.now + d.link.propagation_delay_s,
+                                    self._heap_seq, self._handle,
+                                    (d.dst, pkt, True)))
+        self._heap_seq += 1
 
     # -- summary -------------------------------------------------------------------
 

@@ -10,7 +10,11 @@ set. The :class:`Forwarder` owns that set and every header: opening a GTP
 tunnel or a BAP route names the node that strips it.
 
 A memoized :class:`Decision` has a slot for the caller's outgoing link
-direction; the Forwarder's own writers of its tables clear the memo.
+direction; the Forwarder's own writers of its tables clear the memo. It also
+carries the depth and the TEIDs of the stack it leaves, the TEIDs as an int
+tuple built once per decision. A trace row that takes them from the decision
+holds only atoms and that shared tuple, so Python's cyclic GC stops tracking
+the row within two collections and never walks it again.
 
 Only :func:`install_f1_transport` knows a mode's layout: it carries an IAB
 node's F1 from its IAB-DU over its IAB-MT and donor DU to the CU.
@@ -66,7 +70,12 @@ class Packet:
 
     def teids_in_stack(self) -> list[int]:
         """TEIDs outermost-first, for trace records."""
-        return [v for kind, v in reversed(self.header_stack) if kind == "teid"]
+        return list(teids_of(self.header_stack))
+
+
+def teids_of(header_stack: tuple[MatchKey, ...]) -> tuple[int, ...]:
+    """The TEIDs of a header stack, outermost first."""
+    return tuple(v for kind, v in reversed(header_stack) if kind == "teid")
 
 
 def encapsulate(packet: Packet, header: MatchKey, size_bytes: int) -> Packet:
@@ -83,9 +92,15 @@ def encapsulate(packet: Packet, header: MatchKey, size_bytes: int) -> Packet:
 class Decision:
     """What `forward` did at one node to one (header stack, dst, src)."""
     next_hop: Optional[str]  # None: the packet terminated here
-    header_stack: tuple[MatchKey, ...]
+    header_stack: tuple[MatchKey, ...]  # the stack the packet leaves with
     delta: int  # change in header_bytes
     out: object = None  # the caller's: the engine keeps its _LinkDir here
+    depth: int = field(init=False)  # of header_stack
+    teids: tuple[int, ...] = field(init=False)  # of header_stack
+
+    def __post_init__(self) -> None:
+        self.depth = len(self.header_stack)
+        self.teids = teids_of(self.header_stack)
 
 
 @dataclass(frozen=True)

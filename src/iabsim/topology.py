@@ -401,6 +401,16 @@ def validate_topology(scenario: Scenario) -> ValidationReport:
     v += [f"IabNodeDirective at t={d.at_s}: tx_power must be finite"
           for d in iab
           if not all(map(math.isfinite, (d.tx_power_dbm, d.mt_tx_power_dbm)))]
+    # A directive adds <group>-mt and <group>-du, which pair by that group.
+    groups = [d.group for d in iab]
+    v += [f"IabNodeDirective group {g}: used by {groups.count(g)} directives"
+          for g in sorted(set(groups)) if groups.count(g) > 1]
+    v += [f"IabNodeDirective at t={d.at_s}: {name} names a node of the file"
+          for d in iab for name in (f"{d.group}-mt", f"{d.group}-du")
+          if name in nodes]
+    v += [f"IabNodeDirective at t={d.at_s}: group {d.group} is the "
+          f"owner_group of a node of the file" for d in iab
+          if any(n.owner_group == d.group for n in nodes.values())]
     dus = {n.id for n in nodes.values() if n.role in DU_ROLES}
     dus |= {f"{d.group}-du" for d in iab}
     v += [f"DuConfigUpdateDirective at t={d.at_s}: unknown DU {d.du}"

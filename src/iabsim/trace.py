@@ -5,10 +5,14 @@ Each trace event is one flat row in `Trace.rows`, and its seq is its index
 there. Arrival and Departure, one per packet hop and nearly all of a full
 trace, are appended by the engine as `(time, kind, location, subject,
 *values)`, with the values in the order of ROW_FIELDS[kind], the sorted
-field names. Every other kind (Drop, StateTransition, Directive, TimerExpiry)
-goes through `emit(**fields)` and is held as `(time, kind, location,
-subject, fields)`. `events` and `transitions()` build read-only TraceEvent
-views of the rows on demand.
+field names. Such a row holds only atoms (str, int, float, bool) and its
+TEIDs as a tuple of ints that every row of the same header stack shares.
+Python's cyclic GC stops tracking a tuple of atoms within two collections,
+so later collections do not walk a full trace's rows again. Every other
+kind (Drop, StateTransition, Directive, TimerExpiry) goes through
+`emit(**fields)` and is held as `(time, kind, location, subject, fields)`.
+`events` and `transitions()` build read-only TraceEvent views of the rows on
+demand; a view gives the TEIDs as a list, as the export writes them.
 
 Every JSON-lines record has the keys time (rounded to 12 digits), seq, kind,
 location and subject, then the fields sorted by name, so identical runs
@@ -46,15 +50,15 @@ ROW_FIELDS = {
     "Arrival": ("delivered", "depth", "pkt", "teids", "wire_size"),
     "Departure": ("depth", "dst", "pkt", "src", "teids", "wire_size"),
 }
-# One line of each flat kind: %r of the rounded time and of the list of int
-# TEIDs prints as JSON does, ids are quoted by encode_basestring_ascii, and
-# delivered is "true" or "false".
+# One line of each flat kind: %r of the rounded time prints as JSON does,
+# ids are quoted by encode_basestring_ascii, the tuple of int TEIDs is
+# written as a JSON list by _TeidList, and delivered is "true" or "false".
 _ARRIVAL = ('{"time": %r, "seq": %d, "kind": "Arrival", "location": %s, '
             '"subject": %s, "delivered": %s, "depth": %d, "pkt": %d, '
-            '"teids": %r, "wire_size": %d}')
+            '"teids": %s, "wire_size": %d}')
 _DEPARTURE = ('{"time": %r, "seq": %d, "kind": "Departure", "location": %s, '
               '"subject": %s, "depth": %d, "dst": %s, "pkt": %d, "src": %s, '
-              '"teids": %r, "wire_size": %d}')
+              '"teids": %s, "wire_size": %d}')
 
 
 class _Quoted(dict):
@@ -63,6 +67,15 @@ class _Quoted(dict):
     def __missing__(self, s: str) -> str:
         q = self[s] = json.encoder.encode_basestring_ascii(s)
         return q
+
+
+class _TeidList(dict):
+    """JSON list literal of each tuple of int TEIDs, built the first time it
+    is seen."""
+
+    def __missing__(self, teids: tuple[int, ...]) -> str:
+        text = self[teids] = repr(list(teids))
+        return text
 
 
 class TraceEvent:
@@ -82,7 +95,11 @@ class TraceEvent:
     def fields(self) -> Mapping:
         row = self._row
         names = ROW_FIELDS.get(row[1])
-        return MappingProxyType(dict(zip(names, row[4:])) if names else row[4])
+        if names is None:
+            return MappingProxyType(row[4])
+        fields = dict(zip(names, row[4:]))
+        fields["teids"] = list(fields["teids"])
+        return MappingProxyType(fields)
 
 
 @dataclass
@@ -126,19 +143,19 @@ class Trace:
         yield "".join(_ENCODE({"schema_version": SCHEMA_VERSION,
                                "record": "header", "mode": self.mode,
                                "seed": self.seed}, 0))
-        quoted = _Quoted()
+        quoted, teid_list = _Quoted(), _TeidList()
         for seq, row in enumerate(self.rows):
             kind = row[1]
             if kind == "Arrival":
                 t, _, loc, sub, delivered, depth, pkt, teids, wire = row
                 yield _ARRIVAL % (round(t, 12), seq, quoted[loc], quoted[sub],
                                   "true" if delivered else "false", depth,
-                                  pkt, teids, wire)
+                                  pkt, teid_list[teids], wire)
             elif kind == "Departure":
                 t, _, loc, sub, depth, dst, pkt, src, teids, wire = row
                 yield _DEPARTURE % (round(t, 12), seq, quoted[loc],
                                     quoted[sub], depth, quoted[dst], pkt,
-                                    quoted[src], teids, wire)
+                                    quoted[src], teid_list[teids], wire)
             else:
                 t, _, loc, sub, fields = row
                 rec = {"time": round(t, 12), "seq": seq, "kind": kind,

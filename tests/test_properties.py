@@ -98,6 +98,29 @@ def test_backhaul_nesting_depth(seed, rate, size, uav_x, mode):
 
 
 @SIM_SETTINGS
+@given(**mini_params, trace_level=st.sampled_from(["full", "summary"]))
+def test_decision_carries_the_stack_it_leaves(seed, rate, size, uav_x, mode,
+                                              trace_level):
+    """Every decision forward returns carries the depth and the TEIDs,
+    outermost first, of the header stack the packet leaves with: the hop rows
+    take them from it."""
+    scn = build_mini_scenario(seed=seed, ue2_rate_bps=rate, packet_size=size,
+                              uav_x=uav_x)
+    sim = Simulator(scn, mode=mode, trace_level=trace_level)
+    forward, depths = sim.fwd.forward, set()
+
+    def checked(node, pkt):
+        hop = forward(node, pkt)
+        assert hop.teids == tuple(pkt.teids_in_stack())
+        assert hop.depth == pkt.depth
+        depths.add(hop.depth)
+        return hop
+    sim.fwd.forward = checked
+    sim.run()
+    assert depths == {0, 1, 2}
+
+
+@SIM_SETTINGS
 @given(**mini_params)
 def test_per_flow_conservation(seed, rate, size, uav_x, mode):
     """injected == delivered + dropped + in_flight, with no negatives."""

@@ -18,6 +18,16 @@ def with_flow(duration, **flow) -> Scenario:
     return scn
 
 
+def with_iab_nodes(*groups, scn=None) -> Scenario:
+    """A donor scenario, or `scn`, with one instantiate_iab_node directive
+    per group."""
+    scn = scn or build_donor_scenario(duration=1.0)
+    scn.schedule += [IabNodeDirective(at_s=0.1, position=(880.0, 0.0),
+                                      access_carrier=N78, tx_power_dbm=43.0,
+                                      group=g) for g in groups]
+    return scn
+
+
 class TestConstruction:
     def test_duplicate_cu_rejected(self):
         scn = Scenario(duration_s=1.0)
@@ -230,6 +240,18 @@ class TestValidation:
         (lambda s: s.add_node(Role.DONOR_DU, (1000.0, 0.0), tx_power_dbm=23.0,
                               carrier=N41, node_id="donor2") and s,
          "DonorDU donor2 has no wire to the CU"),
+        # It added donor-mt, then failed on donor-du: an MT with no DU.
+        (lambda s: with_iab_nodes("donor"),
+         "IabNodeDirective at t=0.1: donor-du names a node of the file"),
+        # The second directive failed at run time, as a Drop row.
+        (lambda s: with_iab_nodes("uav1", "uav1"),
+         "IabNodeDirective group uav1: used by 2 directives"),
+        # The directive's nodes paired with the file's node: a raw traceback.
+        (lambda s: s.add_node(Role.UE, (50.0, 10.0), tx_power_dbm=23.0,
+                              owner_group="uav1")
+         and with_iab_nodes("uav1", scn=s),
+         "IabNodeDirective at t=0.1: group uav1 is the owner_group of a node "
+         "of the file"),
     ], ids=["duration-inf", "duration-nan", "assert-unknown-flow",
             "directive-at-duration", "directive-before-zero",
             "update-unknown-du", "update-not-a-du", "duplicate-flow-id",
@@ -240,7 +262,8 @@ class TestValidation:
             "assert-window-reversed", "assert-window-nan", "no-n6-link",
             "packets-over-bound", "packets-overflow-float",
             "packets-overflow-int", "flow-id-f1c-prefix", "assert-no-bound",
-            "donor-du-unwired"])
+            "donor-du-unwired", "iab-group-names-file-node", "iab-group-twice",
+            "iab-group-owned-by-file-node"])
     def test_rejected_as_data_not_raised(self, mutate, violation):
         scn = build_donor_scenario(duration=1.0)
         # A mutation changes the scenario in place, or returns another one.
