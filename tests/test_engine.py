@@ -151,11 +151,10 @@ class TestTraceLevel:
 
     @pytest.mark.parametrize("mode", list(PathMode))
     def test_hop_rows_leave_the_cyclic_gc(self, mode):
-        # A hop row holds only atoms and its decision's tuple of TEIDs. A
-        # collection untracks the tuple, and the row once it finds the tuple
-        # untracked: in that collection or, if the collector reordered the
-        # tuple after the row, in the next. With a list in it, every
-        # collection of the row's generation walked the row again.
+        # A hop row holds only atoms and its decision's tuple of TEIDs, so
+        # collections stop walking it. A collection untracks the tuple, and
+        # the row once it finds the tuple untracked: in that collection or,
+        # if the collector moved the tuple behind the row, in the next.
         trace = Simulator(build_mini_scenario(), mode=mode).run()
         gc.collect()
         gc.collect()

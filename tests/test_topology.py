@@ -18,10 +18,8 @@ def with_flow(duration, **flow) -> Scenario:
     return scn
 
 
-def with_iab_nodes(*groups, scn=None) -> Scenario:
-    """A donor scenario, or `scn`, with one instantiate_iab_node directive
-    per group."""
-    scn = scn or build_donor_scenario(duration=1.0)
+def with_iab_nodes(scn, *groups) -> Scenario:
+    """`scn` with one instantiate_iab_node directive per group."""
     scn.schedule += [IabNodeDirective(at_s=0.1, position=(880.0, 0.0),
                                       access_carrier=N78, tx_power_dbm=43.0,
                                       group=g) for g in groups]
@@ -241,15 +239,15 @@ class TestValidation:
                               carrier=N41, node_id="donor2") and s,
          "DonorDU donor2 has no wire to the CU"),
         # It added donor-mt, then failed on donor-du: an MT with no DU.
-        (lambda s: with_iab_nodes("donor"),
+        (lambda s: with_iab_nodes(s, "donor"),
          "IabNodeDirective at t=0.1: donor-du names a node of the file"),
         # The second directive failed at run time, as a Drop row.
-        (lambda s: with_iab_nodes("uav1", "uav1"),
+        (lambda s: with_iab_nodes(s, "uav1", "uav1"),
          "IabNodeDirective group uav1: used by 2 directives"),
         # The directive's nodes paired with the file's node: a raw traceback.
         (lambda s: s.add_node(Role.UE, (50.0, 10.0), tx_power_dbm=23.0,
                               owner_group="uav1")
-         and with_iab_nodes("uav1", scn=s),
+         and with_iab_nodes(s, "uav1"),
          "IabNodeDirective at t=0.1: group uav1 is the owner_group of a node "
          "of the file"),
     ], ids=["duration-inf", "duration-nan", "assert-unknown-flow",
