@@ -20,11 +20,17 @@ from .trace import SCHEMA_VERSION
 
 
 def _mode(value: str) -> PathMode:
+    """The --mode argument: a PathMode value or an alias of one."""
     aliases = {"upf": PathMode.UPF_REROUTE, "reroute": PathMode.UPF_REROUTE,
                "bap": PathMode.BAP_BYPASS, "bypass": PathMode.BAP_BYPASS}
     if value in aliases:
         return aliases[value]
-    return PathMode(value)
+    try:
+        return PathMode(value)
+    except ValueError:
+        names = ", ".join([m.value for m in PathMode] + list(aliases))
+        raise argparse.ArgumentTypeError(
+            f"unknown mode {value!r}, expected one of {names}") from None
 
 
 def cmd_validate(args) -> int:
@@ -65,11 +71,15 @@ def _check_asserts(scenario, trace) -> list[str]:
 
 def cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
-    sim = Simulator(scenario, mode=_mode(args.mode), seed=args.seed,
+    sim = Simulator(scenario, mode=args.mode, seed=args.seed,
                     trace_level=args.trace_level)
-    trace = sim.run()
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: --out {out}: {exc}", file=sys.stderr)
+        return 2
+    trace = sim.run()
     report = (f"mode={trace.mode} seed={trace.seed} "
               f"events={trace.summary['totals']['events']}")
     if args.trace_level == "full":
@@ -100,10 +110,15 @@ def _load_summary(path: str) -> dict:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: not a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise SchemaMismatch(
             f"{path}: schema_version {doc.get('schema_version')!r}, "
             f"expected {SCHEMA_VERSION}")
+    for key in ("mode", "flows", "totals"):
+        if key not in doc:
+            raise ParseError(f"{path}: no {key!r} key")
     return doc
 
 
@@ -141,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("run", help="run a scenario and write artifacts")
     r.add_argument("scenario")
-    r.add_argument("--mode", default="UpfReroute",
+    r.add_argument("--mode", type=_mode, default="UpfReroute",
                    help="UpfReroute (default) or BapBypass; 'bap' works too")
     r.add_argument("--seed", type=int, default=None,
                    help="override the scenario seed")

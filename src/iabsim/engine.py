@@ -11,11 +11,14 @@ first, for its trace row. A packet takes buffer room until its finish time at
 both levels. The Forwarder's memoized decision carries the outgoing link
 direction, so a repeated hop makes one memo lookup and no link search.
 
-An Arrival or Departure row holds only strings, numbers and the decision's
-shared tuple of TEIDs, never an object built for the row. Python's cyclic GC
-stops tracking a tuple of such atoms within two collections, so the rows of
-finished hops, hundreds of thousands in a full-level trace, cost later
-collections nothing.
+An Arrival or Departure row is `(time, hop_key, pkt)`. Every other field of
+the row is fixed by the decision, its link direction and the packet's flow,
+so `hop_key` is built once per (decision, flow, kind), kept in the decision's
+`rows` slot and shared by every row of that hop: a full-level
+paper-reference run has a few dozen keys for over 200,000 rows. A row and
+its key hold only atoms and the decision's tuple of TEIDs, so Python's
+cyclic GC stops tracking them within three collections and later
+collections do not walk the trace.
 """
 from __future__ import annotations
 
@@ -37,7 +40,7 @@ from .gtp import (Decision, Forwarder, Packet, PathMode, RouteEntry,
 from .topology import (DU_ROLES, DuConfigUpdateDirective, FlowSpec,
                        IabNodeDirective, Link, Medium, Node, Role, Scenario,
                        validate_topology)
-from .trace import SCHEMA_VERSION, Trace, measure_throughput
+from .trace import SCHEMA_VERSION, Trace, hop_key, measure_throughput
 
 __all__ = ["Simulator", "run", "link_capacity", "measure_throughput", "PathMode"]
 
@@ -76,6 +79,18 @@ class _LinkDir:
     bytes_total: int = 0
     bytes_header: int = 0
     packets: int = 0
+
+
+def _hop_keys(hop: Decision, flow_id: str) -> list:
+    """The [Arrival key, Departure key] of `flow_id`'s rows at `hop`, each
+    None until its first row."""
+    rows = hop.rows
+    if rows is None:
+        rows = hop.rows = {}
+    keys = rows.get(flow_id)
+    if keys is None:
+        keys = rows[flow_id] = [None, None]
+    return keys
 
 
 @dataclass
@@ -336,10 +351,14 @@ class Simulator:
             self._drop(node, pkt, "ttl-expired", str(exc))
             return
         if via_link and self.trace_full:
-            # A flat row, its values in ROW_FIELDS["Arrival"] order.
-            self.trace.rows.append((self.now, "Arrival", node, pkt.flow_id,
-                                    hop.next_hop is None, hop.depth, pkt.seq,
-                                    hop.teids, pkt.wire_size_bytes))
+            keys = _hop_keys(hop, pkt.flow_id)
+            key = keys[0]
+            if key is None:
+                key = keys[0] = hop_key(
+                    "Arrival", node, pkt.flow_id,
+                    delivered=hop.next_hop is None, depth=hop.depth,
+                    teids=hop.teids, wire_size=pkt.wire_size_bytes)
+            self.trace.rows.append((self.now, key, pkt.seq))
         if hop.next_hop is None:
             self._deliver(node, pkt)
             return
@@ -399,19 +418,23 @@ class Simulator:
         if pkt.kind == "user":
             self._flows[pkt.flow_id].overhead_bytes += header
         if self.trace_full:
-            event = (finish, self._heap_seq, self._depart, (hop, pkt, wire))
+            event = (finish, self._heap_seq, self._depart, (hop, pkt))
         else:
             event = (finish + d.link.propagation_delay_s, self._heap_seq,
                      self._handle, (d.dst, pkt, True))
         heapq.heappush(self._heap, event)
         self._heap_seq += 1
 
-    def _depart(self, hop: Decision, pkt: Packet, wire: int) -> None:
+    def _depart(self, hop: Decision, pkt: Packet) -> None:
         d = hop.out
-        # A flat row, its values in ROW_FIELDS["Departure"] order.
-        self.trace.rows.append((self.now, "Departure", d.link.id,
-                                pkt.flow_id, hop.depth, d.dst, pkt.seq,
-                                d.src, hop.teids, wire))
+        keys = _hop_keys(hop, pkt.flow_id)
+        key = keys[1]
+        if key is None:
+            key = keys[1] = hop_key(
+                "Departure", d.link.id, pkt.flow_id, depth=hop.depth,
+                dst=d.dst, src=d.src, teids=hop.teids,
+                wire_size=pkt.wire_size_bytes)
+        self.trace.rows.append((self.now, key, pkt.seq))
         heapq.heappush(self._heap, (self.now + d.link.propagation_delay_s,
                                     self._heap_seq, self._handle,
                                     (d.dst, pkt, True)))

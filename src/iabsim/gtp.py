@@ -9,12 +9,14 @@ entry matched at a node pops the outermost header if the pair is in that
 set. The :class:`Forwarder` owns that set and every header: opening a GTP
 tunnel or a BAP route names the node that strips it.
 
-A memoized :class:`Decision` has a slot for the caller's outgoing link
-direction; the Forwarder's own writers of its tables clear the memo. It also
-carries the depth and the TEIDs of the stack it leaves, the TEIDs as an int
-tuple built once per decision. A trace row that takes them from the decision
-holds only atoms and that shared tuple, so Python's cyclic GC stops tracking
-the row within two collections and never walks it again.
+A memoized :class:`Decision` has two slots for its caller: the outgoing
+link direction and the trace keys of the hop. The Forwarder's own writers of
+its tables clear the memo, and with it both. A decision also carries the
+depth and the TEIDs of the stack it leaves, the TEIDs as an int tuple built
+once per decision. With the packet's flow, which fixes its payload, they fix
+every field of a hop's trace row but time, seq and packet number, so the
+caller builds one key per (decision, flow, row kind) and every row of that
+hop shares it.
 
 Only :func:`install_f1_transport` knows a mode's layout: it carries an IAB
 node's F1 from its IAB-DU over its IAB-MT and donor DU to the CU.
@@ -90,11 +92,18 @@ def encapsulate(packet: Packet, header: MatchKey, size_bytes: int) -> Packet:
 
 @dataclass(slots=True)
 class Decision:
-    """What `forward` did at one node to one (header stack, dst, src)."""
+    """What `forward` did at one node to one (header stack, dst, src).
+
+    `out` and `rows` are the caller's slots, kept with the decision because
+    what they hold is fixed by it: a memo clear drops them with it.
+    """
     next_hop: Optional[str]  # None: the packet terminated here
     header_stack: tuple[MatchKey, ...]  # the stack the packet leaves with
     delta: int  # change in header_bytes
     out: object = None  # the caller's: the engine keeps its _LinkDir here
+    # The caller's: the engine's full-level trace keys of this hop, per flow
+    # id its [Arrival key, Departure key]; None until a full-level row.
+    rows: Optional[dict] = None
     depth: int = field(init=False)  # of header_stack
     teids: tuple[int, ...] = field(init=False)  # of header_stack
 

@@ -1,25 +1,29 @@
 """Run record: ordered trace rows, per-flow paths and delivery times,
 summary, export.
 
-Each trace event is one flat row in `Trace.rows`, and its seq is its index
-there. Arrival and Departure, one per packet hop and nearly all of a full
-trace, are appended by the engine as `(time, kind, location, subject,
-*values)`, with the values in the order of ROW_FIELDS[kind], the sorted
-field names. Such a row holds only atoms (str, int, float, bool) and its
-TEIDs as a tuple of ints that every row of the same header stack shares.
-Python's cyclic GC stops tracking a tuple of atoms within two collections,
-so later collections do not walk a full trace's rows again. Every other
-kind (Drop, StateTransition, Directive, TimerExpiry) goes through
-`emit(**fields)` and is held as `(time, kind, location, subject, fields)`.
-`events` and `transitions()` build read-only TraceEvent views of the rows on
-demand; a view gives the TEIDs as a list, as the export writes them.
+Each trace event is one row in `Trace.rows`, and its seq is its index there.
+Arrival and Departure, one per packet hop and nearly all of a full trace,
+are appended by the engine as `(time, hop_key, pkt)`. `hop_key` is
+`(kind, location, subject, *values)`, the values in the order of
+HOP_KEY_FIELDS[kind]: every field but time, seq and pkt, all fixed by the
+hop. The engine builds each key once, with `hop_key`, and every row of that
+hop shares it, so a row is three slots and a full-level paper-reference
+trace of 215,004 hop rows holds a few dozen keys. Rows and
+keys hold only atoms and tuples of them, so Python's cyclic GC stops
+tracking them within three collections. Every other kind (Drop,
+StateTransition, Directive, TimerExpiry) goes through `emit(**fields)` and
+is held as `(time, kind, location, subject, fields)`. `events` and
+`transitions()` build read-only TraceEvent views of the rows on demand; a
+view gives the fields of a hop row, pkt among them, with the TEIDs as a
+list, as the export writes them.
 
 Every JSON-lines record has the keys time (rounded to 12 digits), seq, kind,
 location and subject, then the fields sorted by name, so identical runs
 serialize byte-identically; the hash of the export is the determinism
-fingerprint. Arrival and Departure lines fill one constant format string per
-kind; the other kinds go through json's C encoder. Both give the bytes
-json.dumps gives for the record.
+fingerprint. The export turns each hop key into a line template the first
+time it meets it: every value but time, seq and pkt is encoded once, and a
+hop line is one `%` format. The other kinds go through json's C encoder.
+Both give the bytes json.dumps gives for the record.
 """
 from __future__ import annotations
 
@@ -45,61 +49,66 @@ _ENCODE = json.encoder.c_make_encoder(
 EVENT_KINDS = ("Arrival", "Departure", "TimerExpiry", "Directive", "Drop",
                "StateTransition")
 
-# The values of a flat row, after (time, kind, location, subject).
+# The fields of a hop row, sorted by name as a record has them.
 ROW_FIELDS = {
     "Arrival": ("delivered", "depth", "pkt", "teids", "wire_size"),
     "Departure": ("depth", "dst", "pkt", "src", "teids", "wire_size"),
 }
-# One line of each flat kind: %r of the rounded time prints as JSON does,
-# ids are quoted by encode_basestring_ascii, the tuple of int TEIDs is
-# written as a JSON list by _TeidList, and delivered is "true" or "false".
-_ARRIVAL = ('{"time": %r, "seq": %d, "kind": "Arrival", "location": %s, '
-            '"subject": %s, "delivered": %s, "depth": %d, "pkt": %d, '
-            '"teids": %s, "wire_size": %d}')
-_DEPARTURE = ('{"time": %r, "seq": %d, "kind": "Departure", "location": %s, '
-              '"subject": %s, "depth": %d, "dst": %s, "pkt": %d, "src": %s, '
-              '"teids": %s, "wire_size": %d}')
+# The values of a hop key, after (kind, location, subject): every field but
+# pkt, which the row holds.
+HOP_KEY_FIELDS = {kind: tuple(n for n in names if n != "pkt")
+                  for kind, names in ROW_FIELDS.items()}
 
 
-class _Quoted(dict):
-    """JSON string literal of each id, encoded the first time it is seen."""
+def hop_key(kind: str, location: str, subject: str, **fields) -> tuple:
+    """The key that rows (time, hop_key, pkt) of one hop share: its fields
+    but pkt, in HOP_KEY_FIELDS[kind] order."""
+    return (kind, location, subject,
+            *(fields[name] for name in HOP_KEY_FIELDS[kind]))
 
-    def __missing__(self, s: str) -> str:
-        q = self[s] = json.encoder.encode_basestring_ascii(s)
-        return q
+
+def _json(value) -> str:
+    return "".join(_ENCODE(value, 0))
 
 
-class _TeidList(dict):
-    """JSON list literal of each tuple of int TEIDs, built the first time it
-    is seen."""
-
-    def __missing__(self, teids: tuple[int, ...]) -> str:
-        text = self[teids] = repr(list(teids))
-        return text
+def _hop_template(key: tuple) -> str:
+    """The line of a row with hop key `key`, with %r, %d, %d holes for its
+    time (rounded), seq and pkt; every other value is encoded here, as
+    json.dumps encodes it, with its % doubled."""
+    kind, location, subject = key[:3]
+    values = dict(zip(HOP_KEY_FIELDS[kind], key[3:]), kind=kind,
+                  location=location, subject=subject)
+    body = ['{"time": %r, "seq": %d']
+    for name in ("kind", "location", "subject") + ROW_FIELDS[kind]:
+        text = "%d" if name == "pkt" else _json(values[name]).replace("%", "%%")
+        body.append(f'"{name}": {text}')
+    return ", ".join(body) + "}"
 
 
 class TraceEvent:
     """Read-only view of one trace row; its fields are built when read."""
-    __slots__ = ("_seq", "_row")
+    __slots__ = ("_seq", "_row", "_head")
 
     def __init__(self, seq: int, row: tuple):
+        # _head is (kind, location, subject, ...): a hop row's key, or the
+        # rest of any other row.
         self._seq, self._row = seq, row
+        self._head = row[1] if len(row) == 3 else row[1:]
 
     seq = property(lambda self: self._seq)
     time = property(lambda self: self._row[0])
-    kind = property(lambda self: self._row[1])
-    location = property(lambda self: self._row[2])
-    subject = property(lambda self: self._row[3])
+    kind = property(lambda self: self._head[0])
+    location = property(lambda self: self._head[1])
+    subject = property(lambda self: self._head[2])
 
     @property
     def fields(self) -> Mapping:
-        row = self._row
-        names = ROW_FIELDS.get(row[1])
-        if names is None:
-            return MappingProxyType(row[4])
-        fields = dict(zip(names, row[4:]))
-        fields["teids"] = list(fields["teids"])
-        return MappingProxyType(fields)
+        row, head = self._row, self._head
+        if len(row) != 3:
+            return MappingProxyType(head[3])
+        values = dict(zip(HOP_KEY_FIELDS[head[0]], head[3:]), pkt=row[2])
+        values["teids"] = list(values["teids"])
+        return MappingProxyType({n: values[n] for n in ROW_FIELDS[head[0]]})
 
 
 @dataclass
@@ -121,10 +130,10 @@ class Trace:
 
     def emit(self, time: float, kind: str, location: str, subject: str,
              **fields) -> None:
-        """Record an event of a kind that is not held as a flat row."""
+        """Record an event of a kind that is not held as a hop row."""
         if kind in ROW_FIELDS:
-            raise ValueError(f"{kind} events are appended to rows as flat "
-                             f"tuples, not emitted")
+            raise ValueError(f"{kind} events are appended to rows as "
+                             f"(time, hop_key, pkt), not emitted")
         self.rows.append((time, kind, location, subject, fields))
 
     @property
@@ -143,21 +152,18 @@ class Trace:
         yield "".join(_ENCODE({"schema_version": SCHEMA_VERSION,
                                "record": "header", "mode": self.mode,
                                "seed": self.seed}, 0))
-        quoted, teid_list = _Quoted(), _TeidList()
+        # Per hop key object, its line template. An id hashes faster than
+        # the key's values, and stays valid while the rows hold the key.
+        templates: dict[int, str] = {}
         for seq, row in enumerate(self.rows):
-            kind = row[1]
-            if kind == "Arrival":
-                t, _, loc, sub, delivered, depth, pkt, teids, wire = row
-                yield _ARRIVAL % (round(t, 12), seq, quoted[loc], quoted[sub],
-                                  "true" if delivered else "false", depth,
-                                  pkt, teid_list[teids], wire)
-            elif kind == "Departure":
-                t, _, loc, sub, depth, dst, pkt, src, teids, wire = row
-                yield _DEPARTURE % (round(t, 12), seq, quoted[loc],
-                                    quoted[sub], depth, quoted[dst], pkt,
-                                    quoted[src], teid_list[teids], wire)
+            if len(row) == 3:
+                t, key, pkt = row
+                template = templates.get(id(key))
+                if template is None:
+                    template = templates[id(key)] = _hop_template(key)
+                yield template % (round(t, 12), seq, pkt)
             else:
-                t, _, loc, sub, fields = row
+                t, kind, loc, sub, fields = row
                 rec = {"time": round(t, 12), "seq": seq, "kind": kind,
                        "location": loc, "subject": sub}
                 for k in sorted(fields):

@@ -202,6 +202,25 @@ class TestRun:
         assert "delivered 0," in out
         assert "assert failed: dl-ue1: no packet delivered" in out
 
+    def test_unknown_mode_is_a_usage_error(self, good_file, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", good_file, "--mode", "nonsense",
+                  "--out", str(tmp_path / "o")])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "unknown mode 'nonsense'" in err
+
+    def test_out_naming_a_file_exits_two_before_the_run(
+            self, good_file, tmp_path, capsys, monkeypatch):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        monkeypatch.setattr(Simulator, "run",
+                            lambda self: pytest.fail("the run started"))
+        assert main(["run", good_file, "--out", str(blocker)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: --out {blocker}")
+        assert captured.out == ""
+
 
 def _sha256_of_lines(trace) -> str:
     """Reference digest: every export line and its newline, hashed in order."""
@@ -270,3 +289,21 @@ class TestCompare:
         bad = tmp_path / "nope.json"
         bad.write_text("{not json")
         assert main(["compare", str(bad), str(bad)]) == 2
+
+    @pytest.mark.parametrize("missing", ["mode", "flows", "totals"])
+    def test_summary_without_a_key_exits_two(self, good_file, tmp_path,
+                                             capsys, missing):
+        s = self._summary(good_file, tmp_path, "x", "upf")
+        doc = json.loads(open(s).read())
+        del doc[missing]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["compare", s, str(bad)]) == 2
+        assert f"error: {bad}: no '{missing}' key" in capsys.readouterr().err
+
+    def test_summary_not_an_object_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "list.json"
+        bad.write_text("[1]")
+        assert main(["compare", str(bad), str(bad)]) == 2
+        assert "not a JSON object" in capsys.readouterr().err

@@ -151,15 +151,25 @@ class TestTraceLevel:
 
     @pytest.mark.parametrize("mode", list(PathMode))
     def test_hop_rows_leave_the_cyclic_gc(self, mode):
-        # A hop row holds only atoms and its decision's tuple of TEIDs, so
-        # collections stop walking it. A collection untracks the tuple, and
-        # the row once it finds the tuple untracked: in that collection or,
-        # if the collector moved the tuple behind the row, in the next.
+        # A hop row (time, hop_key, pkt) holds atoms and its shared key, the
+        # key atoms and its decision's tuple of TEIDs, so collections stop
+        # walking them. A collection untracks a tuple once it finds what it
+        # holds untracked: in that collection or, if the collector moved an
+        # inner tuple behind its holder, in the next; two levels, two more.
         trace = Simulator(build_mini_scenario(), mode=mode).run()
-        gc.collect()
-        gc.collect()
-        rows = [r for r in trace.rows if r[1] in ("Arrival", "Departure")]
+        for _ in range(3):
+            gc.collect()
+        rows = [r for r in trace.rows if len(r) == 3]
         assert rows and not any(map(gc.is_tracked, rows))
+        assert not any(gc.is_tracked(r[1]) for r in rows)
+
+    def test_one_hop_key_per_distinct_hop(self, ref_reroute):
+        # Every row of a hop shares one key, built once per (decision,
+        # flow, kind): not one per row.
+        trace, _ = ref_reroute
+        rows = [r for r in trace.rows if len(r) == 3]
+        assert len(rows) == 215_004
+        assert len({id(key) for _, key, _ in rows}) < 100
 
 
 class TestRunLifecycle:

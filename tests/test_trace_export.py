@@ -1,9 +1,13 @@
-"""The per-kind line formats of the trace export print what json.dumps prints.
+"""The hop line templates and the other kinds' lines of the trace export
+print what json.dumps prints.
 
 The reference line is json.dumps of the record the export describes: time
 rounded to 12 digits, seq, kind, location, subject, then the fields sorted by
-name. A flat row holds its TEIDs as a tuple of ints, as the engine appends
-them; the record, and a view's fields, hold them as a list.
+name. A hop row is (time, hop_key, pkt), as the engine appends it, and rows
+share keys: the export builds one template per key and fills in each row's
+time, seq and pkt. A key holds its TEIDs as a tuple of ints; the record, and
+a view's fields, hold them as a list. Ids with % in them check that a
+template escapes what it pre-encodes.
 """
 import json
 
@@ -15,7 +19,8 @@ from iabsim.trace import Trace
 TEID_MAX = 2 ** 32 - 1
 
 ids = st.text() | st.sampled_from(['a"b', "a\\b", "\x00\x1f\x7f", "é-ü", "☃",
-                                   "\U0001f680", "\ud800"])
+                                   "\U0001f680", "\ud800", "%", "%d", "%%",
+                                   "a%rb"])
 times = (st.floats(allow_nan=False, allow_infinity=False)
          | st.sampled_from([0.0, 1e-07, 0.1 + 0.2, 2.000000000001,
                             123456789.123456789, 1e300]))
@@ -23,18 +28,31 @@ counts = st.integers(min_value=0, max_value=2 ** 63)
 teids = st.lists(st.integers(min_value=0, max_value=TEID_MAX),
                  max_size=2).map(tuple)
 
-arrivals = st.builds(
-    lambda t, loc, sub, delivered, depth, pkt, tids, wire: (
-        (t, "Arrival", loc, sub, delivered, depth, pkt, tids, wire),
-        dict(delivered=delivered, depth=depth, pkt=pkt, teids=list(tids),
+# (hop_key, the record's fields but pkt)
+arrival_keys = st.builds(
+    lambda loc, sub, delivered, depth, tids, wire: (
+        ("Arrival", loc, sub, delivered, depth, tids, wire),
+        dict(delivered=delivered, depth=depth, teids=list(tids),
              wire_size=wire)),
-    times, ids, ids, st.booleans(), counts, counts, teids, counts)
-departures = st.builds(
-    lambda t, loc, sub, depth, dst, pkt, src, tids, wire: (
-        (t, "Departure", loc, sub, depth, dst, pkt, src, tids, wire),
-        dict(depth=depth, dst=dst, pkt=pkt, src=src, teids=list(tids),
+    ids, ids, st.booleans(), counts, teids, counts)
+departure_keys = st.builds(
+    lambda loc, sub, depth, dst, src, tids, wire: (
+        ("Departure", loc, sub, depth, dst, src, tids, wire),
+        dict(depth=depth, dst=dst, src=src, teids=list(tids),
              wire_size=wire)),
-    times, ids, ids, counts, ids, counts, ids, teids, counts)
+    ids, ids, counts, ids, ids, teids, counts)
+
+
+@st.composite
+def hop_rows(draw):
+    """Hop rows and their records' fields, several rows sharing a key."""
+    keys = draw(st.lists(arrival_keys | departure_keys, min_size=1,
+                         max_size=4))
+    rows = draw(st.lists(st.tuples(times, st.sampled_from(keys), counts),
+                         min_size=1, max_size=8))
+    return [((t, key, pkt), dict(fields, pkt=pkt))
+            for t, (key, fields), pkt in rows]
+
 
 # One event of each kind that goes through emit(**fields), as the engine
 # records them.
@@ -58,14 +76,14 @@ def reference_line(time, seq, kind, location, subject, fields) -> str:
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(arrivals | departures, min_size=1, max_size=8))
-def test_flat_rows_export_as_json_dumps(events):
+@given(hop_rows())
+def test_hop_rows_export_as_json_dumps(events):
     trace = Trace(mode="UpfReroute", seed=1, flow_ids={})
     for row, _ in events:
         trace.rows.append(row)
     for time, kind, location, subject, fields in GENERIC:
         trace.emit(time, kind, location, subject, **fields)
-    expected = [reference_line(row[0], seq, *row[1:4], fields)
+    expected = [reference_line(row[0], seq, *row[1][:3], fields)
                 for seq, (row, fields) in enumerate(events)]
     expected += [reference_line(time, seq, kind, loc, sub, fields)
                  for seq, (time, kind, loc, sub, fields)
