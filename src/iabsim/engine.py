@@ -81,16 +81,13 @@ class _LinkDir:
     packets: int = 0
 
 
-def _hop_keys(hop: Decision, flow_id: str) -> list:
-    """The [Arrival key, Departure key] of `flow_id`'s rows at `hop`, each
-    None until its first row."""
-    rows = hop.rows
-    if rows is None:
-        rows = hop.rows = {}
-    keys = rows.get(flow_id)
-    if keys is None:
-        keys = rows[flow_id] = [None, None]
-    return keys
+def _keep_key(hop: Decision, kind: int, flow_id: str, key: tuple) -> tuple:
+    """Keep `key` as `flow_id`'s Arrival (kind 0) or Departure (kind 1) key
+    at `hop`, and return it."""
+    if hop.rows is None:
+        hop.rows = ({}, {})
+    hop.rows[kind][flow_id] = key
+    return key
 
 
 @dataclass
@@ -351,13 +348,13 @@ class Simulator:
             self._drop(node, pkt, "ttl-expired", str(exc))
             return
         if via_link and self.trace_full:
-            keys = _hop_keys(hop, pkt.flow_id)
-            key = keys[0]
-            if key is None:
-                key = keys[0] = hop_key(
+            try:
+                key = hop.rows[0][pkt.flow_id]
+            except (TypeError, KeyError):  # the first such row of the hop
+                key = _keep_key(hop, 0, pkt.flow_id, hop_key(
                     "Arrival", node, pkt.flow_id,
                     delivered=hop.next_hop is None, depth=hop.depth,
-                    teids=hop.teids, wire_size=pkt.wire_size_bytes)
+                    teids=hop.teids, wire_size=pkt.wire_size_bytes))
             self.trace.rows.append((self.now, key, pkt.seq))
         if hop.next_hop is None:
             self._deliver(node, pkt)
@@ -427,13 +424,13 @@ class Simulator:
 
     def _depart(self, hop: Decision, pkt: Packet) -> None:
         d = hop.out
-        keys = _hop_keys(hop, pkt.flow_id)
-        key = keys[1]
-        if key is None:
-            key = keys[1] = hop_key(
+        try:
+            key = hop.rows[1][pkt.flow_id]
+        except (TypeError, KeyError):  # the first such row of the hop
+            key = _keep_key(hop, 1, pkt.flow_id, hop_key(
                 "Departure", d.link.id, pkt.flow_id, depth=hop.depth,
                 dst=d.dst, src=d.src, teids=hop.teids,
-                wire_size=pkt.wire_size_bytes)
+                wire_size=pkt.wire_size_bytes))
         self.trace.rows.append((self.now, key, pkt.seq))
         heapq.heappush(self._heap, (self.now + d.link.propagation_delay_s,
                                     self._heap_seq, self._handle,

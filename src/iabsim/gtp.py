@@ -101,9 +101,10 @@ class Decision:
     header_stack: tuple[MatchKey, ...]  # the stack the packet leaves with
     delta: int  # change in header_bytes
     out: object = None  # the caller's: the engine keeps its _LinkDir here
-    # The caller's: the engine's full-level trace keys of this hop, per flow
-    # id its [Arrival key, Departure key]; None until a full-level row.
-    rows: Optional[dict] = None
+    # The caller's: the engine's full-level trace keys of this hop, a dict
+    # of Arrival keys and one of Departure keys by flow id; None until the
+    # first full-level row, so a summary-level run allocates nothing here.
+    rows: Optional[tuple[dict, dict]] = None
     depth: int = field(init=False)  # of header_stack
     teids: tuple[int, ...] = field(init=False)  # of header_stack
 

@@ -67,20 +67,23 @@ def hop_key(kind: str, location: str, subject: str, **fields) -> tuple:
             *(fields[name] for name in HOP_KEY_FIELDS[kind]))
 
 
-def _json(value) -> str:
-    return "".join(_ENCODE(value, 0))
+def _hop_fields(key: tuple, pkt) -> dict:
+    """The fields of a hop row with key `key` and packet number `pkt`,
+    sorted by name."""
+    values = dict(zip(HOP_KEY_FIELDS[key[0]], key[3:]), pkt=pkt)
+    return {name: values[name] for name in ROW_FIELDS[key[0]]}
 
 
 def _hop_template(key: tuple) -> str:
     """The line of a row with hop key `key`, with %r, %d, %d holes for its
     time (rounded), seq and pkt; every other value is encoded here, as
     json.dumps encodes it, with its % doubled."""
-    kind, location, subject = key[:3]
-    values = dict(zip(HOP_KEY_FIELDS[kind], key[3:]), kind=kind,
-                  location=location, subject=subject)
+    record = dict(zip(("kind", "location", "subject"), key[:3]),
+                  **_hop_fields(key, None))
     body = ['{"time": %r, "seq": %d']
-    for name in ("kind", "location", "subject") + ROW_FIELDS[kind]:
-        text = "%d" if name == "pkt" else _json(values[name]).replace("%", "%%")
+    for name, value in record.items():
+        text = ("%d" if name == "pkt" else
+                "".join(_ENCODE(value, 0)).replace("%", "%%"))
         body.append(f'"{name}": {text}')
     return ", ".join(body) + "}"
 
@@ -103,12 +106,12 @@ class TraceEvent:
 
     @property
     def fields(self) -> Mapping:
-        row, head = self._row, self._head
+        row = self._row
         if len(row) != 3:
-            return MappingProxyType(head[3])
-        values = dict(zip(HOP_KEY_FIELDS[head[0]], head[3:]), pkt=row[2])
-        values["teids"] = list(values["teids"])
-        return MappingProxyType({n: values[n] for n in ROW_FIELDS[head[0]]})
+            return MappingProxyType(row[4])
+        fields = _hop_fields(row[1], row[2])
+        fields["teids"] = list(fields["teids"])
+        return MappingProxyType(fields)
 
 
 @dataclass
