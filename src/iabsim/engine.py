@@ -350,7 +350,7 @@ class Simulator:
         if via_link and self.trace_full:
             try:
                 key = hop.rows[0][pkt.flow_id]
-            except (TypeError, KeyError):  # the first such row of the hop
+            except (TypeError, KeyError):  # rows None, or a new flow here
                 key = _keep_key(hop, 0, pkt.flow_id, hop_key(
                     "Arrival", node, pkt.flow_id,
                     delivered=hop.next_hop is None, depth=hop.depth,
@@ -426,7 +426,7 @@ class Simulator:
         d = hop.out
         try:
             key = hop.rows[1][pkt.flow_id]
-        except (TypeError, KeyError):  # the first such row of the hop
+        except (TypeError, KeyError):  # rows None, or a new flow here
             key = _keep_key(hop, 1, pkt.flow_id, hop_key(
                 "Departure", d.link.id, pkt.flow_id, depth=hop.depth,
                 dst=d.dst, src=d.src, teids=hop.teids,
