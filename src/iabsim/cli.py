@@ -82,17 +82,21 @@ def cmd_run(args) -> int:
     trace = sim.run()
     report = (f"mode={trace.mode} seed={trace.seed} "
               f"events={trace.summary['totals']['events']}")
-    if args.trace_level == "full":
-        with (out / "trace.jsonl").open("wb") as fh:
-            report += f" trace_sha256={trace.write_jsonl(fh)}"
-    (out / "summary.json").write_text(
-        json.dumps(trace.summary, indent=2, sort_keys=False) + "\n")
-    with (out / "flows.tsv").open("w") as fh:
-        cols = ["flow_id", "offered_bps", "goodput_bps", "mean_latency_s",
-                "delivered", "dropped", "mean_hop_count", "overhead_bytes"]
-        fh.write("\t".join(cols) + "\n")
-        for fid, row in trace.summary["flows"].items():
-            fh.write("\t".join(str(row[c]) for c in cols) + "\n")
+    try:
+        if args.trace_level == "full":
+            with (out / "trace.jsonl").open("wb") as fh:
+                report += f" trace_sha256={trace.write_jsonl(fh)}"
+        (out / "summary.json").write_text(
+            json.dumps(trace.summary, indent=2, sort_keys=False) + "\n")
+        with (out / "flows.tsv").open("w") as fh:
+            cols = ["flow_id", "offered_bps", "goodput_bps", "mean_latency_s",
+                    "delivered", "dropped", "mean_hop_count", "overhead_bytes"]
+            fh.write("\t".join(cols) + "\n")
+            for fid, row in trace.summary["flows"].items():
+                fh.write("\t".join(str(row[c]) for c in cols) + "\n")
+    except OSError as exc:
+        print(f"error: --out {exc.filename or out}: {exc}", file=sys.stderr)
+        return 2
 
     print(report)
     for fid, row in trace.summary["flows"].items():
@@ -105,10 +109,29 @@ def cmd_run(args) -> int:
     return 1 if failures else 0
 
 
+# JSON types a summary's values are checked against: (Python types, name).
+_OBJECT = ((dict,), "an object")
+_NUMBER = ((int, float), "a number")
+_INTEGER = ((int,), "an integer")
+# What cmd_compare reads of each flow.
+_FLOW_KEYS = {"goodput_bps": _NUMBER, "mean_latency_s": _NUMBER,
+              "mean_hop_count": _NUMBER, "overhead_bytes": _INTEGER}
+
+
+def _get(path: str, doc: dict, key: str, kind: tuple, where: str = ""):
+    """doc[key], which must be of JSON type `kind`; the ParseError names the
+    file and the key, `where` its parents."""
+    if key not in doc:
+        raise ParseError(f"{path}: no {where + key!r} key")
+    if type(doc[key]) not in kind[0]:  # so a JSON true is no number
+        raise ParseError(f"{path}: {where + key!r} is not {kind[1]}")
+    return doc[key]
+
+
 def _load_summary(path: str) -> dict:
     try:
         doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError, JSONDecodeError
         raise ParseError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: not a JSON object")
@@ -116,9 +139,15 @@ def _load_summary(path: str) -> dict:
         raise SchemaMismatch(
             f"{path}: schema_version {doc.get('schema_version')!r}, "
             f"expected {SCHEMA_VERSION}")
-    for key in ("mode", "flows", "totals"):
-        if key not in doc:
-            raise ParseError(f"{path}: no {key!r} key")
+    if "mode" not in doc:
+        raise ParseError(f"{path}: no 'mode' key")
+    flows = _get(path, doc, "flows", _OBJECT)
+    for fid in flows:
+        flow = _get(path, flows, fid, _OBJECT, "flows.")
+        for key, kind in _FLOW_KEYS.items():
+            _get(path, flow, key, kind, f"flows.{fid}.")
+    _get(path, _get(path, doc, "totals", _OBJECT), "header_bytes", _INTEGER,
+         "totals.")
     return doc
 
 

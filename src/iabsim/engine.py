@@ -13,12 +13,8 @@ direction, so a repeated hop makes one memo lookup and no link search.
 
 An Arrival or Departure row is `(time, hop_key, pkt)`. Every other field of
 the row is fixed by the decision, its link direction and the packet's flow,
-so `hop_key` is built once per (decision, flow, kind), kept in the decision's
-`rows` slot and shared by every row of that hop: a full-level
-paper-reference run has a few dozen keys for over 200,000 rows. A row and
-its key hold only atoms and the decision's tuple of TEIDs, so Python's
-cyclic GC stops tracking them within three collections and later
-collections do not walk the trace.
+so the key is built once per (decision, flow, kind), kept in the decision's
+`rows` slot and shared by every row of that hop (see `trace`).
 """
 from __future__ import annotations
 
@@ -36,7 +32,7 @@ from .errors import (IabSimError, NoDonorCoverage, NoRoute, RoutingLoop,
                      ScenarioInvalid, TransportDown)
 from .f1ap import ControlPlane, F1Message, UeState
 from .gtp import (Decision, Forwarder, Packet, PathMode, RouteEntry,
-                  install_f1_transport, install_ue_routes)
+                  install_f1_transport, install_ue_routes, teids_of)
 from .topology import (DU_ROLES, DuConfigUpdateDirective, FlowSpec,
                        IabNodeDirective, Link, Medium, Node, Role, Scenario,
                        validate_topology)
@@ -79,15 +75,6 @@ class _LinkDir:
     bytes_total: int = 0
     bytes_header: int = 0
     packets: int = 0
-
-
-def _keep_key(hop: Decision, kind: int, flow_id: str, key: tuple) -> tuple:
-    """Keep `key` as `flow_id`'s Arrival (kind 0) or Departure (kind 1) key
-    at `hop`, and return it."""
-    if hop.rows is None:
-        hop.rows = ({}, {})
-    hop.rows[kind][flow_id] = key
-    return key
 
 
 @dataclass
@@ -348,13 +335,14 @@ class Simulator:
             self._drop(node, pkt, "ttl-expired", str(exc))
             return
         if via_link and self.trace_full:
-            try:
-                key = hop.rows[0][pkt.flow_id]
-            except (TypeError, KeyError):  # rows None, or a new flow here
-                key = _keep_key(hop, 0, pkt.flow_id, hop_key(
+            keys = hop.rows[0]
+            if (key := keys.get(pkt.flow_id)) is None:
+                key = keys[pkt.flow_id] = hop_key(
                     "Arrival", node, pkt.flow_id,
-                    delivered=hop.next_hop is None, depth=hop.depth,
-                    teids=hop.teids, wire_size=pkt.wire_size_bytes))
+                    delivered=hop.next_hop is None,
+                    depth=len(hop.header_stack),
+                    teids=teids_of(hop.header_stack),
+                    wire_size=pkt.wire_size_bytes)
             self.trace.rows.append((self.now, key, pkt.seq))
         if hop.next_hop is None:
             self._deliver(node, pkt)
@@ -423,14 +411,13 @@ class Simulator:
         self._heap_seq += 1
 
     def _depart(self, hop: Decision, pkt: Packet) -> None:
-        d = hop.out
-        try:
-            key = hop.rows[1][pkt.flow_id]
-        except (TypeError, KeyError):  # rows None, or a new flow here
-            key = _keep_key(hop, 1, pkt.flow_id, hop_key(
-                "Departure", d.link.id, pkt.flow_id, depth=hop.depth,
-                dst=d.dst, src=d.src, teids=hop.teids,
-                wire_size=pkt.wire_size_bytes))
+        d, keys = hop.out, hop.rows[1]
+        if (key := keys.get(pkt.flow_id)) is None:
+            key = keys[pkt.flow_id] = hop_key(
+                "Departure", d.link.id, pkt.flow_id,
+                depth=len(hop.header_stack), dst=d.dst, src=d.src,
+                teids=teids_of(hop.header_stack),
+                wire_size=pkt.wire_size_bytes)
         self.trace.rows.append((self.now, key, pkt.seq))
         heapq.heappush(self._heap, (self.now + d.link.propagation_delay_s,
                                     self._heap_seq, self._handle,

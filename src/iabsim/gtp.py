@@ -9,14 +9,9 @@ entry matched at a node pops the outermost header if the pair is in that
 set. The :class:`Forwarder` owns that set and every header: opening a GTP
 tunnel or a BAP route names the node that strips it.
 
-A memoized :class:`Decision` has two slots for its caller: the outgoing
-link direction and the trace keys of the hop. The Forwarder's own writers of
-its tables clear the memo, and with it both. A decision also carries the
-depth and the TEIDs of the stack it leaves, the TEIDs as an int tuple built
-once per decision. With the packet's flow, which fixes its payload, they fix
-every field of a hop's trace row but time, seq and packet number, so the
-caller builds one key per (decision, flow, row kind) and every row of that
-hop shares it.
+A memoized :class:`Decision` has two slots for its caller, `out` and
+`rows`. The Forwarder's own writers of its tables clear the memo, and with
+it both.
 
 Only :func:`install_f1_transport` knows a mode's layout: it carries an IAB
 node's F1 from its IAB-DU over its IAB-MT and donor DU to the CU.
@@ -71,7 +66,7 @@ class Packet:
         return len(self.header_stack)
 
     def teids_in_stack(self) -> list[int]:
-        """TEIDs outermost-first, for trace records."""
+        """TEIDs outermost-first, as a list."""
         return list(teids_of(self.header_stack))
 
 
@@ -100,17 +95,9 @@ class Decision:
     next_hop: Optional[str]  # None: the packet terminated here
     header_stack: tuple[MatchKey, ...]  # the stack the packet leaves with
     delta: int  # change in header_bytes
-    out: object = None  # the caller's: the engine keeps its _LinkDir here
-    # The caller's: the engine's full-level trace keys of this hop, a dict
-    # of Arrival keys and one of Departure keys by flow id; None until the
-    # first full-level row, so a summary-level run allocates nothing here.
-    rows: Optional[tuple[dict, dict]] = None
-    depth: int = field(init=False)  # of header_stack
-    teids: tuple[int, ...] = field(init=False)  # of header_stack
-
-    def __post_init__(self) -> None:
-        self.depth = len(self.header_stack)
-        self.teids = teids_of(self.header_stack)
+    out: object = None  # the engine keeps its _LinkDir here
+    # The engine keeps a pair of per-flow dicts here.
+    rows: tuple[dict, dict] = field(default_factory=lambda: ({}, {}))
 
 
 @dataclass(frozen=True)

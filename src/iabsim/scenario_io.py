@@ -252,4 +252,8 @@ def load_scenario(ref: str | Path) -> Scenario:
             raise ParseError(f"scenario {ref!r} is neither a file nor a "
                              f"bundled scenario name")
         p = bundled
-    return loads(p.read_text(), name=str(p))
+    try:
+        text = p.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{p}: {exc}") from None
+    return loads(text, name=str(p))

@@ -63,6 +63,12 @@ class TestValidate:
         assert main(["validate", str(p)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_file_not_utf8_exits_two(self, tmp_path, capsys):
+        p = tmp_path / "latin.yaml"
+        p.write_bytes(b"duration: 1\n\xff\xfe")
+        assert main(["validate", str(p)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {p}: ")
+
     @pytest.mark.parametrize("field, bad", [("packet_size: 1000", "packet_size: 0"),
                                             ("rate: 5.0e6", "rate: .inf")],
                              ids=["packet_size-0", "rate-inf"])
@@ -221,6 +227,16 @@ class TestRun:
         assert captured.err.startswith(f"error: --out {blocker}")
         assert captured.out == ""
 
+    def test_unwritable_output_file_exits_two(self, good_file, tmp_path,
+                                              capsys):
+        out = tmp_path / "d"
+        (out / "summary.json").mkdir(parents=True)
+        assert main(["run", good_file, "--out", str(out),
+                     "--trace-level", "summary"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: --out {out / 'summary.json'}: ")
+        assert captured.out == ""
+
 
 def _sha256_of_lines(trace) -> str:
     """Reference digest: every export line and its newline, hashed in order."""
@@ -307,3 +323,25 @@ class TestCompare:
         bad.write_text("[1]")
         assert main(["compare", str(bad), str(bad)]) == 2
         assert "not a JSON object" in capsys.readouterr().err
+
+    def test_summary_not_utf8_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "latin.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        assert main(["compare", str(bad), str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+    @pytest.mark.parametrize("flows, totals, named", [
+        ({}, {}, "no 'totals.header_bytes' key"),
+        ({"f": {}}, {"header_bytes": 0}, "no 'flows.f.goodput_bps' key"),
+        ([], {"header_bytes": 0}, "'flows' is not an object"),
+        ({"f": dict(goodput_bps=1.0, mean_latency_s=0.0, mean_hop_count=3,
+                    overhead_bytes=1.5)}, {"header_bytes": 0},
+         "'flows.f.overhead_bytes' is not an integer"),
+    ])
+    def test_summary_of_the_wrong_shape_exits_two(self, tmp_path, capsys,
+                                                  flows, totals, named):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"schema_version": 1, "mode": "x",
+                                   "flows": flows, "totals": totals}))
+        assert main(["compare", str(bad), str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: {named}\n"

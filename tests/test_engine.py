@@ -152,14 +152,14 @@ class TestTraceLevel:
     @pytest.mark.parametrize("mode", list(PathMode))
     def test_hop_rows_leave_the_cyclic_gc(self, mode):
         # A hop row (time, hop_key, pkt) holds atoms and its shared key, the
-        # key atoms and its decision's tuple of TEIDs, so collections stop
-        # walking them. A collection untracks a tuple once it finds what it
-        # holds untracked: in that collection or, if the collector moved an
-        # inner tuple behind its holder, in the next; two levels, two more.
+        # key strings, so collections stop walking them. A collection
+        # untracks a tuple once it finds what it holds untracked: in that
+        # collection or, if the collector moved an inner tuple behind its
+        # holder, in the next; two levels, two more.
         trace = Simulator(build_mini_scenario(), mode=mode).run()
         for _ in range(3):
             gc.collect()
-        rows = [r for r in trace.rows if len(r) == 3]
+        rows = [r for r in trace.rows if len(r[1]) == 4]
         assert rows and not any(map(gc.is_tracked, rows))
         assert not any(gc.is_tracked(r[1]) for r in rows)
 
@@ -167,7 +167,7 @@ class TestTraceLevel:
         # Every row of a hop shares one key, built once per (decision,
         # flow, kind): not one per row.
         trace, _ = ref_reroute
-        rows = [r for r in trace.rows if len(r) == 3]
+        rows = [r for r in trace.rows if len(r[1]) == 4]
         assert len(rows) == 215_004
         assert len({id(key) for _, key, _ in rows}) < 100
 

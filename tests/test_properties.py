@@ -1,6 +1,7 @@
 """Randomized invariant checks; every suite runs at least 200 cases."""
 import dataclasses
 import random
+from collections import defaultdict
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -98,25 +99,28 @@ def test_backhaul_nesting_depth(seed, rate, size, uav_x, mode):
 
 
 @SIM_SETTINGS
-@given(**mini_params, trace_level=st.sampled_from(["full", "summary"]))
-def test_decision_carries_the_stack_it_leaves(seed, rate, size, uav_x, mode,
-                                              trace_level):
-    """Every decision forward returns carries the depth and the TEIDs,
-    outermost first, of the header stack the packet leaves with: the hop rows
-    take them from it."""
+@given(**mini_params)
+def test_departure_rows_carry_the_queued_stack(seed, rate, size, uav_x, mode):
+    """Every Departure row gives the depth and the TEIDs, outermost first, of
+    the header stack its packet was queued with at its sender."""
     scn = build_mini_scenario(seed=seed, ue2_rate_bps=rate, packet_size=size,
                               uav_x=uav_x)
-    sim = Simulator(scn, mode=mode, trace_level=trace_level)
-    forward, depths = sim.fwd.forward, set()
+    sim = Simulator(scn, mode=mode, trace_level="full")
+    transmit, queued = sim._transmit, defaultdict(list)
 
-    def checked(node, pkt):
-        hop = forward(node, pkt)
-        assert hop.teids == tuple(pkt.teids_in_stack())
-        assert hop.depth == pkt.depth
-        depths.add(hop.depth)
-        return hop
-    sim.fwd.forward = checked
-    sim.run()
+    def recorded(hop, pkt):
+        queued[pkt.flow_id, pkt.seq, hop.out.src].append(
+            (pkt.depth, pkt.teids_in_stack()))
+        transmit(hop, pkt)
+    sim._transmit = recorded
+    trace = sim.run()
+    depths = set()
+    for e in trace.events:
+        if e.kind == "Departure":
+            f = e.fields
+            depth, teids = queued[e.subject, f["pkt"], f["src"]].pop(0)
+            assert (f["depth"], f["teids"]) == (depth, teids)
+            depths.add(depth)
     assert depths == {0, 1, 2}
 
 

@@ -1,20 +1,19 @@
-"""The hop line templates and the other kinds' lines of the trace export
-print what json.dumps prints.
+"""The hop lines and the other kinds' lines of the trace export print what
+json.dumps prints.
 
 The reference line is json.dumps of the record the export describes: time
 rounded to 12 digits, seq, kind, location, subject, then the fields sorted by
-name. A hop row is (time, hop_key, pkt), as the engine appends it, and rows
-share keys: the export builds one template per key and fills in each row's
-time, seq and pkt. A key holds its TEIDs as a tuple of ints; the record, and
-a view's fields, hold them as a list. Ids with % in them check that a
-template escapes what it pre-encodes.
+name. A hop row is (time, hop_key(...), pkt), as the engine appends it, and
+rows share keys: the export fills each row's time, seq and pkt into its
+key's line. Ids with % in them check that a key's line escapes what it
+pre-encodes.
 """
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iabsim.trace import Trace
+from iabsim.trace import Trace, hop_key
 
 TEID_MAX = 2 ** 32 - 1
 
@@ -25,22 +24,18 @@ times = (st.floats(allow_nan=False, allow_infinity=False)
          | st.sampled_from([0.0, 1e-07, 0.1 + 0.2, 2.000000000001,
                             123456789.123456789, 1e300]))
 counts = st.integers(min_value=0, max_value=2 ** 63)
-teids = st.lists(st.integers(min_value=0, max_value=TEID_MAX),
-                 max_size=2).map(tuple)
+teids = st.lists(st.integers(min_value=0, max_value=TEID_MAX), max_size=2)
 
 # (hop_key, the record's fields but pkt)
 arrival_keys = st.builds(
-    lambda loc, sub, delivered, depth, tids, wire: (
-        ("Arrival", loc, sub, delivered, depth, tids, wire),
-        dict(delivered=delivered, depth=depth, teids=list(tids),
-             wire_size=wire)),
-    ids, ids, st.booleans(), counts, teids, counts)
+    lambda loc, sub, fields: (hop_key("Arrival", loc, sub, **fields), fields),
+    ids, ids, st.fixed_dictionaries(dict(
+        delivered=st.booleans(), depth=counts, teids=teids, wire_size=counts)))
 departure_keys = st.builds(
-    lambda loc, sub, depth, dst, src, tids, wire: (
-        ("Departure", loc, sub, depth, dst, src, tids, wire),
-        dict(depth=depth, dst=dst, src=src, teids=list(tids),
-             wire_size=wire)),
-    ids, ids, counts, ids, ids, teids, counts)
+    lambda loc, sub, fields: (hop_key("Departure", loc, sub, **fields),
+                              fields),
+    ids, ids, st.fixed_dictionaries(dict(
+        depth=counts, dst=ids, src=ids, teids=teids, wire_size=counts)))
 
 
 @st.composite
