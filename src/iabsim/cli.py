@@ -131,7 +131,8 @@ def _get(path: str, doc: dict, key: str, kind: tuple, where: str = ""):
 def _load_summary(path: str) -> dict:
     try:
         doc = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:  # UnicodeDecodeError, JSONDecodeError
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: not UTF-8 or not JSON; RecursionError: nested too deep
         raise ParseError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: not a JSON object")

@@ -96,6 +96,9 @@ class Simulator:
             raise ScenarioInvalid("; ".join(report.violations))
         # Directives grow and rewrite this copy, never the caller's scenario.
         self.scn = scenario = copy.deepcopy(scenario)
+        # Validation leaves exactly one of each, and directives add neither.
+        self.cu = scenario.nodes_with_role(Role.CU)[0].id
+        self.upf = scenario.nodes_with_role(Role.UPF)[0].id
         self.mode = PathMode(mode)
         self.seed = scenario.seed if seed is None else seed
         self.trace_full = trace_level == "full"
@@ -165,7 +168,7 @@ class Simulator:
 
     def _bootstrap(self):
         # Validation has wired every donor DU to the CU.
-        cu = self.scn.the_cu().id
+        cu = self.cu
         for du in self.scn.nodes_with_role(Role.DONOR_DU):
             self.fwd.install(RouteEntry(du.id, ("dst", cu), cu))
             self.fwd.install(RouteEntry(cu, ("dst", du.id), du.id))
@@ -239,7 +242,7 @@ class Simulator:
 
     def _start_ue_attach(self, ue: Node, du: Node) -> None:
         """Attach `ue` to `du`, which its caller found to cover it."""
-        self.cp.ue_attach(ue.id, du.id, self.scn.the_cu().id)
+        self.cp.ue_attach(ue.id, du.id)
         if self.scn.find_link(ue.id, du.id) is None:
             self.scn.add_link(du.id, ue.id, Medium.RADIO)
 
@@ -260,25 +263,28 @@ class Simulator:
                 self._start_ue_attach(node, du)
 
     def _ue_connected(self, ue_id: str) -> None:
+        du = self.cp.ue_contexts[ue_id].serving_du
         with self._failure_as_drop(f"ue:{ue_id}", ue_id):
             if self.scn.node(ue_id).role is Role.IAB_MT:
-                self._bring_up_iab_node(ue_id)
+                self._bring_up_iab_node(ue_id, du)
             else:
-                install_ue_routes(self.scn, self.fwd, ue_id,
-                                  self.cp.ue_contexts[ue_id].serving_du)
+                install_ue_routes(self.fwd, ue_id, du, self.cu, self.upf)
 
-    def _bring_up_iab_node(self, mt_id: str) -> None:
+    def _bring_up_iab_node(self, mt_id: str, donor_du: str) -> None:
+        """Carry the F1 of `mt_id`'s IAB-DU over the backhaul that the MT
+        attached through, `donor_du`."""
         # The MT's PDU session is its two tunnels, with no core signalling.
         # Uplink is drawn first: the TEID draw order shows in every trace.
-        uplink = self.fwd.open_tunnel(self.scn.the_upf().id)
+        uplink = self.fwd.open_tunnel(self.upf)
         downlink = self.fwd.open_tunnel(mt_id)
         self._transition(f"pdu:{mt_id}", "Requested", "Established",
                          "pdu-session-establish")
         iab_du = self.scn.group_peer(mt_id).id
-        hops = install_f1_transport(self.scn, self.fwd, iab_du, self.mode,
-                                    uplink, downlink)
+        hops = install_f1_transport(self.fwd, self.mode, iab_du, mt_id,
+                                    donor_du, self.cu, self.upf, uplink,
+                                    downlink)
         rtt = self._path_delay(hops) + self._path_delay(hops[::-1])
-        self.cp.f1_setup(self.scn.the_cu().id, iab_du, rtt)
+        self.cp.f1_setup(self.cu, iab_du, rtt)
 
     def _du_carrier_update(self, du_id: str, carrier) -> None:
         du = self.scn.node(du_id)

@@ -120,16 +120,16 @@ class ControlPlane:
         assoc.attempts += 1
         self._send_setup_request(assoc)
 
-    def ue_attach(self, ue: str, du: str, cu: str) -> UeContext:
+    def ue_attach(self, ue: str, du: str) -> UeContext:
         """Begin attachment to `du`, which the caller has found covers `ue`;
-        Connected once the UE context handshake completes."""
+        Connected once the UE context handshake with `du`'s CU completes."""
         if not self.association_active(du):
             raise DuNotReady(f"F1 association of {du} is not Active")
         ctx = UeContext(ue=ue, serving_du=du)
         self.ue_contexts[ue] = ctx
         self._move_ue(ctx, UeState.ATTACHING, "attach")
         self._send(F1Message(MsgKind.UE_CONTEXT_SETUP_REQUEST, du, {"ue": ue}),
-                   cu, du)
+                   self.associations[du].cu, du)
         return ctx
 
     def du_config_update(self, du: str, new_carrier) -> None:

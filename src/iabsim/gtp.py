@@ -14,10 +14,11 @@ A memoized :class:`Decision` has two slots for its caller, `out` and
 it both.
 
 Only :func:`install_f1_transport` knows a mode's layout: it carries an IAB
-node's F1 from its IAB-DU over its IAB-MT and donor DU to the CU.
-:func:`install_ue_routes` knows no mode: with :meth:`Forwarder.nest` it
-carries a UE's DRB along whatever route reaches its DU, which for an IAB-DU
-is that F1 transport.
+node's F1 from its IAB-DU over its IAB-MT and the donor DU that the MT
+attached through, to the CU. :func:`install_ue_routes` knows no mode: with
+:meth:`Forwarder.nest` it carries a UE's DRB along whatever route reaches its
+DU, which for an IAB-DU is that F1 transport. Both take node ids, which the
+engine resolves: this module knows headers and tables, not the scenario.
 """
 from __future__ import annotations
 
@@ -27,7 +28,6 @@ from enum import Enum
 from typing import Optional
 
 from .errors import ConflictingEntry, DepthExceeded, NoRoute, RoutingLoop
-from .topology import Role, Scenario
 
 MAX_HEADER_DEPTH = 2
 TEID_MAX = 2 ** 32 - 1
@@ -239,10 +239,12 @@ class Forwarder:
         raise RoutingLoop(f"local rematch did not terminate at {node}")
 
 
-def install_f1_transport(scenario: Scenario, forwarder: Forwarder, iab_du: str,
-                         mode: PathMode, mt_session_ul: MatchKey,
+def install_f1_transport(forwarder: Forwarder, mode: PathMode, iab_du: str,
+                         mt: str, donor_du: str, cu: str, upf: str,
+                         mt_session_ul: MatchKey,
                          mt_session_dl: MatchKey) -> tuple[str, ...]:
-    """Install both directions of the F1 transport of `iab_du`'s IAB node.
+    """Install both directions of the F1 transport of `iab_du`, whose IAB-MT
+    `mt` is attached through `donor_du`.
 
     Returns the uplink hops, the IAB-DU first; the downlink takes them in
     reverse. UpfReroute carries F1 in the IAB-MT's PDU session through the
@@ -251,16 +253,11 @@ def install_f1_transport(scenario: Scenario, forwarder: Forwarder, iab_du: str,
     UpfReroute with the same session is idempotent; BapBypass opens new
     routes each call, so a second call conflicts.
     """
-    mt = scenario.group_peer(iab_du).id
-    donor_du = _donor_du_of(scenario, mt)
-    cu = scenario.the_cu().id
-
     def put(at, match, nxt, encaps=()):
         forwarder.install(
             RouteEntry(at_node=at, match=match, next_hop=nxt, encaps=encaps))
 
     if mode is PathMode.UPF_REROUTE:
-        upf = scenario.the_upf().id
         ul, dl = mt_session_ul, mt_session_dl
         put(iab_du, ("dst", cu), mt)
         put(mt, ("dst", cu), donor_du, encaps=(ul,))
@@ -288,8 +285,8 @@ def install_f1_transport(scenario: Scenario, forwarder: Forwarder, iab_du: str,
     return iab_du, mt, donor_du, cu
 
 
-def install_ue_routes(scenario: Scenario, forwarder: Forwarder, ue: str,
-                      serving_du: str) -> None:
+def install_ue_routes(forwarder: Forwarder, ue: str, serving_du: str, cu: str,
+                      upf: str) -> None:
     """Open one UE's tunnels and install the entries that carry its traffic.
 
     The UE's session tunnel runs between the UPF and the CU, its DRB between
@@ -297,8 +294,6 @@ def install_ue_routes(scenario: Scenario, forwarder: Forwarder, ue: str,
     and that DU, so whatever carries F1 there carries the DRB too. Uplink is
     matched at the DU by the UE as source, so one DU serves several UEs.
     """
-    cu = scenario.the_cu().id
-    upf = scenario.the_upf().id
     session_ul = forwarder.open_tunnel(upf)
     session_dl = forwarder.open_tunnel(cu)
     drb_ul = forwarder.open_tunnel(cu)
@@ -311,8 +306,3 @@ def install_ue_routes(scenario: Scenario, forwarder: Forwarder, ue: str,
     forwarder.install(RouteEntry(cu, drb_ul, upf, (session_ul,)))
     forwarder.install(RouteEntry(upf, session_ul, None))
 
-
-def _donor_du_of(scenario: Scenario, mt: str) -> str:
-    """The donor DU that an IAB-MT's backhaul link, added with the MT, reaches."""
-    return next(link.other(mt) for link in scenario.links_of(mt)
-                if scenario.node(link.other(mt)).role is Role.DONOR_DU)

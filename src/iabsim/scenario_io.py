@@ -131,7 +131,7 @@ def _section(doc: dict, key: str, name: str) -> list:
 def loads(text: str, name: str = "<scenario>") -> Scenario:
     try:
         doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, RecursionError) as exc:  # or nested too deep
         raise ParseError(f"{name}: not valid YAML: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{name}: top level must be a mapping")

@@ -222,6 +222,9 @@ class Scenario:
                 raise IllegalMedium(
                     f"radio link needs a DU on one side and a UE/IAB-MT on the "
                     f"other, got {na.role.value} and {nb.role.value}")
+            if term.role is Role.IAB_MT and du.role is not Role.DONOR_DU:
+                raise IllegalMedium(f"an IAB-MT's radio link must end at a "
+                                    f"DonorDU, got {du.role.value}")
             carrier = du.carrier if carrier is None else carrier
             if carrier is None:
                 raise MissingCarrier(f"radio link {a}-{b} has no carrier")
@@ -254,12 +257,6 @@ class Scenario:
 
     def nodes_with_role(self, role: Role) -> list[Node]:
         return [n for n in self.nodes.values() if n.role is role]
-
-    def the_cu(self) -> Node:
-        return self.nodes_with_role(Role.CU)[0]
-
-    def the_upf(self) -> Node:
-        return self.nodes_with_role(Role.UPF)[0]
 
     def steady_window(self, flow_id: str) -> tuple[float, float]:
         """Where a flow's goodput is judged: the window of its first
@@ -320,13 +317,14 @@ def validate_topology(scenario: Scenario) -> ValidationReport:
             v.append("CU has no wired UPF")
 
     for n in nodes.values():
-        if n.role is Role.IAB_DU:
-            mts = [m for m in nodes.values()
-                   if m.role is Role.IAB_MT and m.owner_group == n.owner_group
-                   and n.owner_group is not None]
-            if len(mts) != 1:
-                v.append(f"IabDu {n.id} must share an owner_group with exactly "
-                         f"one IabMt, found {len(mts)}")
+        if n.role in (Role.IAB_DU, Role.IAB_MT):
+            want = Role.IAB_MT if n.role is Role.IAB_DU else Role.IAB_DU
+            peers = [m for m in nodes.values()
+                     if m.role is want and m.owner_group == n.owner_group
+                     and n.owner_group is not None]
+            if len(peers) != 1:
+                v.append(f"{n.role.value} {n.id} must share an owner_group "
+                         f"with exactly one {want.value}, found {len(peers)}")
         if n.role is Role.IAB_MT:
             # WIRED_PAIRS allows an MT-DU wire; only its own DU's is internal.
             for l in scenario.links:

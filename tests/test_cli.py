@@ -69,6 +69,13 @@ class TestValidate:
         assert main(["validate", str(p)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {p}: ")
 
+    def test_deeply_nested_file_exits_two(self, tmp_path, capsys):
+        # It once ended in a raw RecursionError traceback with exit 1.
+        p = tmp_path / "deep.yaml"
+        p.write_text("duration: " + "[" * 5000 + "]" * 5000 + "\n")
+        assert main(["validate", str(p)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {p}: ")
+
     @pytest.mark.parametrize("field, bad", [("packet_size: 1000", "packet_size: 0"),
                                             ("rate: 5.0e6", "rate: .inf")],
                              ids=["packet_size-0", "rate-inf"])
@@ -323,6 +330,13 @@ class TestCompare:
         bad.write_text("[1]")
         assert main(["compare", str(bad), str(bad)]) == 2
         assert "not a JSON object" in capsys.readouterr().err
+
+    def test_deeply_nested_summary_exits_two(self, tmp_path, capsys):
+        # It once ended in a raw RecursionError traceback with exit 1.
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 200_000 + "]" * 200_000)
+        assert main(["compare", str(bad), str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
     def test_summary_not_utf8_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "latin.json"

@@ -277,7 +277,7 @@ class TestDirectives:
         assert "far-du" not in trace.summary.get("links", {})
 
     def test_routing_error_at_attach_is_a_trace_drop(self, monkeypatch):
-        def no_route(scn, fwd, ue, du):
+        def no_route(fwd, ue, du, cu, upf):
             raise NoRoute(du, ("src", ue))
         monkeypatch.setattr(engine, "install_ue_routes", no_route)
         trace = run(build_donor_scenario(duration=0.05))  # must not raise
@@ -300,6 +300,32 @@ class TestDirectives:
         dl = sim.fwd.entries[("upf", ("dst", "uav1-du"))].encaps[0]
         assert {n for n, h in sim.fwd.strips if h == ul} == {"upf"}
         assert {n for n, h in sim.fwd.strips if h == dl} == {"uav1-mt"}
+
+    @pytest.mark.parametrize("mode", list(PathMode))
+    def test_f1_rides_the_donor_the_mt_attached_through(self, mode):
+        # The MT reaches two donors, and the second one's faster wire makes
+        # its F1 Active first, so the MT attaches through donor-b. F1 once
+        # took the first donor link in list order: g-du, g-mt, donor-du, ...
+        scn = build_donor_scenario(duration=0.05)
+        scn.links[0].propagation_delay_s = 1e-3  # donor-du's wire to the CU
+        scn.add_node(Role.DONOR_DU, (0.0, 10.0), tx_power_dbm=23.0,
+                     carrier=N41, node_id="donor-b")
+        scn.add_link("cu", "donor-b", Medium.WIRED, wired_capacity_bps=1e9,
+                     propagation_delay_s=1e-6)
+        scn.add_node(Role.IAB_MT, (880.0, 0.0), tx_power_dbm=23.0,
+                     owner_group="g", node_id="g-mt")
+        scn.add_node(Role.IAB_DU, (880.0, 0.0), tx_power_dbm=43.0,
+                     owner_group="g", carrier=N78, node_id="g-du")
+        scn.add_link("g-mt", "g-du", Medium.WIRED,
+                     wired_capacity_bps=engine.IAB_INTERNAL_CAPACITY_BPS)
+        for donor in ("donor-du", "donor-b"):
+            scn.add_link(donor, "g-mt", Medium.RADIO)
+        sim = Simulator(scn, mode=mode, trace_level="summary")
+        trace = sim.run()
+        serving = sim.cp.ue_contexts["g-mt"].serving_du
+        paths = trace.paths["f1c:g-du"]
+        assert serving == "donor-b" and paths
+        assert all(serving in path for path in paths), paths
 
     def test_directive_event_emitted(self):
         trace = run(build_mini_scenario())

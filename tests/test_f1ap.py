@@ -115,7 +115,7 @@ class TestUeAttach:
         bus = self._active_bus()
         seen = []
         bus.cp.on_ue_connected = seen.append
-        ctx = bus.cp.ue_attach("ue1", "du", "cu")
+        ctx = bus.cp.ue_attach("ue1", "du")
         assert ctx.state is UeState.CONNECTED
         assert seen == ["ue1"]
         assert ("ue:ue1", "Detached", "Attaching", "attach") in bus.transitions
@@ -125,7 +125,7 @@ class TestUeAttach:
         bus = Bus(connected=False)
         bus.cp.f1_setup("cu", "du", rtt_s=0.001)  # stuck in SetupRequested
         with pytest.raises(DuNotReady):
-            bus.cp.ue_attach("ue1", "du", "cu")
+            bus.cp.ue_attach("ue1", "du")
 
 
 class TestDuConfigUpdate:

@@ -148,10 +148,14 @@ class TestPaths:
         self.check_hops(PathMode.BAP_BYPASS, ("uav1-du", "uav1-mt", "donor-du", "cu"))
 
 
+# scenario_with_iab's IAB-DU, IAB-MT, donor DU, CU and UPF.
+F1_NODES = ("uav1-du", "uav1-mt", "donor-du", "cu", "upf")
+
+
 def build_transport(scn, fwd, mode):
     """The MT's session headers (uplink, downlink) and the F1 uplink hops."""
     session = fwd.open_tunnel("upf"), fwd.open_tunnel("uav1-mt")
-    return session, install_f1_transport(scn, fwd, "uav1-du", mode, *session)
+    return session, install_f1_transport(fwd, mode, *F1_NODES, *session)
 
 
 class TestRouteInstallation:
@@ -160,7 +164,7 @@ class TestRouteInstallation:
         fwd = make_forwarder()
         session, hops = build_transport(scn, fwd, PathMode.UPF_REROUTE)
         entries, strips = dict(fwd.entries), set(fwd.strips)
-        again = install_f1_transport(scn, fwd, "uav1-du", PathMode.UPF_REROUTE,
+        again = install_f1_transport(fwd, PathMode.UPF_REROUTE, *F1_NODES,
                                      *session)
         assert again == hops
         assert fwd.entries == entries and fwd.strips == strips
@@ -246,7 +250,7 @@ class TestForwarding:
         scn = scenario_with_iab()
         fwd = make_forwarder()
         build_transport(scn, fwd, mode)
-        install_ue_routes(scn, fwd, "ue2", "uav1-du")
+        install_ue_routes(fwd, "ue2", "uav1-du", "cu", "upf")
         return scn, fwd
 
     def test_reroute_downlink_hop_log(self):

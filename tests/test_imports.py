@@ -1,8 +1,9 @@
 """Every imported name is read somewhere in its module, every error class
 is named outside `errors.py`, nodes and links enter a scenario only
 through `Scenario.add_node`/`add_link`, only `gtp.py` writes the
-Forwarder's routing tables and memo, and only `radio.py` reads the reference
-distance and the coverage threshold.
+Forwarder's routing tables and memo, only `radio.py` reads the reference
+distance and the coverage threshold, and the protocol modules import nothing
+from `topology`.
 
 Stdlib-only checks (ast), so an unused import, a dead error class or a
 bypassed builder fails the suite without a linter. Package `__init__.py`
@@ -189,4 +190,35 @@ def test_only_radio_reads_the_reach_parameters():
     found = [f"{p.relative_to(ROOT)}:{line}"
              for p in package.glob("*.py") if p.name != "radio.py"
              for line in reads(p.read_text(), RADIO_REACH)]
+    assert found == []
+
+
+def topology_imports(source: str) -> list[int]:
+    """Lines that import the `topology` module or a name from it."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or "", *(a.name for a in node.names)]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        if any(name.split(".")[-1] == "topology" for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_protocol_modules_take_node_ids_not_the_scenario():
+    # The engine resolves each node from the scenario once and hands on its
+    # id: a module that read the graph itself could decide it differently.
+    assert topology_imports("from .topology import Role\n"
+                            "from iabsim.topology import Scenario\n"
+                            "import iabsim.topology\n"
+                            "from . import radio, topology\n"
+                            "from . import radio\nfrom .trace import x\n") \
+        == [1, 2, 3, 4]
+    package = ROOT / "src" / "iabsim"
+    found = [f"{name}:{line}"
+             for name in ("gtp.py", "f1ap.py", "radio.py", "trace.py")
+             for line in topology_imports((package / name).read_text())]
     assert found == []

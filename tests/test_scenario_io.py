@@ -115,6 +115,13 @@ MALFORMED = {
     "wired-pair": (broken("a: cu, b: upf", "a: ue, b: upf"), "links[1]"),
     "radio-pair": (broken("b: ue, medium: Radio", "b: cu, medium: Radio"),
                    "links[2]"),
+    # An IAB-MT's backhaul ends at a donor DU: F1 has no route from an IabDu.
+    "radio-mt-to-iab-du": (
+        broken("  - {id: ue, role: Ue,",
+               "  - {id: idu, role: IabDu, position: [9.0, 0.0], tx_power: 43.0,"
+               f" carrier: {N41_YAML}}}\n  - {{id: ue, role: IabMt,").replace(
+            "{id: r, a: du,", "{id: r, a: idu,"),
+        "links[2]"),
     "radio-no-carrier": (broken(f", carrier: {N41_YAML}}}", "}"), "links[2]"),
     # A radio link takes its DU's carrier, never its UE's.
     "radio-carrier-only-on-ue": (

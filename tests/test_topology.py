@@ -250,6 +250,12 @@ class TestValidation:
          and with_iab_nodes(s, "uav1"),
          "IabNodeDirective at t=0.1: group uav1 is the owner_group of a node "
          "of the file"),
+        # It validated, and the run raised AttributeError at its bring-up.
+        (lambda s: s.add_node(Role.IAB_MT, (880.0, 0.0), tx_power_dbm=23.0,
+                              node_id="lone-mt")
+         and s.add_link("donor-du", "lone-mt", Medium.RADIO) and s,
+         "IabMt lone-mt must share an owner_group with exactly one IabDu, "
+         "found 0"),
     ], ids=["duration-inf", "duration-nan", "assert-unknown-flow",
             "directive-at-duration", "directive-before-zero",
             "update-unknown-du", "update-not-a-du", "duplicate-flow-id",
@@ -261,7 +267,7 @@ class TestValidation:
             "packets-over-bound", "packets-overflow-float",
             "packets-overflow-int", "flow-id-f1c-prefix", "assert-no-bound",
             "donor-du-unwired", "iab-group-names-file-node", "iab-group-twice",
-            "iab-group-owned-by-file-node"])
+            "iab-group-owned-by-file-node", "iab-mt-unpaired"])
     def test_rejected_as_data_not_raised(self, mutate, violation):
         scn = build_donor_scenario(duration=1.0)
         # A mutation changes the scenario in place, or returns another one.
