@@ -1,6 +1,6 @@
 """Deterministic packet-level simulator of a 5G IAB network with an aerial DU."""
 
-from .engine import PathMode, Simulator, link_capacity, measure_throughput, run
+from .engine import PathMode, Simulator, link_capacity, measure_throughput
 from .scenario_io import load_scenario
 from .topology import (Carrier, FlowSpec, Link, Medium, Node, Role, Scenario,
                        validate_topology)
@@ -8,5 +8,5 @@ from .topology import (Carrier, FlowSpec, Link, Medium, Node, Role, Scenario,
 __all__ = [
     "Carrier", "FlowSpec", "Link", "Medium", "Node", "PathMode", "Role",
     "Scenario", "Simulator", "link_capacity",
-    "load_scenario", "measure_throughput", "run", "validate_topology",
+    "load_scenario", "measure_throughput", "validate_topology",
 ]

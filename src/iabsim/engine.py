@@ -11,10 +11,11 @@ first, for its trace row. A packet takes buffer room until its finish time at
 both levels. The Forwarder's memoized decision carries the outgoing link
 direction, so a repeated hop makes one memo lookup and no link search.
 
-An Arrival or Departure row is `(time, hop_key, pkt)`. Every other field of
-the row is fixed by the decision, its link direction and the packet's flow,
-so the key is built once per (decision, flow, kind), kept in the decision's
-`rows` slot and shared by every row of that hop (see `trace`).
+An Arrival or Departure row is `(time, head, pkt)`, as every trace row is.
+Every other field of the row is fixed by the decision, its link direction
+and the packet's flow, so the head is built once per (decision, flow, kind),
+kept in the decision's `rows` slot and shared by every row of that hop (see
+`trace`).
 """
 from __future__ import annotations
 
@@ -36,9 +37,9 @@ from .gtp import (Decision, Forwarder, Packet, PathMode, RouteEntry,
 from .topology import (DU_ROLES, DuConfigUpdateDirective, FlowSpec,
                        IabNodeDirective, Link, Medium, Node, Role, Scenario,
                        validate_topology)
-from .trace import SCHEMA_VERSION, Trace, hop_key, measure_throughput
+from .trace import SCHEMA_VERSION, Trace, measure_throughput, row_head
 
-__all__ = ["Simulator", "run", "link_capacity", "measure_throughput", "PathMode"]
+__all__ = ["Simulator", "link_capacity", "measure_throughput", "PathMode"]
 
 # The wired hop between an IAB node's MT and DU on one airframe. It is not
 # free: its serialization time shows in the trace's 12-digit times.
@@ -341,15 +342,15 @@ class Simulator:
             self._drop(node, pkt, "ttl-expired", str(exc))
             return
         if via_link and self.trace_full:
-            keys = hop.rows[0]
-            if (key := keys.get(pkt.flow_id)) is None:
-                key = keys[pkt.flow_id] = hop_key(
+            heads = hop.rows[0]
+            if (head := heads.get(pkt.flow_id)) is None:
+                head = heads[pkt.flow_id] = row_head(
                     "Arrival", node, pkt.flow_id,
                     delivered=hop.next_hop is None,
-                    depth=len(hop.header_stack),
+                    depth=len(hop.header_stack), pkt=None,
                     teids=teids_of(hop.header_stack),
                     wire_size=pkt.wire_size_bytes)
-            self.trace.rows.append((self.now, key, pkt.seq))
+            self.trace.rows.append((self.now, head, pkt.seq))
         if hop.next_hop is None:
             self._deliver(node, pkt)
             return
@@ -417,14 +418,14 @@ class Simulator:
         self._heap_seq += 1
 
     def _depart(self, hop: Decision, pkt: Packet) -> None:
-        d, keys = hop.out, hop.rows[1]
-        if (key := keys.get(pkt.flow_id)) is None:
-            key = keys[pkt.flow_id] = hop_key(
+        d, heads = hop.out, hop.rows[1]
+        if (head := heads.get(pkt.flow_id)) is None:
+            head = heads[pkt.flow_id] = row_head(
                 "Departure", d.link.id, pkt.flow_id,
-                depth=len(hop.header_stack), dst=d.dst, src=d.src,
+                depth=len(hop.header_stack), dst=d.dst, pkt=None, src=d.src,
                 teids=teids_of(hop.header_stack),
                 wire_size=pkt.wire_size_bytes)
-        self.trace.rows.append((self.now, key, pkt.seq))
+        self.trace.rows.append((self.now, head, pkt.seq))
         heapq.heappush(self._heap, (self.now + d.link.propagation_delay_s,
                                     self._heap_seq, self._handle,
                                     (d.dst, pkt, True)))
@@ -481,9 +482,3 @@ class Simulator:
                 "events": len(self.trace.rows),
             },
         }
-
-
-def run(scenario: Scenario, mode: PathMode = PathMode.UPF_REROUTE,
-        seed: Optional[int] = None, trace_level: str = "full") -> Trace:
-    """One-shot convenience wrapper around :class:`Simulator`."""
-    return Simulator(scenario, mode=mode, seed=seed, trace_level=trace_level).run()

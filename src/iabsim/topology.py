@@ -399,6 +399,8 @@ def validate_topology(scenario: Scenario) -> ValidationReport:
     v += [f"IabNodeDirective at t={d.at_s}: tx_power must be finite"
           for d in iab
           if not all(map(math.isfinite, (d.tx_power_dbm, d.mt_tx_power_dbm)))]
+    v += [f"IabNodeDirective at t={d.at_s}: position must be finite"
+          for d in iab if not all(map(math.isfinite, d.position))]
     # A directive adds <group>-mt and <group>-du, which pair by that group.
     groups = [d.group for d in iab]
     v += [f"IabNodeDirective group {g}: used by {groups.count(g)} directives"

@@ -1,30 +1,29 @@
 """Run record: ordered trace rows, per-flow paths and delivery times,
 summary, export.
 
-Each trace event is one row `(time, head, payload)` in `Trace.rows`, and its
-seq is its index there. `head` starts `(kind, location, subject)`.
+Each trace event is one row `(time, head, pkt)` in `Trace.rows`, and its seq
+is its index there. `head` is `row_head(kind, location, subject, **fields)`:
+those three and the event's JSON line, with holes for time, seq and, if the
+event has one, pkt, the packet number the row holds; every other field is
+encoded into the line when the head is built.
 
 - Arrival and Departure, one per packet hop and nearly all of a full trace,
-  are appended by the engine with `head = hop_key(...)`, which adds the
-  hop's JSON line, and `payload` the packet number. Every field but time,
-  seq and pkt is fixed by the hop, so the engine builds each key once and
-  every row of that hop shares it: a full-level paper-reference trace of
-  215,004 hop rows holds a few dozen keys. Such a row holds only atoms and
-  its key only strings, so Python's cyclic GC stops tracking them within
-  three collections.
+  are appended by the engine. Every field but time, seq and pkt is fixed by
+  the hop, so the engine builds each head once and every row of that hop
+  shares it: a full-level paper-reference trace of 215,004 hop rows holds a
+  few dozen heads.
 - Every other kind (Drop, StateTransition, Directive, TimerExpiry) goes
-  through `emit(**fields)`, and `payload` is the field dict.
+  through `emit(**fields)`, which builds the row's own head.
 
-`events` and `transitions()` build read-only TraceEvent views of the rows on
-demand; a hop view's fields are read back from its line, so a view gives
-what the export writes.
+A row holds only atoms and its head only strings, so Python's cyclic GC
+stops tracking them within three collections.
 
 Every JSON-lines record has the keys time (rounded to 12 digits), seq, kind,
 location and subject, then the fields sorted by name, so identical runs
 serialize byte-identically; the hash of the export is the determinism
-fingerprint. A hop line is its key's line with time, seq and pkt filled in;
-the other kinds go through json's C encoder. Both give the bytes json.dumps
-gives for the record.
+fingerprint. A line is its head's line with time, seq and pkt filled in,
+the bytes json.dumps gives for the record. `records()` parses the export
+back, so a reader sees what the file holds.
 """
 from __future__ import annotations
 
@@ -34,8 +33,7 @@ from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import islice
-from types import MappingProxyType
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .errors import UnknownFlow
 
@@ -47,18 +45,13 @@ _ENCODE = json.encoder.c_make_encoder(
     None, None, json.encoder.encode_basestring_ascii, None, ": ", ", ",
     False, False, True)
 
-HOP_KINDS = ("Arrival", "Departure")
-EVENT_KINDS = HOP_KINDS + ("TimerExpiry", "Directive", "Drop",
-                           "StateTransition")
-_HEAD = ("time", "seq", "kind", "location", "subject")
 
-
-def hop_key(kind: str, location: str, subject: str, **fields) -> tuple:
-    """The head `(kind, location, subject, line)` that the rows
-    (time, head, pkt) of one hop share. `line` is the hop's record with
-    %r, %d, %d holes for its time (rounded), seq and pkt; every other value
-    is encoded here, as json.dumps encodes it, with its % doubled."""
-    fields["pkt"] = None
+def row_head(kind: str, location: str, subject: str, **fields) -> tuple:
+    """The head `(kind, location, subject, line)` of the rows (time, head,
+    pkt) of one event or hop. `line` is the record with %r and %d holes for
+    its time (rounded) and seq, and a %d hole for pkt if `fields` has it;
+    every other value is encoded here, as json.dumps encodes it, with its %
+    doubled."""
     body = ['{"time": %r, "seq": %d']
     for name, value in (("kind", kind), ("location", location),
                         ("subject", subject), *sorted(fields.items())):
@@ -66,29 +59,6 @@ def hop_key(kind: str, location: str, subject: str, **fields) -> tuple:
                 "".join(_ENCODE(value, 0)).replace("%", "%%"))
         body.append(f'"{name}": {text}')
     return kind, location, subject, ", ".join(body) + "}"
-
-
-class TraceEvent:
-    """Read-only view of one trace row; its fields are built when read."""
-    __slots__ = ("_seq", "_row")
-
-    def __init__(self, seq: int, row: tuple):
-        self._seq, self._row = seq, row
-
-    seq = property(lambda self: self._seq)
-    time = property(lambda self: self._row[0])
-    kind = property(lambda self: self._row[1][0])
-    location = property(lambda self: self._row[1][1])
-    subject = property(lambda self: self._row[1][2])
-
-    @property
-    def fields(self) -> Mapping:
-        t, head, payload = self._row
-        if len(head) == 4:
-            payload = json.loads(head[3] % (round(t, 12), self._seq, payload))
-            for name in _HEAD:
-                del payload[name]
-        return MappingProxyType(payload)
 
 
 @dataclass
@@ -110,21 +80,18 @@ class Trace:
 
     def emit(self, time: float, kind: str, location: str, subject: str,
              **fields) -> None:
-        """Record an event of a kind that is not held as a hop row."""
-        if kind in HOP_KINDS:
-            raise ValueError(f"{kind} events are appended to rows as "
-                             f"(time, hop_key(...), pkt), not emitted")
-        self.rows.append((time, (kind, location, subject), fields))
+        """Record one event with a head of its own; `pkt`, if given, is an
+        int."""
+        self.rows.append((time, row_head(kind, location, subject, **fields),
+                          fields.get("pkt")))
 
-    @property
-    def events(self) -> list[TraceEvent]:
-        """Every event as a read-only view, built from the rows per call."""
-        return [TraceEvent(seq, row) for seq, row in enumerate(self.rows)]
-
-    def transitions(self, entity: str | None = None) -> list[TraceEvent]:
-        return [TraceEvent(seq, row) for seq, row in enumerate(self.rows)
-                if row[1][0] == "StateTransition"
-                and (entity is None or row[1][2] == entity)]
+    def records(self) -> Iterator[dict]:
+        """Each exported record after the header, parsed, in seq order. The
+        lines are parsed as one JSON array per batch, small enough that a
+        batch's records are gone before the cyclic GC promotes them."""
+        lines = islice(self.to_jsonl_lines(), 1, None)
+        while batch := list(islice(lines, 256)):
+            yield from json.loads("[" + ",".join(batch) + "]")
 
     # -- export -------------------------------------------------------------
 
@@ -132,15 +99,9 @@ class Trace:
         yield "".join(_ENCODE({"schema_version": SCHEMA_VERSION,
                                "record": "header", "mode": self.mode,
                                "seed": self.seed}, 0))
-        for seq, (t, head, payload) in enumerate(self.rows):
-            if len(head) == 4:
-                yield head[3] % (round(t, 12), seq, payload)
-            else:
-                rec = {"time": round(t, 12), "seq": seq, "kind": head[0],
-                       "location": head[1], "subject": head[2]}
-                for k in sorted(payload):
-                    rec[k] = payload[k]
-                yield "".join(_ENCODE(rec, 0))
+        for seq, (t, head, pkt) in enumerate(self.rows):
+            yield head[3] % ((round(t, 12), seq) if pkt is None
+                             else (round(t, 12), seq, pkt))
 
     def write_jsonl(self, fh=None) -> str:
         """Write the JSON-lines export to the binary file `fh`, if given, and

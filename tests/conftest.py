@@ -6,6 +6,8 @@ import pytest
 from iabsim import PathMode, Scenario, Simulator, load_scenario
 from iabsim.topology import Carrier, FlowSpec, IabNodeDirective, Medium, Role
 
+from replay import Replay
+
 N41 = Carrier(band_label="n41", center_frequency_hz=2.585e9,
               bandwidth_hz=20e6, scs_hz=30e3)
 N78 = Carrier(band_label="n78", center_frequency_hz=3.47e9,
@@ -91,3 +93,16 @@ def compare_traces():
     scn = load_scenario("bap-compare")
     return {mode: timed_run(scn, mode)
             for mode in (PathMode.UPF_REROUTE, PathMode.BAP_BYPASS)}
+
+
+@pytest.fixture(scope="session")
+def replay():
+    """The `Replay` of a trace's records, made once per trace."""
+    # Each trace is kept with its Replay, so that its id is never reused.
+    done = {}
+
+    def of(trace) -> Replay:
+        if id(trace) not in done:
+            done[id(trace)] = (trace, Replay(trace.records()))
+        return done[id(trace)][1]
+    return of

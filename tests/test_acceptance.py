@@ -114,7 +114,8 @@ def test_criterion_5_property_suites_sized():
            ok)
 
 
-def test_criterion_6_protocol_ordering(ref_reroute, ref_bap, compare_traces):
+def test_criterion_6_protocol_ordering(ref_reroute, ref_bap, compare_traces,
+                                      replay):
     """Across all acceptance runs: no user packet for a UE before its context
     is Connected, and nothing delivered on an Idle/Released association."""
     traces = [ref_reroute[0], ref_bap[0]] + \
@@ -123,11 +124,12 @@ def test_criterion_6_protocol_ordering(ref_reroute, ref_bap, compare_traces):
     for trace in traces:
         connected = {}
         requested = {}
-        for e in trace.transitions():
-            if e.location.startswith("ue:") and e.fields["to_state"] == "Connected":
-                connected.setdefault(e.location[3:], e.time)
-            if e.location.startswith("f1:") and e.fields["to_state"] == "SetupRequested":
-                requested.setdefault(e.location[3:], e.time)
+        seen = replay(trace)
+        for e in seen.transitions:
+            if e["location"].startswith("ue:") and e["to_state"] == "Connected":
+                connected.setdefault(e["location"][3:], e["time"])
+            if e["location"].startswith("f1:") and e["to_state"] == "SetupRequested":
+                requested.setdefault(e["location"][3:], e["time"])
         for fid, times in trace.delivered_at.items():
             if fid in trace.flow_ids:
                 for hops in trace.paths[fid]:
@@ -137,18 +139,13 @@ def test_criterion_6_protocol_ordering(ref_reroute, ref_bap, compare_traces):
                 du = fid.removeprefix("f1c:")
                 ok &= du in requested and times[0] >= requested[du]
         # no packet of a flow even moves on a link before its UE connects
-        movements = [e for e in trace.events
-                     if e.kind in ("Arrival", "Departure")
-                     and e.subject in trace.flow_ids]
         for fid in trace.flow_ids:
             dests = {hops[-1] for hops in trace.paths.get(fid, ())}
-            first = min((e.time for e in movements if e.subject == fid),
-                        default=None)
+            first = seen.first_move.get(fid)
             if first is None or not dests:
                 continue
             dst = dests.pop()
             ok &= dst in connected and first >= connected[dst]
-        ok &= not [e for e in trace.events if e.kind == "Drop"
-                   and e.fields.get("cause") == "assoc-inactive"]
+        ok &= not seen.drop_causes["assoc-inactive"]
     report("criterion 6: zero early user packets, nothing delivered on "
            "inactive associations", ok)

@@ -117,6 +117,19 @@ class TestValidate:
         assert ("violation: flow id f1c:donor-du: the f1c: prefix names F1 "
                 "associations" in capsys.readouterr().out)
 
+    def test_non_finite_directive_position_is_a_violation(self, tmp_path,
+                                                         capsys):
+        # It once validated, and the run exited 0 with dl-ue2 delivering
+        # nothing: the directive was a NoDonorCoverage Drop.
+        p = tmp_path / "nan.yaml"
+        text = bundled_scenario_path("bap-compare").read_text()
+        assert text.count("position: [880.0, 0.0]") == 1
+        p.write_text(text.replace("position: [880.0, 0.0]",
+                                  "position: [.nan, 0.0]"))
+        assert main(["validate", str(p)]) == 1
+        assert ("violation: IabNodeDirective at t=0.5: position must be "
+                "finite" in capsys.readouterr().out)
+
     def test_update_of_unknown_du_is_a_violation(self, tmp_path, capsys):
         # It once validated, and the run recorded a NotActive Drop.
         p = tmp_path / "ghost.yaml"

@@ -5,7 +5,6 @@ import pytest
 
 from iabsim import (PathMode, Simulator, engine, link_capacity, load_scenario,
                     measure_throughput)
-from iabsim.engine import run
 from iabsim.errors import NoRoute, ScenarioInvalid, UnknownFlow
 from iabsim.gtp import Decision, Packet
 from iabsim.topology import (DuConfigUpdateDirective, FlowSpec,
@@ -14,6 +13,12 @@ from iabsim.topology import (DuConfigUpdateDirective, FlowSpec,
 from conftest import (N41, N78, UE1_DL_HOPS, UE1_UL_HOPS, UE2_DL_HOPS_BAP,
                       UE2_DL_HOPS_REROUTE, UE2_UL_HOPS_BAP, UE2_UL_HOPS_REROUTE,
                       build_donor_scenario, build_mini_scenario, took_only)
+
+
+def transitions(records, entity):
+    """The StateTransition records of `entity`."""
+    return [e for e in records
+            if e["kind"] == "StateTransition" and e["subject"] == entity]
 
 
 class TestLinkCapacity:
@@ -85,10 +90,10 @@ class TestSerialization:
                                     kind="control", payload_size_bytes=1000,
                                     created_at_s=0.0, seq=i))
         assert len(d.finish_times) == 256
-        drops = [e for e in sim.trace.events if e.kind == "Drop"]
+        drops = [e for e in sim.trace.records() if e["kind"] == "Drop"]
         assert len(drops) == 1
-        assert drops[0].fields["cause"] == "queue-overflow"
-        assert drops[0].fields["pkt"] == 256  # the 257th packet, zero-based
+        assert drops[0]["cause"] == "queue-overflow"
+        assert drops[0]["pkt"] == 256  # the 257th packet, zero-based
 
     def test_packet_leaves_the_queue_at_its_finish_time(self):
         sim = self._sim()
@@ -105,8 +110,8 @@ class TestSerialization:
         send(1)  # the first packet is still on the wire: no room
         sim.now = finish
         send(2)  # the first packet has just left: it takes no room
-        drops = [e for e in sim.trace.events if e.kind == "Drop"]
-        assert [e.fields["pkt"] for e in drops] == [1]
+        drops = [e for e in sim.trace.records() if e["kind"] == "Drop"]
+        assert [e["pkt"] for e in drops] == [1]
         assert d.packets == 2 and list(d.finish_times) == [d.next_free]
 
     def test_capacity_follows_du_carrier_update(self):
@@ -143,33 +148,36 @@ class TestTraceLevel:
         assert brief.summary["flows"] == full.summary["flows"]
         assert brief.summary["links"] == full.summary["links"]
 
-    def test_reroute_reference_overflows_queues(self, ref_reroute):
+    def test_reroute_reference_overflows_queues(self, ref_reroute, replay):
         trace, _ = ref_reroute
-        overflows = [e for e in trace.events if e.kind == "Drop"
-                     and e.fields["cause"] == "queue-overflow"]
-        assert len(overflows) == 1406
+        assert replay(trace).drop_causes["queue-overflow"] == 1406
 
     @pytest.mark.parametrize("mode", list(PathMode))
     def test_hop_rows_leave_the_cyclic_gc(self, mode):
-        # A hop row (time, hop_key, pkt) holds atoms and its shared key, the
-        # key strings, so collections stop walking them. A collection
-        # untracks a tuple once it finds what it holds untracked: in that
-        # collection or, if the collector moved an inner tuple behind its
-        # holder, in the next; two levels, two more.
-        trace = Simulator(build_mini_scenario(), mode=mode).run()
+        # A row (time, head, pkt) holds atoms and its head, the head
+        # strings, so collections stop walking them. A collection untracks
+        # a tuple once it finds what it holds untracked: in that collection
+        # or, if the collector moved an inner tuple behind its holder, in
+        # the next; two levels, two more. The other kinds' rows once held
+        # their field dict: 5,975 rows of paper-reference stayed tracked.
+        scn = build_mini_scenario()
+        scn.flows[0].start_s = 0.0  # dl-ue2 before its routes exist: Drops
+        trace = Simulator(scn, mode=mode).run()
         for _ in range(3):
             gc.collect()
-        rows = [r for r in trace.rows if len(r[1]) == 4]
-        assert rows and not any(map(gc.is_tracked, rows))
-        assert not any(gc.is_tracked(r[1]) for r in rows)
+        assert {r[1][0] for r in trace.rows} == {
+            "Arrival", "Departure", "Drop", "StateTransition", "Directive",
+            "TimerExpiry"}
+        assert not any(map(gc.is_tracked, trace.rows))
+        assert not any(gc.is_tracked(r[1]) for r in trace.rows)
 
     def test_one_hop_key_per_distinct_hop(self, ref_reroute):
-        # Every row of a hop shares one key, built once per (decision,
+        # Every row of a hop shares one head, built once per (decision,
         # flow, kind): not one per row.
         trace, _ = ref_reroute
-        rows = [r for r in trace.rows if len(r[1]) == 4]
+        rows = [r for r in trace.rows if r[1][0] in ("Arrival", "Departure")]
         assert len(rows) == 215_004
-        assert len({id(key) for _, key, _ in rows}) < 100
+        assert len({id(head) for _, head, _ in rows}) < 100
 
 
 class TestRunLifecycle:
@@ -213,37 +221,38 @@ class TestRunLifecycle:
             sim.run()
 
     def test_empty_flow_list_runs_clean(self):
-        trace = run(build_donor_scenario(duration=0.05))
+        trace = Simulator(build_donor_scenario(duration=0.05)).run()
         assert trace.summary["flows"] == {}
         assert list(trace.delivered_at) == ["f1c:donor-du"]  # F1 setup only
         # bootstrap still brings the donor association up
-        assert any(e.fields.get("to_state") == "Active"
-                   for e in trace.transitions("f1:donor-du"))
+        assert any(e["to_state"] == "Active"
+                   for e in transitions(trace.records(), "f1:donor-du"))
 
     def test_donor_setup_latency_is_two_one_way_trips(self):
-        trace = run(build_donor_scenario(duration=0.05))
-        active = [e for e in trace.transitions("f1:donor-du")
-                  if e.fields["to_state"] == "Active"]
+        trace = Simulator(build_donor_scenario(duration=0.05)).run()
+        active = [e for e in transitions(trace.records(), "f1:donor-du")
+                  if e["to_state"] == "Active"]
         one_way = 64 * 8 / 1e9 + 1e-6  # 64-byte message on the 1 Gb/s F1 wire
-        assert active[0].time == pytest.approx(2 * one_way)
+        assert active[0]["time"] == pytest.approx(2 * one_way)
 
     def test_seed_changes_teids_but_not_goodput(self):
-        traces = [run(build_mini_scenario(), seed=s) for s in (1, 2)]
+        traces = [Simulator(build_mini_scenario(), seed=s).run() for s in (1, 2)]
         g = [measure_throughput(t, "dl-ue2", (0.0, 0.15)) for t in traces]
         assert g[0] == pytest.approx(g[1])
-        teids = [sorted({v for e in t.events for v in e.fields.get("teids", [])})
+        teids = [sorted({v for e in t.records() for v in e.get("teids", [])})
                  for t in traces]
         assert teids[0] and teids[0] != teids[1]
 
     def test_events_use_only_known_kinds(self):
-        from iabsim.trace import EVENT_KINDS
-        trace = run(build_mini_scenario())
-        assert {e.kind for e in trace.events} <= set(EVENT_KINDS)
+        trace = Simulator(build_mini_scenario()).run()
+        assert {e["kind"] for e in trace.records()} <= {
+            "Arrival", "Departure", "TimerExpiry", "Directive", "Drop",
+            "StateTransition"}
 
 
 class TestDirectives:
     def test_iab_node_materializes_and_serves_ue2(self):
-        trace = run(build_mini_scenario())
+        trace = Simulator(build_mini_scenario()).run()
         assert measure_throughput(trace, "dl-ue2", (0.05, 0.13)) > 0
         assert took_only(trace, "dl-ue2", UE2_DL_HOPS_REROUTE)
 
@@ -260,7 +269,8 @@ class TestDirectives:
             tx_power_dbm=43.0, group="uav1"))
         sim = Simulator(scn)
         trace = sim.run()
-        assert [e.fields["to_state"] for e in trace.transitions("ue:uav1-mt")] \
+        assert [e["to_state"] for e in transitions(trace.records(),
+                                                   "ue:uav1-mt")] \
             == ["Attaching", "Connected"]
         assert trace.summary["flows"]["dl-ue2"]["delivered"] > 0
         assert len(sim.scn.links_of("uav1-mt")) == 2  # backhaul + internal
@@ -270,9 +280,9 @@ class TestDirectives:
         scn.schedule.append(IabNodeDirective(
             at_s=0.01, position=(10_000.0, 0.0), access_carrier=N78,
             tx_power_dbm=43.0, group="far"))
-        trace = run(scn)  # must not raise
-        drops = [e for e in trace.events if e.kind == "Drop"
-                 and e.fields.get("cause") == "NoDonorCoverage"]
+        trace = Simulator(scn).run()  # must not raise
+        drops = [e for e in trace.records() if e["kind"] == "Drop"
+                 and e["cause"] == "NoDonorCoverage"]
         assert len(drops) == 1
         assert "far-du" not in trace.summary.get("links", {})
 
@@ -280,21 +290,22 @@ class TestDirectives:
         def no_route(fwd, ue, du, cu, upf):
             raise NoRoute(du, ("src", ue))
         monkeypatch.setattr(engine, "install_ue_routes", no_route)
-        trace = run(build_donor_scenario(duration=0.05))  # must not raise
-        drops = [e for e in trace.events if e.kind == "Drop"]
-        assert [(e.location, e.fields["cause"]) for e in drops] \
+        trace = Simulator(build_donor_scenario(duration=0.05)).run()  # must not raise
+        drops = [e for e in trace.records() if e["kind"] == "Drop"]
+        assert [(e["location"], e["cause"]) for e in drops] \
             == [("ue:ue1", "NoRoute")]
         assert trace.summary["totals"]["events"] == len(trace.rows)
 
     def test_mt_session_is_two_tunnels_and_one_transition(self):
         sim = Simulator(build_mini_scenario(), trace_level="summary")
         trace = sim.run()
-        pdu = trace.transitions("pdu:uav1-mt")
-        assert [(e.fields["from_state"], e.fields["to_state"], e.fields["cause"])
+        records = list(trace.records())
+        pdu = transitions(records, "pdu:uav1-mt")
+        assert [(e["from_state"], e["to_state"], e["cause"])
                 for e in pdu] == [("Requested", "Established",
                                    "pdu-session-establish")]
-        f1 = trace.transitions("f1:uav1-du")
-        assert pdu[0].seq < f1[0].seq  # the session carries F1 setup
+        f1 = transitions(records, "f1:uav1-du")
+        assert pdu[0]["seq"] < f1[0]["seq"]  # the session carries F1 setup
         # The uplink tunnel ends at the UPF, the downlink one at the MT.
         ul = sim.fwd.entries[("uav1-mt", ("dst", "cu"))].encaps[0]
         dl = sim.fwd.entries[("upf", ("dst", "uav1-du"))].encaps[0]
@@ -328,9 +339,10 @@ class TestDirectives:
         assert all(serving in path for path in paths), paths
 
     def test_directive_event_emitted(self):
-        trace = run(build_mini_scenario())
-        assert any(e.kind == "Directive" and e.subject == "IabNodeDirective"
-                   for e in trace.events)
+        trace = Simulator(build_mini_scenario()).run()
+        assert any(e["kind"] == "Directive"
+                   and e["subject"] == "IabNodeDirective"
+                   for e in trace.records())
 
     def test_du_config_update_swaps_carrier(self):
         from iabsim.topology import Carrier, DuConfigUpdateDirective
@@ -340,9 +352,9 @@ class TestDirectives:
                                                     carrier=new))
         sim = Simulator(scn)
         trace = sim.run()
-        moved = [e for e in trace.transitions("du:donor-du")
-                 if e.fields["cause"] == "du-config-update"]
-        assert moved and moved[0].fields["to_state"] == "carrier:n41-wide"
+        moved = [e for e in transitions(trace.records(), "du:donor-du")
+                 if e["cause"] == "du-config-update"]
+        assert moved and moved[0]["to_state"] == "carrier:n41-wide"
         assert scn.nodes["donor-du"].carrier == N41  # the input is unchanged
         assert sim.scn.nodes["donor-du"].carrier == new
 
@@ -381,8 +393,9 @@ class TestCachedDecision:
                              pkt.wire_size_bytes * 8 / cap))
         sim.fwd.forward, sim._transmit = forward_seen, transmit_seen
         trace = sim.run()
-        update = next(e.time for e in trace.transitions("du:donor-du")
-                      if e.fields["cause"] == "du-config-update")
+        update = next(e["time"]
+                      for e in transitions(trace.records(), "du:donor-du")
+                      if e["cause"] == "du-config-update")
         # Before the update, the decision and its link direction are cached;
         # after it, that same decision serves every packet.
         cached = [(hop, out) for t, hop, out in decided if t < update]
@@ -405,10 +418,12 @@ class TestCachedDecision:
 class TestAccounting:
     @pytest.mark.parametrize("mode", list(PathMode))
     def test_window_holds_t0_and_leaves_out_t1(self, mode):
-        trace = run(build_mini_scenario(), mode=mode)
-        times = [e.time for e in trace.events if e.kind == "Arrival"
-                 and e.subject == "dl-ue2" and e.fields["delivered"]]
-        assert len(times) == trace.summary["flows"]["dl-ue2"]["delivered"] > 9
+        trace = Simulator(build_mini_scenario(), mode=mode).run()
+        delivered = [e for e in trace.records() if e["kind"] == "Arrival"
+                     and e["subject"] == "dl-ue2" and e["delivered"]]
+        times = trace.delivered_at["dl-ue2"]
+        assert len(times) == len(delivered) \
+            == trace.summary["flows"]["dl-ue2"]["delivered"] > 9
         assert all(a < b for a, b in zip(times, times[1:]))
         last = len(times) - 1
         # Edges on delivery times: [times[i], times[j]) holds i .. j-1.
@@ -418,7 +433,7 @@ class TestAccounting:
                 == (j - i) * 1000 * 8 / (times[j] - times[i])
 
     def test_per_flow_conservation(self):
-        trace = run(build_mini_scenario())
+        trace = Simulator(build_mini_scenario()).run()
         for row in trace.summary["flows"].values():
             assert (row["injected"]
                     == row["delivered"] + row["dropped"] + row["in_flight"])
@@ -426,13 +441,13 @@ class TestAccounting:
 
     def test_measure_throughput_matches_summary_over_full_run(self):
         scn = build_mini_scenario()
-        trace = run(scn)
+        trace = Simulator(scn).run()
         row = trace.summary["flows"]["dl-ue2"]
         assert measure_throughput(trace, "dl-ue2", (0.0, scn.duration_s)) \
             == pytest.approx(row["goodput_bps"])
 
     def test_measure_throughput_unknown_flow(self):
-        trace = run(build_mini_scenario())
+        trace = Simulator(build_mini_scenario()).run()
         with pytest.raises(UnknownFlow):
             measure_throughput(trace, "nope", (0.0, 1.0))
         with pytest.raises(UnknownFlow):  # F1 flows are not user flows
@@ -441,14 +456,14 @@ class TestAccounting:
             measure_throughput(trace, "dl-ue2", (1.0, 1.0))
 
     def test_overhead_counts_header_bytes_on_every_traversal(self):
-        trace = run(build_mini_scenario())
+        trace = Simulator(build_mini_scenario()).run()
         row = trace.summary["flows"]["dl-ue2"]
         # reroute downlink: 7 link traversals per packet with header loads
         # 8, 8, 16, 16, 16, 8, 0 bytes = 72 bytes per delivered packet
         assert row["overhead_bytes"] >= 72 * row["delivered"]
 
     def test_summary_links_report_utilization(self):
-        trace = run(build_mini_scenario())
+        trace = Simulator(build_mini_scenario()).run()
         for stats in trace.summary["links"].values():
             assert 0.0 <= stats["utilization"] <= 1.0
             assert 0.0 <= stats["overhead_fraction"] < 1.0
@@ -483,7 +498,7 @@ class TestSeveralUes:
                               packet_size_bytes=500, start_s=0.05, stop_s=0.13)
                      for ue in ues
                      for d, src, dst in (("dl", "upf", ue), ("ul", ue, "upf"))]
-        trace = run(scn, mode=mode, trace_level="summary")  # no ConflictingEntry
+        trace = Simulator(scn, mode=mode, trace_level="summary").run()  # no ConflictingEntry
         for row in trace.summary["flows"].values():
             assert row["delivered"] > 0 and row["in_flight"] >= 0
             assert (row["injected"]

@@ -87,15 +87,15 @@ def test_backhaul_nesting_depth(seed, rate, size, uav_x, mode):
     scn, trace = run_mini(seed, rate, size, uav_x, mode)
     backhaul = scn.find_link("donor-du", "uav1-mt")
     assert backhaul is not None
-    crossings = [e for e in trace.events
-                 if e.kind == "Departure" and e.location == backhaul.id
-                 and e.subject == "dl-ue2"]
+    crossings = [e for e in trace.records()
+                 if e["kind"] == "Departure" and e["location"] == backhaul.id
+                 and e["subject"] == "dl-ue2"]
     assert crossings, "no user traffic crossed the backhaul"
     for e in crossings:
-        assert e.fields["depth"] == 2
-        gtp_layers = len(e.fields["teids"])
+        assert e["depth"] == 2
+        gtp_layers = len(e["teids"])
         assert gtp_layers == (2 if mode is PathMode.UPF_REROUTE else 1)
-        assert e.fields["wire_size"] == size + (16 if gtp_layers == 2 else 12)
+        assert e["wire_size"] == size + (16 if gtp_layers == 2 else 12)
 
 
 @SIM_SETTINGS
@@ -115,11 +115,10 @@ def test_departure_rows_carry_the_queued_stack(seed, rate, size, uav_x, mode):
     sim._transmit = recorded
     trace = sim.run()
     depths = set()
-    for e in trace.events:
-        if e.kind == "Departure":
-            f = e.fields
-            depth, teids = queued[e.subject, f["pkt"], f["src"]].pop(0)
-            assert (f["depth"], f["teids"]) == (depth, teids)
+    for e in trace.records():
+        if e["kind"] == "Departure":
+            depth, teids = queued[e["subject"], e["pkt"], e["src"]].pop(0)
+            assert (e["depth"], e["teids"]) == (depth, teids)
             depths.add(depth)
     assert depths == {0, 1, 2}
 
@@ -196,13 +195,18 @@ def test_protocol_ordering(seed, rate, size, uav_x, mode):
     _, trace = run_mini(seed, rate, size, uav_x, mode)
     connected_at = {}
     assoc_window = {}
-    for e in trace.transitions():
-        if e.location.startswith("ue:") and e.fields["to_state"] == "Connected":
-            connected_at[e.location[3:]] = e.time
-        if e.location.startswith("f1:"):
-            du = e.location[3:]
-            if e.fields["to_state"] == "SetupRequested":
-                assoc_window.setdefault(du, e.time)
+    inactive = []
+    for e in trace.records():
+        if e["kind"] == "Drop" and e["cause"] == "assoc-inactive":
+            inactive.append(e)
+        if e["kind"] != "StateTransition":
+            continue
+        if e["location"].startswith("ue:") and e["to_state"] == "Connected":
+            connected_at[e["location"][3:]] = e["time"]
+        if e["location"].startswith("f1:"):
+            du = e["location"][3:]
+            if e["to_state"] == "SetupRequested":
+                assoc_window.setdefault(du, e["time"])
     for fid, times in trace.delivered_at.items():
         if fid in trace.flow_ids:
             for hops in trace.paths[fid]:
@@ -211,5 +215,4 @@ def test_protocol_ordering(seed, rate, size, uav_x, mode):
         else:  # an F1 flow, f1c:<du>
             du = fid.removeprefix("f1c:")
             assert du in assoc_window and times[0] >= assoc_window[du]
-    assert not [e for e in trace.events if e.kind == "Drop"
-                and e.fields.get("cause") == "assoc-inactive"]
+    assert not inactive

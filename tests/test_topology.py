@@ -196,6 +196,15 @@ class TestValidation:
             at_s=0.1, position=(880.0, 0.0), access_carrier=N78,
             tx_power_dbm=float("nan"), group="uav1")),
          "IabNodeDirective at t=0.1: tx_power must be finite"),
+        # It validated, and the run dropped the directive: NoDonorCoverage.
+        (lambda s: s.schedule.append(IabNodeDirective(
+            at_s=0.1, position=(float("nan"), 0.0), access_carrier=N78,
+            tx_power_dbm=43.0, group="uav1")),
+         "IabNodeDirective at t=0.1: position must be finite"),
+        (lambda s: s.schedule.append(IabNodeDirective(
+            at_s=0.1, position=(880.0, float("-inf")), access_carrier=N78,
+            tx_power_dbm=43.0, group="uav1")),
+         "IabNodeDirective at t=0.1: position must be finite"),
         (lambda s: s.schedule.append(IabNodeDirective(
             at_s=3.0, position=(880.0, 0.0), access_carrier=N78,
             tx_power_dbm=43.0, group="uav1")),
@@ -261,6 +270,7 @@ class TestValidation:
             "update-unknown-du", "update-not-a-du", "duplicate-flow-id",
             "wired-capacity-nan", "wired-capacity-inf", "propagation-negative",
             "propagation-nan", "node-tx-power-nan", "directive-tx-power-nan",
+            "directive-position-nan", "directive-position-inf",
             "directive-past-duration", "ttl-zero", "buffer-negative",
             "control-size-zero", "header-size-negative",
             "assert-window-reversed", "assert-window-nan", "no-n6-link",

@@ -1,19 +1,18 @@
-"""The hop lines and the other kinds' lines of the trace export print what
-json.dumps prints.
+"""Every line of the trace export prints what json.dumps prints.
 
 The reference line is json.dumps of the record the export describes: time
 rounded to 12 digits, seq, kind, location, subject, then the fields sorted by
-name. A hop row is (time, hop_key(...), pkt), as the engine appends it, and
-rows share keys: the export fills each row's time, seq and pkt into its
-key's line. Ids with % in them check that a key's line escapes what it
+name. A hop row is (time, row_head(...), pkt), as the engine appends it, and
+rows share heads: the export fills each row's time, seq and pkt into its
+head's line. The other kinds go through emit, which builds each row's own
+head. Ids with % in them check that a head's line escapes what it
 pre-encodes.
 """
 import json
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from iabsim.trace import Trace, hop_key
+from iabsim.trace import Trace, row_head
 
 TEID_MAX = 2 ** 32 - 1
 
@@ -26,40 +25,51 @@ times = (st.floats(allow_nan=False, allow_infinity=False)
 counts = st.integers(min_value=0, max_value=2 ** 63)
 teids = st.lists(st.integers(min_value=0, max_value=TEID_MAX), max_size=2)
 
-# (hop_key, the record's fields but pkt)
-arrival_keys = st.builds(
-    lambda loc, sub, fields: (hop_key("Arrival", loc, sub, **fields), fields),
+# (row_head, the record's fields but pkt)
+arrival_heads = st.builds(
+    lambda loc, sub, fields: (row_head("Arrival", loc, sub, pkt=None,
+                                       **fields), fields),
     ids, ids, st.fixed_dictionaries(dict(
         delivered=st.booleans(), depth=counts, teids=teids, wire_size=counts)))
-departure_keys = st.builds(
-    lambda loc, sub, fields: (hop_key("Departure", loc, sub, **fields),
-                              fields),
+departure_heads = st.builds(
+    lambda loc, sub, fields: (row_head("Departure", loc, sub, pkt=None,
+                                       **fields), fields),
     ids, ids, st.fixed_dictionaries(dict(
         depth=counts, dst=ids, src=ids, teids=teids, wire_size=counts)))
 
 
 @st.composite
 def hop_rows(draw):
-    """Hop rows and their records' fields, several rows sharing a key."""
-    keys = draw(st.lists(arrival_keys | departure_keys, min_size=1,
-                         max_size=4))
-    rows = draw(st.lists(st.tuples(times, st.sampled_from(keys), counts),
+    """Hop rows and their records' fields, several rows sharing a head."""
+    heads = draw(st.lists(arrival_heads | departure_heads, min_size=1,
+                          max_size=4))
+    rows = draw(st.lists(st.tuples(times, st.sampled_from(heads), counts),
                          min_size=1, max_size=8))
-    return [((t, key, pkt), dict(fields, pkt=pkt))
-            for t, (key, fields), pkt in rows]
+    return [((t, head, pkt), dict(fields, pkt=pkt))
+            for t, (head, fields), pkt in rows]
 
 
-# One event of each kind that goes through emit(**fields), as the engine
-# records them.
-GENERIC = [
-    (0.25, "Drop", "cu", "dl-ue1",
-     dict(flow="dl-ue1", pkt=7, cause="no-route", depth=1, wire_size=1412,
-          teids=[4242], detail='no route at "cu"')),
-    (0.5, "StateTransition", "f1:uav1-du", "f1:uav1-du",
-     dict(from_state="Idle", to_state="SetupRequested", cause="f1-setup")),
-    (2.0, "Directive", "scenario", "IabNodeDirective", dict(at=2.0)),
-    (0.1 + 0.2, "TimerExpiry", "control", "timer", {}),
-]
+# Events of each kind that goes through emit(**fields), with the fields the
+# engine gives them: (time, kind, location, subject, fields). Their ids and
+# details are drawn as the hops' ids are.
+words = st.sampled_from(["no-route", "NoDonorCoverage", "Idle", "Active"])
+generic = st.lists(st.one_of(
+    st.builds(lambda t, loc, flow, fields: (t, "Drop", loc, flow,
+                                            dict(fields, flow=flow)),
+              times, ids, ids, st.fixed_dictionaries(dict(
+                  pkt=counts, cause=words, depth=counts, wire_size=counts,
+                  teids=teids), optional=dict(detail=ids))),
+    st.builds(lambda t, loc, fields: (t, "Drop", "scenario", loc, fields),
+              times, ids, st.fixed_dictionaries(dict(cause=words,
+                                                     detail=ids))),
+    st.builds(lambda t, entity, fields: (t, "StateTransition", entity, entity,
+                                         fields),
+              times, ids, st.fixed_dictionaries(dict(
+                  from_state=words, to_state=words, cause=words))),
+    st.builds(lambda t, sub: (t, "Directive", "scenario", sub, dict(at=t)),
+              times, ids),
+    st.builds(lambda t: (t, "TimerExpiry", "control", "timer", {}), times),
+), max_size=4)
 
 
 def reference_line(time, seq, kind, location, subject, fields) -> str:
@@ -71,30 +81,29 @@ def reference_line(time, seq, kind, location, subject, fields) -> str:
 
 
 @settings(max_examples=300, deadline=None)
-@given(hop_rows())
-def test_hop_rows_export_as_json_dumps(events):
+@given(hop_rows(), generic)
+def test_hop_rows_export_as_json_dumps(events, emitted):
     trace = Trace(mode="UpfReroute", seed=1, flow_ids={})
     for row, _ in events:
         trace.rows.append(row)
-    for time, kind, location, subject, fields in GENERIC:
+    for time, kind, location, subject, fields in emitted:
         trace.emit(time, kind, location, subject, **fields)
     expected = [reference_line(row[0], seq, *row[1][:3], fields)
                 for seq, (row, fields) in enumerate(events)]
     expected += [reference_line(time, seq, kind, loc, sub, fields)
                  for seq, (time, kind, loc, sub, fields)
-                 in enumerate(GENERIC, start=len(events))]
-    lines = list(trace.to_jsonl_lines())
-    assert lines[1:] == expected
-    # The views carry the same fields as the lines.
-    views = trace.events
-    assert [dict(e.fields) for e in views[:len(events)]] == \
-        [fields for _, fields in events]
-    assert [(e.seq, e.kind) for e in views] == \
-        [(json.loads(line)["seq"], json.loads(line)["kind"])
-         for line in lines[1:]]
+                 in enumerate(emitted, start=len(events))]
+    assert list(trace.to_jsonl_lines())[1:] == expected
+    # The records are the lines, parsed.
+    assert list(trace.records()) == [json.loads(line) for line in expected]
 
 
-def test_flat_kinds_are_not_emitted():
-    with pytest.raises(ValueError, match="Departure events are appended"):
-        Trace(mode="UpfReroute", seed=1, flow_ids={}).emit(
-            0.0, "Departure", "l1", "dl-ue1", pkt=0)
+@settings(max_examples=100, deadline=None)
+@given(arrival_heads, times, counts)
+def test_emitted_hop_is_a_row_on_a_shared_head(head, time, pkt):
+    (_, location, subject, _), fields = head
+    shared, emitted = (Trace(mode="BapBypass", seed=2, flow_ids={})
+                       for _ in range(2))
+    shared.rows.append((time, head[0], pkt))
+    emitted.emit(time, "Arrival", location, subject, pkt=pkt, **fields)
+    assert list(emitted.to_jsonl_lines()) == list(shared.to_jsonl_lines())
