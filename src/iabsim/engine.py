@@ -69,8 +69,8 @@ class _LinkDir:
     src: str
     dst: str
     cap: Optional[float] = None  # cleared when the link's carrier changes
-    next_free: float = 0.0
-    # Finish times of the queued packets; one not after `now` has left.
+    # Finish times of the queued packets, rising; one not after `now` has
+    # left, so the last one left is when the link is next free.
     finish_times: deque = field(default_factory=deque)
     busy_s: float = 0.0
     bytes_total: int = 0
@@ -104,15 +104,13 @@ class Simulator:
         self.seed = scenario.seed if seed is None else seed
         self.trace_full = trace_level == "full"
         self.now = 0.0
-        proto = scenario.protocol
-        self.proto = proto
+        self.proto = proto = scenario.protocol
         self.trace = Trace(mode=self.mode.value, seed=self.seed,
                            flow_ids={f.id: f.packet_size_bytes
                                      for f in scenario.flows})
         # The Forwarder draws every TEID, so it owns the run's RNG.
-        self.fwd = Forwarder(random.Random(self.seed),
-                             gtp_header_bytes=proto.gtp_header_bytes,
-                             bap_header_bytes=proto.bap_header_bytes)
+        self.fwd = Forwarder(random.Random(self.seed), proto.gtp_header_bytes,
+                             proto.bap_header_bytes, proto.ttl)
         self.cp = ControlPlane(send=self._send_control,
                                schedule=self._schedule_timer,
                                transition=self._transition)
@@ -306,7 +304,7 @@ class Simulator:
         stats = self._flows[f.id]
         pkt = Packet(flow_id=f.id, src=f.src, dst=f.dst,
                      payload_size_bytes=f.packet_size_bytes,
-                     created_at_s=self.now, seq=i, ttl=self.proto.ttl)
+                     created_at_s=self.now, seq=i)
         stats.injected += 1
         self._handle(f.src, pkt, via_link=False)
         interval = f.packet_size_bytes * 8 / f.rate_bps
@@ -318,12 +316,11 @@ class Simulator:
         self._ctl_seq += 1
         pkt = Packet(flow_id=f"f1c:{msg.association}", src=src, dst=dst,
                      payload_size_bytes=self.proto.control_message_bytes,
-                     created_at_s=self.now, seq=self._ctl_seq, kind="control",
-                     control=msg, ttl=self.proto.ttl)
+                     created_at_s=self.now, seq=self._ctl_seq, control=msg)
         self._handle(src, pkt, via_link=False)
 
     def _drop(self, node: str, pkt: Packet, cause: str, detail: str = "") -> None:
-        if pkt.kind == "user":
+        if pkt.control is None:
             self._flows[pkt.flow_id].dropped += 1
         fields = dict(flow=pkt.flow_id, pkt=pkt.seq, cause=cause,
                       depth=pkt.depth, wire_size=pkt.wire_size_bytes,
@@ -370,15 +367,15 @@ class Simulator:
         return d
 
     def _deliver(self, node: str, pkt: Packet) -> None:
-        control = pkt.kind == "control"
-        if control and not self.cp.deliverable(pkt.control):
+        control = pkt.control
+        if control is not None and not self.cp.deliverable(control):
             self._drop(node, pkt, "assoc-inactive")
             return
         fid = pkt.flow_id
         self.trace.paths[fid][tuple(pkt.hop_log)] += 1
         self.trace.delivered_at[fid].append(self.now)
-        if control:
-            self.cp.on_message(pkt.control)
+        if control is not None:
+            self.cp.on_message(control)
             return
         self._flows[fid].latency_sum_s += self.now - pkt.created_at_s
 
@@ -399,15 +396,14 @@ class Simulator:
             return
         header = pkt.header_bytes
         wire = pkt.payload_size_bytes + header
-        start = max(self.now, d.next_free)
+        start = queue[-1] if queue else self.now
         finish = start + wire * 8 / cap
-        d.next_free = finish
         queue.append(finish)
         d.busy_s += finish - start
         d.bytes_total += wire
         d.bytes_header += header
         d.packets += 1
-        if pkt.kind == "user":
+        if pkt.control is None:
             self._flows[pkt.flow_id].overhead_bytes += header
         if self.trace_full:
             event = (finish, self._heap_seq, self._depart, (hop, pkt))

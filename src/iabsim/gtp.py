@@ -44,18 +44,17 @@ class PathMode(str, Enum):
 
 @dataclass
 class Packet:
+    """A packet in flight, a control one exactly when it has a `control`."""
     flow_id: str
     src: str
     dst: str
     payload_size_bytes: int
     created_at_s: float
     seq: int = 0
-    kind: str = "user"  # "user" | "control"
-    control: Optional[object] = None
-    ttl: int = 16
+    control: Optional[object] = None  # the F1 message of a control packet
     header_stack: tuple[MatchKey, ...] = ()  # outermost last
     header_bytes: int = 0  # wire size of header_stack
-    hop_log: list[str] = field(default_factory=list)
+    hop_log: list[str] = field(default_factory=list)  # the nodes reached
 
     @property
     def wire_size_bytes(self) -> int:
@@ -112,11 +111,13 @@ class Forwarder:
     """The headers, routing tables and per-node forwarding function.
 
     TEIDs are drawn from `rng`, so they are deterministic given its seed.
+    The header sizes and `ttl` are the scenario's protocol constants.
     """
 
-    def __init__(self, rng: random.Random, gtp_header_bytes: int = 8,
-                 bap_header_bytes: int = 4):
+    def __init__(self, rng: random.Random, gtp_header_bytes: int,
+                 bap_header_bytes: int, ttl: int):
         self._rng = rng
+        self.ttl = ttl
         self.strips: set[tuple[str, MatchKey]] = set()
         self.header_bytes = {"teid": gtp_header_bytes, "bap": bap_header_bytes}
         self.entries: dict[tuple[str, MatchKey], RouteEntry] = {}
@@ -197,12 +198,11 @@ class Forwarder:
         Its next_hop None means the packet terminated here. A bare packet
         away from its dst that no ("dst", ...) entry matches is matched by
         ("src", ...). Raises NoRoute, with the first key tried, when nothing
-        matches. Only a decision is memoized, never a raise.
+        matches, RoutingLoop at its ttl-th node. Only decisions are memoized.
         """
-        packet.ttl -= 1
-        if packet.ttl <= 0:
-            raise RoutingLoop(f"TTL expired for {packet.flow_id}#{packet.seq} at {node}")
         packet.hop_log.append(node)
+        if len(packet.hop_log) >= self.ttl:
+            raise RoutingLoop(f"TTL expired for {packet.flow_id}#{packet.seq} at {node}")
         key = (node, packet.header_stack, packet.dst, packet.src)
         hit = self._memo.get(key)
         if hit is None:

@@ -9,6 +9,7 @@ reject, like any malformed value, is a ParseError that names the entry.
 """
 from __future__ import annotations
 
+import dataclasses
 from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
@@ -30,16 +31,14 @@ CARRIER_KEYS = {"band_label", "center_frequency", "bandwidth", "scs"}
 FLOW_KEYS = {"id", "src", "dst", "rate", "packet_size", "start", "stop"}
 ASSERT_KEYS = {"flow", "window", "min_goodput_bps", "max_goodput_bps",
                "max_mean_latency_s"}
-RADIO_KEYS = {"pathloss_exponent", "reference_distance", "noise_figure",
-              "thermal_noise_density", "coverage_rsrp_threshold", "efficiency",
-              "tdd_dl_fraction"}
 # The RadioParams field of each file key spelled differently from it.
 RADIO_RENAME = {"reference_distance": "reference_distance_m",
                 "noise_figure": "noise_figure_db",
                 "thermal_noise_density": "thermal_noise_dbm_hz",
                 "coverage_rsrp_threshold": "coverage_rsrp_threshold_dbm"}
-PROTO_KEYS = {"gtp_header_bytes", "bap_header_bytes", "control_message_bytes",
-              "ttl", "link_buffer_packets"}
+RADIO_KEYS = ({f.name for f in dataclasses.fields(RadioParams)}
+              - set(RADIO_RENAME.values()) | RADIO_RENAME.keys())
+PROTO_KEYS = {f.name for f in dataclasses.fields(ProtocolConstants)}
 IAB_DIRECTIVE_KEYS = {"at", "kind", "position", "access_carrier", "tx_power",
                       "mt_tx_power", "group"}
 DU_UPDATE_KEYS = {"at", "kind", "du", "carrier"}
@@ -149,7 +148,7 @@ def loads(text: str, name: str = "<scenario>") -> Scenario:
         protocol = ProtocolConstants(**{k: _int(raw, k, where) for k in raw})
 
     scn = Scenario(duration_s=_num(doc, "duration", name),
-                   seed=_int(doc, "seed", name, default=0),
+                   seed=_int(doc, "seed", name, default=Scenario.seed),
                    radio_params=radio_params, protocol=protocol)
 
     for i, raw in enumerate(_section(doc, "nodes", name)):
@@ -196,7 +195,8 @@ def loads(text: str, name: str = "<scenario>") -> Scenario:
             id=_name(raw, "id", where), src=_name(raw, "src", where),
             dst=_name(raw, "dst", where),
             rate_bps=_num(raw, "rate", where),
-            packet_size_bytes=_int(raw, "packet_size", where, default=1400),
+            packet_size_bytes=_int(raw, "packet_size", where,
+                                   default=FlowSpec.packet_size_bytes),
             start_s=_num(raw, "start", where), stop_s=_num(raw, "stop", where)))
 
     for i, raw in enumerate(_section(doc, "schedule", name)):
@@ -211,7 +211,8 @@ def loads(text: str, name: str = "<scenario>") -> Scenario:
                 access_carrier=_carrier(raw["access_carrier"],
                                         f"{where}:access_carrier"),
                 tx_power_dbm=_num(raw, "tx_power", where),
-                mt_tx_power_dbm=_num(raw, "mt_tx_power", where, default=23.0),
+                mt_tx_power_dbm=_num(raw, "mt_tx_power", where,
+                                     default=IabNodeDirective.mt_tx_power_dbm),
                 group=_name(raw, "group", where)))
         elif kind == "du_config_update":
             _check_keys(raw, DU_UPDATE_KEYS, where, required=("du", "carrier"))

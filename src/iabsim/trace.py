@@ -124,12 +124,13 @@ class Trace:
 
 def measure_throughput(trace: Trace, flow_id: str,
                        window: tuple[float, float]) -> float:
-    """Goodput: payload bits delivered in [t0, t1) over the window's width."""
+    """Goodput: bits delivered in [t0, t1), at exported times, over t1 - t0."""
     t0, t1 = window
     if t1 <= t0:
         raise ValueError(f"window must satisfy t1 > t0, got {window}")
     if flow_id not in trace.flow_ids:
         raise UnknownFlow(flow_id)
     times = trace.delivered_at.get(flow_id, ())
-    n = bisect_left(times, t1) - bisect_left(times, t0)
-    return n * trace.flow_ids[flow_id] * 8 / (t1 - t0)
+    lo, hi = (bisect_left(times, round(t, 12), key=lambda x: round(x, 12))
+              for t in window)
+    return (hi - lo) * trace.flow_ids[flow_id] * 8 / (t1 - t0)

@@ -1,11 +1,17 @@
 """A trace-replay oracle: what the exported records of a full-level run say,
-re-derived in one pass and checked against the run's own summary.
+re-derived in one pass and checked against the run's own summary and the
+link model of its scenario file.
 
 A `Replay` keeps only counts and the few records later checks read; the
 `replay` fixture of conftest makes one per trace, so the session's large
 traces are parsed once however many tests read them.
 """
+import math
 from collections import Counter, defaultdict
+
+# The most the export's 12-digit rounding, and float error on times under
+# 100 s, move a difference of two times.
+ROUNDING = 1e-12 + 1e-13
 
 
 class Replay:
@@ -25,6 +31,16 @@ class Replay:
         self.first_move = {}
         self.drop_causes = Counter()
         self.transitions = []
+        # Per link direction (link, src, dst): the time of its last
+        # Departure, the highest rate in bit/s that two successive
+        # Departures imply, and the least and greatest delay from a
+        # Departure to where its packet shows up next.
+        self._last_departure = {}
+        self.peak_bps = defaultdict(float)
+        self.delays = {}
+        # Per (flow, pkt) on a link: its direction and Departure time.
+        self.in_flight = {}
+        self.misrouted = []
         for r in records:
             kind, subject = r["kind"], r["subject"]
             if kind in ("Arrival", "Departure") \
@@ -44,6 +60,35 @@ class Replay:
                     self._end(self.dropped, r["flow"], r["pkt"])
             elif kind == "StateTransition":
                 self.transitions.append(r)
+            if "pkt" in r:
+                self._moved(r)
+
+    def _moved(self, r):
+        """Check a packet's record against the packet's last Departure, and
+        note the record if it is a Departure."""
+        key = (r["subject"], r["pkt"])
+        departed = self.in_flight.pop(key, None)
+        if departed is not None:
+            direction, t = departed
+            if r["kind"] == "Departure" or r["location"] != direction[2]:
+                self.misrouted.append(
+                    f"{key} left on {direction}, next seen as {r['kind']} "
+                    f"at {r['location']}")
+            else:
+                delay = r["time"] - t
+                lo, hi = self.delays.get(direction, (delay, delay))
+                self.delays[direction] = (min(lo, delay), max(hi, delay))
+        elif r["kind"] == "Arrival":
+            self.misrouted.append(f"{key} arrived at {r['location']} with "
+                                  f"no Departure")
+        if r["kind"] == "Departure":
+            direction = (r["location"], r["src"], r["dst"])
+            gap = (r["time"] + ROUNDING
+                   - self._last_departure.get(direction, -math.inf))
+            rate = r["wire_size"] * 8 / gap if gap > 0 else math.inf
+            self.peak_bps[direction] = max(self.peak_bps[direction], rate)
+            self._last_departure[direction] = r["time"]
+            self.in_flight[key] = (direction, r["time"])
 
     def _end(self, counts, flow, pkt):
         counts[flow] += 1
@@ -75,3 +120,39 @@ class Replay:
                            f"not cover what the records show")
         return out
 
+    def queue_mismatches(self, wired, duration) -> list[str]:
+        """Where the records break the link model. `wired` maps the id of
+        each wired link of the scenario file to the link, and `duration` is
+        the run's.
+
+        On such a link's direction, successive Departures are at least the
+        later packet's `wire_size * 8 / capacity` apart, and each packet
+        shows up next, as an Arrival or a Drop at the far end, one
+        `propagation_delay_s` after its Departure. On any other direction
+        that delay is one constant. Each time is allowed the export's
+        rounding. A packet may be on a link still when the run ends, but
+        only if its delay would take it past the end.
+        """
+        out = list(self.misrouted)
+        for direction, bps in self.peak_bps.items():
+            link = wired.get(direction[0])
+            if link is not None and bps > link.wired_capacity_bps:
+                out.append(f"{direction}: Departures imply {bps!r} bit/s, "
+                           f"over its {link.wired_capacity_bps!r}")
+        for direction, (lo, hi) in self.delays.items():
+            link = wired.get(direction[0])
+            if link is None and hi - lo > 2 * ROUNDING:
+                out.append(f"{direction}: delays from {lo!r} to {hi!r}")
+            elif link is not None and not (
+                    abs(lo - link.propagation_delay_s) <= ROUNDING
+                    and abs(hi - link.propagation_delay_s) <= ROUNDING):
+                out.append(f"{direction}: delays from {lo!r} to {hi!r}, not "
+                           f"{link.propagation_delay_s!r}")
+        for key, (direction, t) in self.in_flight.items():
+            link = wired.get(direction[0])
+            delay = (link.propagation_delay_s if link is not None
+                     else self.delays.get(direction, (0.0,))[0])
+            if t + delay <= duration - ROUNDING:
+                out.append(f"{key} left on {direction} at {t!r} and never "
+                           f"showed up")
+        return out

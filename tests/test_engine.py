@@ -6,6 +6,7 @@ import pytest
 from iabsim import (PathMode, Simulator, engine, link_capacity, load_scenario,
                     measure_throughput)
 from iabsim.errors import NoRoute, ScenarioInvalid, UnknownFlow
+from iabsim.f1ap import F1Message, MsgKind
 from iabsim.gtp import Decision, Packet
 from iabsim.topology import (DuConfigUpdateDirective, FlowSpec,
                              IabNodeDirective, Medium, Role, Scenario)
@@ -52,6 +53,10 @@ class TestLinkCapacity:
         assert link_capacity(scn, link, "donor-du") == pytest.approx(base / 2)
 
 
+# The message of the control packets queued below: they belong to no flow.
+SETUP = F1Message(MsgKind.SETUP_REQUEST, "donor-du")
+
+
 def queue_on(sim, d, pkt):
     """Queue `pkt` on the link direction `d`, as a decision to send it there
     does."""
@@ -65,11 +70,11 @@ class TestSerialization:
     def test_departure_time_matches_wire_size_over_capacity(self):
         sim = self._sim()
         d = sim._link_dir("cu", "upf")
-        pkt = Packet(flow_id="x", src="cu", dst="upf", kind="control",
+        pkt = Packet(flow_id="x", src="cu", dst="upf", control=SETUP,
                      payload_size_bytes=1016, created_at_s=0.0)
         queue_on(sim, d, pkt)
         # 8 * 1016 / 1e9 seconds of serialization
-        assert d.next_free == pytest.approx(8 * 1016 / 1e9)
+        assert d.finish_times[-1] == pytest.approx(8 * 1016 / 1e9)
         assert d.bytes_total == 1016 and d.packets == 1
 
     def test_fifo_back_to_back(self):
@@ -77,9 +82,9 @@ class TestSerialization:
         d = sim._link_dir("cu", "upf")
         for i in range(2):
             queue_on(sim, d, Packet(flow_id="x", src="cu", dst="upf",
-                                    kind="control", payload_size_bytes=1000,
+                                    control=SETUP, payload_size_bytes=1000,
                                     created_at_s=0.0, seq=i))
-        assert d.next_free == pytest.approx(2 * 8 * 1000 / 1e9)
+        assert d.finish_times[-1] == pytest.approx(2 * 8 * 1000 / 1e9)
         assert len(d.finish_times) == 2
 
     def test_queue_overflow_on_257th_packet(self):
@@ -87,7 +92,7 @@ class TestSerialization:
         d = sim._link_dir("cu", "upf")
         for i in range(257):
             queue_on(sim, d, Packet(flow_id="x", src="cu", dst="upf",
-                                    kind="control", payload_size_bytes=1000,
+                                    control=SETUP, payload_size_bytes=1000,
                                     created_at_s=0.0, seq=i))
         assert len(d.finish_times) == 256
         drops = [e for e in sim.trace.records() if e["kind"] == "Drop"]
@@ -102,17 +107,17 @@ class TestSerialization:
 
         def send(i):
             queue_on(sim, d, Packet(flow_id="x", src="cu", dst="upf",
-                                    kind="control", payload_size_bytes=1000,
+                                    control=SETUP, payload_size_bytes=1000,
                                     created_at_s=0.0, seq=i))
         send(0)
-        finish = d.next_free
+        finish = d.finish_times[-1]
         sim.now = finish / 2
         send(1)  # the first packet is still on the wire: no room
         sim.now = finish
         send(2)  # the first packet has just left: it takes no room
         drops = [e for e in sim.trace.records() if e["kind"] == "Drop"]
         assert [e["pkt"] for e in drops] == [1]
-        assert d.packets == 2 and list(d.finish_times) == [d.next_free]
+        assert d.packets == 2 and list(d.finish_times) == [2 * finish]
 
     def test_capacity_follows_du_carrier_update(self):
         scn = build_donor_scenario(duration=1.0)
@@ -122,11 +127,11 @@ class TestSerialization:
         d = sim._link_dir("donor-du", "ue1")
 
         def serialization_s():
-            before = d.next_free
+            before = max([sim.now, *d.finish_times])
             queue_on(sim, d, Packet(flow_id="x", src="donor-du", dst="ue1",
-                                    kind="control", payload_size_bytes=1000,
+                                    control=SETUP, payload_size_bytes=1000,
                                     created_at_s=0.0))
-            return d.next_free - before
+            return d.finish_times[-1] - before
 
         first = serialization_s()
         assert first == pytest.approx(1000 * 8 / link_capacity(scn, link, "donor-du"))
@@ -385,11 +390,12 @@ class TestCachedDecision:
 
         def transmit_seen(hop, pkt):
             d = hop.out
-            start, packets = max(sim.now, d.next_free), d.packets
+            start, packets = max([sim.now, *d.finish_times]), d.packets
             transmit(hop, pkt)
             if (d.src, d.dst) == ("donor-du", "ue1") and d.packets > packets:
                 cap = link_capacity(sim.scn, d.link, "donor-du")
-                sent.append((sim.now, d.link.carrier, d.next_free - start,
+                sent.append((sim.now, d.link.carrier,
+                             d.finish_times[-1] - start,
                              pkt.wire_size_bytes * 8 / cap))
         sim.fwd.forward, sim._transmit = forward_seen, transmit_seen
         trace = sim.run()
@@ -432,6 +438,18 @@ class TestAccounting:
             assert measure_throughput(trace, "dl-ue2", window) \
                 == (j - i) * 1000 * 8 / (times[j] - times[i])
 
+    @pytest.mark.parametrize("mode", list(PathMode))
+    def test_a_window_between_exported_times_holds_its_t0(self, mode):
+        # trace.jsonl rounds each time to 12 digits, up for some deliveries
+        # and down for others: each window still holds its own t0.
+        trace = Simulator(build_mini_scenario(), mode=mode).run()
+        times = [e["time"] for e in trace.records() if e["kind"] == "Arrival"
+                 and e["subject"] == "dl-ue2" and e["delivered"]]
+        assert len(times) > 9
+        for window in zip(times, times[1:]):
+            assert measure_throughput(trace, "dl-ue2", window) \
+                == 1000 * 8 / (window[1] - window[0])
+
     def test_per_flow_conservation(self):
         trace = Simulator(build_mini_scenario()).run()
         for row in trace.summary["flows"].values():
@@ -467,6 +485,27 @@ class TestAccounting:
         for stats in trace.summary["links"].values():
             assert 0.0 <= stats["utilization"] <= 1.0
             assert 0.0 <= stats["overhead_fraction"] < 1.0
+
+
+class TestHopLimit:
+    """A packet is dropped as ttl-expired at the ttl-th node it reaches:
+    dl-ue2's path has 8 nodes under UpfReroute and 6 under BapBypass."""
+
+    @pytest.mark.parametrize("ttl, expired", [(8, {PathMode.UPF_REROUTE}),
+                                              (9, set())])
+    def test_dl_ue2_at_the_hop_limit(self, ttl, expired):
+        scn = load_scenario("bap-compare")
+        scn.protocol = dataclasses.replace(scn.protocol, ttl=ttl)
+        for mode in PathMode:
+            trace = Simulator(scn, mode=mode, trace_level="summary").run()
+            row = trace.summary["flows"]["dl-ue2"]
+            causes = {e["cause"] for e in trace.records()
+                      if e["kind"] == "Drop" and e.get("flow") == "dl-ue2"}
+            assert row["injected"] == 4643
+            if mode in expired:
+                assert row["dropped"] == 4643 and causes == {"ttl-expired"}
+            else:
+                assert row["delivered"] == 4643 and causes == set()
 
 
 class TestSeveralUes:

@@ -12,8 +12,9 @@ from iabsim.topology import Medium, Role
 from conftest import N78, build_donor_scenario
 
 
-def make_forwarder(seed=1):
-    return Forwarder(random.Random(seed))
+def make_forwarder(seed=1, ttl=16):
+    return Forwarder(random.Random(seed), gtp_header_bytes=8,
+                     bap_header_bytes=4, ttl=ttl)
 
 
 def make_packet(**kw):
@@ -325,6 +326,19 @@ class TestForwarding:
                 nxt = fwd.forward(node, pkt).next_hop
                 node = nxt
 
+    @pytest.mark.parametrize("ttl", [1, 2, 16])
+    def test_the_ttl_th_forward_raises(self, ttl):
+        fwd = make_forwarder(ttl=ttl)
+        fwd.install(RouteEntry(at_node="a", match=("dst", "x"), next_hop="b"))
+        fwd.install(RouteEntry(at_node="b", match=("dst", "x"), next_hop="a"))
+        pkt = make_packet(dst="x", src="a")
+        node = "a"
+        for _ in range(ttl - 1):  # none of the calls before the ttl-th raises
+            node = fwd.forward(node, pkt).next_hop
+        with pytest.raises(RoutingLoop,
+                           match=f"^TTL expired for f#0 at {node}$"):
+            fwd.forward(node, pkt)
+
     def test_payload_size_never_changes(self):
         _, fwd = self._user_plane(PathMode.UPF_REROUTE)
         pkt = make_packet(dst="ue2", payload_size_bytes=999)
@@ -341,7 +355,7 @@ class TestMemo:
                          for _ in range(2))
         assert first.hop_log == second.hop_log
         assert first.wire_size_bytes == second.wire_size_bytes == 1400
-        assert first.ttl == second.ttl  # decremented on every hop
+        assert len(second.hop_log) == 8  # memoized hops count to the ttl too
 
     def test_bare_packets_of_two_sources_decided_apart(self):
         # One DU, two UEs: each UE's uplink gets its own DRB header.

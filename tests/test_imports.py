@@ -2,13 +2,15 @@
 is named outside `errors.py`, nodes and links enter a scenario only
 through `Scenario.add_node`/`add_link`, only `gtp.py` writes the
 Forwarder's routing tables and memo, only `radio.py` reads the reference
-distance and the coverage threshold, and the protocol modules import nothing
-from `topology`.
+distance and the coverage threshold, the protocol modules import nothing
+from `topology`, and every entry point that `perfbench/run.py` wraps by name
+exists.
 
-Stdlib-only checks (ast), so an unused import, a dead error class or a
-bypassed builder fails the suite without a linter. Package `__init__.py`
-files re-export by importing, so they are left out of the import check, and
-so are `from __future__` imports and names listed in `__all__`.
+Stdlib-only checks (ast, and for the entry points, attribute lookups), so an
+unused import, a dead error class or a bypassed builder fails the suite
+without a linter. Package `__init__.py` files re-export by importing, so
+they are left out of the import check, and so are `from __future__` imports
+and names listed in `__all__`.
 """
 import ast
 from pathlib import Path
@@ -222,3 +224,23 @@ def test_protocol_modules_take_node_ids_not_the_scenario():
              for name in ("gtp.py", "f1ap.py", "radio.py", "trace.py")
              for line in topology_imports((package / name).read_text())]
     assert found == []
+
+
+def test_the_entry_points_perfbench_wraps_exist():
+    # perfbench/run.py's traced pass patches these by name; without this
+    # check only a `--trace 1` run notices a rename.
+    from iabsim import cli, engine, gtp
+    from conftest import build_donor_scenario
+    for module, names in ((cli, ("load_scenario", "Simulator",
+                                 "_check_asserts")),
+                          (engine, ("validate_topology", "link_capacity")),
+                          (gtp, ("encapsulate",))):
+        for name in names:
+            assert callable(getattr(module, name, None)), name
+    assert callable(getattr(engine.heapq, "heappop", None))
+    assert isinstance(vars(gtp.Packet).get("wire_size_bytes"), property)
+    sim = engine.Simulator(build_donor_scenario())
+    for obj, name in ((sim.fwd, "forward"), (sim.trace, "emit"),
+                      (sim.scn, "find_link"), (sim.cp, "on_message"),
+                      (sim, "_transmit")):
+        assert callable(getattr(obj, name, None)), name

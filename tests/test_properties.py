@@ -46,7 +46,8 @@ def test_encapsulation_round_trip(payload, seed, depth):
     """Pushing any legal tunnel stack, then stripping it at the tunnels'
     receiver, restores the packet; the push and the strip are the ones
     Forwarder.forward uses."""
-    fwd = Forwarder(random.Random(seed))
+    fwd = Forwarder(random.Random(seed), gtp_header_bytes=8,
+                    bap_header_bytes=4, ttl=16)
     pkt = Packet(flow_id="f", src="a", dst="z", payload_size_bytes=payload,
                  created_at_s=0.0)
     tunnels = [fwd.open_tunnel("b") for _ in range(depth)]

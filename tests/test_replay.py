@@ -1,17 +1,23 @@
 """The trace-replay oracle on the bundled scenarios' full-level runs: the
-exported records alone give the summary's per-link and per-flow counts, and
-the header stack each mode puts on UE2's downlink over the backhaul."""
+exported records alone give the summary's per-link and per-flow counts, the
+header stack each mode puts on UE2's downlink over the backhaul, and the
+serialization and propagation of every link hop."""
 import copy
 
 import pytest
 
-from iabsim import PathMode
+from iabsim import PathMode, load_scenario
+from iabsim.topology import Medium
+
+from replay import Replay
 
 RUNS = [("ref_reroute", PathMode.UPF_REROUTE),
         ("ref_bap", PathMode.BAP_BYPASS),
         ("compare_traces", PathMode.UPF_REROUTE),
         ("compare_traces", PathMode.BAP_BYPASS)]
 IDS = ["reference-reroute", "reference-bap", "compare-reroute", "compare-bap"]
+SCENARIOS = {"ref_reroute": "paper-reference", "ref_bap": "paper-reference",
+             "compare_traces": "bap-compare"}
 
 
 def trace_of(request, fixture, mode):
@@ -49,3 +55,42 @@ def test_a_summary_off_by_one_is_caught(compare_traces, replay, where):
         summary = copy.deepcopy(trace.summary)
         summary[section][name][key] += 1
         assert replay(trace).mismatches(summary)
+
+
+def wired_links(name):
+    """The wired links of a bundled scenario file, by id."""
+    return {link.id: link for link in load_scenario(name).links
+            if link.medium is Medium.WIRED}
+
+
+@pytest.mark.parametrize("fixture, mode", RUNS, ids=IDS)
+def test_records_follow_the_link_model(request, replay, fixture, mode):
+    trace = trace_of(request, fixture, mode)
+    assert replay(trace).queue_mismatches(
+        wired_links(SCENARIOS[fixture]), trace.summary["duration_s"]) == []
+
+
+def test_a_link_model_break_is_caught():
+    link = wired_links("bap-compare")["n6-wire"]  # 1 Gbit/s, 1 us
+    serialize = 1000 * 8 / link.wired_capacity_bps
+
+    def mismatches(gap=serialize, delay=1e-6, arrive=True, end=1.0):
+        records = []
+        for pkt, t in enumerate((0.0, gap)):
+            records.append(dict(kind="Departure", time=t, subject="f",
+                                pkt=pkt, location="n6-wire", src="cu",
+                                dst="upf", wire_size=1000, depth=0,
+                                teids=[]))
+            if arrive or pkt == 0:  # else the second packet is lost
+                records.append(dict(kind="Arrival", time=t + delay,
+                                    subject="f", pkt=pkt, location="upf",
+                                    delivered=True))
+        records.sort(key=lambda r: r["time"])
+        return Replay(records).queue_mismatches({"n6-wire": link}, end)
+
+    assert mismatches() == []
+    assert mismatches(gap=serialize * 0.99)  # serialized too fast
+    assert mismatches(delay=1e-6 + 1e-9)  # a late Arrival
+    assert mismatches(arrive=False)  # lost on the wire
+    # still on the wire when the run ends
+    assert mismatches(arrive=False, end=serialize + 0.5e-6) == []
