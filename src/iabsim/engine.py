@@ -5,17 +5,17 @@ per-link FIFO serialization, control handshakes, timed scenario directives.
 Ties are broken by a global sequence number, so two runs of the same
 scenario + seed produce identical traces.
 
-A hop is one event at summary level: the packet's arrival at the next node is
-scheduled when it is queued on the link. At full level a Departure event comes
-first, for its trace row. A packet takes buffer room until its finish time at
-both levels. The Forwarder's memoized decision carries the outgoing link
-direction, so a repeated hop makes one memo lookup and no link search.
+A hop is one event at both trace levels: the packet's arrival at the next
+node is scheduled when it is queued on the link, and at full level its
+Departure row, dated at its finish time, is appended then too. A packet takes
+buffer room until its finish time. The Forwarder's memoized decision carries
+the outgoing link direction, so a repeated hop makes one memo lookup and no
+link search.
 
-An Arrival or Departure row is `(time, head, pkt)`, as every trace row is.
-Every other field of the row is fixed by the decision, its link direction
-and the packet's flow, so the head is built once per (decision, flow, kind),
-kept in the decision's `rows` slot and shared by every row of that hop (see
-`trace`).
+Arrival, Departure and packet Drop rows share heads: `_row` keys one dict by
+what fixes a head, so each distinct head is built once (see `trace`). A run
+ends by sorting its rows by time, stably: rows at one time keep the order
+they were appended in.
 """
 from __future__ import annotations
 
@@ -26,6 +26,7 @@ import random
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional
 
 from . import radio
@@ -121,6 +122,7 @@ class Simulator:
         self._heap_seq = 0
         self._ctl_seq = 0
         self._link_dirs: dict[tuple[str, str], _LinkDir] = {}
+        self._heads: dict[tuple, tuple] = {}  # see _row
         self._flows = {f.id: _FlowStats(spec=f) for f in scenario.flows}
         self._ran = False
 
@@ -162,6 +164,7 @@ class Simulator:
             self.now = t
             fn(*args)
         self.now = duration
+        self.trace.rows.sort(key=itemgetter(0))
         self._finalize()
         return self.trace
 
@@ -322,12 +325,26 @@ class Simulator:
     def _drop(self, node: str, pkt: Packet, cause: str, detail: str = "") -> None:
         if pkt.control is None:
             self._flows[pkt.flow_id].dropped += 1
-        fields = dict(flow=pkt.flow_id, pkt=pkt.seq, cause=cause,
-                      depth=pkt.depth, wire_size=pkt.wire_size_bytes,
-                      teids=pkt.teids_in_stack())
-        if detail:
-            fields["detail"] = detail
-        self._emit("Drop", location=node, subject=pkt.flow_id, **fields)
+        self._row(self.now, pkt, ("Drop", node, pkt.flow_id, pkt.header_stack,
+                                  pkt.header_bytes, cause, pkt.flow_id, detail),
+                  ("cause", "flow", "detail") if detail else ("cause", "flow"))
+
+    def _row(self, t: float, pkt: Packet, key: tuple,
+             names: tuple[str, ...]) -> None:
+        """Append the row (t, head, pkt.seq) of an Arrival, Departure or Drop.
+
+        `key` is (kind, location, flow, header stack, header bytes, *values),
+        `names` the fields of its first len(names) values: with the flow's
+        fixed payload, all that fixes the head, which is built once per key.
+        """
+        head = self._heads.get(key)
+        if head is None:
+            kind, location, flow, stack, _, *values = key
+            head = self._heads[key] = row_head(
+                kind, location, flow, **dict(zip(names, values)),
+                depth=len(stack), pkt=None, teids=teids_of(stack),
+                wire_size=pkt.wire_size_bytes)
+        self.trace.rows.append((t, head, pkt.seq))
 
     def _handle(self, node: str, pkt: Packet, via_link: bool) -> None:
         try:
@@ -339,15 +356,9 @@ class Simulator:
             self._drop(node, pkt, "ttl-expired", str(exc))
             return
         if via_link and self.trace_full:
-            heads = hop.rows[0]
-            if (head := heads.get(pkt.flow_id)) is None:
-                head = heads[pkt.flow_id] = row_head(
-                    "Arrival", node, pkt.flow_id,
-                    delivered=hop.next_hop is None,
-                    depth=len(hop.header_stack), pkt=None,
-                    teids=teids_of(hop.header_stack),
-                    wire_size=pkt.wire_size_bytes)
-            self.trace.rows.append((self.now, head, pkt.seq))
+            self._row(self.now, pkt, ("Arrival", node, pkt.flow_id,
+                                      pkt.header_stack, pkt.header_bytes,
+                                      hop.next_hop is None), ("delivered",))
         if hop.next_hop is None:
             self._deliver(node, pkt)
             return
@@ -405,24 +416,11 @@ class Simulator:
         d.packets += 1
         if pkt.control is None:
             self._flows[pkt.flow_id].overhead_bytes += header
-        if self.trace_full:
-            event = (finish, self._heap_seq, self._depart, (hop, pkt))
-        else:
-            event = (finish + d.link.propagation_delay_s, self._heap_seq,
-                     self._handle, (d.dst, pkt, True))
-        heapq.heappush(self._heap, event)
-        self._heap_seq += 1
-
-    def _depart(self, hop: Decision, pkt: Packet) -> None:
-        d, heads = hop.out, hop.rows[1]
-        if (head := heads.get(pkt.flow_id)) is None:
-            head = heads[pkt.flow_id] = row_head(
-                "Departure", d.link.id, pkt.flow_id,
-                depth=len(hop.header_stack), dst=d.dst, pkt=None, src=d.src,
-                teids=teids_of(hop.header_stack),
-                wire_size=pkt.wire_size_bytes)
-        self.trace.rows.append((self.now, head, pkt.seq))
-        heapq.heappush(self._heap, (self.now + d.link.propagation_delay_s,
+        if self.trace_full and finish <= self.scn.duration_s:
+            self._row(finish, pkt, ("Departure", d.link.id, pkt.flow_id,
+                                    pkt.header_stack, header, d.src, d.dst),
+                      ("src", "dst"))
+        heapq.heappush(self._heap, (finish + d.link.propagation_delay_s,
                                     self._heap_seq, self._handle,
                                     (d.dst, pkt, True)))
         self._heap_seq += 1

@@ -9,9 +9,9 @@ entry matched at a node pops the outermost header if the pair is in that
 set. The :class:`Forwarder` owns that set and every header: opening a GTP
 tunnel or a BAP route names the node that strips it.
 
-A memoized :class:`Decision` has two slots for its caller, `out` and
-`rows`. The Forwarder's own writers of its tables clear the memo, and with
-it both.
+A memoized :class:`Decision` has one slot for its caller, `out`. The
+Forwarder's own writers of its tables clear the memo, and with it that slot.
+This module keeps no trace state: the engine builds trace rows.
 
 Only :func:`install_f1_transport` knows a mode's layout: it carries an IAB
 node's F1 from its IAB-DU over its IAB-MT and the donor DU that the MT
@@ -60,14 +60,6 @@ class Packet:
     def wire_size_bytes(self) -> int:
         return self.payload_size_bytes + self.header_bytes
 
-    @property
-    def depth(self) -> int:
-        return len(self.header_stack)
-
-    def teids_in_stack(self) -> list[int]:
-        """TEIDs outermost-first, as a list."""
-        return list(teids_of(self.header_stack))
-
 
 def teids_of(header_stack: tuple[MatchKey, ...]) -> tuple[int, ...]:
     """The TEIDs of a header stack, outermost first."""
@@ -78,7 +70,8 @@ def encapsulate(packet: Packet, header: MatchKey, size_bytes: int) -> Packet:
     """Push `header`; triple nesting is a routing bug."""
     if len(packet.header_stack) >= MAX_HEADER_DEPTH:
         raise DepthExceeded(
-            f"packet {packet.flow_id}#{packet.seq} already at depth {packet.depth}")
+            f"packet {packet.flow_id}#{packet.seq} already at depth "
+            f"{len(packet.header_stack)}")
     packet.header_stack += (header,)
     packet.header_bytes += size_bytes
     return packet
@@ -88,15 +81,13 @@ def encapsulate(packet: Packet, header: MatchKey, size_bytes: int) -> Packet:
 class Decision:
     """What `forward` did at one node to one (header stack, dst, src).
 
-    `out` and `rows` are the caller's slots, kept with the decision because
-    what they hold is fixed by it: a memo clear drops them with it.
+    `out` is the caller's slot, kept with the decision because what it
+    holds is fixed by it: a memo clear drops it with the decision.
     """
     next_hop: Optional[str]  # None: the packet terminated here
     header_stack: tuple[MatchKey, ...]  # the stack the packet leaves with
     delta: int  # change in header_bytes
     out: object = None  # the engine keeps its _LinkDir here
-    # The engine keeps a pair of per-flow dicts here.
-    rows: tuple[dict, dict] = field(default_factory=lambda: ({}, {}))
 
 
 @dataclass(frozen=True)

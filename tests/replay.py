@@ -8,6 +8,8 @@ traces are parsed once however many tests read them.
 """
 import math
 from collections import Counter, defaultdict
+from itertools import groupby
+from operator import itemgetter
 
 # The most the export's 12-digit rounding, and float error on times under
 # 100 s, move a difference of two times.
@@ -40,6 +42,14 @@ class Replay:
         self.delays = {}
         # Per (flow, pkt) on a link: its direction and Departure time.
         self.in_flight = {}
+        # Per (flow, pkt) just arrived at a node it leaves: the node and time.
+        self._arrived = {}
+        # Per link direction: (when it was queued, when it left) for each
+        # packet that arrived at the sender; per (direction, flow): (pkt,
+        # when it left) for each packet that entered the network there, which
+        # a flow queues in pkt order.
+        self.queued = defaultdict(list)
+        self.entered = defaultdict(list)
         self.misrouted = []
         for r in records:
             kind, subject = r["kind"], r["subject"]
@@ -67,6 +77,9 @@ class Replay:
         """Check a packet's record against the packet's last Departure, and
         note the record if it is a Departure."""
         key = (r["subject"], r["pkt"])
+        arrived = self._arrived.pop(key, None)
+        if r["kind"] == "Arrival" and not r["delivered"]:
+            self._arrived[key] = (r["location"], r["time"])
         departed = self.in_flight.pop(key, None)
         if departed is not None:
             direction, t = departed
@@ -83,6 +96,14 @@ class Replay:
                                   f"no Departure")
         if r["kind"] == "Departure":
             direction = (r["location"], r["src"], r["dst"])
+            if arrived is None:
+                self.entered[direction, r["subject"]].append(
+                    (r["pkt"], r["time"]))
+            elif arrived[0] == r["src"]:
+                self.queued[direction].append((arrived[1], r["time"]))
+            else:
+                self.misrouted.append(f"{key} arrived at {arrived[0]}, next "
+                                      f"left from {r['src']}")
             gap = (r["time"] + ROUNDING
                    - self._last_departure.get(direction, -math.inf))
             rate = r["wire_size"] * 8 / gap if gap > 0 else math.inf
@@ -125,7 +146,13 @@ class Replay:
         each wired link of the scenario file to the link, and `duration` is
         the run's.
 
-        On such a link's direction, successive Departures are at least the
+        Every direction is FIFO: no packet leaves before one queued on it
+        earlier. A packet is queued when it arrives at the sender, or, one
+        that enters the network there, in its flow's pkt order. This reads
+        only times, never the order of rows at one time, and the export's
+        rounding keeps their order, so they compare exactly.
+
+        On a wired link's direction, successive Departures are at least the
         later packet's `wire_size * 8 / capacity` apart, and each packet
         shows up next, as an Arrival or a Drop at the far end, one
         `propagation_delay_s` after its Departure. On any other direction
@@ -134,6 +161,13 @@ class Replay:
         only if its delay would take it past the end.
         """
         out = list(self.misrouted)
+        for direction, pairs in self.queued.items():
+            out += [f"{direction}: the packet queued at {queued!r} left at "
+                    f"{left!r}, before one queued earlier"
+                    for queued, left in overtakers(pairs)]
+        for (direction, flow), pairs in self.entered.items():
+            out += [f"{direction}: {(flow, pkt)} left at {left!r}, before "
+                    f"one queued earlier" for pkt, left in overtakers(pairs)]
         for direction, bps in self.peak_bps.items():
             link = wired.get(direction[0])
             if link is not None and bps > link.wired_capacity_bps:
@@ -156,3 +190,14 @@ class Replay:
                 out.append(f"{key} left on {direction} at {t!r} and never "
                            f"showed up")
         return out
+
+
+def overtakers(pairs):
+    """The (queued, left) pairs of packets that left before one queued
+    strictly earlier did."""
+    out, latest = [], -math.inf
+    for _, group in groupby(sorted(pairs), key=itemgetter(0)):
+        group = list(group)
+        out += [p for p in group if p[1] < latest]
+        latest = max(latest, group[-1][1])
+    return out

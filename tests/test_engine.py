@@ -1,5 +1,10 @@
 import dataclasses
 import gc
+import hashlib
+import importlib.util
+import json
+import math
+from pathlib import Path
 
 import pytest
 
@@ -8,12 +13,40 @@ from iabsim import (PathMode, Simulator, engine, link_capacity, load_scenario,
 from iabsim.errors import NoRoute, ScenarioInvalid, UnknownFlow
 from iabsim.f1ap import F1Message, MsgKind
 from iabsim.gtp import Decision, Packet
+from iabsim.scenario_io import loads
 from iabsim.topology import (DuConfigUpdateDirective, FlowSpec,
                              IabNodeDirective, Medium, Role, Scenario)
 
 from conftest import (N41, N78, UE1_DL_HOPS, UE1_UL_HOPS, UE2_DL_HOPS_BAP,
                       UE2_DL_HOPS_REROUTE, UE2_UL_HOPS_BAP, UE2_UL_HOPS_REROUTE,
                       build_donor_scenario, build_mini_scenario, took_only)
+from replay import Replay
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def churn_scenario(seed):
+    """The reconfig-churn scenario that perfbench/churn.py draws at `seed`."""
+    spec = importlib.util.spec_from_file_location(
+        "churn", ROOT / "perfbench" / "churn.py")
+    churn = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(churn)
+    return loads(churn.generate(seed), name="reconfig-churn")
+
+
+# Full-level reconfig-churn: the SHA-256 of the sorted lines json.dumps gives
+# for its records without `seq`, sorting keys, joined by newlines.
+CHURN_ROW_MULTISETS = {
+    (0, PathMode.UPF_REROUTE):
+        "880a3c186d31f673be770be42d8f69b962e6738ad1b935855a79108b1fcc5b38",
+    (0, PathMode.BAP_BYPASS):
+        "1130e583d7ba33d0080b7dd70896ed40178470ce4441f10fca1bc6593c805eb9",
+    (3, PathMode.UPF_REROUTE):
+        "7e7265f23193d459f09732a0270d8d708f584420a472276948c3253e50d1cfa0",
+    (3, PathMode.BAP_BYPASS):
+        "b3d84309d0780a2a64012edc3e5d6445e062e274b9cb3d219e3f98c96008d93c",
+}
 
 
 def transitions(records, entity):
@@ -177,12 +210,51 @@ class TestTraceLevel:
         assert not any(gc.is_tracked(r[1]) for r in trace.rows)
 
     def test_one_hop_key_per_distinct_hop(self, ref_reroute):
-        # Every row of a hop shares one head, built once per (decision,
-        # flow, kind): not one per row.
+        # Every Arrival, Departure and packet Drop row shares its head with
+        # every row of the same content: not one head per row.
         trace, _ = ref_reroute
-        rows = [r for r in trace.rows if r[1][0] in ("Arrival", "Departure")]
-        assert len(rows) == 215_004
+        rows = [r for r in trace.rows
+                if r[1][0] in ("Arrival", "Departure", "Drop")]
+        assert len(rows) == 215_004 + 5_961
         assert len({id(head) for _, head, _ in rows}) < 100
+
+    @pytest.mark.parametrize("name", ["paper-reference", "bap-compare"])
+    @pytest.mark.parametrize("mode", list(PathMode))
+    def test_both_levels_push_the_same_heap_events(self, name, mode):
+        # A hop is one event at both levels: a full-level run once pushed a
+        # Departure event before each arrival, 238,581 events against
+        # 131,079 on paper-reference under UpfReroute.
+        pushed = []
+        for level in ("full", "summary"):
+            sim = Simulator(load_scenario(name), mode=mode, trace_level=level)
+            sim.run()
+            pushed.append(sim._heap_seq)
+        assert pushed[0] == pushed[1] > 0
+
+    @pytest.mark.parametrize("seed, mode", list(CHURN_ROW_MULTISETS),
+                             ids=[f"seed{s}-{m.value}"
+                                  for s, m in CHURN_ROW_MULTISETS])
+    def test_churn_rows_keep_their_multiset(self, seed, mode):
+        # A Departure row is appended when its packet is queued, and rows
+        # at one time keep the order they were appended in. At these seeds
+        # an F1 Departure ties an F1 Arrival at 0.100002024 s and now comes
+        # first: the rows moved, and none changed. The queues these runs
+        # build across carrier changes stay FIFO.
+        scn = churn_scenario(seed)
+        trace = Simulator(scn, mode=mode).run()
+        records = list(trace.records())
+        wired = {link.id: link for link in scn.links
+                 if link.medium is Medium.WIRED}
+        assert Replay(records).queue_mismatches(wired, scn.duration_s) == []
+        times = [r["time"] for r in records]
+        assert times == sorted(times)
+        tied = [r["kind"] for r in records if r["time"] == 0.100002024
+                and r["subject"] == "f1c:donor-du"]
+        assert tied.index("Departure") < tied.index("Arrival")
+        lines = sorted(json.dumps({k: v for k, v in r.items() if k != "seq"},
+                                  sort_keys=True) for r in records)
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() \
+            == CHURN_ROW_MULTISETS[seed, mode]
 
 
 class TestRunLifecycle:
@@ -472,6 +544,13 @@ class TestAccounting:
             measure_throughput(trace, "f1c:uav1-du", (0.0, 1.0))
         with pytest.raises(ValueError):
             measure_throughput(trace, "dl-ue2", (1.0, 1.0))
+
+    @pytest.mark.parametrize("window", [(math.nan, 0.1), (0.0, math.nan),
+                                        (0.0, math.inf)])
+    def test_measure_throughput_rejects_a_non_finite_edge(self, window):
+        trace = Simulator(build_mini_scenario()).run()
+        with pytest.raises(ValueError, match="finite"):
+            measure_throughput(trace, "dl-ue2", window)
 
     def test_overhead_counts_header_bytes_on_every_traversal(self):
         trace = Simulator(build_mini_scenario()).run()

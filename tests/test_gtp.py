@@ -6,7 +6,8 @@ import pytest
 from iabsim.engine import IAB_INTERNAL_CAPACITY_BPS
 from iabsim.errors import ConflictingEntry, DepthExceeded, NoRoute, RoutingLoop
 from iabsim.gtp import (Forwarder, Packet, PathMode, RouteEntry, TEID_MAX,
-                        encapsulate, install_f1_transport, install_ue_routes)
+                        encapsulate, install_f1_transport, install_ue_routes,
+                        teids_of)
 from iabsim.topology import Medium, Role
 
 from conftest import N78, build_donor_scenario
@@ -80,7 +81,7 @@ class TestBapRoutes:
             fwd.strip(node, pkt)
             assert pkt.header_stack == (header,)
         fwd.strip("cu", pkt)
-        assert pkt.depth == 0 and pkt.wire_size_bytes == 1400
+        assert len(pkt.header_stack) == 0 and pkt.wire_size_bytes == 1400
 
 
 class TestEncapDecap:
@@ -91,7 +92,7 @@ class TestEncapDecap:
         assert pkt.wire_size_bytes == 1408  # 1400 payload + 8 GTP
         t.strip("b", pkt)
         assert pkt.wire_size_bytes == 1400
-        assert pkt.depth == 0
+        assert len(pkt.header_stack) == 0
 
     def test_double_nesting_allowed_triple_rejected(self):
         t = make_forwarder()
@@ -123,7 +124,7 @@ class TestEncapDecap:
         pkt = make_packet()
         encapsulate(pkt, inner, 8)
         encapsulate(pkt, outer, 8)
-        assert pkt.teids_in_stack() == [outer[1], inner[1]]
+        assert list(teids_of(pkt.header_stack)) == [outer[1], inner[1]]
 
 
 class TestPaths:
@@ -259,14 +260,14 @@ class TestForwarding:
         pkt = forward_to_delivery(fwd, "upf", make_packet(dst="ue2"))
         assert tuple(pkt.hop_log) == ("upf", "cu", "upf", "cu", "donor-du",
                                       "uav1-mt", "uav1-du", "ue2")
-        assert pkt.depth == 0  # delivered bare
+        assert len(pkt.header_stack) == 0  # delivered bare
 
     def test_bypass_downlink_hop_log(self):
         _, fwd = self._user_plane(PathMode.BAP_BYPASS)
         pkt = forward_to_delivery(fwd, "upf", make_packet(dst="ue2"))
         assert tuple(pkt.hop_log) == ("upf", "cu", "donor-du", "uav1-mt",
                                       "uav1-du", "ue2")
-        assert pkt.depth == 0
+        assert len(pkt.header_stack) == 0
 
     def test_reroute_uplink_hop_log(self):
         _, fwd = self._user_plane(PathMode.UPF_REROUTE)
@@ -280,7 +281,8 @@ class TestForwarding:
         pkt = forward_to_delivery(fwd, "ue2", make_packet(src="ue2", dst="upf"))
         assert tuple(pkt.hop_log) == ("ue2", "uav1-du", "uav1-mt", "donor-du",
                                       "cu", "upf")
-        assert pkt.depth == 0 and pkt.wire_size_bytes == 1400  # delivered bare
+        # delivered bare
+        assert len(pkt.header_stack) == 0 and pkt.wire_size_bytes == 1400
 
     def test_backhaul_depth_exactly_two_in_reroute(self):
         _, fwd = self._user_plane(PathMode.UPF_REROUTE)
@@ -292,7 +294,7 @@ class TestForwarding:
             if nxt is None:
                 break
             if {node, nxt} == {"donor-du", "uav1-mt"}:
-                depth_on_backhaul = pkt.depth
+                depth_on_backhaul = len(pkt.header_stack)
             node = nxt
         assert depth_on_backhaul == 2  # DRB GTP nested in the MT session GTP
 
@@ -417,7 +419,7 @@ class TestMemo:
             with pytest.raises(NoRoute) as err:
                 fwd.forward("b", pkt)
             # The inner packet is matched after the strip, both times.
-            assert err.value.key == ("dst", "x") and pkt.depth == 0
+            assert err.value.key == ("dst", "x") and len(pkt.header_stack) == 0
         fwd.install(RouteEntry("b", ("dst", "x"), "c"))
         nxt = fwd.forward("b", pkt := packet()).next_hop
-        assert nxt == "c" and pkt.depth == 0
+        assert nxt == "c" and len(pkt.header_stack) == 0

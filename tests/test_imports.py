@@ -3,8 +3,8 @@ is named outside `errors.py`, nodes and links enter a scenario only
 through `Scenario.add_node`/`add_link`, only `gtp.py` writes the
 Forwarder's routing tables and memo, only `radio.py` reads the reference
 distance and the coverage threshold, the protocol modules import nothing
-from `topology`, and every entry point that `perfbench/run.py` wraps by name
-exists.
+from `topology`, `gtp.py` holds no trace state, and every entry point that
+`perfbench/run.py` wraps by name exists.
 
 Stdlib-only checks (ast, and for the entry points, attribute lookups), so an
 unused import, a dead error class or a bypassed builder fails the suite
@@ -13,6 +13,7 @@ they are left out of the import check, and so are `from __future__` imports
 and names listed in `__all__`.
 """
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -195,8 +196,8 @@ def test_only_radio_reads_the_reach_parameters():
     assert found == []
 
 
-def topology_imports(source: str) -> list[int]:
-    """Lines that import the `topology` module or a name from it."""
+def imports_from(source: str, module: str) -> list[int]:
+    """Lines that import the package module `module` or a name from it."""
     lines = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom):
@@ -205,7 +206,7 @@ def topology_imports(source: str) -> list[int]:
             names = [a.name for a in node.names]
         else:
             continue
-        if any(name.split(".")[-1] == "topology" for name in names):
+        if any(name.split(".")[-1] == module for name in names):
             lines.append(node.lineno)
     return lines
 
@@ -213,17 +214,28 @@ def topology_imports(source: str) -> list[int]:
 def test_protocol_modules_take_node_ids_not_the_scenario():
     # The engine resolves each node from the scenario once and hands on its
     # id: a module that read the graph itself could decide it differently.
-    assert topology_imports("from .topology import Role\n"
-                            "from iabsim.topology import Scenario\n"
-                            "import iabsim.topology\n"
-                            "from . import radio, topology\n"
-                            "from . import radio\nfrom .trace import x\n") \
-        == [1, 2, 3, 4]
+    assert imports_from("from .topology import Role\n"
+                        "from iabsim.topology import Scenario\n"
+                        "import iabsim.topology\n"
+                        "from . import radio, topology\n"
+                        "from . import radio\nfrom .trace import x\n",
+                        "topology") == [1, 2, 3, 4]
     package = ROOT / "src" / "iabsim"
     found = [f"{name}:{line}"
              for name in ("gtp.py", "f1ap.py", "radio.py", "trace.py")
-             for line in topology_imports((package / name).read_text())]
+             for line in imports_from((package / name).read_text(),
+                                      "topology")]
     assert found == []
+
+
+def test_gtp_holds_no_trace_state():
+    # Trace rows and their heads are the engine's: a forwarding decision
+    # holds what forwarding decided and the engine's link direction.
+    from iabsim.gtp import Decision
+    assert imports_from((ROOT / "src" / "iabsim" / "gtp.py").read_text(),
+                        "trace") == []
+    assert [f.name for f in dataclasses.fields(Decision)] \
+        == ["next_hop", "header_stack", "delta", "out"]
 
 
 def test_the_entry_points_perfbench_wraps_exist():

@@ -6,7 +6,7 @@ from collections import defaultdict
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from iabsim import PathMode, Simulator, link_capacity, measure_throughput, radio
-from iabsim.gtp import Forwarder, Packet, encapsulate
+from iabsim.gtp import Forwarder, Packet, encapsulate, teids_of
 from iabsim.radio import RadioParams
 
 from conftest import build_mini_scenario
@@ -54,13 +54,14 @@ def test_encapsulation_round_trip(payload, seed, depth):
     for header in tunnels:
         encapsulate(pkt, header, fwd.header_bytes["teid"])
     assert pkt.wire_size_bytes == payload + 8 * len(tunnels)
-    assert pkt.teids_in_stack() == [teid for _, teid in reversed(tunnels)]
+    assert list(teids_of(pkt.header_stack)) \
+        == [teid for _, teid in reversed(tunnels)]
     fwd.strip("a", pkt)  # the sender strips nothing
-    assert pkt.depth == len(tunnels)
+    assert len(pkt.header_stack) == len(tunnels)
     for _ in tunnels:  # one header per strip
         fwd.strip("b", pkt)
     assert pkt.wire_size_bytes == payload
-    assert pkt.depth == 0 and pkt.payload_size_bytes == payload
+    assert len(pkt.header_stack) == 0 and pkt.payload_size_bytes == payload
 
 
 @PURE_SETTINGS
@@ -111,7 +112,7 @@ def test_departure_rows_carry_the_queued_stack(seed, rate, size, uav_x, mode):
 
     def recorded(hop, pkt):
         queued[pkt.flow_id, pkt.seq, hop.out.src].append(
-            (pkt.depth, pkt.teids_in_stack()))
+            (len(pkt.header_stack), list(teids_of(pkt.header_stack))))
         transmit(hop, pkt)
     sim._transmit = recorded
     trace = sim.run()

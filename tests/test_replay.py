@@ -1,7 +1,7 @@
 """The trace-replay oracle on the bundled scenarios' full-level runs: the
 exported records alone give the summary's per-link and per-flow counts, the
 header stack each mode puts on UE2's downlink over the backhaul, and the
-serialization and propagation of every link hop."""
+serialization, propagation and FIFO order of every link hop."""
 import copy
 
 import pytest
@@ -94,3 +94,37 @@ def test_a_link_model_break_is_caught():
     assert mismatches(arrive=False)  # lost on the wire
     # still on the wire when the run ends
     assert mismatches(arrive=False, end=serialize + 0.5e-6) == []
+
+
+def test_a_fifo_break_is_caught():
+    link = wired_links("bap-compare")["n6-wire"]  # 1 Gbit/s, 1 us
+    serialize = 1000 * 8 / link.wired_capacity_bps
+
+    def mismatches(arrivals, lefts):
+        """Packets 0 and 1 of flow "f" arrive at the cu at `arrivals` (None:
+        it enters the network there), and leave for the upf at `lefts`."""
+        records = []
+        for pkt, (arrived, left) in enumerate(zip(arrivals, lefts)):
+            if arrived is not None:  # from the du, over a link 1 us long
+                records += [dict(kind="Departure", time=arrived - 1e-6,
+                                 subject="f", pkt=pkt, location="du-wire",
+                                 src="du", dst="cu", wire_size=1000, depth=0,
+                                 teids=[]),
+                            dict(kind="Arrival", time=arrived, subject="f",
+                                 pkt=pkt, location="cu", delivered=False)]
+            records += [dict(kind="Departure", time=left, subject="f",
+                             pkt=pkt, location="n6-wire", src="cu", dst="upf",
+                             wire_size=1000, depth=0, teids=[]),
+                        dict(kind="Arrival", time=left + 1e-6, subject="f",
+                             pkt=pkt, location="upf", delivered=True)]
+        records.sort(key=lambda r: r["time"])
+        return Replay(records).queue_mismatches({"n6-wire": link}, 1.0)
+
+    in_order, swapped = (serialize, 2 * serialize), (2 * serialize, serialize)
+    for arrivals in ((1e-6, 1.1e-6), (None, None)):
+        assert mismatches(arrivals, in_order) == []
+        found = mismatches(arrivals, swapped)
+        assert len(found) == 1 and "before one queued earlier" in found[0]
+    # Queued at one time, or one arrived and one entered: either order.
+    assert mismatches((1e-6, 1e-6), swapped) == []
+    assert mismatches((None, 1e-6), swapped) == []
