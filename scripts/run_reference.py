@@ -10,6 +10,16 @@ import argparse
 from iabsim import PathMode, Simulator, load_scenario, measure_throughput
 
 
+def steady_window(scn, flow_id: str) -> tuple[float, float]:
+    """Where a flow's goodput is judged: the window of its first
+    min_goodput_bps assert, or else the flow's own [start, stop)."""
+    for a in scn.asserts:
+        if a.flow == flow_id and a.min_goodput_bps is not None:
+            return a.window
+    f = next(f for f in scn.flows if f.id == flow_id)
+    return (f.start_s, f.stop_s)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=None)
@@ -20,15 +30,15 @@ def main():
     scn = load_scenario(args.scenario)  # a run never changes its scenario
     for mode in (PathMode.UPF_REROUTE, PathMode.BAP_BYPASS):
         trace = Simulator(scn, mode=mode, seed=args.seed).run()
-        steady = measure_throughput(trace, "dl-ue2", scn.steady_window("dl-ue2"))
+        steady = measure_throughput(trace, "dl-ue2", steady_window(scn, "dl-ue2"))
         f = trace.summary["flows"]["dl-ue2"]
         rows.append((mode.value, steady, f["mean_latency_s"],
                      f["mean_hop_count"], f["overhead_bytes"],
                      trace.summary["totals"]["header_bytes"]))
         # A Counter keeps its keys in first-seen order: the setup request's.
-        f1_path = next(iter(trace.paths["f1c:uav1-du"]))
+        f1_path = next(iter(trace.flows["f1c:uav1-du"].paths))
         print(f"{mode.value}: example F1 uplink path {' -> '.join(f1_path)}")
-        (ue2_path,) = trace.paths["dl-ue2"]
+        (ue2_path,) = trace.flows["dl-ue2"].paths
         print(f"{mode.value}: UE2 downlink path {' -> '.join(ue2_path)}")
 
     print(f"\n{'mode':<12} {'steady Mbit/s':>14} {'latency ms':>11} "

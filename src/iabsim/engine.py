@@ -12,6 +12,10 @@ buffer room until its finish time. The Forwarder's memoized decision carries
 the outgoing link direction, so a repeated hop makes one memo lookup and no
 link search.
 
+Every packet's flow, user or F1, has one FlowRecord in the trace. Injecting,
+sending, dropping and delivering a packet count into it alike, whatever its
+flow; the summary is read from the user flows' records.
+
 Arrival, Departure and packet Drop rows share heads: `_row` keys one dict by
 what fixes a head, so each distinct head is built once (see `trace`). A run
 ends by sorting its rows by time, stably: rows at one time keep the order
@@ -38,7 +42,8 @@ from .gtp import (Decision, Forwarder, Packet, PathMode, RouteEntry,
 from .topology import (DU_ROLES, DuConfigUpdateDirective, FlowSpec,
                        IabNodeDirective, Link, Medium, Node, Role, Scenario,
                        validate_topology)
-from .trace import SCHEMA_VERSION, Trace, measure_throughput, row_head
+from .trace import (SCHEMA_VERSION, FlowRecord, Trace, measure_throughput,
+                    row_head)
 
 __all__ = ["Simulator", "link_capacity", "measure_throughput", "PathMode"]
 
@@ -79,15 +84,6 @@ class _LinkDir:
     packets: int = 0
 
 
-@dataclass
-class _FlowStats:
-    spec: FlowSpec
-    injected: int = 0
-    dropped: int = 0
-    latency_sum_s: float = 0.0
-    overhead_bytes: int = 0
-
-
 class Simulator:
     def __init__(self, scenario: Scenario, mode: PathMode = PathMode.UPF_REROUTE,
                  seed: Optional[int] = None, trace_level: str = "full"):
@@ -107,8 +103,8 @@ class Simulator:
         self.now = 0.0
         self.proto = proto = scenario.protocol
         self.trace = Trace(mode=self.mode.value, seed=self.seed,
-                           flow_ids={f.id: f.packet_size_bytes
-                                     for f in scenario.flows})
+                           flows={f.id: FlowRecord(f.packet_size_bytes)
+                                  for f in scenario.flows})
         # The Forwarder draws every TEID, so it owns the run's RNG.
         self.fwd = Forwarder(random.Random(self.seed), proto.gtp_header_bytes,
                              proto.bap_header_bytes, proto.ttl)
@@ -123,7 +119,6 @@ class Simulator:
         self._ctl_seq = 0
         self._link_dirs: dict[tuple[str, str], _LinkDir] = {}
         self._heads: dict[tuple, tuple] = {}  # see _row
-        self._flows = {f.id: _FlowStats(spec=f) for f in scenario.flows}
         self._ran = False
 
     # -- scheduling ------------------------------------------------------------
@@ -304,11 +299,10 @@ class Simulator:
     # -- packets ------------------------------------------------------------------
 
     def _inject(self, f: FlowSpec, i: int) -> None:
-        stats = self._flows[f.id]
         pkt = Packet(flow_id=f.id, src=f.src, dst=f.dst,
                      payload_size_bytes=f.packet_size_bytes,
                      created_at_s=self.now, seq=i)
-        stats.injected += 1
+        self.trace.flows[f.id].injected += 1
         self._handle(f.src, pkt, via_link=False)
         interval = f.packet_size_bytes * 8 / f.rate_bps
         next_t = f.start_s + (i + 1) * interval
@@ -316,15 +310,16 @@ class Simulator:
             self._schedule(next_t, self._inject, f, i + 1)
 
     def _send_control(self, msg: F1Message, src: str, dst: str) -> None:
+        # F1 packet numbers count across every association.
         self._ctl_seq += 1
-        pkt = Packet(flow_id=f"f1c:{msg.association}", src=src, dst=dst,
-                     payload_size_bytes=self.proto.control_message_bytes,
+        fid, size = f"f1c:{msg.association}", self.proto.control_message_bytes
+        self.trace.flows.setdefault(fid, FlowRecord(size)).injected += 1
+        pkt = Packet(flow_id=fid, src=src, dst=dst, payload_size_bytes=size,
                      created_at_s=self.now, seq=self._ctl_seq, control=msg)
         self._handle(src, pkt, via_link=False)
 
     def _drop(self, node: str, pkt: Packet, cause: str, detail: str = "") -> None:
-        if pkt.control is None:
-            self._flows[pkt.flow_id].dropped += 1
+        self.trace.flows[pkt.flow_id].dropped += 1
         self._row(self.now, pkt, ("Drop", node, pkt.flow_id, pkt.header_stack,
                                   pkt.header_bytes, cause, pkt.flow_id, detail),
                   ("cause", "flow", "detail") if detail else ("cause", "flow"))
@@ -382,13 +377,12 @@ class Simulator:
         if control is not None and not self.cp.deliverable(control):
             self._drop(node, pkt, "assoc-inactive")
             return
-        fid = pkt.flow_id
-        self.trace.paths[fid][tuple(pkt.hop_log)] += 1
-        self.trace.delivered_at[fid].append(self.now)
+        record = self.trace.flows[pkt.flow_id]
+        record.paths[tuple(pkt.hop_log)] += 1
+        record.delivered_at.append(self.now)
+        record.latency_sum_s += self.now - pkt.created_at_s
         if control is not None:
             self.cp.on_message(control)
-            return
-        self._flows[fid].latency_sum_s += self.now - pkt.created_at_s
 
     def _transmit(self, hop: Decision, pkt: Packet) -> None:
         """Queue `pkt` on `hop.out`, the link direction `hop` sends it on."""
@@ -414,8 +408,7 @@ class Simulator:
         d.bytes_total += wire
         d.bytes_header += header
         d.packets += 1
-        if pkt.control is None:
-            self._flows[pkt.flow_id].overhead_bytes += header
+        self.trace.flows[pkt.flow_id].overhead_bytes += header
         if self.trace_full and finish <= self.scn.duration_s:
             self._row(finish, pkt, ("Departure", d.link.id, pkt.flow_id,
                                     pkt.header_stack, header, d.src, d.dst),
@@ -432,24 +425,23 @@ class Simulator:
         flows = {}
         total_header = sum(d.bytes_header for d in self._link_dirs.values())
         total_bytes = sum(d.bytes_total for d in self._link_dirs.values())
-        for fid, st in self._flows.items():
-            f = st.spec
-            delivered = len(self.trace.delivered_at.get(fid, ()))
-            hops = sum(len(path) * n
-                       for path, n in self.trace.paths.get(fid, {}).items())
-            flows[fid] = {
-                "flow_id": fid,
-                "offered_bps": st.injected * f.packet_size_bytes * 8
+        for f in self.scn.flows:
+            r = self.trace.flows[f.id]
+            delivered = len(r.delivered_at)
+            hops = sum(len(path) * n for path, n in r.paths.items())
+            flows[f.id] = {
+                "flow_id": f.id,
+                "offered_bps": r.injected * f.packet_size_bytes * 8
                                / (f.stop_s - f.start_s),
-                "injected": st.injected,
+                "injected": r.injected,
                 "delivered": delivered,
-                "dropped": st.dropped,
-                "in_flight": st.injected - delivered - st.dropped,
+                "dropped": r.dropped,
+                "in_flight": r.injected - delivered - r.dropped,
                 "goodput_bps": delivered * f.packet_size_bytes * 8 / duration,
-                "mean_latency_s": (st.latency_sum_s / delivered
+                "mean_latency_s": (r.latency_sum_s / delivered
                                    if delivered else 0.0),
                 "mean_hop_count": hops / delivered if delivered else 0.0,
-                "overhead_bytes": st.overhead_bytes,
+                "overhead_bytes": r.overhead_bytes,
             }
         links = {}
         # Directions in (link id, sender) order, as summary.json has them.

@@ -193,7 +193,7 @@ class Forwarder:
         """
         packet.hop_log.append(node)
         if len(packet.hop_log) >= self.ttl:
-            raise RoutingLoop(f"TTL expired for {packet.flow_id}#{packet.seq} at {node}")
+            raise RoutingLoop(f"TTL expired for {packet.flow_id} at {node}")
         key = (node, packet.header_stack, packet.dst, packet.src)
         hit = self._memo.get(key)
         if hit is None:

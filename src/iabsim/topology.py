@@ -258,15 +258,6 @@ class Scenario:
     def nodes_with_role(self, role: Role) -> list[Node]:
         return [n for n in self.nodes.values() if n.role is role]
 
-    def steady_window(self, flow_id: str) -> tuple[float, float]:
-        """Where a flow's goodput is judged: the window of its first
-        min_goodput_bps assert, or else the flow's own [start, stop)."""
-        for a in self.asserts:
-            if a.flow == flow_id and a.min_goodput_bps is not None:
-                return a.window
-        f = next(f for f in self.flows if f.id == flow_id)
-        return (f.start_s, f.stop_s)
-
     def group_peer(self, node_id: str) -> Optional[Node]:
         """The IabMt paired with an IabDu (or vice versa) via owner_group."""
         n = self.node(node_id)

@@ -1,5 +1,4 @@
-"""Run record: ordered trace rows, per-flow paths and delivery times,
-summary, export.
+"""Run record: ordered trace rows, one FlowRecord per flow, summary, export.
 
 Each trace event is one row `(time, head, pkt)` in `Trace.rows`, and its seq
 is its index there. `head` is `row_head(kind, location, subject, **fields)`:
@@ -32,10 +31,10 @@ import hashlib
 import json.encoder
 import math
 from bisect import bisect_left
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from .errors import UnknownFlow
 
@@ -63,19 +62,28 @@ def row_head(kind: str, location: str, subject: str, **fields) -> tuple:
     return kind, location, subject, ", ".join(body) + "}"
 
 
+@dataclass(slots=True)
+class FlowRecord:
+    """What a run did with one flow's packets, user or F1 (`f1c:<du>`)."""
+    payload_bytes: int  # per packet, fixed
+    injected: int = 0
+    dropped: int = 0
+    latency_sum_s: float = 0.0  # over the delivered packets
+    overhead_bytes: int = 0  # header bytes, summed over every link traversal
+    # The delivery times, in time order, and how many delivered packets took
+    # each hop sequence.
+    delivered_at: list[float] = field(default_factory=list)
+    paths: Counter = field(default_factory=Counter)
+
+
 @dataclass
 class Trace:
     mode: str
     seed: int
-    # Each user flow's id and its fixed payload bytes per packet.
-    flow_ids: Mapping[str, int]
+    # Per flow id: the scenario's flows from the start, an F1 flow from its
+    # first message.
+    flows: dict[str, FlowRecord] = field(default_factory=dict)
     rows: list[tuple] = field(default_factory=list)
-    # Per flow id, user or F1 (`f1c:<du>`): how many delivered packets took
-    # each hop sequence, and the delivery times, in time order.
-    paths: dict[str, Counter] = field(
-        default_factory=lambda: defaultdict(Counter))
-    delivered_at: dict[str, list[float]] = field(
-        default_factory=lambda: defaultdict(list))
     summary: dict = field(default_factory=dict)
     # (mode, seed, event count, SHA-256) of the last export.
     _digest: tuple = field(default=(), init=False, repr=False, compare=False)
@@ -130,9 +138,10 @@ def measure_throughput(trace: Trace, flow_id: str,
     t0, t1 = window
     if not (math.isfinite(t0) and math.isfinite(t1) and t0 < t1):
         raise ValueError(f"window must be finite with t1 > t0, got {window}")
-    if flow_id not in trace.flow_ids:
+    record = trace.flows.get(flow_id)
+    if record is None or flow_id.startswith("f1c:"):  # user flows only
         raise UnknownFlow(flow_id)
-    times = trace.delivered_at.get(flow_id, ())
+    times = record.delivered_at
     lo, hi = (bisect_left(times, round(t, 12), key=lambda x: round(x, 12))
               for t in window)
-    return (hi - lo) * trace.flow_ids[flow_id] * 8 / (t1 - t0)
+    return (hi - lo) * record.payload_bytes * 8 / (t1 - t0)

@@ -28,8 +28,15 @@ UE1_UL_HOPS = ("ue1", "donor-du", "cu", "upf")
 
 def took_only(trace, flow, hops) -> bool:
     """Packets of `flow` were delivered, and every one of them took `hops`."""
-    n = len(trace.delivered_at.get(flow, ()))
-    return n > 0 and trace.paths[flow] == Counter({hops: n})
+    record = trace.flows[flow]
+    n = len(record.delivered_at)
+    return n > 0 and record.paths == Counter({hops: n})
+
+
+def in_flight(trace) -> int:
+    """Packets of every flow, F1 included, neither delivered nor dropped."""
+    return sum(r.injected - len(r.delivered_at) - r.dropped
+               for r in trace.flows.values())
 
 
 def build_donor_scenario(duration=1.0, seed=1, ue2_x=6000.0,

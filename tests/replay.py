@@ -141,6 +141,14 @@ class Replay:
                            f"not cover what the records show")
         return out
 
+    def unfinished(self, summary) -> int:
+        """How many packets a run ended with on the way: those queued on a
+        direction, which its `packets` counts but whose Departure would come
+        after the end, and those that left and never showed up."""
+        queued = sum(stats["packets"] - self.sent.get(name, (0, 0))[0]
+                     for name, stats in summary["links"].items())
+        return queued + len(self.in_flight)
+
     def queue_mismatches(self, wired, duration) -> list[str]:
         """Where the records break the link model. `wired` maps the id of
         each wired link of the scenario file to the link, and `duration` is

@@ -29,8 +29,8 @@ def test_criterion_1_upf_reroute_paths(ref_reroute):
     ok &= took_only(trace, "dl-ue1", UE1_DL_HOPS)
 
     # F1 control messages of the aerial DU's association, both directions
-    ok &= set(trace.paths["f1c:uav1-du"]) == {UE2_UL_F1_PATH,
-                                              UE2_UL_F1_PATH[::-1]}
+    ok &= set(trace.flows["f1c:uav1-du"].paths) == {UE2_UL_F1_PATH,
+                                                    UE2_UL_F1_PATH[::-1]}
 
     ok &= seconds < 10.0
     report(f"criterion 1: UPF-reroute path exact on every F1 message and "
@@ -45,7 +45,7 @@ def test_criterion_2_bap_bypass(compare_traces):
     (bypass, t_b) = compare_traces[PathMode.BAP_BYPASS]
     ok = True
 
-    ctl = set(bypass.paths["f1c:uav1-du"])
+    ctl = set(bypass.flows["f1c:uav1-du"].paths)
     short_ul = ("uav1-du", "uav1-mt", "donor-du", "cu")
     ok &= bool(ctl) and ctl <= {short_ul, short_ul[::-1]}
     ok &= took_only(bypass, "dl-ue2", UE2_DL_HOPS_BAP)
@@ -130,17 +130,20 @@ def test_criterion_6_protocol_ordering(ref_reroute, ref_bap, compare_traces,
                 connected.setdefault(e["location"][3:], e["time"])
             if e["location"].startswith("f1:") and e["to_state"] == "SetupRequested":
                 requested.setdefault(e["location"][3:], e["time"])
-        for fid, times in trace.delivered_at.items():
-            if fid in trace.flow_ids:
-                for hops in trace.paths[fid]:
+        for fid, record in trace.flows.items():
+            if not record.delivered_at:
+                continue
+            first = record.delivered_at[0]
+            if not fid.startswith("f1c:"):
+                for hops in record.paths:
                     ue = hops[-1]
-                    ok &= ue in connected and times[0] >= connected[ue]
+                    ok &= ue in connected and first >= connected[ue]
             else:  # an F1 flow, f1c:<du>
                 du = fid.removeprefix("f1c:")
-                ok &= du in requested and times[0] >= requested[du]
+                ok &= du in requested and first >= requested[du]
         # no packet of a flow even moves on a link before its UE connects
-        for fid in trace.flow_ids:
-            dests = {hops[-1] for hops in trace.paths.get(fid, ())}
+        for fid in trace.summary["flows"]:
+            dests = {hops[-1] for hops in trace.flows[fid].paths}
             first = seen.first_move.get(fid)
             if first is None or not dests:
                 continue

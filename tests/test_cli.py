@@ -279,7 +279,7 @@ class TestStreamedExport:
         assert written == _sha256_of_lines(fresh)
 
     def test_empty_trace_exports_header_line(self):
-        trace = Trace(mode="UpfReroute", seed=3, flow_ids={})
+        trace = Trace(mode="UpfReroute", seed=3)
         fh = io.BytesIO()
         digest = trace.write_jsonl(fh)
         header = (b'{"schema_version": 1, "record": "header", '

@@ -14,13 +14,16 @@ from iabsim.errors import NoRoute, ScenarioInvalid, UnknownFlow
 from iabsim.f1ap import F1Message, MsgKind
 from iabsim.gtp import Decision, Packet
 from iabsim.scenario_io import loads
+from iabsim.trace import FlowRecord
 from iabsim.topology import (DuConfigUpdateDirective, FlowSpec,
                              IabNodeDirective, Medium, Role, Scenario)
 
 from conftest import (N41, N78, UE1_DL_HOPS, UE1_UL_HOPS, UE2_DL_HOPS_BAP,
                       UE2_DL_HOPS_REROUTE, UE2_UL_HOPS_BAP, UE2_UL_HOPS_REROUTE,
-                      build_donor_scenario, build_mini_scenario, took_only)
+                      build_donor_scenario, build_mini_scenario, in_flight,
+                      took_only)
 from replay import Replay
+from test_replay import IDS, RUNS, SCENARIOS, trace_of
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -92,7 +95,8 @@ SETUP = F1Message(MsgKind.SETUP_REQUEST, "donor-du")
 
 def queue_on(sim, d, pkt):
     """Queue `pkt` on the link direction `d`, as a decision to send it there
-    does."""
+    does. Its flow, which the scenario does not have, gets a record."""
+    sim.trace.flows.setdefault(pkt.flow_id, FlowRecord(pkt.payload_size_bytes))
     sim._transmit(Decision(d.dst, pkt.header_stack, 0, out=d), pkt)
 
 
@@ -245,7 +249,12 @@ class TestTraceLevel:
         records = list(trace.records())
         wired = {link.id: link for link in scn.links
                  if link.medium is Medium.WIRED}
-        assert Replay(records).queue_mismatches(wired, scn.duration_s) == []
+        replayed = Replay(records)
+        assert replayed.queue_mismatches(wired, scn.duration_s) == []
+        # The run ends with packets queued (132 of ul-ue2's at seed 0): the
+        # summary's `packets` counts them, and no Departure of theirs is in
+        # the records.
+        assert replayed.unfinished(trace.summary) == in_flight(trace)
         times = [r["time"] for r in records]
         assert times == sorted(times)
         tied = [r["kind"] for r in records if r["time"] == 0.100002024
@@ -300,7 +309,8 @@ class TestRunLifecycle:
     def test_empty_flow_list_runs_clean(self):
         trace = Simulator(build_donor_scenario(duration=0.05)).run()
         assert trace.summary["flows"] == {}
-        assert list(trace.delivered_at) == ["f1c:donor-du"]  # F1 setup only
+        assert list(trace.flows) == ["f1c:donor-du"]  # F1 setup only
+        assert trace.flows["f1c:donor-du"].delivered_at
         # bootstrap still brings the donor association up
         assert any(e["to_state"] == "Active"
                    for e in transitions(trace.records(), "f1:donor-du"))
@@ -411,7 +421,7 @@ class TestDirectives:
         sim = Simulator(scn, mode=mode, trace_level="summary")
         trace = sim.run()
         serving = sim.cp.ue_contexts["g-mt"].serving_du
-        paths = trace.paths["f1c:g-du"]
+        paths = trace.flows["f1c:g-du"].paths
         assert serving == "donor-b" and paths
         assert all(serving in path for path in paths), paths
 
@@ -499,7 +509,7 @@ class TestAccounting:
         trace = Simulator(build_mini_scenario(), mode=mode).run()
         delivered = [e for e in trace.records() if e["kind"] == "Arrival"
                      and e["subject"] == "dl-ue2" and e["delivered"]]
-        times = trace.delivered_at["dl-ue2"]
+        times = trace.flows["dl-ue2"].delivered_at
         assert len(times) == len(delivered) \
             == trace.summary["flows"]["dl-ue2"]["delivered"] > 9
         assert all(a < b for a, b in zip(times, times[1:]))
@@ -583,6 +593,11 @@ class TestHopLimit:
             assert row["injected"] == 4643
             if mode in expired:
                 assert row["dropped"] == 4643 and causes == {"ttl-expired"}
+                # The drop's detail names the flow, not the packet: all its
+                # rows share one head.
+                heads = {head for _, head, _ in trace.rows
+                         if head[0] == "Drop" and head[2] == "dl-ue2"}
+                assert len(heads) == 1
             else:
                 assert row["delivered"] == 4643 and causes == set()
 
@@ -625,3 +640,25 @@ class TestSeveralUes:
             for flow, hops in ((f"dl-{ue}", dl_hops), (f"ul-{ue}", ul_hops)):
                 assert took_only(trace, flow,
                                  tuple(ue if h == first else h for h in hops))
+
+
+class TestFlowRecords:
+    """A run keeps one record per flow id, user or F1 (`f1c:<du>`)."""
+
+    # When each bundled scenario's IAB node is instantiated.
+    IAB_AT = {"paper-reference": 2.0, "bap-compare": 0.5}
+
+    @pytest.mark.parametrize("fixture, mode", RUNS, ids=IDS)
+    def test_f1_records_of_the_bundled_runs(self, request, fixture, mode):
+        trace = trace_of(request, fixture, mode)
+        f1 = {fid: r for fid, r in trace.flows.items()
+              if fid.startswith("f1c:")}
+        assert set(f1) == {"f1c:donor-du", "f1c:uav1-du"}
+        assert trace.flows.keys() - f1.keys() == trace.summary["flows"].keys()
+        for record in f1.values():
+            assert 0 < len(record.delivered_at) + record.dropped \
+                <= record.injected
+        # The aerial DU's F1 rides the MT's PDU session: nothing of it is
+        # delivered before the directive that brings the IAB node up.
+        first = trace.flows["f1c:uav1-du"].delivered_at[0]
+        assert first > self.IAB_AT[SCENARIOS[fixture]]

@@ -338,7 +338,7 @@ class TestForwarding:
         for _ in range(ttl - 1):  # none of the calls before the ttl-th raises
             node = fwd.forward(node, pkt).next_hop
         with pytest.raises(RoutingLoop,
-                           match=f"^TTL expired for f#0 at {node}$"):
+                           match=f"^TTL expired for f at {node}$"):
             fwd.forward(node, pkt)
 
     def test_payload_size_never_changes(self):

@@ -238,6 +238,14 @@ def test_gtp_holds_no_trace_state():
         == ["next_hop", "header_stack", "delta", "out"]
 
 
+def test_a_trace_holds_one_record_per_flow():
+    # A flow's counters, delivery times and paths are its FlowRecord's, in
+    # Trace.flows: no other Trace field holds per-flow results.
+    from iabsim.trace import Trace
+    assert [f.name for f in dataclasses.fields(Trace)] \
+        == ["mode", "seed", "flows", "rows", "summary", "_digest"]
+
+
 def test_the_entry_points_perfbench_wraps_exist():
     # perfbench/run.py's traced pass patches these by name; without this
     # check only a `--trace 1` run notices a rename.

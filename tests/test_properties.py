@@ -142,9 +142,10 @@ def test_per_flow_conservation(seed, rate, size, uav_x, mode):
 def test_throughput_bounded_by_bottleneck(seed, rate, size, uav_x, mode):
     """Measured goodput never beats the weakest traversed link by >1%."""
     scn, trace = run_mini(seed, rate, size, uav_x, mode)
-    if "dl-ue2" not in trace.paths:
+    paths = trace.flows["dl-ue2"].paths
+    if not paths:
         return
-    (hops,) = trace.paths["dl-ue2"]  # every flow takes one path
+    (hops,) = paths  # every flow takes one path
     bottleneck = min(
         link_capacity(scn, scn.find_link(a, b), a)
         for a, b in zip(hops, hops[1:]))
@@ -209,12 +210,15 @@ def test_protocol_ordering(seed, rate, size, uav_x, mode):
             du = e["location"][3:]
             if e["to_state"] == "SetupRequested":
                 assoc_window.setdefault(du, e["time"])
-    for fid, times in trace.delivered_at.items():
-        if fid in trace.flow_ids:
-            for hops in trace.paths[fid]:
+    for fid, record in trace.flows.items():
+        if not record.delivered_at:
+            continue
+        first = record.delivered_at[0]
+        if not fid.startswith("f1c:"):
+            for hops in record.paths:
                 ue = hops[-1]
-                assert ue in connected_at and times[0] >= connected_at[ue]
+                assert ue in connected_at and first >= connected_at[ue]
         else:  # an F1 flow, f1c:<du>
             du = fid.removeprefix("f1c:")
-            assert du in assoc_window and times[0] >= assoc_window[du]
+            assert du in assoc_window and first >= assoc_window[du]
     assert not inactive

@@ -1,7 +1,8 @@
 """The trace-replay oracle on the bundled scenarios' full-level runs: the
 exported records alone give the summary's per-link and per-flow counts, the
-header stack each mode puts on UE2's downlink over the backhaul, and the
-serialization, propagation and FIFO order of every link hop."""
+packets still on the way at the end, the header stack each mode puts on
+UE2's downlink over the backhaul, and the serialization, propagation and
+FIFO order of every link hop."""
 import copy
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from iabsim import PathMode, load_scenario
 from iabsim.topology import Medium
 
+from conftest import in_flight
 from replay import Replay
 
 RUNS = [("ref_reroute", PathMode.UPF_REROUTE),
@@ -31,6 +33,13 @@ def trace_of(request, fixture, mode):
 def test_records_give_the_summary(request, replay, fixture, mode):
     trace = trace_of(request, fixture, mode)
     assert replay(trace).mismatches(trace.summary) == []
+
+
+@pytest.mark.parametrize("fixture, mode", RUNS, ids=IDS)
+def test_records_give_the_packets_on_the_way(request, replay, fixture, mode):
+    # None here: every packet these runs inject has ended by their end.
+    trace = trace_of(request, fixture, mode)
+    assert replay(trace).unfinished(trace.summary) == in_flight(trace) == 0
 
 
 @pytest.mark.parametrize("fixture, mode", RUNS, ids=IDS)

@@ -83,7 +83,7 @@ def reference_line(time, seq, kind, location, subject, fields) -> str:
 @settings(max_examples=300, deadline=None)
 @given(hop_rows(), generic)
 def test_hop_rows_export_as_json_dumps(events, emitted):
-    trace = Trace(mode="UpfReroute", seed=1, flow_ids={})
+    trace = Trace(mode="UpfReroute", seed=1)
     for row, _ in events:
         trace.rows.append(row)
     for time, kind, location, subject, fields in emitted:
@@ -102,8 +102,7 @@ def test_hop_rows_export_as_json_dumps(events, emitted):
 @given(arrival_heads, times, counts)
 def test_emitted_hop_is_a_row_on_a_shared_head(head, time, pkt):
     (_, location, subject, _), fields = head
-    shared, emitted = (Trace(mode="BapBypass", seed=2, flow_ids={})
-                       for _ in range(2))
+    shared, emitted = (Trace(mode="BapBypass", seed=2) for _ in range(2))
     shared.rows.append((time, head[0], pkt))
     emitted.emit(time, "Arrival", location, subject, pkt=pkt, **fields)
     assert list(emitted.to_jsonl_lines()) == list(shared.to_jsonl_lines())
