@@ -18,12 +18,14 @@ appended; a Departure is appended when its packet is queued.
 A row holds only atoms and its head only strings, so Python's cyclic GC
 stops tracking them within three collections.
 
-Every JSON-lines record has the keys time (rounded to 12 digits), seq, kind,
-location and subject, then the fields sorted by name, so identical runs
-serialize byte-identically; the hash of the export is the determinism
-fingerprint. A line is its head's line with time, seq and pkt filled in,
-the bytes json.dumps gives for the record. `records()` parses the export
-back, so a reader sees what the file holds.
+Every JSON-lines record has the keys time, seq, kind, location and subject,
+then the fields sorted by name, so identical runs serialize byte-identically;
+the hash of the export is the determinism fingerprint. A line is its head's
+line with time, seq and pkt filled in, the bytes json.dumps gives for the
+record. The time's text is repr(round(t, 12)), made with one decimal
+conversion where 1e-4 <= t < 4096: there it is "%.12f" % t without trailing
+zeros, one kept after the point. `records()` parses the export back, so a
+reader sees what the file holds.
 """
 from __future__ import annotations
 
@@ -49,11 +51,11 @@ _ENCODE = json.encoder.c_make_encoder(
 
 def row_head(kind: str, location: str, subject: str, **fields) -> tuple:
     """The head `(kind, location, subject, line)` of the rows (time, head,
-    pkt) of one event or hop. `line` is the record with %r and %d holes for
-    its time (rounded) and seq, and a %d hole for pkt if `fields` has it;
-    every other value is encoded here, as json.dumps encodes it, with its %
-    doubled."""
-    body = ['{"time": %r, "seq": %d']
+    pkt) of one event or hop. `line` is the record with %s and %d holes for
+    its time's text (see the module docstring) and seq, and a %d hole for pkt
+    if `fields` has it; every other value is encoded here, as json.dumps
+    encodes it, with its % doubled."""
+    body = ['{"time": %s, "seq": %d']
     for name, value in (("kind", kind), ("location", location),
                         ("subject", subject), *sorted(fields.items())):
         text = ("%d" if name == "pkt" else
@@ -110,8 +112,10 @@ class Trace:
                                "record": "header", "mode": self.mode,
                                "seed": self.seed}, 0))
         for seq, (t, head, pkt) in enumerate(self.rows):
-            yield head[3] % ((round(t, 12), seq) if pkt is None
-                             else (round(t, 12), seq, pkt))
+            text = (("%.12f" % t).rstrip("0") if 1e-4 <= t < 4096.0
+                    else repr(round(t, 12)))
+            text += "0" if text[-1] == "." else ""
+            yield head[3] % ((text, seq) if pkt is None else (text, seq, pkt))
 
     def write_jsonl(self, fh=None) -> str:
         """Write the JSON-lines export to the binary file `fh`, if given, and

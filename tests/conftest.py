@@ -39,6 +39,26 @@ def in_flight(trace) -> int:
                for r in trace.flows.values())
 
 
+def oracle_mismatches(scn, trace) -> list[str]:
+    """Where a full-level run of `scn` breaks the trace-replay oracle: its
+    records against its summary, its packets still on the way and its links'
+    model. A run that ends with packets queued counts them in its summary's
+    per-link `packets` but has no Departure of theirs in its records, so for
+    such a run the per-link counts are reconciled in sum, by `unfinished`."""
+    replayed = Replay(trace.records())
+    wired = {link.id: link for link in scn.links
+             if link.medium is Medium.WIRED}
+    out = replayed.mismatches(trace.summary)
+    on_the_way = in_flight(trace)
+    unfinished = replayed.unfinished(trace.summary)
+    if on_the_way:
+        out = [line for line in out if line.startswith("flow ")]
+    if unfinished != on_the_way:
+        out.append(f"{unfinished} packets on the way by the records, "
+                   f"{on_the_way} by the flows")
+    return out + replayed.queue_mismatches(wired, scn.duration_s)
+
+
 def build_donor_scenario(duration=1.0, seed=1, ue2_x=6000.0,
                          n6_link=True) -> Scenario:
     """CU + UPF + donor DU + near UE1 + far UE2, no IAB node yet."""

@@ -1,4 +1,5 @@
-"""Randomized invariant checks; every suite runs at least 200 cases."""
+"""Randomized invariant checks; every suite runs at least 200 cases but the
+trace-replay one, which parses each run's records and runs 40."""
 import dataclasses
 import random
 from collections import defaultdict
@@ -9,7 +10,7 @@ from iabsim import PathMode, Simulator, link_capacity, measure_throughput, radio
 from iabsim.gtp import Forwarder, Packet, encapsulate, teids_of
 from iabsim.radio import RadioParams
 
-from conftest import build_mini_scenario
+from conftest import build_mini_scenario, oracle_mismatches
 
 SIM_SETTINGS = settings(max_examples=200, deadline=None,
                         suppress_health_check=[HealthCheck.too_slow],
@@ -151,6 +152,17 @@ def test_throughput_bounded_by_bottleneck(seed, rate, size, uav_x, mode):
         for a, b in zip(hops, hops[1:]))
     goodput = measure_throughput(trace, "dl-ue2", (0.0, scn.duration_s))
     assert goodput <= bottleneck * 1.01
+
+
+@settings(SIM_SETTINGS, max_examples=40)
+@given(**mini_params)
+def test_records_replay_to_the_summary(seed, rate, size, uav_x, mode):
+    """The trace-replay oracle holds on every run: the records give the
+    summary's per-link and per-flow counts and the packets still on the way,
+    and keep each link direction FIFO, to its serialization and to one
+    propagation delay."""
+    scn, trace = run_mini(seed, rate, size, uav_x, mode)
+    assert oracle_mismatches(scn, trace) == []
 
 
 @SIM_SETTINGS

@@ -10,6 +10,9 @@ from iabsim import (PathMode, Simulator, link_capacity, load_scenario,
 from iabsim.errors import ParseError
 from iabsim.radio import SPEED_OF_LIGHT
 from iabsim.scenario_io import bundled_scenario_path, loads
+from iabsim.topology import ProtocolConstants
+
+from conftest import oracle_mismatches
 
 
 MINIMAL = """
@@ -298,10 +301,34 @@ def mutate(draw, doc):
     return doc
 
 
-def load_mutant(draw, name: str, n_mutations: int):
-    """Bundled scenario `name` after `n_mutations` mutations, loaded; None
-    when that is a ParseError."""
-    doc = copy.deepcopy(BUNDLED[name])
+def shortened(doc, factor: float):
+    """Scenario file `doc` with its duration and every time in it (flow
+    starts and stops, directive times, assert windows) scaled by `factor`,
+    and its link buffers too, so that a full buffer drains in the scaled
+    time."""
+    doc = copy.deepcopy(doc)
+    doc["duration"] *= factor
+    for flow in doc["flows"]:
+        flow["start"] *= factor
+        flow["stop"] *= factor
+    for directive in doc["schedule"]:
+        directive["at"] *= factor
+    for assert_ in doc["asserts"]:
+        assert_["window"] = [edge * factor for edge in assert_["window"]]
+    doc.setdefault("protocol", {})["link_buffer_packets"] = round(
+        ProtocolConstants.link_buffer_packets * factor)
+    return doc
+
+
+# paper-reference at a tenth of its length: a full-level run takes about
+# 0.05 s, against about 0.5 s.
+SHORT_REFERENCE = shortened(BUNDLED["paper-reference"], 0.1)
+
+
+def load_mutant(draw, doc: dict, n_mutations: int):
+    """Scenario file `doc` after `n_mutations` mutations, loaded; None when
+    that is a ParseError."""
+    doc = copy.deepcopy(doc)
     for _ in range(n_mutations):
         doc = mutate(draw, doc)
     try:
@@ -317,7 +344,7 @@ def test_mutated_bundled_yaml_fails_only_as_data(data, name, n_mutations):
     """A bundled scenario with keys dropped or renamed, or values swapped for
     other types or degenerate numbers, loads OK, or is a ParseError, or
     validates to violations: never any other exception."""
-    scn = load_mutant(data.draw, name, n_mutations)
+    scn = load_mutant(data.draw, BUNDLED[name], n_mutations)
     if scn is not None:
         assert isinstance(validate_topology(scn).violations, list)
 
@@ -328,11 +355,33 @@ def test_mutated_bundled_yaml_fails_only_as_data(data, name, n_mutations):
 def test_mutated_yaml_that_validates_runs_to_a_summary(data, mode, n_mutations):
     """A mutant of bap-compare that loads and validates runs to a summary in
     which every packet of every flow is delivered, dropped or in flight."""
-    scn = load_mutant(data.draw, "bap-compare", n_mutations)
+    scn = load_mutant(data.draw, BUNDLED["bap-compare"], n_mutations)
     if scn is None or not validate_topology(scn).ok:
         return
-    flows = Simulator(scn, mode=mode, trace_level="summary").run() \
-        .summary["flows"]
+    assert_conserved(scn, Simulator(scn, mode=mode, trace_level="summary")
+                     .run().summary)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(data=st.data(), mode=st.sampled_from(list(PathMode)),
+       n_mutations=st.integers(min_value=1, max_value=3))
+def test_mutated_short_reference_replays_to_its_summary(data, mode,
+                                                        n_mutations):
+    """A mutant of the shortened paper-reference that loads and validates
+    runs at full level to a summary that conserves every flow's packets, and
+    that its records give (the trace-replay oracle)."""
+    scn = load_mutant(data.draw, SHORT_REFERENCE, n_mutations)
+    if scn is None or not validate_topology(scn).ok:
+        return
+    trace = Simulator(scn, mode=mode).run()
+    assert_conserved(scn, trace.summary)
+    assert oracle_mismatches(scn, trace) == []
+
+
+def assert_conserved(scn, summary):
+    """The summary has every flow of `scn`, and every packet of each one is
+    delivered, dropped or in flight."""
+    flows = summary["flows"]
     assert list(flows) == [f.id for f in scn.flows]
     for f in flows.values():
         assert f["in_flight"] >= 0

@@ -6,10 +6,14 @@ name. A hop row is (time, row_head(...), pkt), as the engine appends it, and
 rows share heads: the export fills each row's time, seq and pkt into its
 head's line. The other kinds go through emit, which builds each row's own
 head. Ids with % in them check that a head's line escapes what it
-pre-encodes.
+pre-encodes. The time's text is made in one decimal conversion where
+1e-4 <= time < 4096, and the times at and next to those edges are checked
+on their own.
 """
 import json
+import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from iabsim.trace import Trace, row_head
@@ -106,3 +110,37 @@ def test_emitted_hop_is_a_row_on_a_shared_head(head, time, pkt):
     shared.rows.append((time, head[0], pkt))
     emitted.emit(time, "Arrival", location, subject, pkt=pkt, **fields)
     assert list(emitted.to_jsonl_lines()) == list(shared.to_jsonl_lines())
+
+
+# Times at and next to the edges of [1e-4, 4096), the range where the export
+# writes "%.12f" % time without trailing zeros; whole times, which keep one
+# zero after the point; times of 12 places, k / 1e12, in and out of the range
+# (1e-4 - 1e-12 is written 9.9999999e-05); and a time whose "%.12f" text is
+# longer than its rounded repr.
+EDGE_TIMES = [math.nextafter(1e-4, 0), 1e-4, math.nextafter(4096.0, 0),
+              4096.0, 1.0, 7.0, 5 / 1e12, 99_999_999 / 1e12,
+              100_000_001 / 1e12, 2_000_000_000_001 / 1e12,
+              4_095_999_999_999_999 / 1e12, 1e10 + 0.1]
+
+
+def timer_lines(times) -> list[str]:
+    """The exported lines of one TimerExpiry row at each of `times`."""
+    trace = Trace(mode="UpfReroute", seed=1)
+    for time in times:
+        trace.emit(time, "TimerExpiry", "control", "timer")
+    return list(trace.to_jsonl_lines())[1:]
+
+
+@pytest.mark.parametrize("time", EDGE_TIMES, ids=repr)
+def test_time_text_at_the_range_edges(time):
+    assert timer_lines([time]) == [
+        reference_line(time, 0, "TimerExpiry", "control", "timer", {})]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.floats(min_value=1e-4, max_value=4096.0,
+                          exclude_max=True), min_size=1, max_size=16))
+def test_time_text_in_the_one_conversion_range(times):
+    assert timer_lines(times) == [
+        reference_line(time, seq, "TimerExpiry", "control", "timer", {})
+        for seq, time in enumerate(times)]
