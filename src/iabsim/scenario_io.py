@@ -6,6 +6,12 @@ whole where an integer is meant, so `2.585e9` works whatever YAML makes of it;
 a YAML boolean is not a number.
 Nodes and links are built through `Scenario.add_node`/`add_link`; what they
 reject, like any malformed value, is a ParseError that names the entry.
+
+YAML is read by libyaml (PyYAML's `CSafeLoader`, with PyYAML's own safe
+resolver and constructor), the one loader. libyaml builds a document with
+recursive C calls, which a deep enough file overflows, so `loads` first walks
+the file's event stream, which libyaml parses without recursing, and rejects
+a file that nests deeper than MAX_DEPTH collections.
 """
 from __future__ import annotations
 
@@ -16,6 +22,7 @@ from pathlib import Path
 from typing import Optional
 
 import yaml
+from yaml import CSafeLoader
 
 from .errors import ParseError, TopologyError
 from .radio import RadioParams
@@ -43,6 +50,7 @@ IAB_DIRECTIVE_KEYS = {"at", "kind", "position", "access_carrier", "tx_power",
                       "mt_tx_power", "group"}
 DU_UPDATE_KEYS = {"at", "kind", "du", "carrier"}
 _REQUIRED = object()
+MAX_DEPTH = 32  # no scenario value nests deeper than 4
 
 
 def _check_keys(mapping: dict, allowed: set, where: str, required=()) -> None:
@@ -128,9 +136,15 @@ def _section(doc: dict, key: str, name: str) -> list:
 
 
 def loads(text: str, name: str = "<scenario>") -> Scenario:
-    try:
-        doc = yaml.safe_load(text)
-    except (yaml.YAMLError, RecursionError) as exc:  # or nested too deep
+    try:  # a str is encoded to UTF-8: a lone surrogate is a UnicodeError
+        depth = 0
+        for event in yaml.parse(text, Loader=CSafeLoader):
+            depth += isinstance(event, yaml.CollectionStartEvent)
+            depth -= isinstance(event, yaml.CollectionEndEvent)
+            if depth > MAX_DEPTH:
+                raise ParseError(f"{name}: nested deeper than {MAX_DEPTH} levels")
+        doc = yaml.load(text, Loader=CSafeLoader)
+    except (yaml.YAMLError, UnicodeError) as exc:
         raise ParseError(f"{name}: not valid YAML: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{name}: top level must be a mapping")

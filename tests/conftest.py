@@ -1,12 +1,17 @@
+import importlib.util
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from iabsim import PathMode, Scenario, Simulator, load_scenario
-from iabsim.topology import Carrier, FlowSpec, IabNodeDirective, Medium, Role
+from iabsim import PathMode, Scenario, Simulator, link_capacity, load_scenario
+from iabsim.topology import (Carrier, DuConfigUpdateDirective, FlowSpec,
+                             IabNodeDirective, Medium, Role)
 
 from replay import Replay
+
+ROOT = Path(__file__).resolve().parent.parent
 
 N41 = Carrier(band_label="n41", center_frequency_hz=2.585e9,
               bandwidth_hz=20e6, scs_hz=30e3)
@@ -24,6 +29,16 @@ UE2_UL_HOPS_REROUTE = ("ue2", "uav1-du", "uav1-mt", "donor-du", "cu", "upf",
                        "cu", "upf")
 UE2_UL_HOPS_BAP = ("ue2", "uav1-du", "uav1-mt", "donor-du", "cu", "upf")
 UE1_UL_HOPS = ("ue1", "donor-du", "cu", "upf")
+
+
+def churn_text(seed) -> str:
+    """The reconfig-churn scenario file that perfbench/churn.py draws at
+    `seed`."""
+    spec = importlib.util.spec_from_file_location(
+        "churn", ROOT / "perfbench" / "churn.py")
+    churn = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(churn)
+    return churn.generate(seed)
 
 
 def took_only(trace, flow, hops) -> bool:
@@ -44,10 +59,21 @@ def oracle_mismatches(scn, trace) -> list[str]:
     records against its summary, its packets still on the way and its links'
     model. A run that ends with packets queued counts them in its summary's
     per-link `packets` but has no Departure of theirs in its records, so for
-    such a run the per-link counts are reconciled in sum, by `unfinished`."""
+    such a run the per-link counts are reconciled in sum, by `unfinished`.
+
+    `scn` is the Simulator's own, which holds the radio links added at run
+    time. Unless a DU configuration update changes a carrier during the run,
+    each radio direction keeps the capacity `link_capacity` gives it, and its
+    Departures are checked against that too."""
     replayed = Replay(trace.records())
     wired = {link.id: link for link in scn.links
              if link.medium is Medium.WIRED}
+    radio_bps = {}
+    if not any(isinstance(d, DuConfigUpdateDirective) for d in scn.schedule):
+        radio_bps = {(link.id, src, link.other(src)):
+                     link_capacity(scn, link, src)
+                     for link in scn.links if link.medium is Medium.RADIO
+                     for src in (link.a, link.b)}
     out = replayed.mismatches(trace.summary)
     on_the_way = in_flight(trace)
     unfinished = replayed.unfinished(trace.summary)
@@ -56,7 +82,8 @@ def oracle_mismatches(scn, trace) -> list[str]:
     if unfinished != on_the_way:
         out.append(f"{unfinished} packets on the way by the records, "
                    f"{on_the_way} by the flows")
-    return out + replayed.queue_mismatches(wired, scn.duration_s)
+    return out + replayed.queue_mismatches(wired, scn.duration_s,
+                                           radio_bps)
 
 
 def build_donor_scenario(duration=1.0, seed=1, ue2_x=6000.0,

@@ -149,10 +149,11 @@ class Replay:
                      for name, stats in summary["links"].items())
         return queued + len(self.in_flight)
 
-    def queue_mismatches(self, wired, duration) -> list[str]:
+    def queue_mismatches(self, wired, duration, radio_bps=None) -> list[str]:
         """Where the records break the link model. `wired` maps the id of
         each wired link of the scenario file to the link, and `duration` is
-        the run's.
+        the run's. `radio_bps`, if given, maps other link directions, as
+        (link, src, dst), to the capacity each keeps for the whole run.
 
         Every direction is FIFO: no packet leaves before one queued on it
         earlier. A packet is queued when it arrives at the sender, or, one
@@ -160,8 +161,9 @@ class Replay:
         only times, never the order of rows at one time, and the export's
         rounding keeps their order, so they compare exactly.
 
-        On a wired link's direction, successive Departures are at least the
-        later packet's `wire_size * 8 / capacity` apart, and each packet
+        On a wired link's direction, and on each direction of `radio_bps`,
+        successive Departures are at least the later packet's
+        `wire_size * 8 / capacity` apart. On a wired one each packet
         shows up next, as an Arrival or a Drop at the far end, one
         `propagation_delay_s` after its Departure. On any other direction
         that delay is one constant. Each time is allowed the export's
@@ -178,9 +180,11 @@ class Replay:
                     f"one queued earlier" for pkt, left in overtakers(pairs)]
         for direction, bps in self.peak_bps.items():
             link = wired.get(direction[0])
-            if link is not None and bps > link.wired_capacity_bps:
+            capacity = (link.wired_capacity_bps if link is not None
+                        else (radio_bps or {}).get(direction))
+            if capacity is not None and bps > capacity:
                 out.append(f"{direction}: Departures imply {bps!r} bit/s, "
-                           f"over its {link.wired_capacity_bps!r}")
+                           f"over its {capacity!r}")
         for direction, (lo, hi) in self.delays.items():
             link = wired.get(direction[0])
             if link is None and hi - lo > 2 * ROUNDING:

@@ -36,6 +36,17 @@ flows:
 """
 
 
+def run_child(args, **env):
+    """`python -m iabsim.cli <args>` in a child process that imports this
+    iabsim, with `env` added to its environment."""
+    src = str(Path(iabsim.__file__).resolve().parent.parent)
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "iabsim.cli", *args],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
 @pytest.fixture
 def good_file(tmp_path):
     p = tmp_path / "good.yaml"
@@ -75,6 +86,20 @@ class TestValidate:
         p.write_text("duration: " + "[" * 5000 + "]" * 5000 + "\n")
         assert main(["validate", str(p)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {p}: ")
+
+    @pytest.mark.parametrize("text", ["duration: " + "[" * 100_000
+                                      + "]" * 100_000,
+                                      "- " * 100_000 + "x"],
+                             ids=["flow", "block"])
+    def test_nesting_far_past_the_limit_exits_two(self, tmp_path, text):
+        # libyaml builds a document with recursive C calls: without the
+        # depth check both files crashed the interpreter with SIGSEGV. The
+        # child process keeps such a crash a failed assert (returncode -11).
+        p = tmp_path / "deep.yaml"
+        p.write_text(text)
+        done = run_child(["validate", str(p)])
+        assert done.returncode == 2
+        assert done.stderr.startswith(f"error: {p}: ")
 
     @pytest.mark.parametrize("field, bad", [("packet_size: 1000", "packet_size: 0"),
                                             ("rate: 5.0e6", "rate: .inf")],
@@ -179,18 +204,12 @@ class TestRun:
         assert json.loads((out / "summary.json").read_text())["seed"] == 42
 
     def test_summary_identical_across_hash_seeds(self, tmp_path):
-        src = str(Path(iabsim.__file__).resolve().parent.parent)
         outs = []
         for hash_seed in ("1", "2"):
             out = tmp_path / f"hashseed{hash_seed}"
-            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
-                       PYTHONPATH=os.pathsep.join(
-                           filter(None, [src, os.environ.get("PYTHONPATH")])))
-            subprocess.run([sys.executable, "-m", "iabsim.cli", "run",
-                            "bap-compare", "--trace-level", "summary",
-                            "--out", str(out)],
-                           env=env, check=True, capture_output=True,
-                           timeout=120)
+            run_child(["run", "bap-compare", "--trace-level", "summary",
+                       "--out", str(out)], PYTHONHASHSEED=hash_seed
+                      ).check_returncode()
             outs.append((out / "summary.json").read_bytes())
         assert outs[0] == outs[1]
 

@@ -1,10 +1,8 @@
 import dataclasses
 import gc
 import hashlib
-import importlib.util
 import json
 import math
-from pathlib import Path
 
 import pytest
 
@@ -20,22 +18,15 @@ from iabsim.topology import (DuConfigUpdateDirective, FlowSpec,
 
 from conftest import (N41, N78, UE1_DL_HOPS, UE1_UL_HOPS, UE2_DL_HOPS_BAP,
                       UE2_DL_HOPS_REROUTE, UE2_UL_HOPS_BAP, UE2_UL_HOPS_REROUTE,
-                      build_donor_scenario, build_mini_scenario, in_flight,
-                      took_only)
+                      build_donor_scenario, build_mini_scenario, churn_text,
+                      in_flight, took_only)
 from replay import Replay
 from test_replay import IDS, RUNS, SCENARIOS, trace_of
 
 
-ROOT = Path(__file__).resolve().parent.parent
-
-
 def churn_scenario(seed):
     """The reconfig-churn scenario that perfbench/churn.py draws at `seed`."""
-    spec = importlib.util.spec_from_file_location(
-        "churn", ROOT / "perfbench" / "churn.py")
-    churn = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(churn)
-    return loads(churn.generate(seed), name="reconfig-churn")
+    return loads(churn_text(seed), name="reconfig-churn")
 
 
 # Full-level reconfig-churn: the SHA-256 of the sorted lines json.dumps gives

@@ -9,10 +9,10 @@ from iabsim import (PathMode, Simulator, link_capacity, load_scenario,
                     validate_topology)
 from iabsim.errors import ParseError
 from iabsim.radio import SPEED_OF_LIGHT
-from iabsim.scenario_io import bundled_scenario_path, loads
-from iabsim.topology import ProtocolConstants
+from iabsim.scenario_io import MAX_DEPTH, bundled_scenario_path, loads
+from iabsim.topology import ProtocolConstants, Role
 
-from conftest import oracle_mismatches
+from conftest import churn_text, oracle_mismatches
 
 
 MINIMAL = """
@@ -232,6 +232,46 @@ class TestStrictParsing:
             loads(text)
 
 
+class TestLibyaml:
+    """`loads` reads YAML with libyaml's CSafeLoader only."""
+
+    @pytest.mark.parametrize(
+        "text", [bundled_scenario_path("paper-reference").read_text(),
+                 bundled_scenario_path("bap-compare").read_text(),
+                 churn_text(0), churn_text(3)],
+        ids=["paper-reference", "bap-compare", "churn-seed0", "churn-seed3"])
+    def test_same_document_as_the_pure_python_loader(self, text):
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.safe_load(text)
+
+    def test_no_space_after_a_colon_in_a_flow_mapping_is_a_parse_error(self):
+        # PyYAML's pure-Python parser read `position:[...]` as key and value.
+        text = MINIMAL.replace("position: [0.0, -1.0]", "position:[0.0, -1.0]")
+        assert yaml.safe_load(text)["nodes"][1]["position"] == [0.0, -1.0]
+        with pytest.raises(ParseError, match="not valid YAML"):
+            loads(text)
+
+    def test_a_tab_after_a_key_loads(self):
+        # PyYAML's pure-Python scanner rejected the tab.
+        text = MINIMAL.replace("role: DonorDU", "role:\tDonorDU")
+        with pytest.raises(yaml.YAMLError):
+            yaml.safe_load(text)
+        assert loads(text).nodes["du"].role is Role.DONOR_DU
+
+    def test_a_lone_surrogate_is_a_parse_error(self):
+        # libyaml is given the text as UTF-8, which a surrogate cannot be.
+        with pytest.raises(ParseError, match="not valid YAML"):
+            loads("duration: \udc80")
+
+    def test_nesting_is_limited_to_max_depth(self):
+        def nested(depth):  # the top-level mapping is one level
+            return "duration: " + "[" * (depth - 1) + "]" * (depth - 1)
+        with pytest.raises(ParseError, match="not numeric"):
+            loads(nested(MAX_DEPTH))
+        with pytest.raises(ParseError, match=f"^<scenario>: nested deeper "
+                                             f"than {MAX_DEPTH} levels$"):
+            loads(nested(MAX_DEPTH + 1))
+
+
 class TestBundledScenarios:
     @pytest.mark.parametrize("name", ["paper-reference", "bap-compare"])
     def test_bundled_loads_and_validates(self, name):
@@ -373,9 +413,10 @@ def test_mutated_short_reference_replays_to_its_summary(data, mode,
     scn = load_mutant(data.draw, SHORT_REFERENCE, n_mutations)
     if scn is None or not validate_topology(scn).ok:
         return
-    trace = Simulator(scn, mode=mode).run()
+    sim = Simulator(scn, mode=mode)
+    trace = sim.run()
     assert_conserved(scn, trace.summary)
-    assert oracle_mismatches(scn, trace) == []
+    assert oracle_mismatches(sim.scn, trace) == []
 
 
 def assert_conserved(scn, summary):
