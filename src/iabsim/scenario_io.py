@@ -143,8 +143,9 @@ def loads(text: str, name: str = "<scenario>") -> Scenario:
             depth -= isinstance(event, yaml.CollectionEndEvent)
             if depth > MAX_DEPTH:
                 raise ParseError(f"{name}: nested deeper than {MAX_DEPTH} levels")
+        # a `<<` merge-key chain, unseen above, is one recursive call a link
         doc = yaml.load(text, Loader=CSafeLoader)
-    except (yaml.YAMLError, UnicodeError) as exc:
+    except (yaml.YAMLError, UnicodeError, RecursionError) as exc:
         raise ParseError(f"{name}: not valid YAML: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{name}: top level must be a mapping")

@@ -41,6 +41,15 @@ def churn_text(seed) -> str:
     return churn.generate(seed)
 
 
+def merge_chain(links) -> str:
+    """A scenario file whose top-level mapping merges the last of `links`
+    anchored mappings, each merging the one before it. The text nests 3
+    deep, but PyYAML flattens the merges with one recursive call a link."""
+    chain = ", ".join(["&a0 {k: 1}"] + [f"&a{i} {{<<: *a{i - 1}}}"
+                                        for i in range(1, links)])
+    return f"x: [{chain}]\n<<: *a{links - 1}\n"
+
+
 def took_only(trace, flow, hops) -> bool:
     """Packets of `flow` were delivered, and every one of them took `hops`."""
     record = trace.flows[flow]

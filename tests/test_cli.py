@@ -15,6 +15,8 @@ from iabsim.cli import main
 from iabsim.scenario_io import bundled_scenario_path
 from iabsim.trace import Trace
 
+from conftest import merge_chain
+
 
 GOOD = """
 seed: 5
@@ -100,6 +102,13 @@ class TestValidate:
         done = run_child(["validate", str(p)])
         assert done.returncode == 2
         assert done.stderr.startswith(f"error: {p}: ")
+
+    def test_long_merge_key_chain_exits_two(self, tmp_path, capsys):
+        # It nests 3 deep in the text, but loading it recurses 2,000 deep.
+        p = tmp_path / "merges.yaml"
+        p.write_text(merge_chain(2000))
+        assert main(["validate", str(p)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {p}: not valid YAML")
 
     @pytest.mark.parametrize("field, bad", [("packet_size: 1000", "packet_size: 0"),
                                             ("rate: 5.0e6", "rate: .inf")],

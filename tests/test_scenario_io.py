@@ -12,7 +12,7 @@ from iabsim.radio import SPEED_OF_LIGHT
 from iabsim.scenario_io import MAX_DEPTH, bundled_scenario_path, loads
 from iabsim.topology import ProtocolConstants, Role
 
-from conftest import churn_text, oracle_mismatches
+from conftest import churn_text, merge_chain, oracle_mismatches
 
 
 MINIMAL = """
@@ -270,6 +270,14 @@ class TestLibyaml:
         with pytest.raises(ParseError, match=f"^<scenario>: nested deeper "
                                              f"than {MAX_DEPTH} levels$"):
             loads(nested(MAX_DEPTH + 1))
+
+    def test_a_long_merge_key_chain_is_a_parse_error(self):
+        # The depth walk passes it; loading it recurses past Python's limit.
+        with pytest.raises(ParseError, match="unknown key 'k'"):
+            loads(merge_chain(10))
+        with pytest.raises(ParseError, match="^<scenario>: not valid YAML: "
+                                             "maximum recursion depth"):
+            loads(merge_chain(2000))
 
 
 class TestBundledScenarios:
