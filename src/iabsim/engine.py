@@ -9,17 +9,18 @@ A hop is one event at both trace levels: the packet's arrival at the next
 node is scheduled when it is queued on the link, and at full level its
 Departure row, dated at its finish time, is appended then too. A packet takes
 buffer room until its finish time. The Forwarder's memoized decision carries
-the outgoing link direction, so a repeated hop makes one memo lookup and no
-link search.
+an `_Out` with the outgoing link direction, so a repeated hop makes one memo
+lookup and no link search.
 
 Every packet's flow, user or F1, has one FlowRecord in the trace. Injecting,
 sending, dropping and delivering a packet count into it alike, whatever its
 flow; the summary is read from the user flows' records.
 
-Arrival, Departure and packet Drop rows share heads: `_row` keys one dict by
-what fixes a head, so each distinct head is built once (see `trace`). A run
-ends by sorting its rows by time, stably: rows at one time keep the order
-they were appended in.
+Arrival, Departure and packet Drop rows share heads: `_head` keys one dict by
+what fixes a head, so each distinct head is built once (see `trace`). A
+decision fixes its hop rows' heads up to the flow (payloads are per flow), so
+its `_Out` keeps them by flow id: a hop row costs one dict lookup. Rows are
+sorted by time at the end, stably, so ties keep the order they were appended.
 """
 from __future__ import annotations
 
@@ -82,6 +83,15 @@ class _LinkDir:
     bytes_total: int = 0
     bytes_header: int = 0
     packets: int = 0
+    delay: float = 0.0  # the link's propagation delay, which nothing changes
+
+
+@dataclass(slots=True)
+class _Out:
+    """A decision's `out`: its link direction, once found, and heads by flow."""
+    link_dir: Optional[_LinkDir] = None
+    arrivals: dict[str, tuple] = field(default_factory=dict)
+    departures: dict[str, tuple] = field(default_factory=dict)
 
 
 class Simulator:
@@ -118,7 +128,7 @@ class Simulator:
         self._heap_seq = 0
         self._ctl_seq = 0
         self._link_dirs: dict[tuple[str, str], _LinkDir] = {}
-        self._heads: dict[tuple, tuple] = {}  # see _row
+        self._heads: dict[tuple, tuple] = {}  # see _head
         self._ran = False
 
     # -- scheduling ------------------------------------------------------------
@@ -320,13 +330,14 @@ class Simulator:
 
     def _drop(self, node: str, pkt: Packet, cause: str, detail: str = "") -> None:
         self.trace.flows[pkt.flow_id].dropped += 1
-        self._row(self.now, pkt, ("Drop", node, pkt.flow_id, pkt.header_stack,
-                                  pkt.header_bytes, cause, pkt.flow_id, detail),
-                  ("cause", "flow", "detail") if detail else ("cause", "flow"))
+        head = self._head(pkt, ("Drop", node, pkt.flow_id, pkt.header_stack,
+                                pkt.header_bytes, cause, pkt.flow_id, detail),
+                          ("cause", "flow", "detail") if detail
+                          else ("cause", "flow"))
+        self.trace.rows.append((self.now, head, pkt.seq))
 
-    def _row(self, t: float, pkt: Packet, key: tuple,
-             names: tuple[str, ...]) -> None:
-        """Append the row (t, head, pkt.seq) of an Arrival, Departure or Drop.
+    def _head(self, pkt: Packet, key: tuple, names: tuple[str, ...]) -> tuple:
+        """The head of `pkt`'s Arrival, Departure or Drop row.
 
         `key` is (kind, location, flow, header stack, header bytes, *values),
         `names` the fields of its first len(names) values: with the flow's
@@ -339,7 +350,7 @@ class Simulator:
                 kind, location, flow, **dict(zip(names, values)),
                 depth=len(stack), pkt=None, teids=teids_of(stack),
                 wire_size=pkt.wire_size_bytes)
-        self.trace.rows.append((t, head, pkt.seq))
+        return head
 
     def _handle(self, node: str, pkt: Packet, via_link: bool) -> None:
         try:
@@ -350,16 +361,20 @@ class Simulator:
         except RoutingLoop as exc:
             self._drop(node, pkt, "ttl-expired", str(exc))
             return
+        if (out := hop.out) is None:  # a new decision
+            out = hop.out = _Out()
         if via_link and self.trace_full:
-            self._row(self.now, pkt, ("Arrival", node, pkt.flow_id,
-                                      pkt.header_stack, pkt.header_bytes,
-                                      hop.next_hop is None), ("delivered",))
+            if (head := out.arrivals.get(pkt.flow_id)) is None:
+                head = out.arrivals[pkt.flow_id] = self._head(pkt, (
+                    "Arrival", node, pkt.flow_id, pkt.header_stack,
+                    pkt.header_bytes, hop.next_hop is None), ("delivered",))
+            self.trace.rows.append((self.now, head, pkt.seq))
         if hop.next_hop is None:
             self._deliver(node, pkt)
             return
-        if hop.out is None:  # a new decision, or no link yet: never cached
-            hop.out = self._link_dir(node, hop.next_hop)
-            if hop.out is None:
+        if out.link_dir is None:  # a new decision, or no link yet
+            out.link_dir = self._link_dir(node, hop.next_hop)
+            if out.link_dir is None:
                 self._drop(node, pkt, "transport-down",
                            f"no link {node}->{hop.next_hop}")
                 return
@@ -369,7 +384,8 @@ class Simulator:
         """The direction src->dst of the link between them; None if none."""
         d = self._link_dirs.get((src, dst))
         if d is None and (link := self.scn.find_link(src, dst)) is not None:
-            d = self._link_dirs[(src, dst)] = _LinkDir(link, src, dst)
+            d = self._link_dirs[(src, dst)] = _LinkDir(
+                link, src, dst, delay=link.propagation_delay_s)
         return d
 
     def _deliver(self, node: str, pkt: Packet) -> None:
@@ -385,10 +401,11 @@ class Simulator:
             self.cp.on_message(control)
 
     def _transmit(self, hop: Decision, pkt: Packet) -> None:
-        """Queue `pkt` on `hop.out`, the link direction `hop` sends it on."""
-        d = hop.out
+        """Queue `pkt` on the link direction `hop` sends it on."""
+        out = hop.out
+        d, now = out.link_dir, self.now
         queue = d.finish_times
-        while queue and queue[0] <= self.now:
+        while queue and queue[0] <= now:
             queue.popleft()
         if len(queue) >= self.proto.link_buffer_packets:
             self._drop(d.src, pkt, "queue-overflow", f"link {d.link.id}")
@@ -401,7 +418,7 @@ class Simulator:
             return
         header = pkt.header_bytes
         wire = pkt.payload_size_bytes + header
-        start = queue[-1] if queue else self.now
+        start = queue[-1] if queue else now
         finish = start + wire * 8 / cap
         queue.append(finish)
         d.busy_s += finish - start
@@ -410,12 +427,13 @@ class Simulator:
         d.packets += 1
         self.trace.flows[pkt.flow_id].overhead_bytes += header
         if self.trace_full and finish <= self.scn.duration_s:
-            self._row(finish, pkt, ("Departure", d.link.id, pkt.flow_id,
-                                    pkt.header_stack, header, d.src, d.dst),
-                      ("src", "dst"))
-        heapq.heappush(self._heap, (finish + d.link.propagation_delay_s,
-                                    self._heap_seq, self._handle,
-                                    (d.dst, pkt, True)))
+            if (head := out.departures.get(pkt.flow_id)) is None:
+                head = out.departures[pkt.flow_id] = self._head(pkt, (
+                    "Departure", d.link.id, pkt.flow_id, pkt.header_stack,
+                    header, d.src, d.dst), ("src", "dst"))
+            self.trace.rows.append((finish, head, pkt.seq))
+        heapq.heappush(self._heap, (finish + d.delay, self._heap_seq,
+                                    self._handle, (d.dst, pkt, True)))
         self._heap_seq += 1
 
     # -- summary -------------------------------------------------------------------

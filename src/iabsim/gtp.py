@@ -42,7 +42,7 @@ class PathMode(str, Enum):
     BAP_BYPASS = "BapBypass"
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """A packet in flight, a control one exactly when it has a `control`."""
     flow_id: str
@@ -82,12 +82,13 @@ class Decision:
     """What `forward` did at one node to one (header stack, dst, src).
 
     `out` is the caller's slot, kept with the decision because what it
-    holds is fixed by it: a memo clear drops it with the decision.
+    holds is fixed by it: a memo clear drops it with the decision. The engine
+    keeps there, from first use on, the link direction and the row heads.
     """
     next_hop: Optional[str]  # None: the packet terminated here
     header_stack: tuple[MatchKey, ...]  # the stack the packet leaves with
     delta: int  # change in header_bytes
-    out: object = None  # the engine keeps its _LinkDir here
+    out: object = None  # the engine's record of this decision
 
 
 @dataclass(frozen=True)

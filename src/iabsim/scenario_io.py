@@ -149,6 +149,16 @@ def loads(text: str, name: str = "<scenario>") -> Scenario:
         raise ParseError(f"{name}: not valid YAML: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{name}: top level must be a mapping")
+    # An alias (`*name`) nests a document deeper than its text: walk it.
+    deepest, todo = {}, [(doc, 1)] if "*" in text else []
+    while todo:
+        node, level = todo.pop()
+        if deepest.get(id(node), 0) < level:
+            if level > MAX_DEPTH:
+                raise ParseError(f"{name}: nested deeper than {MAX_DEPTH} levels")
+            deepest[id(node)] = level
+            kids = node.values() if isinstance(node, dict) else node
+            todo += [(c, level + 1) for c in kids if isinstance(c, (list, tuple, dict))]
     _check_keys(doc, TOP_KEYS, name, required=("duration",))
 
     radio_params = RadioParams()

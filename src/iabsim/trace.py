@@ -21,11 +21,11 @@ stops tracking them within three collections.
 Every JSON-lines record has the keys time, seq, kind, location and subject,
 then the fields sorted by name, so identical runs serialize byte-identically;
 the hash of the export is the determinism fingerprint. A line is its head's
-line with time, seq and pkt filled in, the bytes json.dumps gives for the
-record. The time's text is repr(round(t, 12)), made with one decimal
-conversion where 1e-4 <= t < 4096: there it is "%.12f" % t without trailing
-zeros, one kept after the point. `records()` parses the export back, so a
-reader sees what the file holds.
+line with time, seq and pkt filled in, the bytes json.dumps gives: one % fills
+4,096 lines, joined. The time's text is repr(round(t, 12)), made with one
+decimal conversion where 1e-4 <= t < 4096: there it is "%.12f" % t without
+trailing zeros, one kept after the point. `records()` parses the export back,
+so a reader sees what the file holds.
 """
 from __future__ import annotations
 
@@ -107,22 +107,33 @@ class Trace:
 
     # -- export -------------------------------------------------------------
 
-    def to_jsonl_lines(self):
+    def _batches(self) -> Iterator[str]:
+        """The header line, then each 4,096 rows' lines in one % fill."""
         yield "".join(_ENCODE({"schema_version": SCHEMA_VERSION,
                                "record": "header", "mode": self.mode,
                                "seed": self.seed}, 0))
-        for seq, (t, head, pkt) in enumerate(self.rows):
-            text = (("%.12f" % t).rstrip("0") if 1e-4 <= t < 4096.0
-                    else repr(round(t, 12)))
-            text += "0" if text[-1] == "." else ""
-            yield head[3] % ((text, seq) if pkt is None else (text, seq, pkt))
+        rows = self.rows
+        for lo in range(0, len(rows), 4096):
+            lines, args = [], []
+            for seq, (t, head, pkt) in enumerate(rows[lo:lo + 4096], lo):
+                text = (("%.12f" % t).rstrip("0") if 1e-4 <= t < 4096.0
+                        else repr(round(t, 12)))
+                text += "0" if text[-1] == "." else ""
+                lines.append(head[3])
+                args += (text, seq) if pkt is None else (text, seq, pkt)
+            yield "\n".join(lines) % tuple(args)
+
+    def to_jsonl_lines(self) -> Iterator[str]:
+        """The export, a line a record; the encoder escapes every newline."""
+        for batch in self._batches():
+            yield from batch.split("\n")
 
     def write_jsonl(self, fh=None) -> str:
         """Write the JSON-lines export to the binary file `fh`, if given, and
-        return the SHA-256 of those bytes; each line is encoded once."""
-        h, lines = hashlib.sha256(), self.to_jsonl_lines()
-        while batch := list(islice(lines, 4096)):
-            data = ("\n".join(batch) + "\n").encode()
+        return the SHA-256 of those bytes; each batch is encoded once."""
+        h = hashlib.sha256()
+        for batch in self._batches():
+            data = (batch + "\n").encode()
             h.update(data)
             if fh is not None:
                 fh.write(data)

@@ -50,6 +50,15 @@ def merge_chain(links) -> str:
     return f"x: [{chain}]\n<<: *a{links - 1}\n"
 
 
+def alias_chain(links) -> str:
+    """A scenario file whose duration is the last of `links` anchored lists,
+    each holding the one before it. The text nests 3 deep, but the document
+    `links` + 1."""
+    chain = ", ".join(["&a0 [1]"] + [f"&a{i} [*a{i - 1}]"
+                                     for i in range(1, links)])
+    return f"asserts: [{chain}]\nduration: *a{links - 1}\n"
+
+
 def took_only(trace, flow, hops) -> bool:
     """Packets of `flow` were delivered, and every one of them took `hops`."""
     record = trace.flows[flow]

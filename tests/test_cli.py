@@ -15,7 +15,7 @@ from iabsim.cli import main
 from iabsim.scenario_io import bundled_scenario_path
 from iabsim.trace import Trace
 
-from conftest import merge_chain
+from conftest import alias_chain, merge_chain
 
 
 GOOD = """
@@ -109,6 +109,14 @@ class TestValidate:
         p.write_text(merge_chain(2000))
         assert main(["validate", str(p)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {p}: not valid YAML")
+
+    def test_long_alias_chain_exits_two(self, tmp_path, capsys):
+        # It nests 3 deep in the text, but its document 3,001 deep: it once
+        # ended in a raw RecursionError traceback with exit 1.
+        p = tmp_path / "aliases.yaml"
+        p.write_text(alias_chain(3000))
+        assert main(["validate", str(p)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {p}: ")
 
     @pytest.mark.parametrize("field, bad", [("packet_size: 1000", "packet_size: 0"),
                                             ("rate: 5.0e6", "rate: .inf")],

@@ -3,6 +3,7 @@ import gc
 import hashlib
 import json
 import math
+from collections import Counter
 
 import pytest
 
@@ -19,7 +20,7 @@ from iabsim.topology import (DuConfigUpdateDirective, FlowSpec,
 from conftest import (N41, N78, UE1_DL_HOPS, UE1_UL_HOPS, UE2_DL_HOPS_BAP,
                       UE2_DL_HOPS_REROUTE, UE2_UL_HOPS_BAP, UE2_UL_HOPS_REROUTE,
                       build_donor_scenario, build_mini_scenario, churn_text,
-                      in_flight, took_only)
+                      in_flight, oracle_mismatches, took_only)
 from replay import Replay
 from test_replay import IDS, RUNS, SCENARIOS, trace_of
 
@@ -88,7 +89,8 @@ def queue_on(sim, d, pkt):
     """Queue `pkt` on the link direction `d`, as a decision to send it there
     does. Its flow, which the scenario does not have, gets a record."""
     sim.trace.flows.setdefault(pkt.flow_id, FlowRecord(pkt.payload_size_bytes))
-    sim._transmit(Decision(d.dst, pkt.header_stack, 0, out=d), pkt)
+    sim._transmit(Decision(d.dst, pkt.header_stack, 0, out=engine._Out(d)),
+                  pkt)
 
 
 class TestSerialization:
@@ -438,8 +440,9 @@ class TestDirectives:
 
 
 class TestCachedDecision:
-    """A memoized decision carries its outgoing link direction; the link's
-    capacity and the routing tables can still change under it."""
+    """A memoized decision carries its outgoing link direction, in the
+    engine's record of it; the link's capacity and the routing tables can
+    still change under it."""
 
     @pytest.mark.parametrize("level", ["full", "summary"])
     def test_carrier_change_and_new_routes_under_cached_decisions(self,
@@ -458,11 +461,12 @@ class TestCachedDecision:
         def forward_seen(node, pkt):
             hop = forward(node, pkt)
             if (node, pkt.flow_id) == ("donor-du", "dl-ue1"):
-                decided.append((sim.now, hop, hop.out))
+                decided.append((sim.now, hop, None if hop.out is None
+                                else hop.out.link_dir))
             return hop
 
         def transmit_seen(hop, pkt):
-            d = hop.out
+            d = hop.out.link_dir
             start, packets = max([sim.now, *d.finish_times]), d.packets
             transmit(hop, pkt)
             if (d.src, d.dst) == ("donor-du", "ue1") and d.packets > packets:
@@ -492,6 +496,29 @@ class TestCachedDecision:
         assert trace.summary["flows"]["dl-ue2"]["dropped"] > 0
         assert took_only(trace, "dl-ue2", UE2_DL_HOPS_REROUTE)
         assert took_only(trace, "dl-ue1", UE1_DL_HOPS)
+
+    @pytest.mark.parametrize("mode", list(PathMode))
+    def test_flows_that_share_every_decision_keep_their_own_heads(self, mode):
+        # dl-ue2b has dl-ue2's src and dst, so the two flows share every
+        # decision, but its packets are of another size and it starts first.
+        scn = build_mini_scenario()
+        scn.flows.append(FlowSpec(id="dl-ue2b", src="upf", dst="ue2",
+                                  rate_bps=2e6, packet_size_bytes=400,
+                                  start_s=0.02, stop_s=0.13))
+        sim = Simulator(scn, mode=mode, trace_level="full")
+        trace = sim.run()
+        gtp, bap = scn.protocol.gtp_header_bytes, scn.protocol.bap_header_bytes
+        rows = Counter()
+        for e in trace.records():
+            if e["kind"] in ("Arrival", "Departure"):
+                flow, teids = e["subject"], len(e["teids"])
+                header = teids * gtp + (e["depth"] - teids) * bap
+                assert e["wire_size"] == (trace.flows[flow].payload_bytes
+                                          + header), e
+                rows[flow, e["kind"]] += 1
+        assert all(rows[flow, kind] for flow in ("dl-ue2", "dl-ue2b")
+                   for kind in ("Arrival", "Departure"))
+        assert oracle_mismatches(sim.scn, trace) == []
 
 
 class TestAccounting:

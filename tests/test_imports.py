@@ -230,7 +230,8 @@ def test_protocol_modules_take_node_ids_not_the_scenario():
 
 def test_gtp_holds_no_trace_state():
     # Trace rows and their heads are the engine's: a forwarding decision
-    # holds what forwarding decided and the engine's link direction.
+    # holds what forwarding decided and, in `out`, the engine's record of
+    # it (its link direction and row heads), which gtp does not read.
     from iabsim.gtp import Decision
     assert imports_from((ROOT / "src" / "iabsim" / "gtp.py").read_text(),
                         "trace") == []

@@ -112,7 +112,7 @@ def test_departure_rows_carry_the_queued_stack(seed, rate, size, uav_x, mode):
     transmit, queued = sim._transmit, defaultdict(list)
 
     def recorded(hop, pkt):
-        queued[pkt.flow_id, pkt.seq, hop.out.src].append(
+        queued[pkt.flow_id, pkt.seq, hop.out.link_dir.src].append(
             (len(pkt.header_stack), list(teids_of(pkt.header_stack))))
         transmit(hop, pkt)
     sim._transmit = recorded

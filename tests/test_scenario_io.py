@@ -12,7 +12,7 @@ from iabsim.radio import SPEED_OF_LIGHT
 from iabsim.scenario_io import MAX_DEPTH, bundled_scenario_path, loads
 from iabsim.topology import ProtocolConstants, Role
 
-from conftest import churn_text, merge_chain, oracle_mismatches
+from conftest import alias_chain, churn_text, merge_chain, oracle_mismatches
 
 
 MINIMAL = """
@@ -278,6 +278,15 @@ class TestLibyaml:
         with pytest.raises(ParseError, match="^<scenario>: not valid YAML: "
                                              "maximum recursion depth"):
             loads(merge_chain(2000))
+
+    def test_a_long_alias_chain_is_a_parse_error(self):
+        # The depth walk of the text passes it, but the document nests 3,001
+        # deep: the repr of its duration once raised a raw RecursionError.
+        with pytest.raises(ParseError, match="key 'duration' is not numeric"):
+            loads(alias_chain(10))
+        with pytest.raises(ParseError, match=f"^<scenario>: nested deeper "
+                                             f"than {MAX_DEPTH} levels$"):
+            loads(alias_chain(3000))
 
 
 class TestBundledScenarios:

@@ -8,8 +8,11 @@ head's line. The other kinds go through emit, which builds each row's own
 head. Ids with % in them check that a head's line escapes what it
 pre-encodes. The time's text is made in one decimal conversion where
 1e-4 <= time < 4096, and the times at and next to those edges are checked
-on their own.
+on their own. The export fills 4,096 rows' lines with one %, and traces of
+sizes at and next to that batch's edges are checked whole.
 """
+import hashlib
+import io
 import json
 import math
 
@@ -144,3 +147,38 @@ def test_time_text_in_the_one_conversion_range(times):
     assert timer_lines(times) == [
         reference_line(time, seq, "TimerExpiry", "control", "timer", {})
         for seq, time in enumerate(times)]
+
+
+# (head, its fields but pkt, whether it has a pkt hole); values hold %d and
+# %%, which the batch's one % must leave as they are.
+BATCH_HEADS = [
+    (row_head("Arrival", "du", "dl-%d", pkt=None, delivered=True, depth=1,
+              teids=[7], wire_size=1016),
+     dict(delivered=True, depth=1, teids=[7], wire_size=1016), True),
+    (row_head("Drop", "scenario", "X", cause="no-route", detail="%d of %%s"),
+     dict(cause="no-route", detail="%d of %%s"), False),
+    (row_head("Departure", "l%%1", "ul", pkt=None, depth=0, dst="b",
+              src="a%", teids=[], wire_size=100),
+     dict(depth=0, dst="b", src="a%", teids=[], wire_size=100), True),
+    (row_head("TimerExpiry", "control", "timer"), {}, False),
+]
+BATCH_TIMES = [0.0, 2e-6, 1.0, 4096.5]
+
+
+@pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 8193])
+def test_each_batch_exports_line_by_line(n):
+    trace, expected = Trace(mode="BapBypass", seed=3), []
+    for seq in range(n):
+        head, fields, has_pkt = BATCH_HEADS[seq % 4]
+        time = BATCH_TIMES[seq // 4 % 4]
+        pkt = seq * 7 if has_pkt else None
+        trace.rows.append((time, head, pkt))
+        expected.append(reference_line(time, seq, *head[:3], dict(
+            fields, pkt=pkt) if has_pkt else fields))
+    lines = list(trace.to_jsonl_lines())
+    assert lines == [json.dumps({"schema_version": 1, "record": "header",
+                                 "mode": "BapBypass", "seed": 3}), *expected]
+    out = io.BytesIO()
+    digest = trace.write_jsonl(out)
+    assert out.getvalue() == ("\n".join(lines) + "\n").encode()
+    assert digest == hashlib.sha256(out.getvalue()).hexdigest()
