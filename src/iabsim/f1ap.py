@@ -133,11 +133,10 @@ class ControlPlane:
         return ctx
 
     def du_config_update(self, du: str, new_carrier) -> None:
-        assoc = self.associations.get(du)
-        if assoc is None or assoc.state is not AssocState.ACTIVE:
+        if not self.association_active(du):
             raise NotActive(f"association of {du} is not Active")
-        self._send(F1Message(MsgKind.DU_CONFIG_UPDATE, du,
-                             {"carrier": new_carrier}), assoc.cu, du)
+        self._send(F1Message(MsgKind.DU_CONFIG_UPDATE, du, {"carrier": new_carrier}),
+                   self.associations[du].cu, du)
 
     # -- message delivery ---------------------------------------------------------
 

@@ -8,10 +8,10 @@ Nodes and links are built through `Scenario.add_node`/`add_link`; what they
 reject, like any malformed value, is a ParseError that names the entry.
 
 YAML is read by libyaml (PyYAML's `CSafeLoader`, with PyYAML's own safe
-resolver and constructor), the one loader. libyaml builds a document with
-recursive C calls, which a deep enough file overflows, so `loads` first walks
-the file's event stream, which libyaml parses without recursing, and rejects
-a file that nests deeper than MAX_DEPTH collections.
+resolver and constructor), the one loader. It builds a document with recursive
+C calls, which a deep file overflows, so `loads` first walks the event stream,
+which libyaml parses without recursing: it rejects a file that nests deeper
+than MAX_DEPTH collections, and any alias (`*name`): scenarios are plain data.
 """
 from __future__ import annotations
 
@@ -139,26 +139,18 @@ def loads(text: str, name: str = "<scenario>") -> Scenario:
     try:  # a str is encoded to UTF-8: a lone surrogate is a UnicodeError
         depth = 0
         for event in yaml.parse(text, Loader=CSafeLoader):
+            if isinstance(event, yaml.AliasEvent):
+                raise ParseError(f"{name}: line {event.start_mark.line + 1}: "
+                                 f"an alias is not allowed")
             depth += isinstance(event, yaml.CollectionStartEvent)
             depth -= isinstance(event, yaml.CollectionEndEvent)
             if depth > MAX_DEPTH:
                 raise ParseError(f"{name}: nested deeper than {MAX_DEPTH} levels")
-        # a `<<` merge-key chain, unseen above, is one recursive call a link
         doc = yaml.load(text, Loader=CSafeLoader)
-    except (yaml.YAMLError, UnicodeError, RecursionError) as exc:
+    except (yaml.YAMLError, UnicodeError) as exc:
         raise ParseError(f"{name}: not valid YAML: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{name}: top level must be a mapping")
-    # An alias (`*name`) nests a document deeper than its text: walk it.
-    deepest, todo = {}, [(doc, 1)] if "*" in text else []
-    while todo:
-        node, level = todo.pop()
-        if deepest.get(id(node), 0) < level:
-            if level > MAX_DEPTH:
-                raise ParseError(f"{name}: nested deeper than {MAX_DEPTH} levels")
-            deepest[id(node)] = level
-            kids = node.values() if isinstance(node, dict) else node
-            todo += [(c, level + 1) for c in kids if isinstance(c, (list, tuple, dict))]
     _check_keys(doc, TOP_KEYS, name, required=("duration",))
 
     radio_params = RadioParams()

@@ -43,8 +43,8 @@ def churn_text(seed) -> str:
 
 def merge_chain(links) -> str:
     """A scenario file whose top-level mapping merges the last of `links`
-    anchored mappings, each merging the one before it. The text nests 3
-    deep, but PyYAML flattens the merges with one recursive call a link."""
+    anchored mappings, each merging the one before it by alias. Its first
+    alias is on line 1."""
     chain = ", ".join(["&a0 {k: 1}"] + [f"&a{i} {{<<: *a{i - 1}}}"
                                         for i in range(1, links)])
     return f"x: [{chain}]\n<<: *a{links - 1}\n"
@@ -52,11 +52,21 @@ def merge_chain(links) -> str:
 
 def alias_chain(links) -> str:
     """A scenario file whose duration is the last of `links` anchored lists,
-    each holding the one before it. The text nests 3 deep, but the document
-    `links` + 1."""
+    each holding the one before it by alias. The text nests 3 deep, the
+    document `links` + 1. Its first alias is on line 1."""
     chain = ", ".join(["&a0 [1]"] + [f"&a{i} [*a{i - 1}]"
                                      for i in range(1, links)])
     return f"asserts: [{chain}]\nduration: *a{links - 1}\n"
+
+
+def alias_expansion(levels) -> str:
+    """A scenario file whose seed is `levels` anchored lists, each holding
+    the one before it ten times by alias: built, the last one holds
+    10**`levels` ones. Its first alias is on line 2."""
+    lists = ", ".join(["&a0 [" + ", ".join(["1"] * 10) + "]"]
+                      + [f"&a{i} [" + ", ".join([f"*a{i - 1}"] * 10) + "]"
+                         for i in range(1, levels)])
+    return f"duration: 1.0\nseed: [{lists}]\n"
 
 
 def took_only(trace, flow, hops) -> bool:

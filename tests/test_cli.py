@@ -15,7 +15,7 @@ from iabsim.cli import main
 from iabsim.scenario_io import bundled_scenario_path
 from iabsim.trace import Trace
 
-from conftest import alias_chain, merge_chain
+from conftest import alias_chain, alias_expansion, merge_chain
 
 
 GOOD = """
@@ -103,20 +103,21 @@ class TestValidate:
         assert done.returncode == 2
         assert done.stderr.startswith(f"error: {p}: ")
 
-    def test_long_merge_key_chain_exits_two(self, tmp_path, capsys):
-        # It nests 3 deep in the text, but loading it recurses 2,000 deep.
-        p = tmp_path / "merges.yaml"
-        p.write_text(merge_chain(2000))
-        assert main(["validate", str(p)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {p}: not valid YAML")
-
-    def test_long_alias_chain_exits_two(self, tmp_path, capsys):
-        # It nests 3 deep in the text, but its document 3,001 deep: it once
-        # ended in a raw RecursionError traceback with exit 1.
+    @pytest.mark.parametrize("text, line", [(merge_chain(2000), 1),
+                                            (alias_chain(3000), 1),
+                                            (alias_expansion(9), 2)],
+                             ids=["merge-chain", "alias-chain", "expansion"])
+    def test_an_alias_exits_two(self, tmp_path, capsys, text, line):
+        # Loading the merge chain once recursed 2,000 deep, and the alias
+        # chain ended in a raw RecursionError traceback with exit 1. The
+        # expansion file is 505 bytes, but its seed's last list holds 10**9
+        # ones: at 5 levels the repr in its ParseError was 358,060 characters.
         p = tmp_path / "aliases.yaml"
-        p.write_text(alias_chain(3000))
+        p.write_text(text)
         assert main(["validate", str(p)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {p}: ")
+        err = capsys.readouterr().err
+        assert err == f"error: {p}: line {line}: an alias is not allowed\n"
+        assert len(err) < 200
 
     @pytest.mark.parametrize("field, bad", [("packet_size: 1000", "packet_size: 0"),
                                             ("rate: 5.0e6", "rate: .inf")],

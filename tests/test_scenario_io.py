@@ -272,21 +272,32 @@ class TestLibyaml:
             loads(nested(MAX_DEPTH + 1))
 
     def test_a_long_merge_key_chain_is_a_parse_error(self):
-        # The depth walk passes it; loading it recurses past Python's limit.
-        with pytest.raises(ParseError, match="unknown key 'k'"):
-            loads(merge_chain(10))
-        with pytest.raises(ParseError, match="^<scenario>: not valid YAML: "
-                                             "maximum recursion depth"):
-            loads(merge_chain(2000))
+        # Loading the 2,000-link chain once recursed past Python's limit.
+        for links in (10, 2000):
+            with pytest.raises(ParseError, match="^<scenario>: line 1: an "
+                                                 "alias is not allowed$"):
+                loads(merge_chain(links))
 
     def test_a_long_alias_chain_is_a_parse_error(self):
-        # The depth walk of the text passes it, but the document nests 3,001
-        # deep: the repr of its duration once raised a raw RecursionError.
-        with pytest.raises(ParseError, match="key 'duration' is not numeric"):
-            loads(alias_chain(10))
+        # The 3,001-deep document of the 3,000-link chain once raised a raw
+        # RecursionError from the repr of its duration.
+        for links in (10, 3000):
+            with pytest.raises(ParseError, match="^<scenario>: line 1: an "
+                                                 "alias is not allowed$"):
+                loads(alias_chain(links))
+
+    def test_an_inline_merge_key_chain_nests_in_the_text(self):
+        # With no alias each `<<` merges a mapping nested in the text, so
+        # the depth walk bounds the chain before PyYAML flattens it.
+        def merges(links):  # links + 2 levels: the top, one a `<<` and {k: 1}
+            return "x: " + "{<<: " * links + "{k: 1}" + "}" * links
+        assert yaml.load(merges(MAX_DEPTH - 2), Loader=yaml.CSafeLoader) == {
+            "x": {"k": 1}}
+        with pytest.raises(ParseError, match="unknown key 'x'"):
+            loads(merges(MAX_DEPTH - 2))
         with pytest.raises(ParseError, match=f"^<scenario>: nested deeper "
                                              f"than {MAX_DEPTH} levels$"):
-            loads(alias_chain(3000))
+            loads(merges(MAX_DEPTH - 1))
 
 
 class TestBundledScenarios:
