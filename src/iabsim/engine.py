@@ -58,8 +58,6 @@ def link_capacity(scenario: Scenario, link: Link, tx_node_id: str) -> float:
     if link.medium is Medium.WIRED:
         return link.wired_capacity_bps
     params = scenario.radio_params
-    if link.radio_overrides:
-        params = params.overridden(**link.radio_overrides)
     tx = scenario.node(tx_node_id)
     downlink = tx.role in DU_ROLES
     dist = scenario.distance(tx_node_id, link.other(tx_node_id))
@@ -190,6 +188,8 @@ class Simulator:
             if link is None:
                 raise TransportDown(f"no link between {a} and {b}")
             cap = link_capacity(self.scn, link, a)
+            if cap <= 0:
+                raise TransportDown(f"link {link.id} has no capacity {a}->{b}")
             total += size * 8 / cap + link.propagation_delay_s
         return total
 

@@ -9,7 +9,7 @@ RSRP coverage threshold, which `covered_rx_dbm` applies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -38,9 +38,6 @@ class RadioParams:
             raise ValueError("efficiency must be in (0, 1]")
         if not 0.0 < self.tdd_dl_fraction <= 1.0:
             raise ValueError("tdd_dl_fraction must be in (0, 1]")
-
-    def overridden(self, **kwargs) -> "RadioParams":
-        return replace(self, **kwargs)
 
 
 def path_loss_db(center_frequency_hz: float, distance_m: float,
@@ -82,5 +79,6 @@ def shannon_capacity_bps(bandwidth_hz: float, snr_value_db: float,
                          params: RadioParams, downlink: bool) -> float:
     """Efficiency- and TDD-scaled Shannon capacity for one direction."""
     fraction = params.tdd_dl_fraction if downlink else 1.0 - params.tdd_dl_fraction
-    snr_linear = 10.0 ** (snr_value_db / 10.0)
-    return params.efficiency * fraction * bandwidth_hz * math.log2(1.0 + snr_linear)
+    x = snr_value_db / 10.0  # from 300 on, 1 + 10**x == 10**x; past 308 it overflows
+    bits = x * math.log2(10.0) if x >= 300.0 else math.log2(1.0 + 10.0 ** x)
+    return params.efficiency * fraction * bandwidth_hz * bits

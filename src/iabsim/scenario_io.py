@@ -32,8 +32,7 @@ from .topology import (Carrier, DuConfigUpdateDirective, FlowAssert, FlowSpec,
 TOP_KEYS = {"seed", "duration", "radio_defaults", "protocol", "nodes", "links",
             "flows", "schedule", "asserts"}
 NODE_KEYS = {"id", "role", "position", "tx_power", "owner_group", "carrier"}
-LINK_KEYS = {"id", "a", "b", "medium", "carrier", "wired_capacity",
-             "propagation_delay", "radio"}
+LINK_KEYS = {"id", "a", "b", "medium", "wired_capacity", "propagation_delay"}
 CARRIER_KEYS = {"band_label", "center_frequency", "bandwidth", "scs"}
 FLOW_KEYS = {"id", "src", "dst", "rate", "packet_size", "start", "stop"}
 ASSERT_KEYS = {"flow", "window", "min_goodput_bps", "max_goodput_bps",
@@ -118,12 +117,11 @@ def _carrier(raw: dict, where: str) -> Carrier:
                        scs_hz=_num(raw, "scs", where))
 
 
-def _radio(raw: dict, where: str, base: RadioParams) -> tuple[dict, RadioParams]:
-    """The RadioParams fields that `raw` sets, and `base` with them applied."""
+def _radio(raw: dict, where: str) -> RadioParams:
     _check_keys(raw, RADIO_KEYS, where)
     fields = {RADIO_RENAME.get(k, k): _num(raw, k, where) for k in raw}
     with _entry(where):
-        return fields, base.overridden(**fields)
+        return RadioParams(**fields)
 
 
 def _section(doc: dict, key: str, name: str) -> list:
@@ -155,8 +153,7 @@ def loads(text: str, name: str = "<scenario>") -> Scenario:
 
     radio_params = RadioParams()
     if "radio_defaults" in doc:
-        _, radio_params = _radio(doc["radio_defaults"], f"{name}:radio_defaults",
-                                 radio_params)
+        radio_params = _radio(doc["radio_defaults"], f"{name}:radio_defaults")
 
     protocol = ProtocolConstants()
     if "protocol" in doc:
@@ -191,18 +188,13 @@ def loads(text: str, name: str = "<scenario>") -> Scenario:
             medium = Medium(raw["medium"])
         except ValueError:
             raise ParseError(f"{where}: unknown medium {raw['medium']!r}") from None
-        overrides = (_radio(raw["radio"], f"{where}:radio", radio_params)[0]
-                     if raw.get("radio") else None)
         with _entry(where):
             scn.add_link(_name(raw, "a", where), _name(raw, "b", where), medium,
-                         carrier=_carrier(raw["carrier"], f"{where}:carrier")
-                         if "carrier" in raw else None,
                          wired_capacity_bps=_num(raw, "wired_capacity", where,
                                                  default=None),
                          propagation_delay_s=_num(raw, "propagation_delay", where,
                                                   default=None),
-                         link_id=_name(raw, "id", where),
-                         radio_overrides=overrides)
+                         link_id=_name(raw, "id", where))
 
     for i, raw in enumerate(_section(doc, "flows", name)):
         where = f"{name}:flows[{i}]"

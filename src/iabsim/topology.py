@@ -8,8 +8,9 @@ reports the whole-scenario rules as data: a CU wired to every donor DU and to
 the UPF, IAB pairs, finite tx powers, link and protocol numbers, unique flow
 ids outside the f1c: prefix, flow, assert and directive bounds, an assert's
 bound, and a bound on the packets flows inject. A link's ends are fixed once
-`add_link` made it. An IAB node directive names its group, and the nodes it
-creates are `<group>-mt` and `<group>-du`.
+`add_link` made it. Only a DU advertises a carrier; a radio link takes its
+DU's carrier and the scenario's `radio_params`. An IAB node directive names
+its group, and the nodes it creates are `<group>-mt` and `<group>-du`.
 """
 from __future__ import annotations
 
@@ -86,10 +87,9 @@ class Link:
     a: str
     b: str
     medium: Medium
-    carrier: Optional[Carrier] = None
+    carrier: Optional[Carrier] = None  # a radio link's DU's; None on a wire
     wired_capacity_bps: Optional[float] = None
     propagation_delay_s: float = 0.0
-    radio_overrides: dict = field(default_factory=dict)
 
     def __setattr__(self, name, value):
         if name in ("a", "b") and name in self.__dict__:
@@ -164,7 +164,7 @@ class Scenario:
     radio_params: RadioParams = field(default_factory=RadioParams)
     protocol: ProtocolConstants = field(default_factory=ProtocolConstants)
     asserts: list[FlowAssert] = field(default_factory=list)
-    _counter: int = 0
+    _counter: int = field(default=0, init=False, repr=False)
 
     # -- construction ------------------------------------------------------
 
@@ -188,6 +188,8 @@ class Scenario:
                  carrier: Optional[Carrier] = None,
                  node_id: Optional[str] = None) -> str:
         role = Role(role)
+        if carrier is not None and role not in DU_ROLES:
+            raise ValueError(f"a {role.value} advertises no carrier, only a DU")
         if not all(math.isfinite(c) for c in position):
             raise ValueError(f"non-finite position {position}")
         if role is Role.CU and any(n.role is Role.CU for n in self.nodes.values()):
@@ -203,13 +205,12 @@ class Scenario:
         return nid
 
     def add_link(self, a: str, b: str, medium: Medium,
-                 carrier: Optional[Carrier] = None,
                  wired_capacity_bps: Optional[float] = None,
                  propagation_delay_s: Optional[float] = None,
-                 link_id: Optional[str] = None,
-                 radio_overrides: Optional[dict] = None) -> str:
+                 link_id: Optional[str] = None) -> str:
         medium = Medium(medium)
         na, nb = self.node(a), self.node(b)
+        carrier = None
         if medium is Medium.WIRED:
             if frozenset({na.role, nb.role}) not in WIRED_PAIRS:
                 raise IllegalMedium(
@@ -225,7 +226,9 @@ class Scenario:
             if term.role is Role.IAB_MT and du.role is not Role.DONOR_DU:
                 raise IllegalMedium(f"an IAB-MT's radio link must end at a "
                                     f"DonorDU, got {du.role.value}")
-            carrier = du.carrier if carrier is None else carrier
+            if wired_capacity_bps is not None:
+                raise ValueError("a radio link takes no wired_capacity_bps")
+            carrier = du.carrier
             if carrier is None:
                 raise MissingCarrier(f"radio link {a}-{b} has no carrier")
         if propagation_delay_s is None:
@@ -236,8 +239,7 @@ class Scenario:
         lid = link_id or self._next_id("l")
         self.links.append(Link(id=lid, a=a, b=b, medium=medium, carrier=carrier,
                                wired_capacity_bps=wired_capacity_bps,
-                               propagation_delay_s=propagation_delay_s,
-                               radio_overrides=dict(radio_overrides or {})))
+                               propagation_delay_s=propagation_delay_s))
         return lid
 
     # -- queries -------------------------------------------------------------

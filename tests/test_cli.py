@@ -119,6 +119,20 @@ class TestValidate:
         assert err == f"error: {p}: line {line}: an alias is not allowed\n"
         assert len(err) < 200
 
+    @pytest.mark.parametrize("key", ["radio", "carrier"])
+    def test_link_radio_or_carrier_exits_two(self, tmp_path, capsys, key):
+        # A wired link once loaded with either key and ignored it.
+        value = {"radio": "{efficiency: 0.01}",
+                 "carrier": "{band_label: n78, center_frequency: 3.47e9, "
+                            "bandwidth: 30.0e6, scs: 30.0e3}"}[key]
+        p = tmp_path / "link-key.yaml"
+        p.write_text(GOOD.replace("propagation_delay: 1.0e-6}",
+                                  f"propagation_delay: 1.0e-6, {key}: {value}}}",
+                                  1))
+        assert main(["validate", str(p)]) == 2
+        assert capsys.readouterr().err \
+            == f"error: {p}:links[0]: unknown key {key!r}\n"
+
     @pytest.mark.parametrize("field, bad", [("packet_size: 1000", "packet_size: 0"),
                                             ("rate: 5.0e6", "rate: .inf")],
                              ids=["packet_size-0", "rate-inf"])
@@ -264,6 +278,24 @@ class TestRun:
         out = capsys.readouterr().out
         assert "delivered 0," in out
         assert "assert failed: dl-ue1: no packet delivered" in out
+
+    # Each once ended in a raw traceback: a ZeroDivisionError from the MT's
+    # uplink capacity of 0, or an OverflowError from 10 ** (snr / 10).
+    @pytest.mark.parametrize("old, new", [
+        ("tdd_dl_fraction: 0.7", "tdd_dl_fraction: 1.0"),
+        ("    tx_power: 43.0", "    tx_power: 5000.0"),
+        ("pathloss_exponent: 2.2", "pathloss_exponent: -400.0"),
+    ], ids=["no-uplink-share", "huge-tx-power", "negative-exponent"])
+    @pytest.mark.parametrize("mode", ["upf", "bap"])
+    def test_extreme_radio_numbers_run_to_an_exit_code(self, tmp_path, capsys,
+                                                       old, new, mode):
+        text = bundled_scenario_path("bap-compare").read_text()
+        assert old in text
+        p = tmp_path / "extreme.yaml"
+        p.write_text(text.replace(old, new, 1))
+        assert main(["run", str(p), "--mode", mode,
+                     "--out", str(tmp_path / "o")]) in (0, 1)
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_unknown_mode_is_a_usage_error(self, good_file, tmp_path, capsys):
         with pytest.raises(SystemExit) as exit_:

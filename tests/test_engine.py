@@ -12,6 +12,7 @@ from iabsim import (PathMode, Simulator, engine, link_capacity, load_scenario,
 from iabsim.errors import NoRoute, ScenarioInvalid, UnknownFlow
 from iabsim.f1ap import F1Message, MsgKind
 from iabsim.gtp import Decision, Packet
+from iabsim.radio import RadioParams
 from iabsim.scenario_io import loads
 from iabsim.trace import FlowRecord
 from iabsim.topology import (DuConfigUpdateDirective, FlowSpec,
@@ -61,7 +62,7 @@ class TestLinkCapacity:
         scn = build_donor_scenario()
         scn.add_node(Role.IAB_MT, (880.0, 0.0), tx_power_dbm=23.0,
                      owner_group="g", node_id="g-mt")
-        lid = scn.add_link("donor-du", "g-mt", Medium.RADIO, carrier=N41)
+        lid = scn.add_link("donor-du", "g-mt", Medium.RADIO)
         link = next(l for l in scn.links if l.id == lid)
         dl = link_capacity(scn, link, "donor-du")
         ul = link_capacity(scn, link, "g-mt")
@@ -70,15 +71,6 @@ class TestLinkCapacity:
         assert ul == pytest.approx(12946790.195271285)
         assert dl / ul == pytest.approx(0.7 / 0.3)
 
-    def test_radio_override_per_link(self):
-        scn = build_donor_scenario()
-        scn.add_node(Role.IAB_MT, (880.0, 0.0), tx_power_dbm=23.0,
-                     owner_group="g", node_id="g-mt")
-        lid = scn.add_link("donor-du", "g-mt", Medium.RADIO, carrier=N41)
-        link = next(l for l in scn.links if l.id == lid)
-        base = link_capacity(scn, link, "donor-du")
-        link.radio_overrides = {"efficiency": 0.275}
-        assert link_capacity(scn, link, "donor-du") == pytest.approx(base / 2)
 
 
 # The message of the control packets queued below: they belong to no flow.
@@ -151,7 +143,7 @@ class TestSerialization:
 
     def test_capacity_follows_du_carrier_update(self):
         scn = build_donor_scenario(duration=1.0)
-        scn.add_link("donor-du", "ue1", Medium.RADIO, carrier=N41)
+        scn.add_link("donor-du", "ue1", Medium.RADIO)
         sim = Simulator(scn)
         link = sim.scn.find_link("donor-du", "ue1")
         d = sim._link_dir("donor-du", "ue1")
@@ -376,6 +368,17 @@ class TestDirectives:
             == [("ue:ue1", "NoRoute")]
         assert trace.summary["totals"]["events"] == len(trace.rows)
 
+    def test_backhaul_with_no_uplink_share_is_a_trace_drop(self):
+        # All TDD time downlink: the MT's uplink capacity is 0, and the F1
+        # setup delay over it once divided by that 0.
+        scn = build_mini_scenario()
+        scn.radio_params = RadioParams(tdd_dl_fraction=1.0)
+        trace = Simulator(scn).run()  # must not raise
+        drops = [e for e in trace.records() if e["kind"] == "Drop"
+                 and e["cause"] == "TransportDown"]
+        assert [e["location"] for e in drops] == ["ue:uav1-mt"]
+        assert trace.summary["flows"]["dl-ue2"]["delivered"] == 0
+
     def test_mt_session_is_two_tunnels_and_one_transition(self):
         sim = Simulator(build_mini_scenario(), trace_level="summary")
         trace = sim.run()
@@ -556,6 +559,23 @@ class TestAccounting:
             assert (row["injected"]
                     == row["delivered"] + row["dropped"] + row["in_flight"])
             assert row["in_flight"] >= 0
+
+    def test_uplink_with_no_tdd_share_drops_for_no_capacity(self):
+        scn = build_donor_scenario(duration=0.2)
+        scn.radio_params = RadioParams(tdd_dl_fraction=1.0)
+        scn.flows.append(FlowSpec(id="ul-ue1", src="ue1", dst="upf",
+                                  rate_bps=1e6, packet_size_bytes=1000,
+                                  start_s=0.05, stop_s=0.15))
+        trace = Simulator(scn).run()
+        drops = [e for e in trace.records()
+                 if e["kind"] == "Drop" and e["flow"] == "ul-ue1"]
+        row = trace.summary["flows"]["ul-ue1"]
+        assert row["injected"] > 0 and row["delivered"] == 0
+        assert len(drops) == row["dropped"] == row["injected"]
+        assert {(e["location"], e["cause"]) for e in drops} \
+            == {("ue1", "no-capacity")}
+        assert (row["injected"]
+                == row["delivered"] + row["dropped"] + row["in_flight"])
 
     def test_measure_throughput_matches_summary_over_full_run(self):
         scn = build_mini_scenario()

@@ -34,7 +34,7 @@ def scenario_with_iab():
     scn.add_link("uav1-mt", "uav1-du", Medium.WIRED,
                  wired_capacity_bps=IAB_INTERNAL_CAPACITY_BPS)
     scn.add_link("donor-du", "uav1-mt", Medium.RADIO)
-    scn.add_link("uav1-du", "ue2", Medium.RADIO, carrier=N78)
+    scn.add_link("uav1-du", "ue2", Medium.RADIO)
     return scn
 
 

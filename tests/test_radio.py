@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -34,7 +35,7 @@ class TestPathLoss:
             == radio.path_loss_db(3.47e9, 1.0, P)
 
     def test_custom_reference_distance(self):
-        p = P.overridden(reference_distance_m=10.0)
+        p = dataclasses.replace(P, reference_distance_m=10.0)
         assert radio.path_loss_db(3.47e9, 10.0, p) == pytest.approx(
             20 * math.log10(4 * math.pi * 10 * 3.47e9 / radio.SPEED_OF_LIGHT))
 
@@ -111,6 +112,13 @@ class TestCapacity:
         assert cap == pytest.approx(0.55 * 0.7 * 20e6)
         assert radio.shannon_capacity_bps(20e6, -200.0, P, True) < 1.0
 
+    @pytest.mark.parametrize("snr", [2999.0, 3000.0, 3090.0, 1e6])
+    def test_capacity_at_a_huge_snr_is_finite(self, snr):
+        # 10 ** (snr / 10) overflows past 3082 dB; log2(1 + 10**x) is then
+        # x * log2(10), as it already is in floats from x = 300 on.
+        cap = radio.shannon_capacity_bps(20e6, snr, P, downlink=True)
+        assert cap == pytest.approx(0.55 * 0.7 * 20e6 * snr / 10 * math.log2(10))
+
 
 class TestRadioParams:
     def test_rejects_non_finite(self):
@@ -122,8 +130,3 @@ class TestRadioParams:
             RadioParams(efficiency=0.0)
         with pytest.raises(ValueError):
             RadioParams(efficiency=1.5)
-
-    def test_overridden_leaves_original_untouched(self):
-        q = P.overridden(noise_figure_db=9.0)
-        assert q.noise_figure_db == 9.0
-        assert P.noise_figure_db == 7.0

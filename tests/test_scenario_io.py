@@ -5,10 +5,8 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from iabsim import (PathMode, Simulator, link_capacity, load_scenario,
-                    validate_topology)
+from iabsim import PathMode, Simulator, load_scenario, validate_topology
 from iabsim.errors import ParseError
-from iabsim.radio import SPEED_OF_LIGHT
 from iabsim.scenario_io import MAX_DEPTH, bundled_scenario_path, loads
 from iabsim.topology import ProtocolConstants, Role
 
@@ -68,9 +66,9 @@ def broken(old: str, new: str) -> str:
     return FULL.replace(old, new, 1)
 
 
-def with_radio(overrides: str) -> str:
-    """FULL's radio link with a per-link `radio` mapping."""
-    return broken(RADIO_LINK, RADIO_LINK[:-1] + f", radio: {overrides}}}")
+def on_radio_link(entry: str) -> str:
+    """FULL with `entry`, a `key: value` pair, added to its radio link."""
+    return broken(RADIO_LINK, RADIO_LINK[:-1] + f", {entry}}}")
 
 
 # (scenario text, the entry its error must name); each breaks one entry of
@@ -126,17 +124,20 @@ MALFORMED = {
             "{id: r, a: du,", "{id: r, a: idu,"),
         "links[2]"),
     "radio-no-carrier": (broken(f", carrier: {N41_YAML}}}", "}"), "links[2]"),
-    # A radio link takes its DU's carrier, never its UE's.
+    # A radio link takes its DU's carrier, and only a DU advertises one.
     "radio-carrier-only-on-ue": (
         broken(f", carrier: {N41_YAML}}}", "}").replace(
             "[50.0, 0.0], tx_power: 23.0}",
             f"[50.0, 0.0], tx_power: 23.0, carrier: {N41_YAML}}}"),
-        "links[2]"),
+        "nodes[3]"),
     "wired-no-capacity": (broken("Wired, wired_capacity: 1.0e9}", "Wired}"),
                           "links[0]"),
-    "radio-override-unknown": (with_radio("{foo: 1}"), "links[2]"),
-    "radio-override-text": (with_radio("{efficiency: x}"), "links[2]"),
-    "radio-override-range": (with_radio("{efficiency: 2.0}"), "links[2]"),
+    "link-radio": (on_radio_link("radio: {efficiency: 0.5}"),
+                   "links[2]: unknown key 'radio'"),
+    "link-carrier": (on_radio_link(f"carrier: {N41_YAML}"),
+                     "links[2]: unknown key 'carrier'"),
+    "radio-wired-capacity": (on_radio_link("wired_capacity: 1.0e9"),
+                             "links[2]: ValueError"),
     "carrier-bandwidth-nan": (broken("bandwidth: 20.0e6", "bandwidth: .nan"),
                               "nodes[2]"),
     **{f"{section}-scalar": (f"duration: 1.0\n{section}: 5\n", section)
@@ -153,14 +154,6 @@ class TestStrictParsing:
     def test_malformed_entry_is_a_parse_error(self, text, entry):
         with pytest.raises(ParseError, match=re.escape(f"<scenario>:{entry}")):
             loads(text)
-
-    def test_link_radio_override_uses_radio_defaults_keys(self):
-        scn = loads(with_radio("{reference_distance: 2.0}"))
-        link = scn.find_link("du", "ue")
-        assert link.radio_overrides == {"reference_distance_m": 2.0}
-        assert link_capacity(scn, link, "du") > 0
-        # add_link's default: the distance over the speed of light
-        assert link.propagation_delay_s == pytest.approx(49.0 / SPEED_OF_LIGHT)
 
     def test_unnamed_file_and_run_time_links_get_distinct_ids(self):
         # The run-time access link of the UE once took the id of the file's

@@ -53,16 +53,16 @@ class TestConstruction:
 
     def test_generated_ids_skip_taken_ones(self):
         scn = build_donor_scenario()
-        scn.add_link("donor-du", "ue1", Medium.RADIO, carrier=N41, link_id="l1")
+        scn.add_link("donor-du", "ue1", Medium.RADIO, link_id="l1")
         scn.add_node(Role.UE, (9.0, 0.0), tx_power_dbm=23.0, node_id="n3")
-        assert scn.add_link("donor-du", "ue2", Medium.RADIO, carrier=N41) == "l2"
+        assert scn.add_link("donor-du", "ue2", Medium.RADIO) == "l2"
         assert scn.add_node(Role.UE, (8.0, 0.0), tx_power_dbm=23.0) == "n4"
 
     def test_unknown_node_lookup(self):
         with pytest.raises(UnknownNode):
             Scenario(duration_s=1.0).node("nope")
 
-    @pytest.mark.parametrize("graph", ["nodes", "links"])
+    @pytest.mark.parametrize("graph", ["nodes", "links", "_counter"])
     def test_nodes_and_links_are_not_init_arguments(self, graph):
         with pytest.raises(TypeError):
             Scenario(duration_s=1.0, **{graph: {}})
@@ -85,7 +85,7 @@ class TestConstruction:
         cu = scn.add_node(Role.CU, (0, 0))
         upf = scn.add_node(Role.UPF, (1, 0))
         with pytest.raises(IllegalMedium):
-            scn.add_link(cu, upf, Medium.RADIO, carrier=N41)
+            scn.add_link(cu, upf, Medium.RADIO)
 
     def test_radio_link_requires_carrier(self):
         scn = Scenario(duration_s=1.0)
@@ -95,11 +95,24 @@ class TestConstruction:
             scn.add_link(du, ue, Medium.RADIO)
         assert scn.links == []
 
+    @pytest.mark.parametrize("role", [Role.CU, Role.UPF, Role.UE, Role.IAB_MT])
+    def test_only_a_du_advertises_a_carrier(self, role):
+        scn = Scenario(duration_s=1.0)
+        with pytest.raises(ValueError, match="advertises no carrier"):
+            scn.add_node(role, (0, 0), tx_power_dbm=23.0, carrier=N41)
+        assert scn.nodes == {}
+
+    def test_radio_link_takes_no_wired_capacity(self):
+        scn = build_donor_scenario()
+        with pytest.raises(ValueError, match="no wired_capacity_bps"):
+            scn.add_link("donor-du", "ue1", Medium.RADIO,
+                         wired_capacity_bps=1e9)
+        assert scn.find_link("donor-du", "ue1") is None
+
     @pytest.mark.parametrize("du_first", [True, False])
     def test_radio_link_defaults_to_its_dus_carrier(self, du_first):
         scn = build_donor_scenario()
-        scn.add_node(Role.UE, (10, 0), tx_power_dbm=23.0, carrier=N78,
-                     node_id="ue3")
+        scn.add_node(Role.UE, (10, 0), tx_power_dbm=23.0, node_id="ue3")
         ends = ("donor-du", "ue3") if du_first else ("ue3", "donor-du")
         scn.add_link(*ends, Medium.RADIO)
         assert scn.find_link("donor-du", "ue3").carrier == N41
@@ -108,7 +121,7 @@ class TestConstruction:
         scn = Scenario(duration_s=1.0)
         du = scn.add_node(Role.DONOR_DU, (0, 0), tx_power_dbm=23.0, carrier=N41)
         ue = scn.add_node(Role.UE, (299.792458, 0), tx_power_dbm=23.0)
-        lid = scn.add_link(du, ue, Medium.RADIO, carrier=N41)
+        lid = scn.add_link(du, ue, Medium.RADIO)
         link = next(l for l in scn.links if l.id == lid)
         assert link.propagation_delay_s == pytest.approx(1e-6)
 
@@ -317,7 +330,6 @@ class TestValidation:
             with pytest.raises(AttributeError, match="its ends are fixed"):
                 setattr(link, end, "ghost")
         link.carrier = N78  # what a DU config update writes stays writable
-        link.radio_overrides = {"efficiency": 0.5}
         assert (link.a, link.b) == ("cu", "donor-du")
         assert validate_topology(scn).ok
 
