@@ -132,8 +132,14 @@ MALFORMED = {
         "nodes[3]"),
     "wired-no-capacity": (broken("Wired, wired_capacity: 1.0e9}", "Wired}"),
                           "links[0]"),
-    "link-radio": (on_radio_link("radio: {efficiency: 0.5}"),
-                   "links[2]: unknown key 'radio'"),
+    # A link has no `radio` key, so any per-link radio mapping is refused,
+    # whether or not its own entries would be valid radio_defaults.
+    **{f"radio-override-{case}": (on_radio_link(f"radio: {overrides}"),
+                                  "links[2]: unknown key 'radio'")
+       for case, overrides in (("unknown", "{foo: 1}"),
+                               ("text", "{efficiency: x}"),
+                               ("range", "{efficiency: 2.0}"),
+                               ("valid", "{efficiency: 0.5}"))},
     "link-carrier": (on_radio_link(f"carrier: {N41_YAML}"),
                      "links[2]: unknown key 'carrier'"),
     "radio-wired-capacity": (on_radio_link("wired_capacity: 1.0e9"),
