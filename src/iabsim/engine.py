@@ -48,10 +48,6 @@ from .trace import (SCHEMA_VERSION, FlowRecord, Trace, measure_throughput,
 
 __all__ = ["Simulator", "link_capacity", "measure_throughput", "PathMode"]
 
-# The wired hop between an IAB node's MT and DU on one airframe. It is not
-# free: its serialization time shows in the trace's 12-digit times.
-IAB_INTERNAL_CAPACITY_BPS = 1e15
-
 
 def link_capacity(scenario: Scenario, link: Link, tx_node_id: str) -> float:
     """Capacity of one link direction; wired links pass their rate through."""
@@ -188,7 +184,7 @@ class Simulator:
             if link is None:
                 raise TransportDown(f"no link between {a} and {b}")
             cap = link_capacity(self.scn, link, a)
-            if cap <= 0:
+            if not cap > 0:  # NaN too
                 raise TransportDown(f"link {link.id} has no capacity {a}->{b}")
             total += size * 8 / cap + link.propagation_delay_s
         return total
@@ -232,16 +228,8 @@ class Simulator:
                 best, best_rx = du, rx
         if best is None:
             raise NoDonorCoverage(f"no donor-side DU covers {d.position}")
-        mt_id = self.scn.add_node(Role.IAB_MT, d.position,
-                                  tx_power_dbm=d.mt_tx_power_dbm,
-                                  owner_group=d.group, node_id=f"{d.group}-mt")
-        du_id = self.scn.add_node(Role.IAB_DU, d.position,
-                                  tx_power_dbm=d.tx_power_dbm,
-                                  owner_group=d.group, carrier=d.access_carrier,
-                                  node_id=f"{d.group}-du")
-        self.scn.add_link(mt_id, du_id, Medium.WIRED,
-                          wired_capacity_bps=IAB_INTERNAL_CAPACITY_BPS,
-                          propagation_delay_s=0.0)
+        mt_id, _ = self.scn.add_iab_node(d.group, d.position, d.tx_power_dbm,
+                                         d.mt_tx_power_dbm, d.access_carrier)
         self.scn.add_link(best.id, mt_id, Medium.RADIO)
         self._start_ue_attach(self.scn.node(mt_id), best)
 
@@ -286,7 +274,7 @@ class Simulator:
         downlink = self.fwd.open_tunnel(mt_id)
         self._transition(f"pdu:{mt_id}", "Requested", "Established",
                          "pdu-session-establish")
-        iab_du = self.scn.group_peer(mt_id).id
+        iab_du = mt_id.removesuffix("-mt") + "-du"  # as add_iab_node names it
         hops = install_f1_transport(self.fwd, self.mode, iab_du, mt_id,
                                     donor_du, self.cu, self.upf, uplink,
                                     downlink)
@@ -413,7 +401,7 @@ class Simulator:
         cap = d.cap
         if cap is None:
             cap = d.cap = link_capacity(self.scn, d.link, d.src)
-        if cap <= 0:
+        if not cap > 0:  # NaN too
             self._drop(d.src, pkt, "no-capacity", f"link {d.link.id}")
             return
         header = pkt.header_bytes

@@ -45,9 +45,10 @@ def path_loss_db(center_frequency_hz: float, distance_m: float,
     """Log-distance pathloss: free-space loss at d0, exponent n beyond it.
     A distance inside d0 has d0's loss."""
     d0 = params.reference_distance_m
-    distance_m = max(distance_m, d0)
     free_space_d0 = 20.0 * math.log10(
         4.0 * math.pi * d0 * center_frequency_hz / SPEED_OF_LIGHT)
+    if distance_m <= d0:  # no exponent term: 10 * n may be inf, and inf * 0 NaN
+        return free_space_d0
     return free_space_d0 + 10.0 * params.pathloss_exponent * math.log10(distance_m / d0)
 
 

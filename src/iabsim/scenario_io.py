@@ -31,7 +31,7 @@ from .topology import (Carrier, DuConfigUpdateDirective, FlowAssert, FlowSpec,
 
 TOP_KEYS = {"seed", "duration", "radio_defaults", "protocol", "nodes", "links",
             "flows", "schedule", "asserts"}
-NODE_KEYS = {"id", "role", "position", "tx_power", "owner_group", "carrier"}
+NODE_KEYS = {"id", "role", "position", "tx_power", "carrier"}
 LINK_KEYS = {"id", "a", "b", "medium", "wired_capacity", "propagation_delay"}
 CARRIER_KEYS = {"band_label", "center_frequency", "bandwidth", "scs"}
 FLOW_KEYS = {"id", "src", "dst", "rate", "packet_size", "start", "stop"}
@@ -176,7 +176,6 @@ def loads(text: str, name: str = "<scenario>") -> Scenario:
             scn.add_node(role, _pair(raw.get("position", [0, 0]),
                                      f"{where}: position", "[x, y]"),
                          tx_power_dbm=_num(raw, "tx_power", where, default=None),
-                         owner_group=_name(raw, "owner_group", where),
                          carrier=_carrier(raw["carrier"], f"{where}:carrier")
                          if "carrier" in raw else None,
                          node_id=_name(raw, "id", where))

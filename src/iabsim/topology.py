@@ -2,15 +2,17 @@
 
 A :class:`Scenario` is input only (a Simulator runs on its own deep copy): a
 flat graph plus workload and schedule. Its nodes and links enter only through
-`add_node` and `add_link`, for code and the loader alike, and those two own
-the per-entry structural rules: they raise on a break. `validate_topology`
-reports the whole-scenario rules as data: a CU wired to every donor DU and to
-the UPF, IAB pairs, finite tx powers, link and protocol numbers, unique flow
-ids outside the f1c: prefix, flow, assert and directive bounds, an assert's
-bound, and a bound on the packets flows inject. A link's ends are fixed once
-`add_link` made it. Only a DU advertises a carrier; a radio link takes its
-DU's carrier and the scenario's `radio_params`. An IAB node directive names
-its group, and the nodes it creates are `<group>-mt` and `<group>-du`.
+`add_node`, `add_iab_node` and `add_link`, for code and the loader alike, and
+those own the per-entry structural rules: they raise on a break. An IAB node
+enters whole, from `add_iab_node` (which its directive calls at run time): its
+IabMt `<group>-mt`, its IabDu `<group>-du` and the one wire between them. Two
+nodes share at most one link. `validate_topology` reports the whole-scenario
+rules as data: a CU wired to every donor DU and to the UPF, finite tx powers,
+link and protocol numbers, unique flow ids outside the f1c: prefix, flow,
+assert and directive bounds, an assert's bound, and a bound on the packets
+flows inject. A link's ends are fixed once `add_link` made it. Only a DU
+advertises a carrier; a radio link takes its DU's carrier and the scenario's
+`radio_params`.
 """
 from __future__ import annotations
 
@@ -41,13 +43,15 @@ class Medium(str, Enum):
 
 DU_ROLES = frozenset({Role.DONOR_DU, Role.IAB_DU})
 RADIO_ROLES = frozenset({Role.DONOR_DU, Role.IAB_DU, Role.UE, Role.IAB_MT})
-# Allowed wired endpoint role pairs (unordered). IabMt-IabDu is further
-# restricted to the same owner_group in validation.
+# Allowed wired endpoint role pairs (unordered), all on the ground: the one
+# wire of an airframe, between its MT and its DU, is add_iab_node's own.
 WIRED_PAIRS = frozenset({
     frozenset({Role.CU, Role.DONOR_DU}),
     frozenset({Role.CU, Role.UPF}),
-    frozenset({Role.IAB_MT, Role.IAB_DU}),
 })
+# The wired hop between an IAB node's MT and DU on one airframe. It is not
+# free: its serialization time shows in the trace's 12-digit times.
+IAB_INTERNAL_CAPACITY_BPS = 1e15
 # The most packets a valid scenario's flows may inject: bounds a run's work.
 MAX_INJECTED_PACKETS = 10 ** 6
 
@@ -75,7 +79,6 @@ class Node:
     role: Role
     position: tuple[float, float]
     tx_power_dbm: Optional[float] = None
-    owner_group: Optional[str] = None
     # Advertised carrier of a DU, consulted for coverage before any access link
     # to a UE exists; du_config_update replaces it in the Simulator's copy.
     carrier: Optional[Carrier] = None
@@ -154,7 +157,7 @@ class ProtocolConstants:
 
 @dataclass
 class Scenario:
-    """Only `add_node` and `add_link` fill `nodes` and `links`."""
+    """Only `add_node`, `add_iab_node` and `add_link` fill nodes and links."""
     duration_s: float
     seed: int = 0
     nodes: dict[str, Node] = field(default_factory=dict, init=False)
@@ -184,12 +187,32 @@ class Scenario:
 
     def add_node(self, role: Role, position: tuple[float, float],
                  tx_power_dbm: Optional[float] = None,
-                 owner_group: Optional[str] = None,
                  carrier: Optional[Carrier] = None,
                  node_id: Optional[str] = None) -> str:
         role = Role(role)
         if carrier is not None and role not in DU_ROLES:
             raise ValueError(f"a {role.value} advertises no carrier, only a DU")
+        if role in (Role.IAB_MT, Role.IAB_DU):
+            raise ValueError(f"an {role.value} comes only with its IAB node "
+                             f"(add_iab_node, or its directive)")
+        return self._put(role, position, tx_power_dbm, carrier, node_id)
+
+    def add_iab_node(self, group: str, position: tuple[float, float],
+                     tx_power_dbm: float, mt_tx_power_dbm: float,
+                     carrier: Carrier) -> tuple[str, str]:
+        """Add IabMt `<group>-mt`, IabDu `<group>-du` advertising `carrier`,
+        and the wire between them; return the MT's and the DU's id."""
+        mt, du = f"{group}-mt", f"{group}-du"
+        if du in self.nodes:  # the MT's id is checked as it is put
+            raise ValueError(f"duplicate node id {du!r}")
+        self._put(Role.IAB_MT, position, mt_tx_power_dbm, None, mt)
+        self._put(Role.IAB_DU, position, tx_power_dbm, carrier, du)
+        self.links.append(Link(id=self._next_id("l"), a=mt, b=du,
+                               medium=Medium.WIRED,
+                               wired_capacity_bps=IAB_INTERNAL_CAPACITY_BPS))
+        return mt, du
+
+    def _put(self, role, position, tx_power_dbm, carrier, node_id) -> str:
         if not all(math.isfinite(c) for c in position):
             raise ValueError(f"non-finite position {position}")
         if role is Role.CU and any(n.role is Role.CU for n in self.nodes.values()):
@@ -200,8 +223,7 @@ class Scenario:
         if nid in self.nodes:
             raise ValueError(f"duplicate node id {nid!r}")
         self.nodes[nid] = Node(id=nid, role=role, position=tuple(position),
-                               tx_power_dbm=tx_power_dbm,
-                               owner_group=owner_group, carrier=carrier)
+                               tx_power_dbm=tx_power_dbm, carrier=carrier)
         return nid
 
     def add_link(self, a: str, b: str, medium: Medium,
@@ -236,6 +258,8 @@ class Scenario:
                                    if medium is Medium.RADIO else 0.0)
         if link_id and any(l.id == link_id for l in self.links):
             raise ValueError(f"duplicate link id {link_id!r}")
+        if (old := self.find_link(a, b)) is not None:
+            raise ValueError(f"{a} and {b} are already linked, by {old.id}")
         lid = link_id or self._next_id("l")
         self.links.append(Link(id=lid, a=a, b=b, medium=medium, carrier=carrier,
                                wired_capacity_bps=wired_capacity_bps,
@@ -259,17 +283,6 @@ class Scenario:
 
     def nodes_with_role(self, role: Role) -> list[Node]:
         return [n for n in self.nodes.values() if n.role is role]
-
-    def group_peer(self, node_id: str) -> Optional[Node]:
-        """The IabMt paired with an IabDu (or vice versa) via owner_group."""
-        n = self.node(node_id)
-        if n.owner_group is None:
-            return None
-        want = Role.IAB_MT if n.role is Role.IAB_DU else Role.IAB_DU
-        for other in self.nodes.values():
-            if other.role is want and other.owner_group == n.owner_group:
-                return other
-        return None
 
 
 @dataclass
@@ -301,32 +314,14 @@ def validate_topology(scenario: Scenario) -> ValidationReport:
         donors = scenario.nodes_with_role(Role.DONOR_DU)
         if not donors:
             v.append("CU has no wired DonorDU")
-        # A CU-DonorDU link is wired: add_link allows no radio one.
+        # A CU's link to a DonorDU or the UPF is wired: add_link allows no
+        # radio one.
         v += [f"DonorDU {du.id} has no wire to the CU" for du in donors
               if scenario.find_link(cu.id, du.id) is None]
-        if upfs and not any(
-                {l.a, l.b} == {cu.id, upfs[0].id} and l.medium is Medium.WIRED
-                for l in scenario.links):
+        if upfs and scenario.find_link(cu.id, upfs[0].id) is None:
             v.append("CU has no wired UPF")
 
     for n in nodes.values():
-        if n.role in (Role.IAB_DU, Role.IAB_MT):
-            want = Role.IAB_MT if n.role is Role.IAB_DU else Role.IAB_DU
-            peers = [m for m in nodes.values()
-                     if m.role is want and m.owner_group == n.owner_group
-                     and n.owner_group is not None]
-            if len(peers) != 1:
-                v.append(f"{n.role.value} {n.id} must share an owner_group "
-                         f"with exactly one {want.value}, found {len(peers)}")
-        if n.role is Role.IAB_MT:
-            # WIRED_PAIRS allows an MT-DU wire; only its own DU's is internal.
-            for l in scenario.links:
-                if n.id in (l.a, l.b) and l.medium is Medium.WIRED:
-                    peer = nodes[l.other(n.id)]
-                    if peer.role is Role.IAB_DU and (
-                            n.owner_group is None
-                            or peer.owner_group != n.owner_group):
-                        v.append(f"{n.role.value} {n.id} has a wired link {l.id}")
         if n.role in RADIO_ROLES and n.tx_power_dbm is None:
             v.append(f"radio-capable node {n.id} has no tx_power")
         elif n.tx_power_dbm is not None and not math.isfinite(n.tx_power_dbm):
@@ -394,16 +389,13 @@ def validate_topology(scenario: Scenario) -> ValidationReport:
           if not all(map(math.isfinite, (d.tx_power_dbm, d.mt_tx_power_dbm)))]
     v += [f"IabNodeDirective at t={d.at_s}: position must be finite"
           for d in iab if not all(map(math.isfinite, d.position))]
-    # A directive adds <group>-mt and <group>-du, which pair by that group.
+    # A directive adds <group>-mt and <group>-du.
     groups = [d.group for d in iab]
     v += [f"IabNodeDirective group {g}: used by {groups.count(g)} directives"
           for g in sorted(set(groups)) if groups.count(g) > 1]
     v += [f"IabNodeDirective at t={d.at_s}: {name} names a node of the file"
           for d in iab for name in (f"{d.group}-mt", f"{d.group}-du")
           if name in nodes]
-    v += [f"IabNodeDirective at t={d.at_s}: group {d.group} is the "
-          f"owner_group of a node of the file" for d in iab
-          if any(n.owner_group == d.group for n in nodes.values())]
     dus = {n.id for n in nodes.values() if n.role in DU_ROLES}
     dus |= {f"{d.group}-du" for d in iab}
     v += [f"DuConfigUpdateDirective at t={d.at_s}: unknown DU {d.du}"

@@ -133,6 +133,32 @@ class TestValidate:
         assert capsys.readouterr().err \
             == f"error: {p}:links[0]: unknown key {key!r}\n"
 
+    @pytest.mark.parametrize("old, new, error", [
+        ("role: Ue", "role: IabMt", "ValueError: an IabMt comes only with its "
+         "IAB node (add_iab_node, or its directive)"),
+        ("role: Ue", "role: IabDu", "ValueError: an IabDu comes only with its "
+         "IAB node (add_iab_node, or its directive)"),
+        ("role: Ue,", "role: Ue, owner_group: uav1,", "unknown key 'owner_group'"),
+    ], ids=["IabMt", "IabDu", "owner_group"])
+    def test_iab_node_in_a_file_exits_two(self, tmp_path, capsys, old, new,
+                                          error):
+        # IAB nodes come only from an instantiate_iab_node directive.
+        p = tmp_path / "iab-node.yaml"
+        p.write_text(GOOD.replace(old, new, 1))
+        assert main(["validate", str(p)]) == 2
+        assert capsys.readouterr().err == f"error: {p}:nodes[3]: {error}\n"
+
+    def test_second_link_between_two_nodes_exits_two(self, tmp_path, capsys):
+        # It validated, and f1-wire2 never carried a packet.
+        p = tmp_path / "pair-twice.yaml"
+        p.write_text(GOOD.replace("\nflows:", "\n  - {id: f1-wire2, a: cu, "
+                                  "b: donor-du, medium: Wired, "
+                                  "wired_capacity: 1.0e3}\nflows:"))
+        assert main(["validate", str(p)]) == 2
+        assert capsys.readouterr().err \
+            == (f"error: {p}:links[2]: ValueError: cu and donor-du are already "
+                f"linked, by f1-wire\n")
+
     @pytest.mark.parametrize("field, bad", [("packet_size: 1000", "packet_size: 0"),
                                             ("rate: 5.0e6", "rate: .inf")],
                              ids=["packet_size-0", "rate-inf"])
@@ -265,6 +291,23 @@ class TestRun:
         assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 1
         assert "assert failed" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("bound, failed", [
+        ("max_goodput_bps: 1.0", "dl-ue1: goodput 4.000e+06 > max 1.000e+00 "
+                                 "in window (0.0, 0.2)"),
+        ("max_mean_latency_s: 1.0e-9", "dl-ue1: mean latency 0.000"),
+    ], ids=["max-goodput", "max-mean-latency"])
+    def test_failed_upper_bound_exits_one(self, tmp_path, capsys, bound,
+                                          failed):
+        p = tmp_path / "bounded.yaml"
+        p.write_text(GOOD + (
+            f"asserts:\n  - {{flow: dl-ue1, window: [0.0, 0.2], {bound}}}\n"))
+        assert main(["run", str(p), "--out", str(tmp_path / "o"),
+                     "--trace-level", "summary"]) == 1
+        failures = [line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("assert failed: ")]
+        assert len(failures) == 1 and failures[0].startswith(
+            f"assert failed: {failed}"), failures
+
     def test_latency_bound_fails_when_nothing_is_delivered(self, tmp_path,
                                                            capsys):
         # ue1 is out of every DU's coverage, so each packet drops; the
@@ -381,6 +424,20 @@ class TestCompare:
         out = capsys.readouterr().out
         assert "goodput +0.000e+00 bps" in out
         assert "total header bytes: +0" in out
+
+    def test_flow_in_one_summary_only_is_named(self, good_file, tmp_path,
+                                              capsys):
+        s = self._summary(good_file, tmp_path, "x", "upf")
+        doc = json.loads(open(s).read())
+        doc["flows"]["extra"] = doc["flows"]["dl-ue1"]
+        other = tmp_path / "more.json"
+        other.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["compare", s, str(other)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "flow extra: only in one trace" in out
+        assert any(line.startswith("flow dl-ue1: goodput +0.000e+00")
+                   for line in out)
 
     def test_schema_mismatch_exits_two(self, good_file, tmp_path, capsys):
         s = self._summary(good_file, tmp_path, "x", "upf")

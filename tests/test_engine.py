@@ -60,8 +60,8 @@ class TestLinkCapacity:
 
     def test_radio_directional_split(self):
         scn = build_donor_scenario()
-        scn.add_node(Role.IAB_MT, (880.0, 0.0), tx_power_dbm=23.0,
-                     owner_group="g", node_id="g-mt")
+        scn.add_iab_node("g", (880.0, 0.0), tx_power_dbm=43.0,
+                         mt_tx_power_dbm=23.0, carrier=N78)
         lid = scn.add_link("donor-du", "g-mt", Medium.RADIO)
         link = next(l for l in scn.links if l.id == lid)
         dl = link_capacity(scn, link, "donor-du")
@@ -307,6 +307,27 @@ class TestRunLifecycle:
         one_way = 64 * 8 / 1e9 + 1e-6  # 64-byte message on the 1 Gb/s F1 wire
         assert active[0]["time"] == pytest.approx(2 * one_way)
 
+    def test_setup_response_after_both_timers_drops_as_assoc_inactive(self):
+        # 80 us of load on the CU's side of the F1 wire holds both setup
+        # responses past the second 3 x RTT timer (~18 us): the association
+        # is Idle when they reach the DU.
+        sim = Simulator(build_donor_scenario(duration=0.001))
+        d = sim._link_dir("cu", "donor-du")
+        for i in range(10):
+            queue_on(sim, d, Packet(flow_id="load", src="cu", dst="donor-du",
+                                    payload_size_bytes=1000, created_at_s=0.0,
+                                    seq=i))
+        trace = sim.run()
+        assert [(e["to_state"], e["cause"]) for e in transitions(
+            trace.records(), "f1:donor-du")] \
+            == [("SetupRequested", "f1-setup"), ("Idle", "transport-down")]
+        drops = [e for e in trace.records() if e["kind"] == "Drop"]
+        assert [(e["location"], e["cause"], e["flow"]) for e in drops] \
+            == [("donor-du", "assoc-inactive", "f1c:donor-du")] * 2
+        f1 = trace.flows["f1c:donor-du"]
+        assert (f1.injected, len(f1.delivered_at), f1.dropped) == (4, 2, 2)
+        assert len(trace.flows["load"].delivered_at) == 10
+
     def test_seed_changes_teids_but_not_goodput(self):
         traces = [Simulator(build_mini_scenario(), seed=s).run() for s in (1, 2)]
         g = [measure_throughput(t, "dl-ue2", (0.0, 0.15)) for t in traces]
@@ -379,6 +400,20 @@ class TestDirectives:
         assert [e["location"] for e in drops] == ["ue:uav1-mt"]
         assert trace.summary["flows"]["dl-ue2"]["delivered"] == 0
 
+    def test_backhaul_with_nan_uplink_capacity_is_a_trace_drop(self):
+        # The exponent makes the SNR inf, and the MT's uplink share 0 * inf
+        # is NaN: the F1 setup delay over it was NaN, so was its timer's time,
+        # and the run stopped when that reached the top of the heap.
+        scn = build_mini_scenario()
+        scn.radio_params = RadioParams(pathloss_exponent=-1.0e308,
+                                       tdd_dl_fraction=1.0)
+        trace = Simulator(scn).run()
+        drops = [e for e in trace.records() if e["kind"] == "Drop"
+                 and e["cause"] == "TransportDown"]
+        assert [e["location"] for e in drops] == ["ue:uav1-mt"]
+        assert "no capacity uav1-mt->donor-du" in drops[0]["detail"]
+        assert in_flight(trace) == 0
+
     def test_mt_session_is_two_tunnels_and_one_transition(self):
         sim = Simulator(build_mini_scenario(), trace_level="summary")
         trace = sim.run()
@@ -406,12 +441,8 @@ class TestDirectives:
                      carrier=N41, node_id="donor-b")
         scn.add_link("cu", "donor-b", Medium.WIRED, wired_capacity_bps=1e9,
                      propagation_delay_s=1e-6)
-        scn.add_node(Role.IAB_MT, (880.0, 0.0), tx_power_dbm=23.0,
-                     owner_group="g", node_id="g-mt")
-        scn.add_node(Role.IAB_DU, (880.0, 0.0), tx_power_dbm=43.0,
-                     owner_group="g", carrier=N78, node_id="g-du")
-        scn.add_link("g-mt", "g-du", Medium.WIRED,
-                     wired_capacity_bps=engine.IAB_INTERNAL_CAPACITY_BPS)
+        scn.add_iab_node("g", (880.0, 0.0), tx_power_dbm=43.0,
+                         mt_tx_power_dbm=23.0, carrier=N78)
         for donor in ("donor-du", "donor-b"):
             scn.add_link(donor, "g-mt", Medium.RADIO)
         sim = Simulator(scn, mode=mode, trace_level="summary")
@@ -524,6 +555,25 @@ class TestCachedDecision:
         assert oracle_mismatches(sim.scn, trace) == []
 
 
+def all_uplink_drops_for_no_capacity(params):
+    """Under `params`, every packet of ue1's uplink is a no-capacity Drop."""
+    scn = build_donor_scenario(duration=0.2)
+    scn.radio_params = params
+    scn.flows.append(FlowSpec(id="ul-ue1", src="ue1", dst="upf",
+                              rate_bps=1e6, packet_size_bytes=1000,
+                              start_s=0.05, stop_s=0.15))
+    trace = Simulator(scn).run()
+    drops = [e for e in trace.records()
+             if e["kind"] == "Drop" and e["flow"] == "ul-ue1"]
+    row = trace.summary["flows"]["ul-ue1"]
+    assert row["injected"] == 13 and row["delivered"] == 0
+    assert len(drops) == row["dropped"] == row["injected"]
+    assert {(e["location"], e["cause"]) for e in drops} \
+        == {("ue1", "no-capacity")}
+    assert (row["injected"]
+            == row["delivered"] + row["dropped"] + row["in_flight"])
+
+
 class TestAccounting:
     @pytest.mark.parametrize("mode", list(PathMode))
     def test_window_holds_t0_and_leaves_out_t1(self, mode):
@@ -561,21 +611,27 @@ class TestAccounting:
             assert row["in_flight"] >= 0
 
     def test_uplink_with_no_tdd_share_drops_for_no_capacity(self):
+        all_uplink_drops_for_no_capacity(RadioParams(tdd_dl_fraction=1.0))
+
+    def test_nan_uplink_capacity_drops_for_no_capacity(self):
+        # The exponent makes the SNR inf, and the uplink share 0 * inf is NaN:
+        # a NaN time once entered the heap, and the run stopped after 1 packet.
+        all_uplink_drops_for_no_capacity(RadioParams(
+            pathloss_exponent=-1.0e308, tdd_dl_fraction=1.0))
+
+    def test_overflowing_exponent_leaves_a_ue_at_d0_covered(self):
+        # Inside d0, inf * log10(1) once made the loss NaN: ue1 was "not
+        # covered", and every downlink packet a no-route Drop.
         scn = build_donor_scenario(duration=0.2)
-        scn.radio_params = RadioParams(tdd_dl_fraction=1.0)
-        scn.flows.append(FlowSpec(id="ul-ue1", src="ue1", dst="upf",
+        scn.radio_params = RadioParams(pathloss_exponent=1.0e308)
+        scn.nodes["ue1"].position = (0.5, 0.0)
+        scn.flows.append(FlowSpec(id="dl-ue1", src="upf", dst="ue1",
                                   rate_bps=1e6, packet_size_bytes=1000,
                                   start_s=0.05, stop_s=0.15))
         trace = Simulator(scn).run()
-        drops = [e for e in trace.records()
-                 if e["kind"] == "Drop" and e["flow"] == "ul-ue1"]
-        row = trace.summary["flows"]["ul-ue1"]
-        assert row["injected"] > 0 and row["delivered"] == 0
-        assert len(drops) == row["dropped"] == row["injected"]
-        assert {(e["location"], e["cause"]) for e in drops} \
-            == {("ue1", "no-capacity")}
-        assert (row["injected"]
-                == row["delivered"] + row["dropped"] + row["in_flight"])
+        row = trace.summary["flows"]["dl-ue1"]
+        assert row["delivered"] == row["injected"] == 13
+        assert took_only(trace, "dl-ue1", UE1_DL_HOPS)
 
     def test_measure_throughput_matches_summary_over_full_run(self):
         scn = build_mini_scenario()

@@ -3,12 +3,11 @@ import re
 
 import pytest
 
-from iabsim.engine import IAB_INTERNAL_CAPACITY_BPS
 from iabsim.errors import ConflictingEntry, DepthExceeded, NoRoute, RoutingLoop
 from iabsim.gtp import (Forwarder, Packet, PathMode, RouteEntry, TEID_MAX,
                         encapsulate, install_f1_transport, install_ue_routes,
                         teids_of)
-from iabsim.topology import Medium, Role
+from iabsim.topology import Medium
 
 from conftest import N78, build_donor_scenario
 
@@ -27,12 +26,8 @@ def make_packet(**kw):
 
 def scenario_with_iab():
     scn = build_donor_scenario()
-    scn.add_node(Role.IAB_MT, (880.0, 0.0), tx_power_dbm=23.0,
-                 owner_group="uav1", node_id="uav1-mt")
-    scn.add_node(Role.IAB_DU, (880.0, 0.0), tx_power_dbm=43.0,
-                 owner_group="uav1", carrier=N78, node_id="uav1-du")
-    scn.add_link("uav1-mt", "uav1-du", Medium.WIRED,
-                 wired_capacity_bps=IAB_INTERNAL_CAPACITY_BPS)
+    scn.add_iab_node("uav1", (880.0, 0.0), tx_power_dbm=43.0,
+                     mt_tx_power_dbm=23.0, carrier=N78)
     scn.add_link("donor-du", "uav1-mt", Medium.RADIO)
     scn.add_link("uav1-du", "ue2", Medium.RADIO)
     return scn

@@ -1,6 +1,6 @@
 """Every imported name is read somewhere in its module, every error class
 is named outside `errors.py`, nodes and links enter a scenario only
-through `Scenario.add_node`/`add_link`, only `gtp.py` writes the
+through `Scenario.add_node`/`add_iab_node`/`add_link`, only `gtp.py` writes the
 Forwarder's routing tables and memo, only `radio.py` reads the reference
 distance and the coverage threshold, the protocol modules import nothing
 from `topology`, `gtp.py` holds no trace state, and every entry point that

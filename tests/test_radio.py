@@ -34,6 +34,15 @@ class TestPathLoss:
         assert radio.path_loss_db(3.47e9, distance_m, P) \
             == radio.path_loss_db(3.47e9, 1.0, P)
 
+    @pytest.mark.parametrize("exponent", [1e308, -1e308])
+    @pytest.mark.parametrize("distance_m", [0.5, 1.0])
+    def test_a_huge_exponent_adds_nothing_at_the_reference_distance(
+            self, exponent, distance_m):
+        # 10 * n overflows to inf, and inf * log10(1) once made the loss NaN.
+        p = dataclasses.replace(P, pathloss_exponent=exponent)
+        assert radio.path_loss_db(3.47e9, distance_m, p) \
+            == radio.path_loss_db(3.47e9, 1.0, P)
+
     def test_custom_reference_distance(self):
         p = dataclasses.replace(P, reference_distance_m=10.0)
         assert radio.path_loss_db(3.47e9, 10.0, p) == pytest.approx(
@@ -124,6 +133,11 @@ class TestRadioParams:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             RadioParams(pathloss_exponent=float("nan"))
+
+    @pytest.mark.parametrize("fraction", [0.0, -0.1, 1.5])
+    def test_rejects_a_tdd_split_outside_zero_to_one(self, fraction):
+        with pytest.raises(ValueError, match="tdd_dl_fraction"):
+            RadioParams(tdd_dl_fraction=fraction)
 
     def test_rejects_bad_efficiency(self):
         with pytest.raises(ValueError):

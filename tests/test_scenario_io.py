@@ -72,7 +72,7 @@ def on_radio_link(entry: str) -> str:
 
 
 # (scenario text, the entry its error must name); each breaks one entry of
-# FULL, or makes a list section a scalar
+# FULL, or makes a list section a scalar or the top level a list
 MALFORMED = {
     "packet-size-text": (broken("packet_size: 1000", "packet_size: big"),
                          "flows[0]"),
@@ -96,9 +96,16 @@ MALFORMED = {
     "iab-group-list": (broken("group: uav1", "group: [1, 2]"), "schedule[0]"),
     "iab-no-group": (broken(", group: uav1", ""), "schedule[0]"),
     "iab-group-null": (broken("group: uav1", "group: null"), "schedule[0]"),
+    # A node has no owner_group: IAB nodes come only from their directive.
     "owner-group-mapping": (broken("{id: ue, role: Ue,",
                                    "{id: ue, role: Ue, owner_group: {a: 1},"),
-                            "nodes[3]"),
+                            "nodes[3]: unknown key 'owner_group'"),
+    "owner-group": (broken("{id: ue, role: Ue,",
+                           "{id: ue, role: Ue, owner_group: uav1,"),
+                    "nodes[3]: unknown key 'owner_group'"),
+    "iab-mt-node": (broken("role: Ue,", "role: IabMt,"),
+                    "nodes[3]: ValueError: an IabMt comes only with its IAB "
+                    "node"),
     "node-id-list": (broken("{id: ue, role: Ue,", "{id: [1, 2], role: Ue,"),
                      "nodes[3]"),
     "link-id-mapping": (broken("{id: r, a: du", "{id: {r: 1}, a: du"), "links[2]"),
@@ -116,13 +123,21 @@ MALFORMED = {
     "wired-pair": (broken("a: cu, b: upf", "a: ue, b: upf"), "links[1]"),
     "radio-pair": (broken("b: ue, medium: Radio", "b: cu, medium: Radio"),
                    "links[2]"),
-    # An IAB-MT's backhaul ends at a donor DU: F1 has no route from an IabDu.
+    # A file names no IAB node, so it cannot give an IAB-MT a backhaul to
+    # an IabDu (F1 has no route from one): the IabDu entry is refused.
     "radio-mt-to-iab-du": (
         broken("  - {id: ue, role: Ue,",
                "  - {id: idu, role: IabDu, position: [9.0, 0.0], tx_power: 43.0,"
                f" carrier: {N41_YAML}}}\n  - {{id: ue, role: IabMt,").replace(
             "{id: r, a: du,", "{id: r, a: idu,"),
-        "links[2]"),
+        "nodes[3]: ValueError: an IabDu comes only with its IAB node"),
+    "unknown-medium": (broken("medium: Radio", "medium: Laser"),
+                       "links[2]: unknown medium 'Laser'"),
+    # A second link of a pair loaded, and never carried a packet.
+    "link-pair-twice": (broken(RADIO_LINK, "{id: w2, a: du, b: cu, medium: "
+                               "Wired, wired_capacity: 1.0e3}\n  - " + RADIO_LINK),
+                        "links[2]: ValueError: du and cu are already linked, "
+                        "by w"),
     "radio-no-carrier": (broken(f", carrier: {N41_YAML}}}", "}"), "links[2]"),
     # A radio link takes its DU's carrier, and only a DU advertises one.
     "radio-carrier-only-on-ue": (
@@ -148,6 +163,7 @@ MALFORMED = {
                               "nodes[2]"),
     **{f"{section}-scalar": (f"duration: 1.0\n{section}: 5\n", section)
        for section in ("nodes", "links", "flows", "schedule", "asserts")},
+    "top-level-list": ("- {duration: 1.0}\n", " top level must be a mapping"),
 }
 
 
@@ -172,9 +188,12 @@ class TestStrictParsing:
         assert [l.id for l in sim.scn.links] == ["l1", "n6", "l2"]
 
     def test_group_names_are_strings(self):
-        scn = loads(broken("group: uav1", "group: 7")
-                    .replace("{id: ue, role: Ue,", "{id: ue, role: Ue, owner_group: 7,"))
-        assert scn.schedule[0].group == "7" and scn.nodes["ue"].owner_group == "7"
+        scn = loads(broken("group: uav1", "group: 7"))
+        assert scn.schedule[0].group == "7"
+        sim = Simulator(scn, trace_level="summary")
+        sim.run()
+        assert sim.scn.nodes["7-mt"].role is Role.IAB_MT
+        assert sim.scn.find_link("7-mt", "7-du") is not None
 
     def test_zero_is_an_id_and_null_is_absent(self):
         scn = loads(broken("{id: ue, role: Ue,", "{id: 0, role: Ue,")

@@ -2,7 +2,8 @@ import pytest
 
 from iabsim.errors import (DuplicateCu, DuplicateUpf, IllegalMedium,
                            MissingCarrier, UnknownNode)
-from iabsim.topology import (MAX_INJECTED_PACKETS, Carrier,
+from iabsim.topology import (IAB_INTERNAL_CAPACITY_BPS, MAX_INJECTED_PACKETS,
+                             Carrier,
                              DuConfigUpdateDirective, FlowAssert, FlowSpec,
                              IabNodeDirective, Medium, ProtocolConstants, Role,
                              Scenario, validate_topology)
@@ -101,6 +102,22 @@ class TestConstruction:
         with pytest.raises(ValueError, match="advertises no carrier"):
             scn.add_node(role, (0, 0), tx_power_dbm=23.0, carrier=N41)
         assert scn.nodes == {}
+
+    @pytest.mark.parametrize("role", [Role.IAB_MT, Role.IAB_DU])
+    def test_add_node_refuses_an_iab_role(self, role):
+        # A lone IabMt once validated, and its bring-up raised AttributeError.
+        scn = build_donor_scenario()
+        with pytest.raises(ValueError, match="only with its IAB node"):
+            scn.add_node(role, (880.0, 0.0), tx_power_dbm=23.0, node_id="x")
+        assert "x" not in scn.nodes
+
+    def test_second_link_between_two_nodes_rejected(self):
+        # It loaded, and never carried a packet: find_link gives the first.
+        scn = build_donor_scenario()
+        with pytest.raises(ValueError, match="donor-du and cu are already "
+                                             "linked, by f1-wire"):
+            scn.add_link("donor-du", "cu", Medium.WIRED, wired_capacity_bps=1e3)
+        assert len(scn.links) == 2
 
     def test_radio_link_takes_no_wired_capacity(self):
         scn = build_donor_scenario()
@@ -266,18 +283,6 @@ class TestValidation:
         # The second directive failed at run time, as a Drop row.
         (lambda s: with_iab_nodes(s, "uav1", "uav1"),
          "IabNodeDirective group uav1: used by 2 directives"),
-        # The directive's nodes paired with the file's node: a raw traceback.
-        (lambda s: s.add_node(Role.UE, (50.0, 10.0), tx_power_dbm=23.0,
-                              owner_group="uav1")
-         and with_iab_nodes(s, "uav1"),
-         "IabNodeDirective at t=0.1: group uav1 is the owner_group of a node "
-         "of the file"),
-        # It validated, and the run raised AttributeError at its bring-up.
-        (lambda s: s.add_node(Role.IAB_MT, (880.0, 0.0), tx_power_dbm=23.0,
-                              node_id="lone-mt")
-         and s.add_link("donor-du", "lone-mt", Medium.RADIO) and s,
-         "IabMt lone-mt must share an owner_group with exactly one IabDu, "
-         "found 0"),
     ], ids=["duration-inf", "duration-nan", "assert-unknown-flow",
             "directive-at-duration", "directive-before-zero",
             "update-unknown-du", "update-not-a-du", "duplicate-flow-id",
@@ -289,8 +294,7 @@ class TestValidation:
             "assert-window-reversed", "assert-window-nan", "no-n6-link",
             "packets-over-bound", "packets-overflow-float",
             "packets-overflow-int", "flow-id-f1c-prefix", "assert-no-bound",
-            "donor-du-unwired", "iab-group-names-file-node", "iab-group-twice",
-            "iab-group-owned-by-file-node", "iab-mt-unpaired"])
+            "donor-du-unwired", "iab-group-names-file-node", "iab-group-twice"])
     def test_rejected_as_data_not_raised(self, mutate, violation):
         scn = build_donor_scenario(duration=1.0)
         # A mutation changes the scenario in place, or returns another one.
@@ -308,19 +312,17 @@ class TestValidation:
         assert validate_topology(scn).ok is ok
 
     def test_wired_mt_to_another_groups_du_reported(self):
+        # It once validated only with a violation; now no wire reaches an
+        # airframe but its own, so add_link refuses it.
         scn = build_donor_scenario()
         for g in ("g1", "g2"):
-            scn.add_node(Role.IAB_MT, (880.0, 0.0), tx_power_dbm=23.0,
-                         owner_group=g, node_id=f"{g}-mt")
-            scn.add_node(Role.IAB_DU, (880.0, 0.0), tx_power_dbm=43.0,
-                         owner_group=g, carrier=N78, node_id=f"{g}-du")
-            scn.add_link(f"{g}-mt", f"{g}-du", Medium.WIRED,
-                         wired_capacity_bps=1e15)
+            scn.add_iab_node(g, (880.0, 0.0), tx_power_dbm=43.0,
+                             mt_tx_power_dbm=23.0, carrier=N78)
         assert validate_topology(scn).ok
-        scn.add_link("g1-mt", "g2-du", Medium.WIRED, wired_capacity_bps=1e15,
-                     link_id="x")
-        assert validate_topology(scn).violations \
-            == ["IabMt g1-mt has a wired link x"]
+        with pytest.raises(IllegalMedium, match="between IabMt and IabDu"):
+            scn.add_link("g1-mt", "g2-du", Medium.WIRED,
+                         wired_capacity_bps=1e15, link_id="x")
+        assert scn.find_link("g1-mt", "g2-du") is None
 
     def test_link_ends_are_read_only(self):
         # A moved end once made validate_topology raise KeyError: 'ghost'.
@@ -341,12 +343,33 @@ class TestValidation:
 
 
 class TestIabDirective:
-    def test_group_peer_query(self):
+    def test_add_iab_node_adds_its_mt_du_and_wire(self):
         scn = build_donor_scenario()
-        mt = scn.add_node(Role.IAB_MT, (880, 0), tx_power_dbm=23.0,
-                          owner_group="g", node_id="g-mt")
-        du = scn.add_node(Role.IAB_DU, (880, 0), tx_power_dbm=43.0,
-                          owner_group="g", carrier=N78, node_id="g-du")
-        assert scn.group_peer(du).id == mt
-        assert scn.group_peer(mt).id == du
-        assert scn.group_peer("ue1") is None
+        assert scn.add_iab_node("g", (880.0, 0.0), tx_power_dbm=43.0,
+                                mt_tx_power_dbm=23.0, carrier=N78) \
+            == ("g-mt", "g-du")
+        mt, du = scn.nodes["g-mt"], scn.nodes["g-du"]
+        assert (mt.role, mt.tx_power_dbm, mt.carrier) == (Role.IAB_MT, 23.0, None)
+        assert (du.role, du.tx_power_dbm, du.carrier) == (Role.IAB_DU, 43.0, N78)
+        wire = scn.find_link("g-mt", "g-du")
+        assert (wire.medium, wire.wired_capacity_bps, wire.propagation_delay_s) \
+            == (Medium.WIRED, IAB_INTERNAL_CAPACITY_BPS, 0.0)
+        assert validate_topology(scn).ok
+
+    def test_add_iab_node_adds_nothing_when_a_name_is_taken(self):
+        scn = build_donor_scenario()
+        scn.add_node(Role.UE, (9.0, 0.0), tx_power_dbm=23.0, node_id="g-du")
+        before = (dict(scn.nodes), list(scn.links))
+        with pytest.raises(ValueError, match="duplicate node id 'g-du'"):
+            scn.add_iab_node("g", (880.0, 0.0), tx_power_dbm=43.0,
+                             mt_tx_power_dbm=23.0, carrier=N78)
+        assert (scn.nodes, scn.links) == before
+
+    def test_mt_radio_link_to_an_iab_du_rejected(self):
+        # F1 has no route from an IabDu.
+        scn = build_donor_scenario()
+        for g in ("g1", "g2"):
+            scn.add_iab_node(g, (880.0, 0.0), tx_power_dbm=43.0,
+                             mt_tx_power_dbm=23.0, carrier=N78)
+        with pytest.raises(IllegalMedium, match="must end at a DonorDU"):
+            scn.add_link("g2-du", "g1-mt", Medium.RADIO)
