@@ -8,9 +8,12 @@ scenario + seed produce identical traces.
 A hop is one event at both trace levels: the packet's arrival at the next
 node is scheduled when it is queued on the link, and at full level its
 Departure row, dated at its finish time, is appended then too. A packet takes
-buffer room until its finish time. The Forwarder's memoized decision carries
-an `_Out` with the outgoing link direction, so a repeated hop makes one memo
-lookup and no link search.
+buffer room until its finish time. A link direction is FIFO with one fixed
+delay, so its arrivals' (time, seq) keys rise: the heap holds only its first,
+the rest wait on its `_LinkDir`, and `_handle` pushes the next one when the
+first arrives. Events pop as if each had its own entry. The Forwarder's
+memoized decision carries an `_Out` with the outgoing link direction, so a
+repeated hop makes one memo lookup and no link search.
 
 Every packet's flow, user or F1, has one FlowRecord in the trace. Injecting,
 sending, dropping and delivering a packet count into it alike, whatever its
@@ -21,10 +24,15 @@ what fixes a head, so each distinct head is built once (see `trace`). A
 decision fixes its hop rows' heads up to the flow (payloads are per flow), so
 its `_Out` keeps them by flow id: a hop row costs one dict lookup. Rows are
 sorted by time at the end, stably, so ties keep the order they were appended.
+
+The event loop runs with the cyclic GC paused: a hop allocates tuples, at full
+level two rows too, so collections would run all along and walk the rows not
+yet untracked. The loop makes no reference cycles, so it leaves no garbage.
 """
 from __future__ import annotations
 
 import copy
+import gc
 import heapq
 import math
 import random
@@ -78,6 +86,8 @@ class _LinkDir:
     bytes_header: int = 0
     packets: int = 0
     delay: float = 0.0  # the link's propagation delay, which nothing changes
+    scheduled: bool = False  # an arrival over it is in the heap
+    waiting: deque = field(default_factory=deque)  # the later ones' entries
 
 
 @dataclass(slots=True)
@@ -109,6 +119,8 @@ class Simulator:
         self.trace = Trace(mode=self.mode.value, seed=self.seed,
                            flows={f.id: FlowRecord(f.packet_size_bytes)
                                   for f in scenario.flows})
+        self._rows, self._flows = self.trace.rows, self.trace.flows  # read per hop
+        self._duration = scenario.duration_s
         # The Forwarder draws every TEID, so it owns the run's RNG.
         self.fwd = Forwarder(random.Random(self.seed), proto.gtp_header_bytes,
                              proto.bap_header_bytes, proto.ttl)
@@ -156,14 +168,20 @@ class Simulator:
             self._schedule(d.at_s, self._apply_directive, d)
         for f in self.scn.flows:
             self._schedule(f.start_s, self._inject, f, 0)
-        duration = self.scn.duration_s
+        duration = self._duration
         heap = self._heap
-        while heap and heap[0][0] <= duration:
-            t, _, fn, args = heapq.heappop(heap)
-            self.now = t
-            fn(*args)
+        enabled = gc.isenabled()
+        gc.disable()  # see the module docstring
+        try:
+            while heap and heap[0][0] <= duration:
+                t, _, fn, args = heapq.heappop(heap)
+                self.now = t
+                fn(*args)
+        finally:
+            if enabled:
+                gc.enable()
         self.now = duration
-        self.trace.rows.sort(key=itemgetter(0))
+        self._rows.sort(key=itemgetter(0))
         self._finalize()
         return self.trace
 
@@ -297,11 +315,9 @@ class Simulator:
     # -- packets ------------------------------------------------------------------
 
     def _inject(self, f: FlowSpec, i: int) -> None:
-        pkt = Packet(flow_id=f.id, src=f.src, dst=f.dst,
-                     payload_size_bytes=f.packet_size_bytes,
-                     created_at_s=self.now, seq=i)
-        self.trace.flows[f.id].injected += 1
-        self._handle(f.src, pkt, via_link=False)
+        pkt = Packet(f.id, f.src, f.dst, f.packet_size_bytes, self.now, i)
+        self._flows[f.id].injected += 1
+        self._handle(f.src, pkt, None)
         interval = f.packet_size_bytes * 8 / f.rate_bps
         next_t = f.start_s + (i + 1) * interval
         if next_t < f.stop_s:
@@ -311,18 +327,18 @@ class Simulator:
         # F1 packet numbers count across every association.
         self._ctl_seq += 1
         fid, size = f"f1c:{msg.association}", self.proto.control_message_bytes
-        self.trace.flows.setdefault(fid, FlowRecord(size)).injected += 1
+        self._flows.setdefault(fid, FlowRecord(size)).injected += 1
         pkt = Packet(flow_id=fid, src=src, dst=dst, payload_size_bytes=size,
                      created_at_s=self.now, seq=self._ctl_seq, control=msg)
-        self._handle(src, pkt, via_link=False)
+        self._handle(src, pkt, None)
 
     def _drop(self, node: str, pkt: Packet, cause: str, detail: str = "") -> None:
-        self.trace.flows[pkt.flow_id].dropped += 1
+        self._flows[pkt.flow_id].dropped += 1
         head = self._head(pkt, ("Drop", node, pkt.flow_id, pkt.header_stack,
                                 pkt.header_bytes, cause, pkt.flow_id, detail),
                           ("cause", "flow", "detail") if detail
                           else ("cause", "flow"))
-        self.trace.rows.append((self.now, head, pkt.seq))
+        self._rows.append((self.now, head, pkt.seq))
 
     def _head(self, pkt: Packet, key: tuple, names: tuple[str, ...]) -> tuple:
         """The head of `pkt`'s Arrival, Departure or Drop row.
@@ -340,7 +356,13 @@ class Simulator:
                 wire_size=pkt.wire_size_bytes)
         return head
 
-    def _handle(self, node: str, pkt: Packet, via_link: bool) -> None:
+    def _handle(self, node: str, pkt: Packet, via: Optional[_LinkDir]) -> None:
+        """`pkt` is at `node`, arrived over `via`, or injected there (None)."""
+        if via is not None:  # the next arrival over `via` takes the heap
+            if via.waiting:
+                heapq.heappush(self._heap, via.waiting.popleft())
+            else:
+                via.scheduled = False
         try:
             hop = self.fwd.forward(node, pkt)
         except NoRoute as exc:
@@ -351,12 +373,12 @@ class Simulator:
             return
         if (out := hop.out) is None:  # a new decision
             out = hop.out = _Out()
-        if via_link and self.trace_full:
+        if via is not None and self.trace_full:
             if (head := out.arrivals.get(pkt.flow_id)) is None:
                 head = out.arrivals[pkt.flow_id] = self._head(pkt, (
                     "Arrival", node, pkt.flow_id, pkt.header_stack,
                     pkt.header_bytes, hop.next_hop is None), ("delivered",))
-            self.trace.rows.append((self.now, head, pkt.seq))
+            self._rows.append((self.now, head, pkt.seq))
         if hop.next_hop is None:
             self._deliver(node, pkt)
             return
@@ -381,7 +403,7 @@ class Simulator:
         if control is not None and not self.cp.deliverable(control):
             self._drop(node, pkt, "assoc-inactive")
             return
-        record = self.trace.flows[pkt.flow_id]
+        record = self._flows[pkt.flow_id]
         record.paths[tuple(pkt.hop_log)] += 1
         record.delivered_at.append(self.now)
         record.latency_sum_s += self.now - pkt.created_at_s
@@ -413,15 +435,20 @@ class Simulator:
         d.bytes_total += wire
         d.bytes_header += header
         d.packets += 1
-        self.trace.flows[pkt.flow_id].overhead_bytes += header
-        if self.trace_full and finish <= self.scn.duration_s:
+        self._flows[pkt.flow_id].overhead_bytes += header
+        if self.trace_full and finish <= self._duration:
             if (head := out.departures.get(pkt.flow_id)) is None:
                 head = out.departures[pkt.flow_id] = self._head(pkt, (
                     "Departure", d.link.id, pkt.flow_id, pkt.header_stack,
                     header, d.src, d.dst), ("src", "dst"))
-            self.trace.rows.append((finish, head, pkt.seq))
-        heapq.heappush(self._heap, (finish + d.delay, self._heap_seq,
-                                    self._handle, (d.dst, pkt, True)))
+            self._rows.append((finish, head, pkt.seq))
+        arrival = (finish + d.delay, self._heap_seq, self._handle,
+                   (d.dst, pkt, d))
+        if d.scheduled:  # it waits for those queued before it to arrive
+            d.waiting.append(arrival)
+        else:
+            d.scheduled = True
+            heapq.heappush(self._heap, arrival)
         self._heap_seq += 1
 
     # -- summary -------------------------------------------------------------------

@@ -32,6 +32,8 @@ class RadioParams:
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise ValueError(f"RadioParams.{name} must be finite, got {v!r}")
+        if self.pathloss_exponent < 0.0:  # received power would grow with distance
+            raise ValueError("pathloss_exponent must not be negative")
         if self.reference_distance_m <= 0.0:
             raise ValueError("reference_distance must be positive")
         if not 0.0 < self.efficiency <= 1.0:

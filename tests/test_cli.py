@@ -323,22 +323,26 @@ class TestRun:
         assert "assert failed: dl-ue1: no packet delivered" in out
 
     # Each once ended in a raw traceback: a ZeroDivisionError from the MT's
-    # uplink capacity of 0, or an OverflowError from 10 ** (snr / 10).
-    @pytest.mark.parametrize("old, new", [
-        ("tdd_dl_fraction: 0.7", "tdd_dl_fraction: 1.0"),
-        ("    tx_power: 43.0", "    tx_power: 5000.0"),
-        ("pathloss_exponent: 2.2", "pathloss_exponent: -400.0"),
+    # uplink capacity of 0, or an OverflowError from 10 ** (snr / 10). A
+    # negative exponent once ran to 0 or 1; it is now refused as malformed.
+    @pytest.mark.parametrize("old, new, codes", [
+        ("tdd_dl_fraction: 0.7", "tdd_dl_fraction: 1.0", (0, 1)),
+        ("    tx_power: 43.0", "    tx_power: 5000.0", (0, 1)),
+        ("pathloss_exponent: 2.2", "pathloss_exponent: -400.0", (2,)),
     ], ids=["no-uplink-share", "huge-tx-power", "negative-exponent"])
     @pytest.mark.parametrize("mode", ["upf", "bap"])
     def test_extreme_radio_numbers_run_to_an_exit_code(self, tmp_path, capsys,
-                                                       old, new, mode):
+                                                       old, new, codes, mode):
         text = bundled_scenario_path("bap-compare").read_text()
         assert old in text
         p = tmp_path / "extreme.yaml"
         p.write_text(text.replace(old, new, 1))
         assert main(["run", str(p), "--mode", mode,
-                     "--out", str(tmp_path / "o")]) in (0, 1)
-        assert "Traceback" not in capsys.readouterr().err
+                     "--out", str(tmp_path / "o")]) in codes
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if codes == (2,):
+            assert "radio_defaults" in err and "must not be negative" in err
 
     def test_unknown_mode_is_a_usage_error(self, good_file, tmp_path, capsys):
         with pytest.raises(SystemExit) as exit_:

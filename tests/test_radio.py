@@ -34,11 +34,12 @@ class TestPathLoss:
         assert radio.path_loss_db(3.47e9, distance_m, P) \
             == radio.path_loss_db(3.47e9, 1.0, P)
 
-    @pytest.mark.parametrize("exponent", [1e308, -1e308])
+    @pytest.mark.parametrize("exponent", [1e308])
     @pytest.mark.parametrize("distance_m", [0.5, 1.0])
     def test_a_huge_exponent_adds_nothing_at_the_reference_distance(
             self, exponent, distance_m):
         # 10 * n overflows to inf, and inf * log10(1) once made the loss NaN.
+        # A negative exponent is refused (TestRadioParams).
         p = dataclasses.replace(P, pathloss_exponent=exponent)
         assert radio.path_loss_db(3.47e9, distance_m, p) \
             == radio.path_loss_db(3.47e9, 1.0, P)
@@ -133,6 +134,16 @@ class TestRadioParams:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             RadioParams(pathloss_exponent=float("nan"))
+
+    @pytest.mark.parametrize("exponent", [-1e308, -1.0, -5e-324])
+    def test_rejects_a_negative_exponent(self, exponent):
+        # Received power would grow with distance: a UE 6 km away was once
+        # "covered" at +inf dBm, and radio capacity was infinite.
+        with pytest.raises(ValueError, match="pathloss_exponent"):
+            RadioParams(pathloss_exponent=exponent)
+
+    def test_a_zero_exponent_is_allowed(self):
+        assert RadioParams(pathloss_exponent=0.0).pathloss_exponent == 0.0
 
     @pytest.mark.parametrize("fraction", [0.0, -0.1, 1.5])
     def test_rejects_a_tdd_split_outside_zero_to_one(self, fraction):

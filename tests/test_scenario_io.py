@@ -88,6 +88,9 @@ MALFORMED = {
                             "radio_defaults"),
     "radio-defaults-zero-distance": (
         broken("{efficiency: 0.55}", "{reference_distance: 0}"), "radio_defaults"),
+    "radio-defaults-negative-exponent": (
+        broken("{efficiency: 0.55}", "{pathloss_exponent: -1.0}"),
+        "radio_defaults: ValueError: pathloss_exponent must not be negative"),
     "window-text": (broken("window: [0.2, 0.8]", "window: [a, 0.1]"),
                     "asserts[0]"),
     "assert-no-flow": (broken("{flow: dl, ", "{"), "asserts[0]"),
