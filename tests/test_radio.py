@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import types
 
 import pytest
 
@@ -34,13 +35,16 @@ class TestPathLoss:
         assert radio.path_loss_db(3.47e9, distance_m, P) \
             == radio.path_loss_db(3.47e9, 1.0, P)
 
-    @pytest.mark.parametrize("exponent", [1e308])
+    @pytest.mark.parametrize("exponent", [1e308, -1e308])
     @pytest.mark.parametrize("distance_m", [0.5, 1.0])
     def test_a_huge_exponent_adds_nothing_at_the_reference_distance(
             self, exponent, distance_m):
-        # 10 * n overflows to inf, and inf * log10(1) once made the loss NaN.
-        # A negative exponent is refused (TestRadioParams).
-        p = dataclasses.replace(P, pathloss_exponent=exponent)
+        # 10 * n overflows to +-inf, and inf * log10(1) once made the loss NaN.
+        # The d0 guard is path_loss_db's own, so it is checked for either sign
+        # on a bare parameter holder, though RadioParams refuses a negative
+        # exponent (TestRadioParams).
+        p = types.SimpleNamespace(reference_distance_m=P.reference_distance_m,
+                                  pathloss_exponent=exponent)
         assert radio.path_loss_db(3.47e9, distance_m, p) \
             == radio.path_loss_db(3.47e9, 1.0, P)
 
