@@ -80,14 +80,18 @@ def cmd_run(args) -> int:
         print(f"error: --out {out}: {exc}", file=sys.stderr)
         return 2
     trace = sim.run()
+    try:  # a NaN or an infinity is no JSON: refused before any file is written
+        summary = json.dumps(trace.summary, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        print(f"error: summary.json: {exc}", file=sys.stderr)
+        return 1
     report = (f"mode={trace.mode} seed={trace.seed} "
               f"events={trace.summary['totals']['events']}")
     try:
         if args.trace_level == "full":
             with (out / "trace.jsonl").open("wb") as fh:
                 report += f" trace_sha256={trace.write_jsonl(fh)}"
-        (out / "summary.json").write_text(
-            json.dumps(trace.summary, indent=2, sort_keys=False) + "\n")
+        (out / "summary.json").write_text(summary)
         with (out / "flows.tsv").open("w") as fh:
             cols = ["flow_id", "offered_bps", "goodput_bps", "mean_latency_s",
                     "delivered", "dropped", "mean_hop_count", "overhead_bytes"]

@@ -16,6 +16,12 @@ SPEED_OF_LIGHT = 299_792_458.0
 
 VALID_SCS_HZ = (15e3, 30e3, 60e3)
 
+# kT, in dBm/Hz, from below 1 K to about 29,000 K; -174 is kT at 290 K.
+THERMAL_NOISE_DBM_HZ = (-200.0, -150.0)
+# The least efficiency and TDD downlink share: below it a capacity can be
+# subnormal, so one packet's serialization time is inf and busy time NaN.
+MIN_SHARE = 0.01
+
 
 @dataclass(frozen=True)
 class RadioParams:
@@ -36,10 +42,18 @@ class RadioParams:
             raise ValueError("pathloss_exponent must not be negative")
         if self.reference_distance_m <= 0.0:
             raise ValueError("reference_distance must be positive")
-        if not 0.0 < self.efficiency <= 1.0:
-            raise ValueError("efficiency must be in (0, 1]")
-        if not 0.0 < self.tdd_dl_fraction <= 1.0:
-            raise ValueError("tdd_dl_fraction must be in (0, 1]")
+        # A receiver adds noise: a figure of -1e300 dB made the SNR, and so
+        # the capacity, infinite.
+        if self.noise_figure_db < 0.0:
+            raise ValueError("noise_figure must not be negative")
+        low, high = THERMAL_NOISE_DBM_HZ
+        if not low <= self.thermal_noise_dbm_hz <= high:
+            raise ValueError(f"thermal_noise_density must be in "
+                             f"[{low:g}, {high:g}] dBm/Hz")
+        if not MIN_SHARE <= self.efficiency <= 1.0:
+            raise ValueError(f"efficiency must be in [{MIN_SHARE:g}, 1]")
+        if not MIN_SHARE <= self.tdd_dl_fraction <= 1.0:
+            raise ValueError(f"tdd_dl_fraction must be in [{MIN_SHARE:g}, 1]")
 
 
 def path_loss_db(center_frequency_hz: float, distance_m: float,

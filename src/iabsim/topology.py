@@ -54,6 +54,13 @@ WIRED_PAIRS = frozenset({
 IAB_INTERNAL_CAPACITY_BPS = 1e15
 # The most packets a valid scenario's flows may inject: bounds a run's work.
 MAX_INJECTED_PACKETS = 10 ** 6
+# The largest packet, IP's 65,535 bytes: a packet of 1e308 bytes once
+# overflowed the serialization time's float.
+MAX_PACKET_BYTES = 65_535
+# A tx power's window, in dBm. The bundled radios send 23 and 43 dBm; the
+# window is far wider, and its top keeps the SNR, and so a link's capacity,
+# finite: 1e300 dBm gave a serialization time of 0.
+TX_POWER_DBM = (-100.0, 10_000.0)
 
 
 @dataclass(frozen=True)
@@ -353,8 +360,9 @@ def validate_topology(scenario: Scenario) -> ValidationReport:
             v.append(f"flow {f.id}: need start < stop <= duration")
         if not 0 < f.rate_bps < math.inf:
             v.append(f"flow {f.id}: rate must be positive and finite")
-        if f.packet_size_bytes <= 0:
-            v.append(f"flow {f.id}: packet size must be positive")
+        if not 0 < f.packet_size_bytes <= MAX_PACKET_BYTES:
+            v.append(f"flow {f.id}: packet size must be 1 to "
+                     f"{MAX_PACKET_BYTES} bytes")
     try:  # floats, no rounding up: a count past the largest float is inf
         packets = sum((f.stop_s - f.start_s) * f.rate_bps / 8
                       / f.packet_size_bytes for f in scenario.flows

@@ -1,10 +1,10 @@
 """Run record: ordered trace rows, one FlowRecord per flow, summary, export.
 
-Each trace event is one row `(time, head, pkt)` in `Trace.rows`, and its seq
-is its index there. `head` is `row_head(kind, location, subject, **fields)`:
-those three and the event's JSON line, with holes for time, seq and, if the
-event has one, pkt, the packet number the row holds; every other field is
-encoded into the line when the head is built.
+Each trace event is one row `(time, head, pkt)` in `Trace.rows`, time a
+float, and its seq is its index there. `head` is `row_head(kind, location,
+subject, **fields)`: those three and the event's JSON line, with holes for
+time, seq and, if the event has one, pkt, the packet number the row holds;
+every other field is encoded into the line when the head is built.
 
 - Arrival, Departure and a packet's Drop, nearly all of a full trace, are
   appended by the engine, which builds each distinct head once: a full-level
@@ -15,16 +15,20 @@ encoded into the line when the head is built.
 Rows are in time order, and rows at one time in the order they were
 appended; a Departure is appended when its packet is queued.
 
-A row holds only atoms and its head only strings, so Python's cyclic GC
-stops tracking them within three collections.
+A row holds only atoms and its head only strings and bytes, so Python's
+cyclic GC stops tracking them within three collections.
 
 Every JSON-lines record has the keys time, seq, kind, location and subject,
 then the fields sorted by name, so identical runs serialize byte-identically;
 the hash of the export is the determinism fingerprint. A line is its head's
-line with time, seq and pkt filled in, the bytes json.dumps gives: one % fills
-4,096 lines, joined. The time's text is repr(round(t, 12)), made with one
-decimal conversion where 1e-4 <= t < 4096: there it is "%.12f" % t without
-trailing zeros, one kept after the point. `records()` parses the export back,
+line with time, seq and pkt filled in, the bytes json.dumps gives: one bytes
+% fills 4,096 lines, joined, from four values a row (the time's precision,
+the time, seq, pkt), with no Python loop per row. The time's text is
+repr(round(t, 12)). For t in [10**k, 10**(k + 1)) inside [1e-4, 4096),
+"%.{13 + k}g" rounds at 1e-12 and drops the trailing zeros, so it prints
+those bytes but for a whole number's ".0", which is put back after the fill.
+A batch with any time outside that range, or spanning 16 s or more, prints
+each time's repr into the line instead. `records()` parses the export back,
 so a reader sees what the file holds.
 """
 from __future__ import annotations
@@ -32,10 +36,11 @@ from __future__ import annotations
 import hashlib
 import json.encoder
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, repeat
+from operator import itemgetter
 from typing import Iterator
 
 from .errors import UnknownFlow
@@ -48,20 +53,28 @@ _ENCODE = json.encoder.c_make_encoder(
     None, None, json.encoder.encode_basestring_ascii, None, ": ", ", ",
     False, False, True)
 
+# bisect_right(_PRECISION, t) is the %.*g precision that prints a time t of
+# [1e-4, 4096) to 12 places: 13 + k in the decade [10**k, 10**(k + 1)), from
+# 9 up to 16. Each edge's double is at or above its power of ten, so a time
+# at an edge falls in the decade it opens.
+_PRECISION = (-math.inf,) * 9 + (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1000.0)
+
 
 def row_head(kind: str, location: str, subject: str, **fields) -> tuple:
     """The head `(kind, location, subject, line)` of the rows (time, head,
-    pkt) of one event or hop. `line` is the record with %s and %d holes for
-    its time's text (see the module docstring) and seq, and a %d hole for pkt
-    if `fields` has it; every other value is encoded here, as json.dumps
+    pkt) of one event or hop. `line` is the record as bytes, ending in a
+    newline, with holes for the time's precision and value (%.*g, see the
+    module docstring), seq (%d) and pkt: %d if `fields` has it, else %.0a,
+    which prints nothing. Every other value is encoded here, as json.dumps
     encodes it, with its % doubled."""
-    body = ['{"time": %s, "seq": %d']
+    body = ['{"time": %.*g, "seq": %d']
     for name, value in (("kind", kind), ("location", location),
                         ("subject", subject), *sorted(fields.items())):
         text = ("%d" if name == "pkt" else
                 "".join(_ENCODE(value, 0)).replace("%", "%%"))
         body.append(f'"{name}": {text}')
-    return kind, location, subject, ", ".join(body) + "}"
+    end = "}\n" if "pkt" in fields else "%.0a}\n"
+    return kind, location, subject, (", ".join(body) + end).encode()
 
 
 @dataclass(slots=True)
@@ -93,8 +106,10 @@ class Trace:
     def emit(self, time: float, kind: str, location: str, subject: str,
              **fields) -> None:
         """Record one event with a head of its own; `pkt`, if given, is an
-        int."""
-        self.rows.append((time, row_head(kind, location, subject, **fields),
+        int. The time is made a float: an int's text would depend on the
+        batch it is exported in."""
+        self.rows.append((float(time),
+                          row_head(kind, location, subject, **fields),
                           fields.get("pkt")))
 
     def records(self) -> Iterator[dict]:
@@ -107,36 +122,58 @@ class Trace:
 
     # -- export -------------------------------------------------------------
 
-    def _batches(self) -> Iterator[str]:
+    def _batches(self) -> Iterator[bytes]:
         """The header line, then each 4,096 rows' lines in one % fill."""
         yield "".join(_ENCODE({"schema_version": SCHEMA_VERSION,
                                "record": "header", "mode": self.mode,
-                               "seed": self.seed}, 0))
+                               "seed": self.seed}, 0)).encode() + b"\n"
         rows = self.rows
         for lo in range(0, len(rows), 4096):
-            lines, args = [], []
-            for seq, (t, head, pkt) in enumerate(rows[lo:lo + 4096], lo):
-                text = (("%.12f" % t).rstrip("0") if 1e-4 <= t < 4096.0
-                        else repr(round(t, 12)))
-                text += "0" if text[-1] == "." else ""
-                lines.append(head[3])
-                args += (text, seq) if pkt is None else (text, seq, pkt)
-            yield "\n".join(lines) % tuple(args)
+            chunk = rows[lo:lo + 4096]
+            lines = b"".join(map(itemgetter(3), map(itemgetter(1), chunk)))
+            times = list(map(itemgetter(0), chunk))
+            args = [None] * (4 * len(chunk))
+            args[1::4] = times
+            args[2::4] = range(lo, lo + len(chunk))
+            args[3::4] = map(itemgetter(2), chunk)
+            first, last = min(times), max(times)
+            # Less than 16 s apart, the times may round to at most 17
+            # integers, and each costs one scan of the batch below.
+            if 1e-4 <= first and last < min(first + 16.0, 4096.0):
+                precision = bisect_right(_PRECISION, first)
+                args[0::4] = (
+                    [precision] * len(chunk)
+                    if precision == bisect_right(_PRECISION, last)
+                    else map(bisect_right, repeat(_PRECISION), times))
+                batch = lines % tuple(args)
+                # %g drops a whole time's ".0": put it back for each integer
+                # a time of the chunk may round to. A time prints as n only
+                # within 5e-13 of it, well inside the 1e-9 margin.
+                for n in range(math.ceil(first - 1e-9),
+                               math.floor(last + 1e-9) + 1):
+                    batch = batch.replace(b'{"time": %d, "seq": ' % n,
+                                          b'{"time": %d.0, "seq": ' % n)
+            else:  # each time's text on its own
+                texts = list(map(b"%a".__mod__, map(round, times, repeat(12))))
+                args[0::4] = map(len, texts)
+                args[1::4] = texts
+                batch = lines.replace(b'{"time": %.*g, ',
+                                      b'{"time": %.*s, ') % tuple(args)
+            yield batch
 
     def to_jsonl_lines(self) -> Iterator[str]:
         """The export, a line a record; the encoder escapes every newline."""
         for batch in self._batches():
-            yield from batch.split("\n")
+            yield from batch[:-1].decode().split("\n")
 
     def write_jsonl(self, fh=None) -> str:
         """Write the JSON-lines export to the binary file `fh`, if given, and
-        return the SHA-256 of those bytes; each batch is encoded once."""
+        return the SHA-256 of those bytes."""
         h = hashlib.sha256()
         for batch in self._batches():
-            data = (batch + "\n").encode()
-            h.update(data)
+            h.update(batch)
             if fh is not None:
-                fh.write(data)
+                fh.write(batch)
         self._digest = (self.mode, self.seed, len(self.rows), h.hexdigest())
         return self._digest[-1]
 

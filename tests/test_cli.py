@@ -329,7 +329,9 @@ class TestRun:
         ("tdd_dl_fraction: 0.7", "tdd_dl_fraction: 1.0", (0, 1)),
         ("    tx_power: 43.0", "    tx_power: 5000.0", (0, 1)),
         ("pathloss_exponent: 2.2", "pathloss_exponent: -400.0", (2,)),
-    ], ids=["no-uplink-share", "huge-tx-power", "negative-exponent"])
+        ("noise_figure: 7.0", "noise_figure: -1.0e300", (2,)),
+    ], ids=["no-uplink-share", "huge-tx-power", "negative-exponent",
+            "negative-noise-figure"])
     @pytest.mark.parametrize("mode", ["upf", "bap"])
     def test_extreme_radio_numbers_run_to_an_exit_code(self, tmp_path, capsys,
                                                        old, new, codes, mode):
@@ -343,6 +345,35 @@ class TestRun:
         assert "Traceback" not in err
         if codes == (2,):
             assert "radio_defaults" in err and "must not be negative" in err
+
+    def test_huge_packet_is_a_violation_not_a_traceback(self, tmp_path,
+                                                          capsys):
+        # It passed validation, and _transmit raised OverflowError.
+        text = bundled_scenario_path("bap-compare").read_text()
+        p = tmp_path / "huge-packet.yaml"
+        p.write_text(text.replace("packet_size: 1400", "packet_size: 1.0e308",
+                                  1))
+        assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            "error: ScenarioInvalid: flow dl-ue1: packet size must be 1 to "
+            "65535 bytes\n")
+
+    def test_non_finite_summary_value_exits_one_writing_nothing(
+            self, good_file, tmp_path, capsys, monkeypatch):
+        # json.dumps wrote a bare NaN, which is no JSON, and exited 0.
+        run = Simulator.run
+
+        def with_nan(self):
+            trace = run(self)
+            trace.summary["flows"]["dl-ue1"]["mean_latency_s"] = float("nan")
+            return trace
+        monkeypatch.setattr(Simulator, "run", with_nan)
+        out = tmp_path / "o"
+        assert main(["run", good_file, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: summary.json: Out of range float "
+                                "values are not JSON compliant: nan\n")
+        assert captured.out == "" and list(out.iterdir()) == []
 
     def test_unknown_mode_is_a_usage_error(self, good_file, tmp_path, capsys):
         with pytest.raises(SystemExit) as exit_:

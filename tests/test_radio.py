@@ -154,6 +154,33 @@ class TestRadioParams:
         with pytest.raises(ValueError, match="tdd_dl_fraction"):
             RadioParams(tdd_dl_fraction=fraction)
 
+    @pytest.mark.parametrize("figure", [-1e300, -1.0, -5e-324])
+    def test_rejects_a_negative_noise_figure(self, figure):
+        # -1e300 dB made the SNR, and so the capacity, infinite.
+        with pytest.raises(ValueError, match="noise_figure"):
+            RadioParams(noise_figure_db=figure)
+
+    @pytest.mark.parametrize("density", [-1e300, -200.1, -149.9, 0.0])
+    def test_rejects_a_noise_density_outside_its_window(self, density):
+        with pytest.raises(ValueError, match="thermal_noise_density"):
+            RadioParams(thermal_noise_dbm_hz=density)
+
+    @pytest.mark.parametrize("field", ["efficiency", "tdd_dl_fraction"])
+    @pytest.mark.parametrize("share", [5e-324, 1e-300, 0.0099])
+    def test_rejects_a_share_below_its_floor(self, field, share):
+        # A subnormal capacity made a serialization time inf and busy time
+        # NaN.
+        with pytest.raises(ValueError, match=field):
+            RadioParams(**{field: share})
+
+    def test_accepts_the_edges_of_each_window(self):
+        for params in (RadioParams(noise_figure_db=0.0, efficiency=0.01,
+                                   tdd_dl_fraction=0.01,
+                                   thermal_noise_dbm_hz=-200.0),
+                       RadioParams(efficiency=1.0, tdd_dl_fraction=1.0,
+                                   thermal_noise_dbm_hz=-150.0)):
+            assert params.noise_figure_db >= 0.0
+
     def test_rejects_bad_efficiency(self):
         with pytest.raises(ValueError):
             RadioParams(efficiency=0.0)

@@ -91,6 +91,33 @@ MALFORMED = {
     "radio-defaults-negative-exponent": (
         broken("{efficiency: 0.55}", "{pathloss_exponent: -1.0}"),
         "radio_defaults: ValueError: pathloss_exponent must not be negative"),
+    # Each made a radio direction's capacity infinite, or one packet's
+    # serialization time inf and the summary NaN, and the run exited 0.
+    "radio-defaults-negative-noise-figure": (
+        broken("{efficiency: 0.55}", "{noise_figure: -1.0e300}"),
+        "radio_defaults: ValueError: noise_figure must not be negative"),
+    "radio-defaults-noise-density-low": (
+        broken("{efficiency: 0.55}", "{thermal_noise_density: -1.0e300}"),
+        "radio_defaults: ValueError: thermal_noise_density must be in "
+        "[-200, -150] dBm/Hz"),
+    "radio-defaults-noise-density-high": (
+        broken("{efficiency: 0.55}", "{thermal_noise_density: 0.0}"),
+        "radio_defaults: ValueError: thermal_noise_density"),
+    "radio-defaults-subnormal-efficiency": (
+        broken("{efficiency: 0.55}", "{efficiency: 5.0e-324}"),
+        "radio_defaults: ValueError: efficiency must be in [0.01, 1]"),
+    "radio-defaults-subnormal-tdd-share": (
+        broken("{efficiency: 0.55}", "{tdd_dl_fraction: 5.0e-324}"),
+        "radio_defaults: ValueError: tdd_dl_fraction must be in [0.01, 1]"),
+    "tx-power-huge": (broken("tx_power: 23.0}", "tx_power: 1.0e300}"),
+                      "nodes[3]: key 'tx_power' must be in [-100, 10000] dBm"),
+    "tx-power-tiny": (broken("tx_power: 23.0}", "tx_power: -1.0e300}"),
+                      "nodes[3]: key 'tx_power' must be in"),
+    "iab-tx-power-huge": (broken("tx_power: 43.0,", "tx_power: 1.0e300,"),
+                          "schedule[0]: key 'tx_power' must be in"),
+    "iab-mt-tx-power-huge": (broken("tx_power: 43.0,",
+                                    "tx_power: 43.0, mt_tx_power: 1.0e300,"),
+                             "schedule[0]: key 'mt_tx_power' must be in"),
     "window-text": (broken("window: [0.2, 0.8]", "window: [a, 0.1]"),
                     "asserts[0]"),
     "assert-no-flow": (broken("{flow: dl, ", "{"), "asserts[0]"),

@@ -265,6 +265,12 @@ class TestValidation:
          f"flows inject inf packets, more than {MAX_INJECTED_PACKETS}"),
         (lambda s: with_flow(1.0, rate_bps=10 ** 400),
          f"flows inject inf packets, more than {MAX_INJECTED_PACKETS}"),
+        # It passed, and _transmit raised OverflowError: int too large to
+        # convert to float.
+        (lambda s: with_flow(1.0, rate_bps=1e6, packet_size_bytes=10 ** 308),
+         "flow dl: packet size must be 1 to 65535 bytes"),
+        (lambda s: with_flow(1.0, rate_bps=1e6, packet_size_bytes=65_536),
+         "flow dl: packet size must be 1 to 65535 bytes"),
         # The F1 deliveries of donor-du would be counted as this flow's.
         (lambda s: s.flows.append(FlowSpec(
             id="f1c:donor-du", src="upf", dst="ue1", rate_bps=1e6, stop_s=0.5)),
@@ -293,13 +299,18 @@ class TestValidation:
             "control-size-zero", "header-size-negative",
             "assert-window-reversed", "assert-window-nan", "no-n6-link",
             "packets-over-bound", "packets-overflow-float",
-            "packets-overflow-int", "flow-id-f1c-prefix", "assert-no-bound",
+            "packets-overflow-int", "packet-size-huge",
+            "packet-size-over-ip", "flow-id-f1c-prefix", "assert-no-bound",
             "donor-du-unwired", "iab-group-names-file-node", "iab-group-twice"])
     def test_rejected_as_data_not_raised(self, mutate, violation):
         scn = build_donor_scenario(duration=1.0)
         # A mutation changes the scenario in place, or returns another one.
         scn = mutate(scn) or scn
         assert violation in validate_topology(scn).violations
+
+    def test_an_ip_sized_packet_is_valid(self):
+        assert validate_topology(with_flow(1.0, rate_bps=1e6,
+                                           packet_size_bytes=65_535)).ok
 
     @pytest.mark.parametrize("group, du, ok", [
         ("uav1", "uav1-du", True), ("uav1", "iab1-du", False)])

@@ -6,10 +6,12 @@ name. A hop row is (time, row_head(...), pkt), as the engine appends it, and
 rows share heads: the export fills each row's time, seq and pkt into its
 head's line. The other kinds go through emit, which builds each row's own
 head. Ids with % in them check that a head's line escapes what it
-pre-encodes. The time's text is made in one decimal conversion where
-1e-4 <= time < 4096, and the times at and next to those edges are checked
-on their own. The export fills 4,096 rows' lines with one %, and traces of
-sizes at and next to that batch's edges are checked whole.
+pre-encodes. The export fills 4,096 rows' lines with one %, and traces of
+sizes at and next to that batch's edges are checked whole. In a batch whose
+times all lie in [1e-4, 4096), less than 16 s apart, %.*g prints each time
+with a precision per time decade; such batches are checked at decade edges,
+whole times and round-ups, and the times at and next to the range's edges
+on their own.
 """
 import hashlib
 import io
@@ -181,4 +183,88 @@ def test_each_batch_exports_line_by_line(n):
     out = io.BytesIO()
     digest = trace.write_jsonl(out)
     assert out.getvalue() == ("\n".join(lines) + "\n").encode()
+    assert digest == hashlib.sha256(out.getvalue()).hexdigest()
+
+
+# Chunks that the one %.*g fill prints: every time in [1e-4, 4096), less than
+# 16 s from the chunk's first to its last. (name, times), unsorted as given.
+FAST_CHUNKS = {
+    # %g drops a whole time's ".0", and the fill puts it back; a time within
+    # 5e-13 of an integer prints as that integer.
+    "whole-times": [2.0, 1.5, 1.0, 15.0, 6.9999999999996, 7.0, 2.000000000001,
+                    3.0000000000000004, 1.9999999999995, 1.9999999999996,
+                    2.0000000000005, 2.0000000000004, 12.0, 1.0],
+    # The chunk's last or first time is the one that prints as an integer.
+    "whole-last": [1.5, 1.9999999999996],
+    "whole-first": [2.0000000000004, 2.5],
+    "decade-edges": [0.0999, 0.1, math.nextafter(0.1, 0), 0.10001, 0.99999,
+                     1.0, math.nextafter(1.0, 0), 1.00001, 9.99, 10.0,
+                     math.nextafter(10.0, 0), 10.5, 1e-3,
+                     math.nextafter(1e-3, 0), 0.01, math.nextafter(0.01, 0)],
+    # Each time has all 12 places: one precision would not print them all.
+    "four-decades": [0.000123456789012, 0.123456789012, 1.123456789012,
+                     12.123456789012, 0.012345678901],
+    # The 12th place carries into the next decade.
+    "round-up-across-a-decade": [9.9999999999996, 0.09999999999999996,
+                                 0.9999999999996, 0.0009999999999996,
+                                 0.009999999999999996],
+    "round-up-to-100": [99.9999999999996, 100.5],
+    "round-up-to-1000": [999.9999999999996, 1000.0000000000004, 1001.0],
+    "round-up-to-4096": [4095.9999999999995, 4095.5],
+    # 2**-13: its 13th place is a 5, a tie that rounds to the even 2.
+    "tie": [0.0001220703125],
+    "top-decade": [4095.999999999999, 4080.000000000001, 4090.25],
+}
+
+
+@pytest.mark.parametrize("times", FAST_CHUNKS.values(), ids=FAST_CHUNKS)
+def test_fast_chunk_exports_as_json_dumps(times):
+    assert timer_lines(times) == [
+        reference_line(time, seq, "TimerExpiry", "control", "timer", {})
+        for seq, time in enumerate(times)]
+
+
+def test_chunk_mixing_edge_times_with_in_range_ones():
+    # One time out of [1e-4, 4096) sends the whole chunk down the per-row
+    # path; -0.0 keeps its sign there.
+    times = [1.0, 0.0, 2.5, -0.0, 2e-6, 4096.0, 7.0, 1e-4,
+             math.nextafter(1e-4, 0), 3.25, -1.5, 5000.0, 1e300, 1.0]
+    assert timer_lines(times) == [
+        reference_line(time, seq, "TimerExpiry", "control", "timer", {})
+        for seq, time in enumerate(times)]
+
+
+@pytest.mark.parametrize("times", [[1.0, math.nan, 2.5], [0.0, math.nan],
+                                   [math.nan, 1.0]],
+                         ids=["fast", "per-row", "nan-first"])
+def test_nan_time_prints_nan_on_every_path(times):
+    # json.dumps would print NaN; the export prints repr(round(t, 12)).
+    seq = next(i for i, time in enumerate(times) if math.isnan(time))
+    assert timer_lines(times)[seq].startswith(f'{{"time": nan, "seq": {seq}, ')
+
+
+def test_an_emitted_int_time_prints_as_its_float():
+    # An int's text would depend on its batch: 7 alone takes the one-fill
+    # path, and beside a time of 0 the per-row one.
+    assert timer_lines([7])[0].startswith('{"time": 7.0, "seq": 0, ')
+    assert timer_lines([0, 7])[1].startswith('{"time": 7.0, "seq": 1, ')
+
+
+@pytest.mark.parametrize("n", [4095, 4096, 4097, 8193])
+def test_sorted_in_range_trace_exports_line_by_line(n):
+    # A time every 1.25 ms from 0.5 s, as a run's rows come: each chunk spans
+    # about 5 s and takes the one-fill path, across the decade edge at 1 s
+    # and past whole times (1.0, 2.0, ...); every 7th time is 3e-13 off.
+    trace, expected = Trace(mode="UpfReroute", seed=4), []
+    for seq in range(n):
+        head, fields, has_pkt = BATCH_HEADS[seq % 4]
+        time = (400 + seq) / 800 + (3e-13 if seq % 7 == 0 else 0.0)
+        pkt = seq * 3 if has_pkt else None
+        trace.rows.append((time, head, pkt))
+        expected.append(reference_line(time, seq, *head[:3], dict(
+            fields, pkt=pkt) if has_pkt else fields))
+    assert list(trace.to_jsonl_lines())[1:] == expected
+    out = io.BytesIO()
+    digest = trace.write_jsonl(out)
+    assert out.getvalue().decode().split("\n")[1:-1] == expected
     assert digest == hashlib.sha256(out.getvalue()).hexdigest()
