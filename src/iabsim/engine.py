@@ -9,11 +9,13 @@ A hop is one event at both trace levels: the packet's arrival at the next
 node is scheduled when it is queued on the link, and at full level its
 Departure row, dated at its finish time, is appended then too. A packet takes
 buffer room until its finish time. A link direction is FIFO with one fixed
-delay, so its arrivals' (time, seq) keys rise: the heap holds only its first,
-the rest wait on its `_LinkDir`, and `_handle` pushes the next one when the
-first arrives. Events pop as if each had its own entry. The Forwarder's
-memoized decision carries an `_Out` with the outgoing link direction, so a
-repeated hop makes one memo lookup and no link search.
+delay, so its arrivals' (time, seq) keys rise. Its `_LinkDir.waiting` holds
+every arrival over it still to come, and only the first of them is in the
+heap: `_transmit` pushes an arrival that it appends to an empty `waiting`, and
+`_handle` pops the head and pushes the next one. Events pop as if each had its
+own entry. The Forwarder's memoized decision carries an `_Out` with the
+outgoing link direction, so a repeated hop makes one memo lookup and no link
+search.
 
 Every packet's flow, user or F1, has one FlowRecord in the trace. Injecting,
 sending, dropping and delivering a packet count into it alike, whatever its
@@ -56,6 +58,11 @@ from .trace import (SCHEMA_VERSION, FlowRecord, Trace, measure_throughput,
 
 __all__ = ["Simulator", "link_capacity", "measure_throughput", "PathMode"]
 
+# The payload of an F1 control message.
+CONTROL_MESSAGE_BYTES = 64
+# The packets a link direction holds, the one being serialized included.
+LINK_BUFFER_PACKETS = 256
+
 
 def link_capacity(scenario: Scenario, link: Link, tx_node_id: str) -> float:
     """Capacity of one link direction; wired links pass their rate through."""
@@ -86,8 +93,9 @@ class _LinkDir:
     bytes_header: int = 0
     packets: int = 0
     delay: float = 0.0  # the link's propagation delay, which nothing changes
-    scheduled: bool = False  # an arrival over it is in the heap
-    waiting: deque = field(default_factory=deque)  # the later ones' entries
+    # The heap entries of the arrivals over it still to come, in (time, seq)
+    # order; the first of them is in the heap.
+    waiting: deque = field(default_factory=deque)
 
 
 @dataclass(slots=True)
@@ -115,15 +123,13 @@ class Simulator:
         self.seed = scenario.seed if seed is None else seed
         self.trace_full = trace_level == "full"
         self.now = 0.0
-        self.proto = proto = scenario.protocol
         self.trace = Trace(mode=self.mode.value, seed=self.seed,
                            flows={f.id: FlowRecord(f.packet_size_bytes)
                                   for f in scenario.flows})
         self._rows, self._flows = self.trace.rows, self.trace.flows  # read per hop
         self._duration = scenario.duration_s
         # The Forwarder draws every TEID, so it owns the run's RNG.
-        self.fwd = Forwarder(random.Random(self.seed), proto.gtp_header_bytes,
-                             proto.bap_header_bytes, proto.ttl)
+        self.fwd = Forwarder(random.Random(self.seed))
         self.cp = ControlPlane(send=self._send_control,
                                schedule=self._schedule_timer,
                                transition=self._transition)
@@ -195,7 +201,6 @@ class Simulator:
 
     def _path_delay(self, hops: tuple[str, ...]) -> float:
         """Nominal one-way latency of a control message along `hops`."""
-        size = self.proto.control_message_bytes
         total = 0.0
         for a, b in zip(hops, hops[1:]):
             link = self.scn.find_link(a, b)
@@ -204,7 +209,7 @@ class Simulator:
             cap = link_capacity(self.scn, link, a)
             if not cap > 0:  # NaN too
                 raise TransportDown(f"link {link.id} has no capacity {a}->{b}")
-            total += size * 8 / cap + link.propagation_delay_s
+            total += CONTROL_MESSAGE_BYTES * 8 / cap + link.propagation_delay_s
         return total
 
     # -- directives -------------------------------------------------------------
@@ -326,7 +331,7 @@ class Simulator:
     def _send_control(self, msg: F1Message, src: str, dst: str) -> None:
         # F1 packet numbers count across every association.
         self._ctl_seq += 1
-        fid, size = f"f1c:{msg.association}", self.proto.control_message_bytes
+        fid, size = f"f1c:{msg.association}", CONTROL_MESSAGE_BYTES
         self._flows.setdefault(fid, FlowRecord(size)).injected += 1
         pkt = Packet(flow_id=fid, src=src, dst=dst, payload_size_bytes=size,
                      created_at_s=self.now, seq=self._ctl_seq, control=msg)
@@ -359,10 +364,10 @@ class Simulator:
     def _handle(self, node: str, pkt: Packet, via: Optional[_LinkDir]) -> None:
         """`pkt` is at `node`, arrived over `via`, or injected there (None)."""
         if via is not None:  # the next arrival over `via` takes the heap
-            if via.waiting:
-                heapq.heappush(self._heap, via.waiting.popleft())
-            else:
-                via.scheduled = False
+            waiting = via.waiting
+            waiting.popleft()
+            if waiting:
+                heapq.heappush(self._heap, waiting[0])
         try:
             hop = self.fwd.forward(node, pkt)
         except NoRoute as exc:
@@ -417,7 +422,7 @@ class Simulator:
         queue = d.finish_times
         while queue and queue[0] <= now:
             queue.popleft()
-        if len(queue) >= self.proto.link_buffer_packets:
+        if len(queue) >= LINK_BUFFER_PACKETS:
             self._drop(d.src, pkt, "queue-overflow", f"link {d.link.id}")
             return
         cap = d.cap
@@ -444,10 +449,8 @@ class Simulator:
             self._rows.append((finish, head, pkt.seq))
         arrival = (finish + d.delay, self._heap_seq, self._handle,
                    (d.dst, pkt, d))
-        if d.scheduled:  # it waits for those queued before it to arrive
-            d.waiting.append(arrival)
-        else:
-            d.scheduled = True
+        d.waiting.append(arrival)
+        if len(d.waiting) == 1:  # none queued before it is still to arrive
             heapq.heappush(self._heap, arrival)
         self._heap_seq += 1
 

@@ -31,6 +31,13 @@ from .errors import ConflictingEntry, DepthExceeded, NoRoute, RoutingLoop
 
 MAX_HEADER_DEPTH = 2
 TEID_MAX = 2 ** 32 - 1
+GTP_HEADER_BYTES = 8
+BAP_HEADER_BYTES = 4
+# A packet is dropped at the TTL-th node it reaches: the longest bundled
+# path, dl-ue2's under UpfReroute, reaches 8.
+TTL = 16
+# The wire size of each header kind, by its match key's first item.
+HEADER_BYTES = {"teid": GTP_HEADER_BYTES, "bap": BAP_HEADER_BYTES}
 
 # Match keys: ("teid", value) | ("bap", route_id) | ("dst", node_id) |
 # ("src", node_id). The first two are the headers a packet carries.
@@ -103,15 +110,11 @@ class Forwarder:
     """The headers, routing tables and per-node forwarding function.
 
     TEIDs are drawn from `rng`, so they are deterministic given its seed.
-    The header sizes and `ttl` are the scenario's protocol constants.
     """
 
-    def __init__(self, rng: random.Random, gtp_header_bytes: int,
-                 bap_header_bytes: int, ttl: int):
+    def __init__(self, rng: random.Random):
         self._rng = rng
-        self.ttl = ttl
         self.strips: set[tuple[str, MatchKey]] = set()
-        self.header_bytes = {"teid": gtp_header_bytes, "bap": bap_header_bytes}
         self.entries: dict[tuple[str, MatchKey], RouteEntry] = {}
         self._bap_routes = 0
         # (node, header_stack, dst, src) -> Decision; nothing else but the
@@ -181,7 +184,7 @@ class Forwarder:
         """Pop the outermost header if `node` strips it."""
         stack = packet.header_stack
         if stack and (node, stack[-1]) in self.strips:
-            packet.header_bytes -= self.header_bytes[stack[-1][0]]
+            packet.header_bytes -= HEADER_BYTES[stack[-1][0]]
             packet.header_stack = stack[:-1]
 
     def forward(self, node: str, packet: Packet) -> Decision:
@@ -190,10 +193,10 @@ class Forwarder:
         Its next_hop None means the packet terminated here. A bare packet
         away from its dst that no ("dst", ...) entry matches is matched by
         ("src", ...). Raises NoRoute, with the first key tried, when nothing
-        matches, RoutingLoop at its ttl-th node. Only decisions are memoized.
+        matches, RoutingLoop at its TTL-th node. Only decisions are memoized.
         """
         packet.hop_log.append(node)
-        if len(packet.hop_log) >= self.ttl:
+        if len(packet.hop_log) >= TTL:
             raise RoutingLoop(f"TTL expired for {packet.flow_id} at {node}")
         key = (node, packet.header_stack, packet.dst, packet.src)
         hit = self._memo.get(key)
@@ -224,7 +227,7 @@ class Forwarder:
                     raise NoRoute(node, key)
             self.strip(node, packet)
             for header in entry.encaps:
-                encapsulate(packet, header, self.header_bytes[header[0]])
+                encapsulate(packet, header, HEADER_BYTES[header[0]])
             if entry.next_hop is not None:
                 return entry.next_hop
             # local handoff: re-match with the inner header / bare packet

@@ -27,17 +27,15 @@ from yaml import CSafeLoader
 from .errors import ParseError, TopologyError
 from .radio import RadioParams
 from .topology import (Carrier, DuConfigUpdateDirective, FlowAssert, FlowSpec,
-                       IabNodeDirective, Medium, ProtocolConstants, Role, Scenario,
-                       TX_POWER_DBM)
+                       IabNodeDirective, Medium, Role, Scenario, TX_POWER_DBM)
 
-TOP_KEYS = {"seed", "duration", "radio_defaults", "protocol", "nodes", "links",
-            "flows", "schedule", "asserts"}
+TOP_KEYS = {"seed", "duration", "radio_defaults", "nodes", "links", "flows",
+            "schedule", "asserts"}
 NODE_KEYS = {"id", "role", "position", "tx_power", "carrier"}
 LINK_KEYS = {"id", "a", "b", "medium", "wired_capacity", "propagation_delay"}
 CARRIER_KEYS = {"band_label", "center_frequency", "bandwidth", "scs"}
 FLOW_KEYS = {"id", "src", "dst", "rate", "packet_size", "start", "stop"}
-ASSERT_KEYS = {"flow", "window", "min_goodput_bps", "max_goodput_bps",
-               "max_mean_latency_s"}
+ASSERT_KEYS = {"flow", "window", "min_goodput_bps", "max_goodput_bps"}
 # The RadioParams field of each file key spelled differently from it.
 RADIO_RENAME = {"reference_distance": "reference_distance_m",
                 "noise_figure": "noise_figure_db",
@@ -45,7 +43,6 @@ RADIO_RENAME = {"reference_distance": "reference_distance_m",
                 "coverage_rsrp_threshold": "coverage_rsrp_threshold_dbm"}
 RADIO_KEYS = ({f.name for f in dataclasses.fields(RadioParams)}
               - set(RADIO_RENAME.values()) | RADIO_RENAME.keys())
-PROTO_KEYS = {f.name for f in dataclasses.fields(ProtocolConstants)}
 IAB_DIRECTIVE_KEYS = {"at", "kind", "position", "access_carrier", "tx_power",
                       "mt_tx_power", "group"}
 DU_UPDATE_KEYS = {"at", "kind", "du", "carrier"}
@@ -166,15 +163,9 @@ def loads(text: str, name: str = "<scenario>") -> Scenario:
     if "radio_defaults" in doc:
         radio_params = _radio(doc["radio_defaults"], f"{name}:radio_defaults")
 
-    protocol = ProtocolConstants()
-    if "protocol" in doc:
-        raw, where = doc["protocol"], f"{name}:protocol"
-        _check_keys(raw, PROTO_KEYS, where)
-        protocol = ProtocolConstants(**{k: _int(raw, k, where) for k in raw})
-
     scn = Scenario(duration_s=_num(doc, "duration", name),
                    seed=_int(doc, "seed", name, default=Scenario.seed),
-                   radio_params=radio_params, protocol=protocol)
+                   radio_params=radio_params)
 
     for i, raw in enumerate(_section(doc, "nodes", name)):
         where = f"{name}:nodes[{i}]"
@@ -249,8 +240,7 @@ def loads(text: str, name: str = "<scenario>") -> Scenario:
             flow=_name(raw, "flow", where),
             window=_pair(raw.get("window"), f"{where}: window", "[t0, t1]"),
             min_goodput_bps=_num(raw, "min_goodput_bps", where, default=None),
-            max_goodput_bps=_num(raw, "max_goodput_bps", where, default=None),
-            max_mean_latency_s=_num(raw, "max_mean_latency_s", where, default=None)))
+            max_goodput_bps=_num(raw, "max_goodput_bps", where, default=None)))
 
     return scn
 

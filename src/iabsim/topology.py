@@ -7,12 +7,13 @@ those own the per-entry structural rules: they raise on a break. An IAB node
 enters whole, from `add_iab_node` (which its directive calls at run time): its
 IabMt `<group>-mt`, its IabDu `<group>-du` and the one wire between them. Two
 nodes share at most one link. `validate_topology` reports the whole-scenario
-rules as data: a CU wired to every donor DU and to the UPF, finite tx powers,
-link and protocol numbers, unique flow ids outside the f1c: prefix, flow,
-assert and directive bounds, an assert's bound, and a bound on the packets
-flows inject. A link's ends are fixed once `add_link` made it. Only a DU
-advertises a carrier; a radio link takes its DU's carrier and the scenario's
-`radio_params`.
+rules as data: a CU wired to every donor DU and to the UPF, tx powers inside
+TX_POWER_DBM, finite link numbers, unique flow ids outside the f1c: prefix,
+flow, assert and directive bounds, an assert's bound, and a bound on the
+packets flows inject. A link's ends are fixed once `add_link` made it. Only a
+DU advertises a carrier; a radio link takes its DU's carrier and the
+scenario's `radio_params`. The protocol's sizes and limits are constants of
+`gtp` and `engine`, not scenario data.
 """
 from __future__ import annotations
 
@@ -57,10 +58,10 @@ MAX_INJECTED_PACKETS = 10 ** 6
 # The largest packet, IP's 65,535 bytes: a packet of 1e308 bytes once
 # overflowed the serialization time's float.
 MAX_PACKET_BYTES = 65_535
-# A tx power's window, in dBm. The bundled radios send 23 and 43 dBm; the
-# window is far wider, and its top keeps the SNR, and so a link's capacity,
-# finite: 1e300 dBm gave a serialization time of 0.
-TX_POWER_DBM = (-100.0, 10_000.0)
+# A tx power's window, in dBm. The bundled radios send 23 and 43 dBm, and
+# 80 dBm is past any real one: a 5,000 dBm DU gave its access link an SNR of
+# thousands of dB, and 1e300 dBm a serialization time of 0.
+TX_POWER_DBM = (-100.0, 80.0)
 
 
 @dataclass(frozen=True)
@@ -150,16 +151,6 @@ class FlowAssert:
     window: tuple[float, float]
     min_goodput_bps: Optional[float] = None
     max_goodput_bps: Optional[float] = None
-    max_mean_latency_s: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class ProtocolConstants:
-    gtp_header_bytes: int = 8
-    bap_header_bytes: int = 4
-    control_message_bytes: int = 64
-    ttl: int = 16
-    link_buffer_packets: int = 256
 
 
 @dataclass
@@ -172,7 +163,6 @@ class Scenario:
     flows: list[FlowSpec] = field(default_factory=list)
     schedule: list = field(default_factory=list)
     radio_params: RadioParams = field(default_factory=RadioParams)
-    protocol: ProtocolConstants = field(default_factory=ProtocolConstants)
     asserts: list[FlowAssert] = field(default_factory=list)
     _counter: int = field(default=0, init=False, repr=False)
 
@@ -328,11 +318,13 @@ def validate_topology(scenario: Scenario) -> ValidationReport:
         if upfs and scenario.find_link(cu.id, upfs[0].id) is None:
             v.append("CU has no wired UPF")
 
+    low, high = TX_POWER_DBM  # NaN is outside it too
+    window = f"[{low:g}, {high:g}] dBm"
     for n in nodes.values():
         if n.role in RADIO_ROLES and n.tx_power_dbm is None:
             v.append(f"radio-capable node {n.id} has no tx_power")
-        elif n.tx_power_dbm is not None and not math.isfinite(n.tx_power_dbm):
-            v.append(f"node {n.id}: tx_power must be finite")
+        elif n.tx_power_dbm is not None and not low <= n.tx_power_dbm <= high:
+            v.append(f"node {n.id}: tx_power must be in {window}")
         if n.role in DU_ROLES and n.carrier is None:
             v.append(f"DU {n.id} advertises no carrier")
 
@@ -345,12 +337,6 @@ def validate_topology(scenario: Scenario) -> ValidationReport:
 
     if not 0 < scenario.duration_s < math.inf:
         v.append("duration must be positive and finite")
-    proto = scenario.protocol
-    v += [f"protocol: {k} must be >= {low}"
-          for k, low in (("gtp_header_bytes", 0), ("bap_header_bytes", 0),
-                         ("control_message_bytes", 1), ("ttl", 1),
-                         ("link_buffer_packets", 1))
-          if getattr(proto, k) < low]
 
     for f in scenario.flows:
         if f.src not in nodes or f.dst not in nodes:
@@ -383,18 +369,17 @@ def validate_topology(scenario: Scenario) -> ValidationReport:
     v += [f"assert on {a.flow}: window {a.window} needs 0 <= t0 < t1 <= duration"
           for a in scenario.asserts
           if not 0 <= a.window[0] < a.window[1] <= scenario.duration_s]
-    v += [f"assert on {a.flow}: sets no min_goodput_bps, max_goodput_bps or "
-          f"max_mean_latency_s" for a in scenario.asserts
-          if a.min_goodput_bps is None and a.max_goodput_bps is None
-          and a.max_mean_latency_s is None]
+    v += [f"assert on {a.flow}: sets no min_goodput_bps or max_goodput_bps"
+          for a in scenario.asserts
+          if a.min_goodput_bps is None and a.max_goodput_bps is None]
     v += [f"{type(d).__name__} at t={d.at_s}: need 0 <= at < duration"
           for d in scenario.schedule if not 0 <= d.at_s < scenario.duration_s]
 
     # A DU of the file, or one an instantiate_iab_node directive creates.
     iab = [d for d in scenario.schedule if isinstance(d, IabNodeDirective)]
-    v += [f"IabNodeDirective at t={d.at_s}: tx_power must be finite"
-          for d in iab
-          if not all(map(math.isfinite, (d.tx_power_dbm, d.mt_tx_power_dbm)))]
+    v += [f"IabNodeDirective at t={d.at_s}: tx_power must be in {window}"
+          for d in iab if not all(low <= x <= high
+                                  for x in (d.tx_power_dbm, d.mt_tx_power_dbm))]
     v += [f"IabNodeDirective at t={d.at_s}: position must be finite"
           for d in iab if not all(map(math.isfinite, d.position))]
     # A directive adds <group>-mt and <group>-du.

@@ -291,50 +291,48 @@ class TestRun:
         assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 1
         assert "assert failed" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("bound, failed", [
-        ("max_goodput_bps: 1.0", "dl-ue1: goodput 4.000e+06 > max 1.000e+00 "
-                                 "in window (0.0, 0.2)"),
-        ("max_mean_latency_s: 1.0e-9", "dl-ue1: mean latency 0.000"),
+    # A latency bound is no assert: it ignored the assert's window, and no
+    # workload set one.
+    @pytest.mark.parametrize("bound, code, failed", [
+        ("max_goodput_bps: 1.0", 1, "dl-ue1: goodput 4.000e+06 > max "
+                                    "1.000e+00 in window (0.0, 0.2)"),
+        ("max_mean_latency_s: 1.0e-9", 2, None),
     ], ids=["max-goodput", "max-mean-latency"])
-    def test_failed_upper_bound_exits_one(self, tmp_path, capsys, bound,
+    def test_failed_upper_bound_exits_one(self, tmp_path, capsys, bound, code,
                                           failed):
         p = tmp_path / "bounded.yaml"
         p.write_text(GOOD + (
             f"asserts:\n  - {{flow: dl-ue1, window: [0.0, 0.2], {bound}}}\n"))
         assert main(["run", str(p), "--out", str(tmp_path / "o"),
-                     "--trace-level", "summary"]) == 1
-        failures = [line for line in capsys.readouterr().out.splitlines()
+                     "--trace-level", "summary"]) == code
+        captured = capsys.readouterr()
+        failures = [line for line in captured.out.splitlines()
                     if line.startswith("assert failed: ")]
-        assert len(failures) == 1 and failures[0].startswith(
-            f"assert failed: {failed}"), failures
-
-    def test_latency_bound_fails_when_nothing_is_delivered(self, tmp_path,
-                                                           capsys):
-        # ue1 is out of every DU's coverage, so each packet drops; the
-        # summary's mean latency of 0.0 once met any bound.
-        p = tmp_path / "silent.yaml"
-        p.write_text(GOOD.replace("[50.0, 0.0]", "[9000.0, 0.0]") + (
-            "asserts:\n"
-            "  - {flow: dl-ue1, window: [0.0, 0.2], max_mean_latency_s: 1.0}\n"))
-        assert main(["run", str(p), "--out", str(tmp_path / "o"),
-                     "--trace-level", "summary"]) == 1
-        out = capsys.readouterr().out
-        assert "delivered 0," in out
-        assert "assert failed: dl-ue1: no packet delivered" in out
+        if failed is None:
+            assert failures == [] and captured.err == (
+                f"error: {p}:asserts[0]: unknown key 'max_mean_latency_s'\n")
+        else:
+            assert len(failures) == 1 and failures[0].startswith(
+                f"assert failed: {failed}"), failures
 
     # Each once ended in a raw traceback: a ZeroDivisionError from the MT's
     # uplink capacity of 0, or an OverflowError from 10 ** (snr / 10). A
-    # negative exponent once ran to 0 or 1; it is now refused as malformed.
-    @pytest.mark.parametrize("old, new, codes", [
-        ("tdd_dl_fraction: 0.7", "tdd_dl_fraction: 1.0", (0, 1)),
-        ("    tx_power: 43.0", "    tx_power: 5000.0", (0, 1)),
-        ("pathloss_exponent: 2.2", "pathloss_exponent: -400.0", (2,)),
-        ("noise_figure: 7.0", "noise_figure: -1.0e300", (2,)),
+    # negative exponent and a 5,000 dBm IAB DU once ran to 0 or 1; each is
+    # now refused as malformed. `error` is all of stderr after the file name.
+    @pytest.mark.parametrize("old, new, codes, error", [
+        ("tdd_dl_fraction: 0.7", "tdd_dl_fraction: 1.0", (0, 1), None),
+        ("    tx_power: 43.0", "    tx_power: 5000.0", (2,),
+         "schedule[0]: key 'tx_power' must be in [-100, 80] dBm (5000.0)"),
+        ("pathloss_exponent: 2.2", "pathloss_exponent: -400.0", (2,),
+         "radio_defaults: ValueError: pathloss_exponent must not be negative"),
+        ("noise_figure: 7.0", "noise_figure: -1.0e300", (2,),
+         "radio_defaults: ValueError: noise_figure must not be negative"),
     ], ids=["no-uplink-share", "huge-tx-power", "negative-exponent",
             "negative-noise-figure"])
     @pytest.mark.parametrize("mode", ["upf", "bap"])
     def test_extreme_radio_numbers_run_to_an_exit_code(self, tmp_path, capsys,
-                                                       old, new, codes, mode):
+                                                       old, new, codes, error,
+                                                       mode):
         text = bundled_scenario_path("bap-compare").read_text()
         assert old in text
         p = tmp_path / "extreme.yaml"
@@ -342,9 +340,7 @@ class TestRun:
         assert main(["run", str(p), "--mode", mode,
                      "--out", str(tmp_path / "o")]) in codes
         err = capsys.readouterr().err
-        assert "Traceback" not in err
-        if codes == (2,):
-            assert "radio_defaults" in err and "must not be negative" in err
+        assert err == ("" if error is None else f"error: {p}:{error}\n")
 
     def test_huge_packet_is_a_violation_not_a_traceback(self, tmp_path,
                                                           capsys):

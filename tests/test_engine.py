@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import hashlib
 import heapq
@@ -9,11 +8,11 @@ from collections import Counter
 
 import pytest
 
-from iabsim import (PathMode, Simulator, engine, link_capacity, load_scenario,
-                    measure_throughput)
+from iabsim import (PathMode, Simulator, engine, gtp, link_capacity,
+                    load_scenario, measure_throughput)
 from iabsim.errors import NoRoute, ScenarioInvalid, UnknownFlow
 from iabsim.f1ap import F1Message, MsgKind
-from iabsim.gtp import Decision, Packet
+from iabsim.gtp import BAP_HEADER_BYTES, GTP_HEADER_BYTES, Decision, Packet
 from iabsim.radio import RadioParams
 from iabsim.scenario_io import loads
 from iabsim.trace import FlowRecord
@@ -124,9 +123,9 @@ class TestSerialization:
         assert drops[0]["cause"] == "queue-overflow"
         assert drops[0]["pkt"] == 256  # the 257th packet, zero-based
 
-    def test_packet_leaves_the_queue_at_its_finish_time(self):
+    def test_packet_leaves_the_queue_at_its_finish_time(self, monkeypatch):
         sim = self._sim()
-        sim.proto = dataclasses.replace(sim.proto, link_buffer_packets=1)
+        monkeypatch.setattr(engine, "LINK_BUFFER_PACKETS", 1)
         d = sim._link_dir("cu", "upf")
 
         def send(i):
@@ -176,7 +175,8 @@ class TestEventLoop:
         for pkt in pkts:
             queue_on(sim, d, pkt)
         arrivals = [t + d.delay for t in d.finish_times]
-        assert len(sim._heap) == 1 and len(d.waiting) == 2 and d.scheduled
+        assert len(sim._heap) == 1 and len(d.waiting) == 3
+        assert sim._heap[0] is d.waiting[0]
         popped = []
         while sim._heap:
             t, seq, fn, args = heapq.heappop(sim._heap)
@@ -184,7 +184,7 @@ class TestEventLoop:
             sim.now = t
             fn(*args)  # pushes the next arrival over d
         assert popped == list(zip(arrivals, range(first, first + 3), pkts))
-        assert not d.scheduled and not d.waiting
+        assert not d.waiting
 
     @pytest.mark.parametrize("mode", list(PathMode))
     def test_the_heap_holds_one_arrival_per_link_direction(self, monkeypatch,
@@ -208,7 +208,7 @@ class TestEventLoop:
         monkeypatch.setattr(engine, "heapq", shim)
         sim.run()
         assert most == 1 and longest <= 20
-        assert waited >= 255  # the buffer did fill
+        assert waited >= 256  # the buffer did fill
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_the_loop_pauses_the_gc_and_restores_it(self, enabled):
@@ -632,12 +632,12 @@ class TestCachedDecision:
                                   start_s=0.02, stop_s=0.13))
         sim = Simulator(scn, mode=mode, trace_level="full")
         trace = sim.run()
-        gtp, bap = scn.protocol.gtp_header_bytes, scn.protocol.bap_header_bytes
         rows = Counter()
         for e in trace.records():
             if e["kind"] in ("Arrival", "Departure"):
                 flow, teids = e["subject"], len(e["teids"])
-                header = teids * gtp + (e["depth"] - teids) * bap
+                header = (teids * GTP_HEADER_BYTES
+                          + (e["depth"] - teids) * BAP_HEADER_BYTES)
                 assert e["wire_size"] == (trace.flows[flow].payload_bytes
                                           + header), e
                 rows[flow, e["kind"]] += 1
@@ -774,9 +774,9 @@ class TestHopLimit:
 
     @pytest.mark.parametrize("ttl, expired", [(8, {PathMode.UPF_REROUTE}),
                                               (9, set())])
-    def test_dl_ue2_at_the_hop_limit(self, ttl, expired):
+    def test_dl_ue2_at_the_hop_limit(self, ttl, expired, monkeypatch):
         scn = load_scenario("bap-compare")
-        scn.protocol = dataclasses.replace(scn.protocol, ttl=ttl)
+        monkeypatch.setattr(gtp, "TTL", ttl)
         for mode in PathMode:
             trace = Simulator(scn, mode=mode, trace_level="summary").run()
             row = trace.summary["flows"]["dl-ue2"]

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from iabsim import gtp
 from iabsim.errors import ConflictingEntry, DepthExceeded, NoRoute, RoutingLoop
 from iabsim.gtp import (Forwarder, Packet, PathMode, RouteEntry, TEID_MAX,
                         encapsulate, install_f1_transport, install_ue_routes,
@@ -12,9 +13,8 @@ from iabsim.topology import Medium
 from conftest import N78, build_donor_scenario
 
 
-def make_forwarder(seed=1, ttl=16):
-    return Forwarder(random.Random(seed), gtp_header_bytes=8,
-                     bap_header_bytes=4, ttl=ttl)
+def make_forwarder(seed=1):
+    return Forwarder(random.Random(seed))
 
 
 def make_packet(**kw):
@@ -324,8 +324,9 @@ class TestForwarding:
                 node = nxt
 
     @pytest.mark.parametrize("ttl", [1, 2, 16])
-    def test_the_ttl_th_forward_raises(self, ttl):
-        fwd = make_forwarder(ttl=ttl)
+    def test_the_ttl_th_forward_raises(self, ttl, monkeypatch):
+        monkeypatch.setattr(gtp, "TTL", ttl)
+        fwd = make_forwarder()
         fwd.install(RouteEntry(at_node="a", match=("dst", "x"), next_hop="b"))
         fwd.install(RouteEntry(at_node="b", match=("dst", "x"), next_hop="a"))
         pkt = make_packet(dst="x", src="a")

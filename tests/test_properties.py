@@ -1,13 +1,15 @@
 """Randomized invariant checks; every suite runs at least 200 cases but the
 trace-replay one, which parses each run's records and runs 40."""
-import dataclasses
 import random
 from collections import defaultdict
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from iabsim import PathMode, Simulator, link_capacity, measure_throughput, radio
-from iabsim.gtp import Forwarder, Packet, encapsulate, teids_of
+from iabsim import (PathMode, Simulator, engine, link_capacity,
+                    measure_throughput, radio)
+from iabsim.gtp import (GTP_HEADER_BYTES, Forwarder, Packet, encapsulate,
+                        teids_of)
 from iabsim.radio import RadioParams
 
 from conftest import build_mini_scenario, oracle_mismatches
@@ -23,11 +25,10 @@ MODES = st.sampled_from([PathMode.UPF_REROUTE, PathMode.BAP_BYPASS])
 def run_mini(seed, rate, size, uav_x, mode, trace_level="full", buffer=None):
     scn = build_mini_scenario(seed=seed, ue2_rate_bps=rate, packet_size=size,
                               uav_x=uav_x)
-    if buffer is not None:
-        scn.protocol = dataclasses.replace(scn.protocol,
-                                           link_buffer_packets=buffer)
     sim = Simulator(scn, mode=mode, trace_level=trace_level)
-    return sim.scn, sim.run()
+    with mock.patch.object(engine, "LINK_BUFFER_PACKETS",
+                           buffer or engine.LINK_BUFFER_PACKETS):
+        return sim.scn, sim.run()
 
 
 mini_params = dict(
@@ -47,13 +48,12 @@ def test_encapsulation_round_trip(payload, seed, depth):
     """Pushing any legal tunnel stack, then stripping it at the tunnels'
     receiver, restores the packet; the push and the strip are the ones
     Forwarder.forward uses."""
-    fwd = Forwarder(random.Random(seed), gtp_header_bytes=8,
-                    bap_header_bytes=4, ttl=16)
+    fwd = Forwarder(random.Random(seed))
     pkt = Packet(flow_id="f", src="a", dst="z", payload_size_bytes=payload,
                  created_at_s=0.0)
     tunnels = [fwd.open_tunnel("b") for _ in range(depth)]
     for header in tunnels:
-        encapsulate(pkt, header, fwd.header_bytes["teid"])
+        encapsulate(pkt, header, GTP_HEADER_BYTES)
     assert pkt.wire_size_bytes == payload + 8 * len(tunnels)
     assert list(teids_of(pkt.header_stack)) \
         == [teid for _, teid in reversed(tunnels)]

@@ -1,14 +1,16 @@
 import copy
 import re
+from unittest import mock
 
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from iabsim import PathMode, Simulator, load_scenario, validate_topology
+from iabsim import (PathMode, Simulator, engine, load_scenario, scenario_io,
+                    validate_topology)
 from iabsim.errors import ParseError
 from iabsim.scenario_io import MAX_DEPTH, bundled_scenario_path, loads
-from iabsim.topology import ProtocolConstants, Role
+from iabsim.topology import Role
 
 from conftest import alias_chain, churn_text, merge_chain, oracle_mismatches
 
@@ -37,7 +39,6 @@ FULL = """
 seed: 3
 duration: 1.0
 radio_defaults: {efficiency: 0.55}
-protocol: {ttl: 16}
 nodes:
   - {id: cu, role: CU, position: [0.0, 0.0]}
   - {id: upf, role: Upf, position: [0.0, -1.0]}
@@ -83,7 +84,9 @@ MALFORMED = {
     "tx-power-bool": (broken("tx_power: 23.0}", "tx_power: true}"), "nodes[3]"),
     "position-text": (broken("[50.0, 0.0]", "[a, 1]"), "nodes[3]"),
     "position-inf": (broken("[50.0, 0.0]", "[.inf, 0.0]"), "nodes[3]"),
-    "protocol-text": (broken("{ttl: 16}", "{ttl: x}"), "protocol"),
+    # The protocol's numbers are constants: a file sets none of them.
+    "protocol-text": (broken("nodes:\n", "protocol: {ttl: x}\nnodes:\n"),
+                      " unknown key 'protocol'"),
     "radio-defaults-text": (broken("{efficiency: 0.55}", "{efficiency: x}"),
                             "radio_defaults"),
     "radio-defaults-zero-distance": (
@@ -110,7 +113,7 @@ MALFORMED = {
         broken("{efficiency: 0.55}", "{tdd_dl_fraction: 5.0e-324}"),
         "radio_defaults: ValueError: tdd_dl_fraction must be in [0.01, 1]"),
     "tx-power-huge": (broken("tx_power: 23.0}", "tx_power: 1.0e300}"),
-                      "nodes[3]: key 'tx_power' must be in [-100, 10000] dBm"),
+                      "nodes[3]: key 'tx_power' must be in [-100, 80] dBm"),
     "tx-power-tiny": (broken("tx_power: 23.0}", "tx_power: -1.0e300}"),
                       "nodes[3]: key 'tx_power' must be in"),
     "iab-tx-power-huge": (broken("tx_power: 43.0,", "tx_power: 1.0e300,"),
@@ -382,6 +385,33 @@ class TestBundledScenarios:
         scn = load_scenario(p)
         assert set(scn.nodes) == {"cu", "upf", "du"}
 
+    def test_every_file_key_is_set_by_a_workload(self):
+        # A key that neither bundled file nor reconfig-churn sets is surface
+        # that no workload varies; the churn seed draws values, not keys.
+        docs = [yaml.safe_load(bundled_scenario_path(name).read_text())
+                for name in ("paper-reference", "bap-compare")]
+        docs += [yaml.safe_load(churn_text(seed)) for seed in (0, 1, 3, 7)]
+        used = {name: set() for name in (
+            "TOP_KEYS", "NODE_KEYS", "LINK_KEYS", "CARRIER_KEYS", "FLOW_KEYS",
+            "ASSERT_KEYS", "RADIO_KEYS", "IAB_DIRECTIVE_KEYS",
+            "DU_UPDATE_KEYS")}
+        sections = {"nodes": "NODE_KEYS", "links": "LINK_KEYS",
+                    "flows": "FLOW_KEYS", "asserts": "ASSERT_KEYS"}
+        kinds = {"instantiate_iab_node": "IAB_DIRECTIVE_KEYS",
+                 "du_config_update": "DU_UPDATE_KEYS"}
+        for doc in docs:
+            used["TOP_KEYS"] |= set(doc)
+            used["RADIO_KEYS"] |= set(doc.get("radio_defaults", {}))
+            for section, name in sections.items():
+                for entry in doc.get(section, []):
+                    used[name] |= set(entry)
+            for directive in doc.get("schedule", []):
+                used[kinds[directive["kind"]]] |= set(directive)
+            for entry in doc.get("nodes", []) + doc.get("schedule", []):
+                for key in ("carrier", "access_carrier"):
+                    used["CARRIER_KEYS"] |= set(entry.get(key, {}))
+        assert used == {name: getattr(scenario_io, name) for name in used}
+
 
 # Values a mutation puts in place of any entry: degenerate numbers (1e400 as
 # YAML reads it, a string, and as a whole number too big for a float), and
@@ -419,9 +449,7 @@ def mutate(draw, doc):
 
 def shortened(doc, factor: float):
     """Scenario file `doc` with its duration and every time in it (flow
-    starts and stops, directive times, assert windows) scaled by `factor`,
-    and its link buffers too, so that a full buffer drains in the scaled
-    time."""
+    starts and stops, directive times, assert windows) scaled by `factor`."""
     doc = copy.deepcopy(doc)
     doc["duration"] *= factor
     for flow in doc["flows"]:
@@ -431,14 +459,14 @@ def shortened(doc, factor: float):
         directive["at"] *= factor
     for assert_ in doc["asserts"]:
         assert_["window"] = [edge * factor for edge in assert_["window"]]
-    doc.setdefault("protocol", {})["link_buffer_packets"] = round(
-        ProtocolConstants.link_buffer_packets * factor)
     return doc
 
 
 # paper-reference at a tenth of its length: a full-level run takes about
-# 0.05 s, against about 0.5 s.
+# 0.05 s, against about 0.5 s. It runs with its link buffers scaled too, so
+# that a full buffer drains in the scaled time, and still overflows.
 SHORT_REFERENCE = shortened(BUNDLED["paper-reference"], 0.1)
+SHORT_BUFFER = round(engine.LINK_BUFFER_PACKETS * 0.1)
 
 
 def load_mutant(draw, doc: dict, n_mutations: int):
@@ -490,7 +518,8 @@ def test_mutated_short_reference_replays_to_its_summary(data, mode,
     if scn is None or not validate_topology(scn).ok:
         return
     sim = Simulator(scn, mode=mode)
-    trace = sim.run()
+    with mock.patch.object(engine, "LINK_BUFFER_PACKETS", SHORT_BUFFER):
+        trace = sim.run()
     assert_conserved(scn, trace.summary)
     assert oracle_mismatches(sim.scn, trace) == []
 
