@@ -47,12 +47,11 @@ from typing import Optional
 from . import radio
 from .errors import (IabSimError, NoDonorCoverage, NoRoute, RoutingLoop,
                      ScenarioInvalid, TransportDown)
-from .f1ap import ControlPlane, F1Message, UeState
+from .f1ap import ControlPlane, F1Message
 from .gtp import (Decision, Forwarder, Packet, PathMode, RouteEntry,
                   install_f1_transport, install_ue_routes, teids_of)
-from .topology import (DU_ROLES, DuConfigUpdateDirective, FlowSpec,
-                       IabNodeDirective, Link, Medium, Node, Role, Scenario,
-                       validate_topology)
+from .topology import (DU_ROLES, FlowSpec, IabNodeDirective, Link, Medium,
+                       Node, Role, Scenario, validate_topology)
 from .trace import (SCHEMA_VERSION, FlowRecord, Trace, measure_throughput,
                     row_head)
 
@@ -100,8 +99,8 @@ class _LinkDir:
 
 @dataclass(slots=True)
 class _Out:
-    """A decision's `out`: its link direction, once found, and heads by flow."""
-    link_dir: Optional[_LinkDir] = None
+    """A decision's link direction (None if it delivers) and heads by flow."""
+    link_dir: Optional[_LinkDir]
     arrivals: dict[str, tuple] = field(default_factory=dict)
     departures: dict[str, tuple] = field(default_factory=dict)
 
@@ -170,10 +169,11 @@ class Simulator:
             raise ScenarioInvalid("Simulator instances are single-use")
         self._ran = True
         self._schedule(0.0, self._bootstrap)
+        # Float times: an int time's text would depend on its export batch.
         for d in self.scn.schedule:
-            self._schedule(d.at_s, self._apply_directive, d)
+            self._schedule(float(d.at_s), self._apply_directive, d)
         for f in self.scn.flows:
-            self._schedule(f.start_s, self._inject, f, 0)
+            self._schedule(float(f.start_s), self._inject, f, 0)
         duration = self._duration
         heap = self._heap
         enabled = gc.isenabled()
@@ -204,8 +204,6 @@ class Simulator:
         total = 0.0
         for a, b in zip(hops, hops[1:]):
             link = self.scn.find_link(a, b)
-            if link is None:
-                raise TransportDown(f"no link between {a} and {b}")
             cap = link_capacity(self.scn, link, a)
             if not cap > 0:  # NaN too
                 raise TransportDown(f"link {link.id} has no capacity {a}->{b}")
@@ -225,14 +223,12 @@ class Simulator:
 
     def _apply_directive(self, d) -> None:
         self._emit("Directive", location="scenario", subject=type(d).__name__,
-                   at=d.at_s)
+                   at=self.now)
         with self._failure_as_drop("scenario", type(d).__name__):
             if isinstance(d, IabNodeDirective):
                 self._instantiate_iab(d)
-            elif isinstance(d, DuConfigUpdateDirective):
+            else:  # validation admits no third kind
                 self.cp.du_config_update(d.du, d.carrier)
-            else:
-                raise ScenarioInvalid(f"unknown directive {d!r}")
 
     def _covered_rx_dbm(self, du: Node, position) -> Optional[float]:
         """Received power of `du`'s carrier at `position`; None when that is
@@ -265,12 +261,11 @@ class Simulator:
             self.scn.add_link(du.id, ue.id, Medium.RADIO)
 
     def _assoc_active(self, du_id: str) -> None:
-        # Attach each detached UE the DU covers, and each detached IAB-MT that
-        # came up before its donor DU was Active: its backhaul link is there.
+        # Attach each UE the DU covers, and each IAB-MT that came up before its
+        # donor DU was Active, if it has no context yet: its backhaul is there.
         du = self.scn.node(du_id)
         for node in self.scn.nodes.values():
-            ctx = self.cp.ue_contexts.get(node.id)
-            if ctx is not None and ctx.state is not UeState.DETACHED:
+            if node.id in self.cp.ue_contexts:
                 continue
             if node.role is Role.UE:
                 reach = self._covered_rx_dbm(du, node.position) is not None
@@ -377,7 +372,8 @@ class Simulator:
             self._drop(node, pkt, "ttl-expired", str(exc))
             return
         if (out := hop.out) is None:  # a new decision
-            out = hop.out = _Out()
+            out = hop.out = _Out(None if hop.next_hop is None
+                                 else self._link_dir(node, hop.next_hop))
         if via is not None and self.trace_full:
             if (head := out.arrivals.get(pkt.flow_id)) is None:
                 head = out.arrivals[pkt.flow_id] = self._head(pkt, (
@@ -387,18 +383,14 @@ class Simulator:
         if hop.next_hop is None:
             self._deliver(node, pkt)
             return
-        if out.link_dir is None:  # a new decision, or no link yet
-            out.link_dir = self._link_dir(node, hop.next_hop)
-            if out.link_dir is None:
-                self._drop(node, pkt, "transport-down",
-                           f"no link {node}->{hop.next_hop}")
-                return
         self._transmit(hop, pkt)
 
-    def _link_dir(self, src: str, dst: str) -> Optional[_LinkDir]:
-        """The direction src->dst of the link between them; None if none."""
+    def _link_dir(self, src: str, dst: str) -> _LinkDir:
+        """The direction src->dst of their link: a route's next hop is linked
+        before the route is installed, and no link is ever removed."""
         d = self._link_dirs.get((src, dst))
-        if d is None and (link := self.scn.find_link(src, dst)) is not None:
+        if d is None:
+            link = self.scn.find_link(src, dst)
             d = self._link_dirs[(src, dst)] = _LinkDir(
                 link, src, dst, delay=link.propagation_delay_s)
         return d

@@ -1,11 +1,12 @@
 """Strict scenario-file loader (YAML) and bundled scenario lookup.
 
 Unknown keys are errors: a typo in a scenario must fail loudly rather than
-silently fall back to a default. Numbers go through float(), and must be
-whole where an integer is meant, so `2.585e9` works whatever YAML makes of it;
-a YAML boolean is not a number.
-Nodes and links are built through `Scenario.add_node`/`add_link`; what they
-reject, like any malformed value, is a ParseError that names the entry.
+silently fall back to a default. Numbers go through float(), and must be whole
+where an integer is meant, so `2.585e9` works whatever YAML makes of it; a
+YAML boolean is not a number. Nodes and links are built through
+`Scenario.add_node`/`add_link`; what they reject, like any malformed value, is
+a ParseError that names the entry. A tx power's window is checked by
+`validate_topology` alone.
 
 YAML is read by libyaml (PyYAML's `CSafeLoader`, with PyYAML's own safe
 resolver and constructor), the one loader. It builds a document with recursive
@@ -27,7 +28,7 @@ from yaml import CSafeLoader
 from .errors import ParseError, TopologyError
 from .radio import RadioParams
 from .topology import (Carrier, DuConfigUpdateDirective, FlowAssert, FlowSpec,
-                       IabNodeDirective, Medium, Role, Scenario, TX_POWER_DBM)
+                       IabNodeDirective, Medium, Role, Scenario)
 
 TOP_KEYS = {"seed", "duration", "radio_defaults", "nodes", "links", "flows",
             "schedule", "asserts"}
@@ -90,16 +91,6 @@ def _num(mapping: dict, key: str, where: str, default=_REQUIRED, integer=False):
 
 def _int(mapping: dict, key: str, where: str, default=_REQUIRED) -> int:
     return _num(mapping, key, where, default, integer=True)
-
-
-def _tx_power(mapping: dict, key: str, where: str, default=_REQUIRED):
-    """A tx power in dBm, inside TX_POWER_DBM; absent is `default`."""
-    x = _num(mapping, key, where, default)
-    low, high = TX_POWER_DBM
-    if x is not None and not low <= x <= high:
-        raise ParseError(f"{where}: key {key!r} must be in [{low:g}, {high:g}] "
-                         f"dBm ({x!r})")
-    return x
 
 
 def _name(mapping: dict, key: str, where: str) -> Optional[str]:
@@ -177,7 +168,7 @@ def loads(text: str, name: str = "<scenario>") -> Scenario:
         with _entry(where):
             scn.add_node(role, _pair(raw.get("position", [0, 0]),
                                      f"{where}: position", "[x, y]"),
-                         tx_power_dbm=_tx_power(raw, "tx_power", where, default=None),
+                         tx_power_dbm=_num(raw, "tx_power", where, default=None),
                          carrier=_carrier(raw["carrier"], f"{where}:carrier")
                          if "carrier" in raw else None,
                          node_id=_name(raw, "id", where))
@@ -220,10 +211,9 @@ def loads(text: str, name: str = "<scenario>") -> Scenario:
                 position=_pair(raw["position"], f"{where}: position", "[x, y]"),
                 access_carrier=_carrier(raw["access_carrier"],
                                         f"{where}:access_carrier"),
-                tx_power_dbm=_tx_power(raw, "tx_power", where),
-                mt_tx_power_dbm=_tx_power(
-                    raw, "mt_tx_power", where,
-                    default=IabNodeDirective.mt_tx_power_dbm),
+                tx_power_dbm=_num(raw, "tx_power", where),
+                mt_tx_power_dbm=_num(raw, "mt_tx_power", where,
+                                     default=IabNodeDirective.mt_tx_power_dbm),
                 group=_name(raw, "group", where)))
         elif kind == "du_config_update":
             _check_keys(raw, DU_UPDATE_KEYS, where, required=("du", "carrier"))

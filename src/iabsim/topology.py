@@ -6,14 +6,15 @@ flat graph plus workload and schedule. Its nodes and links enter only through
 those own the per-entry structural rules: they raise on a break. An IAB node
 enters whole, from `add_iab_node` (which its directive calls at run time): its
 IabMt `<group>-mt`, its IabDu `<group>-du` and the one wire between them. Two
-nodes share at most one link. `validate_topology` reports the whole-scenario
-rules as data: a CU wired to every donor DU and to the UPF, tx powers inside
-TX_POWER_DBM, finite link numbers, unique flow ids outside the f1c: prefix,
-flow, assert and directive bounds, an assert's bound, and a bound on the
-packets flows inject. A link's ends are fixed once `add_link` made it. Only a
-DU advertises a carrier; a radio link takes its DU's carrier and the
-scenario's `radio_params`. The protocol's sizes and limits are constants of
-`gtp` and `engine`, not scenario data.
+nodes share at most one link. `validate_topology` alone owns every other rule,
+for a file and code alike, and reports it as data: a CU wired to every donor
+DU and to the UPF, tx powers inside TX_POWER_DBM, finite link numbers, unique
+flow ids outside the f1c: prefix, flow, assert and directive bounds, only
+directives in a schedule, an assert's bound, and a bound on the packets flows
+inject. A link's ends are fixed once `add_link` made it. Only a DU advertises
+a carrier; a radio link takes its DU's carrier and the scenario's
+`radio_params`. The protocol's sizes and limits are constants of `gtp` and
+`engine`, not scenario data.
 """
 from __future__ import annotations
 
@@ -372,8 +373,12 @@ def validate_topology(scenario: Scenario) -> ValidationReport:
     v += [f"assert on {a.flow}: sets no min_goodput_bps or max_goodput_bps"
           for a in scenario.asserts
           if a.min_goodput_bps is None and a.max_goodput_bps is None]
+    kinds = (IabNodeDirective, DuConfigUpdateDirective)
+    v += [f"schedule[{i}]: {type(d).__name__} is not a directive"
+          for i, d in enumerate(scenario.schedule) if not isinstance(d, kinds)]
     v += [f"{type(d).__name__} at t={d.at_s}: need 0 <= at < duration"
-          for d in scenario.schedule if not 0 <= d.at_s < scenario.duration_s]
+          for d in scenario.schedule
+          if isinstance(d, kinds) and not 0 <= d.at_s < scenario.duration_s]
 
     # A DU of the file, or one an instantiate_iab_node directive creates.
     iab = [d for d in scenario.schedule if isinstance(d, IabNodeDirective)]

@@ -1,10 +1,10 @@
 """Run record: ordered trace rows, one FlowRecord per flow, summary, export.
 
-Each trace event is one row `(time, head, pkt)` in `Trace.rows`, time a
-float, and its seq is its index there. `head` is `row_head(kind, location,
-subject, **fields)`: those three and the event's JSON line, with holes for
-time, seq and, if the event has one, pkt, the packet number the row holds;
-every other field is encoded into the line when the head is built.
+Each trace event is one row `(time, head, pkt)` in `Trace.rows`, time a float
+(the engine's and `emit`'s alike), and its seq is its index there. `head` is
+`row_head(kind, location, subject, **fields)`: those three and the event's
+JSON line, with holes for time, seq and, if the event has one, pkt, the
+row's packet number; every other field is encoded when the head is built.
 
 - Arrival, Departure and a packet's Drop, nearly all of a full trace, are
   appended by the engine, which builds each distinct head once: a full-level
@@ -28,8 +28,7 @@ repr(round(t, 12)). For t in [10**k, 10**(k + 1)) inside [1e-4, 4096),
 "%.{13 + k}g" rounds at 1e-12 and drops the trailing zeros, so it prints
 those bytes but for a whole number's ".0", which is put back after the fill.
 A batch with any time outside that range, or spanning 16 s or more, prints
-each time's repr into the line instead. `records()` parses the export back,
-so a reader sees what the file holds.
+each time's repr into the line instead.
 """
 from __future__ import annotations
 
@@ -39,7 +38,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import repeat
 from operator import itemgetter
 from typing import Iterator
 
@@ -111,14 +110,6 @@ class Trace:
         self.rows.append((float(time),
                           row_head(kind, location, subject, **fields),
                           fields.get("pkt")))
-
-    def records(self) -> Iterator[dict]:
-        """Each exported record after the header, parsed, in seq order. The
-        lines are parsed as one JSON array per batch, small enough that a
-        batch's records are gone before the cyclic GC promotes them."""
-        lines = islice(self.to_jsonl_lines(), 1, None)
-        while batch := list(islice(lines, 256)):
-            yield from json.loads("[" + ",".join(batch) + "]")
 
     # -- export -------------------------------------------------------------
 

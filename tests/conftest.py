@@ -1,6 +1,8 @@
 import importlib.util
+import json
 import time
 from collections import Counter
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,16 @@ from iabsim.topology import (Carrier, DuConfigUpdateDirective, FlowSpec,
 from replay import Replay
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def records(trace):
+    """Each exported record of `trace` after the header, parsed, in seq
+    order, so a test sees what the file holds. The lines are parsed as one
+    JSON array per batch, small enough that a batch's records are gone
+    before the cyclic GC promotes them."""
+    lines = islice(trace.to_jsonl_lines(), 1, None)
+    while batch := list(islice(lines, 256)):
+        yield from json.loads("[" + ",".join(batch) + "]")
 
 N41 = Carrier(band_label="n41", center_frequency_hz=2.585e9,
               bandwidth_hz=20e6, scs_hz=30e3)
@@ -93,7 +105,7 @@ def oracle_mismatches(scn, trace) -> list[str]:
     time. Unless a DU configuration update changes a carrier during the run,
     each radio direction keeps the capacity `link_capacity` gives it, and its
     Departures are checked against that too."""
-    replayed = Replay(trace.records())
+    replayed = Replay(records(trace))
     wired = {link.id: link for link in scn.links
              if link.medium is Medium.WIRED}
     radio_bps = {}
@@ -185,6 +197,6 @@ def replay():
 
     def of(trace) -> Replay:
         if id(trace) not in done:
-            done[id(trace)] = (trace, Replay(trace.records()))
+            done[id(trace)] = (trace, Replay(records(trace)))
         return done[id(trace)][1]
     return of

@@ -317,12 +317,14 @@ class TestRun:
 
     # Each once ended in a raw traceback: a ZeroDivisionError from the MT's
     # uplink capacity of 0, or an OverflowError from 10 ** (snr / 10). A
-    # negative exponent and a 5,000 dBm IAB DU once ran to 0 or 1; each is
-    # now refused as malformed. `error` is all of stderr after the file name.
+    # negative exponent and a 5,000 dBm IAB DU once ran to 0 or 1: the first
+    # is now refused as malformed, and the second as invalid. `error` is all
+    # of stderr after `error: `, and after the file name on exit 2.
     @pytest.mark.parametrize("old, new, codes, error", [
         ("tdd_dl_fraction: 0.7", "tdd_dl_fraction: 1.0", (0, 1), None),
-        ("    tx_power: 43.0", "    tx_power: 5000.0", (2,),
-         "schedule[0]: key 'tx_power' must be in [-100, 80] dBm (5000.0)"),
+        ("    tx_power: 43.0", "    tx_power: 5000.0", (1,),
+         "ScenarioInvalid: IabNodeDirective at t=0.5: tx_power must be in "
+         "[-100, 80] dBm"),
         ("pathloss_exponent: 2.2", "pathloss_exponent: -400.0", (2,),
          "radio_defaults: ValueError: pathloss_exponent must not be negative"),
         ("noise_figure: 7.0", "noise_figure: -1.0e300", (2,),
@@ -337,10 +339,13 @@ class TestRun:
         assert old in text
         p = tmp_path / "extreme.yaml"
         p.write_text(text.replace(old, new, 1))
-        assert main(["run", str(p), "--mode", mode,
-                     "--out", str(tmp_path / "o")]) in codes
+        code = main(["run", str(p), "--mode", mode,
+                     "--out", str(tmp_path / "o")])
+        assert code in codes
         err = capsys.readouterr().err
-        assert err == ("" if error is None else f"error: {p}:{error}\n")
+        assert err == ("" if error is None else
+                       f"error: {p}:{error}\n" if code == 2 else
+                       f"error: {error}\n")
 
     def test_huge_packet_is_a_violation_not_a_traceback(self, tmp_path,
                                                           capsys):

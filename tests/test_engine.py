@@ -22,9 +22,10 @@ from iabsim.topology import (DuConfigUpdateDirective, FlowSpec,
 from conftest import (N41, N78, UE1_DL_HOPS, UE1_UL_HOPS, UE2_DL_HOPS_BAP,
                       UE2_DL_HOPS_REROUTE, UE2_UL_HOPS_BAP, UE2_UL_HOPS_REROUTE,
                       build_donor_scenario, build_mini_scenario, churn_text,
-                      in_flight, oracle_mismatches, took_only)
+                      in_flight, oracle_mismatches, records, took_only)
 from replay import Replay
 from test_replay import IDS, RUNS, SCENARIOS, trace_of
+from test_scenario_io import assert_conserved
 
 
 def churn_scenario(seed):
@@ -118,7 +119,7 @@ class TestSerialization:
                                     control=SETUP, payload_size_bytes=1000,
                                     created_at_s=0.0, seq=i))
         assert len(d.finish_times) == 256
-        drops = [e for e in sim.trace.records() if e["kind"] == "Drop"]
+        drops = [e for e in records(sim.trace) if e["kind"] == "Drop"]
         assert len(drops) == 1
         assert drops[0]["cause"] == "queue-overflow"
         assert drops[0]["pkt"] == 256  # the 257th packet, zero-based
@@ -138,7 +139,7 @@ class TestSerialization:
         send(1)  # the first packet is still on the wire: no room
         sim.now = finish
         send(2)  # the first packet has just left: it takes no room
-        drops = [e for e in sim.trace.records() if e["kind"] == "Drop"]
+        drops = [e for e in records(sim.trace) if e["kind"] == "Drop"]
         assert [e["pkt"] for e in drops] == [1]
         assert d.packets == 2 and list(d.finish_times) == [2 * finish]
 
@@ -185,6 +186,25 @@ class TestEventLoop:
             fn(*args)  # pushes the next arrival over d
         assert popped == list(zip(arrivals, range(first, first + 3), pkts))
         assert not d.waiting
+
+    def test_int_start_and_directive_times_run_as_floats(self):
+        # An int flow start or directive time was each row's time at it: the
+        # first packet's no-route Drop exported as "time": 1 in a batch that
+        # prints each time's repr, and the run hashed apart from the 1.0 one.
+        def run(t):
+            scn = build_donor_scenario(duration=2.0)
+            scn.flows.append(FlowSpec(id="dl-ue2", src="upf", dst="ue2",
+                                      rate_bps=1e6, packet_size_bytes=500,
+                                      start_s=t, stop_s=2.0))
+            scn.schedule.append(IabNodeDirective(
+                at_s=t, position=(880.0, 0.0), access_carrier=N78,
+                tx_power_dbm=43.0, group="uav1"))
+            return Simulator(scn).run()
+        ints, floats = run(1), run(1.0)
+        assert ints.content_hash() == floats.content_hash()
+        assert {type(time) for time, _, _ in ints.rows} == {float}
+        directive = next(e for e in records(ints) if e["kind"] == "Directive")
+        assert directive["time"] == directive["at"] == 1.0
 
     @pytest.mark.parametrize("mode", list(PathMode))
     def test_the_heap_holds_one_arrival_per_link_direction(self, monkeypatch,
@@ -323,22 +343,22 @@ class TestTraceLevel:
         # build across carrier changes stay FIFO.
         scn = churn_scenario(seed)
         trace = Simulator(scn, mode=mode).run()
-        records = list(trace.records())
+        recs = list(records(trace))
         wired = {link.id: link for link in scn.links
                  if link.medium is Medium.WIRED}
-        replayed = Replay(records)
+        replayed = Replay(recs)
         assert replayed.queue_mismatches(wired, scn.duration_s) == []
         # The run ends with packets queued (132 of ul-ue2's at seed 0): the
         # summary's `packets` counts them, and no Departure of theirs is in
         # the records.
         assert replayed.unfinished(trace.summary) == in_flight(trace)
-        times = [r["time"] for r in records]
+        times = [r["time"] for r in recs]
         assert times == sorted(times)
-        tied = [r["kind"] for r in records if r["time"] == 0.100002024
+        tied = [r["kind"] for r in recs if r["time"] == 0.100002024
                 and r["subject"] == "f1c:donor-du"]
         assert tied.index("Departure") < tied.index("Arrival")
         lines = sorted(json.dumps({k: v for k, v in r.items() if k != "seq"},
-                                  sort_keys=True) for r in records)
+                                  sort_keys=True) for r in recs)
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() \
             == CHURN_ROW_MULTISETS[seed, mode]
 
@@ -390,11 +410,11 @@ class TestRunLifecycle:
         assert trace.flows["f1c:donor-du"].delivered_at
         # bootstrap still brings the donor association up
         assert any(e["to_state"] == "Active"
-                   for e in transitions(trace.records(), "f1:donor-du"))
+                   for e in transitions(records(trace), "f1:donor-du"))
 
     def test_donor_setup_latency_is_two_one_way_trips(self):
         trace = Simulator(build_donor_scenario(duration=0.05)).run()
-        active = [e for e in transitions(trace.records(), "f1:donor-du")
+        active = [e for e in transitions(records(trace), "f1:donor-du")
                   if e["to_state"] == "Active"]
         one_way = 64 * 8 / 1e9 + 1e-6  # 64-byte message on the 1 Gb/s F1 wire
         assert active[0]["time"] == pytest.approx(2 * one_way)
@@ -411,9 +431,9 @@ class TestRunLifecycle:
                                     seq=i))
         trace = sim.run()
         assert [(e["to_state"], e["cause"]) for e in transitions(
-            trace.records(), "f1:donor-du")] \
+            records(trace), "f1:donor-du")] \
             == [("SetupRequested", "f1-setup"), ("Idle", "transport-down")]
-        drops = [e for e in trace.records() if e["kind"] == "Drop"]
+        drops = [e for e in records(trace) if e["kind"] == "Drop"]
         assert [(e["location"], e["cause"], e["flow"]) for e in drops] \
             == [("donor-du", "assoc-inactive", "f1c:donor-du")] * 2
         f1 = trace.flows["f1c:donor-du"]
@@ -424,13 +444,13 @@ class TestRunLifecycle:
         traces = [Simulator(build_mini_scenario(), seed=s).run() for s in (1, 2)]
         g = [measure_throughput(t, "dl-ue2", (0.0, 0.15)) for t in traces]
         assert g[0] == pytest.approx(g[1])
-        teids = [sorted({v for e in t.records() for v in e.get("teids", [])})
+        teids = [sorted({v for e in records(t) for v in e.get("teids", [])})
                  for t in traces]
         assert teids[0] and teids[0] != teids[1]
 
     def test_events_use_only_known_kinds(self):
         trace = Simulator(build_mini_scenario()).run()
-        assert {e["kind"] for e in trace.records()} <= {
+        assert {e["kind"] for e in records(trace)} <= {
             "Arrival", "Departure", "TimerExpiry", "Directive", "Drop",
             "StateTransition"}
 
@@ -454,7 +474,7 @@ class TestDirectives:
             tx_power_dbm=43.0, group="uav1"))
         sim = Simulator(scn)
         trace = sim.run()
-        assert [e["to_state"] for e in transitions(trace.records(),
+        assert [e["to_state"] for e in transitions(records(trace),
                                                    "ue:uav1-mt")] \
             == ["Attaching", "Connected"]
         assert trace.summary["flows"]["dl-ue2"]["delivered"] > 0
@@ -466,7 +486,7 @@ class TestDirectives:
             at_s=0.01, position=(10_000.0, 0.0), access_carrier=N78,
             tx_power_dbm=43.0, group="far"))
         trace = Simulator(scn).run()  # must not raise
-        drops = [e for e in trace.records() if e["kind"] == "Drop"
+        drops = [e for e in records(trace) if e["kind"] == "Drop"
                  and e["cause"] == "NoDonorCoverage"]
         assert len(drops) == 1
         assert "far-du" not in trace.summary.get("links", {})
@@ -476,7 +496,7 @@ class TestDirectives:
             raise NoRoute(du, ("src", ue))
         monkeypatch.setattr(engine, "install_ue_routes", no_route)
         trace = Simulator(build_donor_scenario(duration=0.05)).run()  # must not raise
-        drops = [e for e in trace.records() if e["kind"] == "Drop"]
+        drops = [e for e in records(trace) if e["kind"] == "Drop"]
         assert [(e["location"], e["cause"]) for e in drops] \
             == [("ue:ue1", "NoRoute")]
         assert trace.summary["totals"]["events"] == len(trace.rows)
@@ -487,7 +507,7 @@ class TestDirectives:
         scn = build_mini_scenario()
         scn.radio_params = RadioParams(tdd_dl_fraction=1.0)
         trace = Simulator(scn).run()  # must not raise
-        drops = [e for e in trace.records() if e["kind"] == "Drop"
+        drops = [e for e in records(trace) if e["kind"] == "Drop"
                  and e["cause"] == "TransportDown"]
         assert [e["location"] for e in drops] == ["ue:uav1-mt"]
         assert trace.summary["flows"]["dl-ue2"]["delivered"] == 0
@@ -499,7 +519,7 @@ class TestDirectives:
         # time, and the run stopped when that reached the top of the heap.
         nan_sent_by(monkeypatch, "uav1-mt")
         trace = Simulator(build_mini_scenario()).run()
-        drops = [e for e in trace.records() if e["kind"] == "Drop"
+        drops = [e for e in records(trace) if e["kind"] == "Drop"
                  and e["cause"] == "TransportDown"]
         assert [e["location"] for e in drops] == ["ue:uav1-mt"]
         assert "no capacity uav1-mt->donor-du" in drops[0]["detail"]
@@ -508,12 +528,12 @@ class TestDirectives:
     def test_mt_session_is_two_tunnels_and_one_transition(self):
         sim = Simulator(build_mini_scenario(), trace_level="summary")
         trace = sim.run()
-        records = list(trace.records())
-        pdu = transitions(records, "pdu:uav1-mt")
+        recs = list(records(trace))
+        pdu = transitions(recs, "pdu:uav1-mt")
         assert [(e["from_state"], e["to_state"], e["cause"])
                 for e in pdu] == [("Requested", "Established",
                                    "pdu-session-establish")]
-        f1 = transitions(records, "f1:uav1-du")
+        f1 = transitions(recs, "f1:uav1-du")
         assert pdu[0]["seq"] < f1[0]["seq"]  # the session carries F1 setup
         # The uplink tunnel ends at the UPF, the downlink one at the MT.
         ul = sim.fwd.entries[("uav1-mt", ("dst", "cu"))].encaps[0]
@@ -547,7 +567,7 @@ class TestDirectives:
         trace = Simulator(build_mini_scenario()).run()
         assert any(e["kind"] == "Directive"
                    and e["subject"] == "IabNodeDirective"
-                   for e in trace.records())
+                   for e in records(trace))
 
     def test_du_config_update_swaps_carrier(self):
         from iabsim.topology import Carrier, DuConfigUpdateDirective
@@ -557,7 +577,7 @@ class TestDirectives:
                                                     carrier=new))
         sim = Simulator(scn)
         trace = sim.run()
-        moved = [e for e in transitions(trace.records(), "du:donor-du")
+        moved = [e for e in transitions(records(trace), "du:donor-du")
                  if e["cause"] == "du-config-update"]
         assert moved and moved[0]["to_state"] == "carrier:n41-wide"
         assert scn.nodes["donor-du"].carrier == N41  # the input is unchanged
@@ -602,7 +622,7 @@ class TestCachedDecision:
         sim.fwd.forward, sim._transmit = forward_seen, transmit_seen
         trace = sim.run()
         update = next(e["time"]
-                      for e in transitions(trace.records(), "du:donor-du")
+                      for e in transitions(records(trace), "du:donor-du")
                       if e["cause"] == "du-config-update")
         # Before the update, the decision and its link direction are cached;
         # after it, that same decision serves every packet.
@@ -633,7 +653,7 @@ class TestCachedDecision:
         sim = Simulator(scn, mode=mode, trace_level="full")
         trace = sim.run()
         rows = Counter()
-        for e in trace.records():
+        for e in records(trace):
             if e["kind"] in ("Arrival", "Departure"):
                 flow, teids = e["subject"], len(e["teids"])
                 header = (teids * GTP_HEADER_BYTES
@@ -661,7 +681,7 @@ def all_uplink_drops_for_no_capacity(params):
                               rate_bps=1e6, packet_size_bytes=1000,
                               start_s=0.05, stop_s=0.15))
     trace = Simulator(scn).run()
-    drops = [e for e in trace.records()
+    drops = [e for e in records(trace)
              if e["kind"] == "Drop" and e["flow"] == "ul-ue1"]
     row = trace.summary["flows"]["ul-ue1"]
     assert row["injected"] == 13 and row["delivered"] == 0
@@ -676,7 +696,7 @@ class TestAccounting:
     @pytest.mark.parametrize("mode", list(PathMode))
     def test_window_holds_t0_and_leaves_out_t1(self, mode):
         trace = Simulator(build_mini_scenario(), mode=mode).run()
-        delivered = [e for e in trace.records() if e["kind"] == "Arrival"
+        delivered = [e for e in records(trace) if e["kind"] == "Arrival"
                      and e["subject"] == "dl-ue2" and e["delivered"]]
         times = trace.flows["dl-ue2"].delivered_at
         assert len(times) == len(delivered) \
@@ -694,7 +714,7 @@ class TestAccounting:
         # trace.jsonl rounds each time to 12 digits, up for some deliveries
         # and down for others: each window still holds its own t0.
         trace = Simulator(build_mini_scenario(), mode=mode).run()
-        times = [e["time"] for e in trace.records() if e["kind"] == "Arrival"
+        times = [e["time"] for e in records(trace) if e["kind"] == "Arrival"
                  and e["subject"] == "dl-ue2" and e["delivered"]]
         assert len(times) > 9
         for window in zip(times, times[1:]):
@@ -780,7 +800,7 @@ class TestHopLimit:
         for mode in PathMode:
             trace = Simulator(scn, mode=mode, trace_level="summary").run()
             row = trace.summary["flows"]["dl-ue2"]
-            causes = {e["cause"] for e in trace.records()
+            causes = {e["cause"] for e in records(trace)
                       if e["kind"] == "Drop" and e.get("flow") == "dl-ue2"}
             assert row["injected"] == 4643
             if mode in expired:
@@ -832,6 +852,23 @@ class TestSeveralUes:
             for flow, hops in ((f"dl-{ue}", dl_hops), (f"ul-{ue}", ul_hops)):
                 assert took_only(trace, flow,
                                  tuple(ue if h == first else h for h in hops))
+
+
+@pytest.mark.parametrize("mode", list(PathMode))
+def test_every_route_next_hop_is_linked(mode):
+    """A flow between each ordered pair of bap-compare's file nodes, itself
+    included: the run ends with each flow's packets delivered, dropped or in
+    flight, and every route entry's next hop linked to its node, so the
+    engine needs no fallback for a hop with no link."""
+    scn = load_scenario("bap-compare")
+    nodes = list(scn.nodes)
+    scn.flows = [FlowSpec(id=f"{src}>{dst}", src=src, dst=dst, rate_bps=2e5,
+                          packet_size_bytes=500, start_s=0.6, stop_s=3.9)
+                 for src in nodes for dst in nodes]
+    sim = Simulator(scn, mode=mode, trace_level="summary")
+    assert_conserved(scn, sim.run().summary)
+    assert [e for e in sim.fwd.entries.values() if e.next_hop is not None
+            and sim.scn.find_link(e.at_node, e.next_hop) is None] == []
 
 
 class TestFlowRecords:

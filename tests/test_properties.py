@@ -12,7 +12,7 @@ from iabsim.gtp import (GTP_HEADER_BYTES, Forwarder, Packet, encapsulate,
                         teids_of)
 from iabsim.radio import RadioParams
 
-from conftest import build_mini_scenario, oracle_mismatches
+from conftest import build_mini_scenario, oracle_mismatches, records
 
 SIM_SETTINGS = settings(max_examples=200, deadline=None,
                         suppress_health_check=[HealthCheck.too_slow],
@@ -90,7 +90,7 @@ def test_backhaul_nesting_depth(seed, rate, size, uav_x, mode):
     scn, trace = run_mini(seed, rate, size, uav_x, mode)
     backhaul = scn.find_link("donor-du", "uav1-mt")
     assert backhaul is not None
-    crossings = [e for e in trace.records()
+    crossings = [e for e in records(trace)
                  if e["kind"] == "Departure" and e["location"] == backhaul.id
                  and e["subject"] == "dl-ue2"]
     assert crossings, "no user traffic crossed the backhaul"
@@ -118,7 +118,7 @@ def test_departure_rows_carry_the_queued_stack(seed, rate, size, uav_x, mode):
     sim._transmit = recorded
     trace = sim.run()
     depths = set()
-    for e in trace.records():
+    for e in records(trace):
         if e["kind"] == "Departure":
             depth, teids = queued[e["subject"], e["pkt"], e["src"]].pop(0)
             assert (e["depth"], e["teids"]) == (depth, teids)
@@ -211,7 +211,7 @@ def test_protocol_ordering(seed, rate, size, uav_x, mode):
     connected_at = {}
     assoc_window = {}
     inactive = []
-    for e in trace.records():
+    for e in records(trace):
         if e["kind"] == "Drop" and e["cause"] == "assoc-inactive":
             inactive.append(e)
         if e["kind"] != "StateTransition":

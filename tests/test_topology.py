@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 from iabsim.errors import (DuplicateCu, DuplicateUpf, IllegalMedium,
@@ -286,6 +288,11 @@ class TestValidation:
         # The second directive failed at run time, as a Drop row.
         (lambda s: with_iab_nodes(s, "uav1", "uav1"),
          "IabNodeDirective group uav1: used by 2 directives"),
+        # Validation raised AttributeError reading its at_s.
+        (lambda s: s.schedule.append("x"), "schedule[0]: str is not a directive"),
+        # With an at_s it validated, and its run dropped it: ScenarioInvalid.
+        (lambda s: s.schedule.append(SimpleNamespace(at_s=0.5)),
+         "schedule[0]: SimpleNamespace is not a directive"),
     ], ids=["duration-inf", "duration-nan", "assert-unknown-flow",
             "directive-at-duration", "directive-before-zero",
             "update-unknown-du", "update-not-a-du", "duplicate-flow-id",
@@ -298,7 +305,8 @@ class TestValidation:
             "packets-over-bound", "packets-overflow-float",
             "packets-overflow-int", "packet-size-huge",
             "packet-size-over-ip", "flow-id-f1c-prefix", "assert-no-bound",
-            "donor-du-unwired", "iab-group-names-file-node", "iab-group-twice"])
+            "donor-du-unwired", "iab-group-names-file-node", "iab-group-twice",
+            "schedule-str", "schedule-object-with-at"])
     def test_rejected_as_data_not_raised(self, mutate, violation):
         scn = build_donor_scenario(duration=1.0)
         # A mutation changes the scenario in place, or returns another one.

@@ -23,6 +23,8 @@ from hypothesis import given, settings, strategies as st
 
 from iabsim.trace import Trace, row_head
 
+from conftest import records
+
 TEID_MAX = 2 ** 32 - 1
 
 ids = st.text() | st.sampled_from(['a"b', "a\\b", "\x00\x1f\x7f", "é-ü", "☃",
@@ -104,7 +106,7 @@ def test_hop_rows_export_as_json_dumps(events, emitted):
                  in enumerate(emitted, start=len(events))]
     assert list(trace.to_jsonl_lines())[1:] == expected
     # The records are the lines, parsed.
-    assert list(trace.records()) == [json.loads(line) for line in expected]
+    assert list(records(trace)) == [json.loads(line) for line in expected]
 
 
 @settings(max_examples=100, deadline=None)
