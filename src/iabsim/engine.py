@@ -24,12 +24,20 @@ flow; the summary is read from the user flows' records.
 Arrival, Departure and packet Drop rows share heads: `_head` keys one dict by
 what fixes a head, so each distinct head is built once (see `trace`). A
 decision fixes its hop rows' heads up to the flow (payloads are per flow), so
-its `_Out` keeps them by flow id: a hop row costs one dict lookup. Rows are
-sorted by time at the end, stably, so ties keep the order they were appended.
+its `_Out` keeps them by flow id: a hop row costs one dict lookup.
+
+Rows are sealed into the trace's columns as the clock passes, not sorted at
+the end. Every row is appended dated at or after `now`, events at `now` and a
+Departure at its finish time, and `now` never falls, so a row dated before
+`now` is final. Once more than SEAL_BATCH_ROWS rows were appended since the
+last seal, the loop seals those dated before `now` (see `Trace.seal`); the
+rest, mostly the Departures of queued packets, stay pending. The run seals
+what is left at its end. So the rows are in time order, and rows at one time
+in the order they were appended.
 
 The event loop runs with the cyclic GC paused: a hop allocates tuples, at full
-level two rows too, so collections would run all along and walk the rows not
-yet untracked. The loop makes no reference cycles, so it leaves no garbage.
+level two rows too, so collections would run all along and walk the pending
+rows. The loop makes no reference cycles, so it leaves no garbage.
 """
 from __future__ import annotations
 
@@ -41,7 +49,6 @@ import random
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Optional
 
 from . import radio
@@ -61,6 +68,8 @@ __all__ = ["Simulator", "link_capacity", "measure_throughput", "PathMode"]
 CONTROL_MESSAGE_BYTES = 64
 # The packets a link direction holds, the one being serialized included.
 LINK_BUFFER_PACKETS = 256
+# The trace rows appended between two seals of the run loop.
+SEAL_BATCH_ROWS = 8192
 
 
 def link_capacity(scenario: Scenario, link: Link, tx_node_id: str) -> float:
@@ -125,8 +134,9 @@ class Simulator:
         self.trace = Trace(mode=self.mode.value, seed=self.seed,
                            flows={f.id: FlowRecord(f.packet_size_bytes)
                                   for f in scenario.flows})
-        self._rows, self._flows = self.trace.rows, self.trace.flows  # read per hop
-        self._duration = scenario.duration_s
+        self._rows, self._flows = self.trace.pending, self.trace.flows  # per hop
+        # A float, so that an int duration reads as its float in the summary.
+        self._duration = float(scenario.duration_s)
         # The Forwarder draws every TEID, so it owns the run's RNG.
         self.fwd = Forwarder(random.Random(self.seed))
         self.cp = ControlPlane(send=self._send_control,
@@ -174,8 +184,8 @@ class Simulator:
             self._schedule(float(d.at_s), self._apply_directive, d)
         for f in self.scn.flows:
             self._schedule(float(f.start_s), self._inject, f, 0)
-        duration = self._duration
-        heap = self._heap
+        duration, heap, trace = self._duration, self._heap, self.trace
+        pending, seal_at = self._rows, SEAL_BATCH_ROWS
         enabled = gc.isenabled()
         gc.disable()  # see the module docstring
         try:
@@ -183,11 +193,13 @@ class Simulator:
                 t, _, fn, args = heapq.heappop(heap)
                 self.now = t
                 fn(*args)
+                if len(pending) > seal_at:
+                    seal_at = trace.seal(t) + SEAL_BATCH_ROWS
         finally:
             if enabled:
                 gc.enable()
         self.now = duration
-        self._rows.sort(key=itemgetter(0))
+        trace.seal()
         self._finalize()
         return self.trace
 
@@ -449,7 +461,7 @@ class Simulator:
     # -- summary -------------------------------------------------------------------
 
     def _finalize(self) -> None:
-        duration = self.scn.duration_s
+        duration = self._duration
         flows = {}
         total_header = sum(d.bytes_header for d in self._link_dirs.values())
         total_bytes = sum(d.bytes_total for d in self._link_dirs.values())
@@ -493,6 +505,6 @@ class Simulator:
             "totals": {
                 "header_bytes": total_header,
                 "bytes": total_bytes,
-                "events": len(self.trace.rows),
+                "events": len(self.trace),
             },
         }

@@ -19,6 +19,7 @@ a carrier; a radio link takes its DU's carrier and the scenario's
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -292,12 +293,43 @@ class ValidationReport:
         return not self.violations
 
 
+def _non_numbers(scenario: Scenario) -> list[str]:
+    """A violation for each number field that validate_topology compares and
+    that holds no real number (the optional ones may hold None). The loader
+    makes every such value a float, so only code can put another there."""
+    values = [("duration_s", scenario.duration_s)]
+    values += [(f"node {n.id}: tx_power_dbm", n.tx_power_dbm)
+               for n in scenario.nodes.values() if n.tx_power_dbm is not None]
+    values += [(f"link {l.id}: propagation_delay_s", l.propagation_delay_s)
+               for l in scenario.links]
+    values += [(f"link {l.id}: wired_capacity_bps", l.wired_capacity_bps)
+               for l in scenario.links if l.wired_capacity_bps is not None]
+    values += [(f"flow {f.id}: {name}", getattr(f, name))
+               for f in scenario.flows
+               for name in ("start_s", "stop_s", "rate_bps",
+                            "packet_size_bytes")]
+    values += [(f"assert on {a.flow}: window", t)
+               for a in scenario.asserts for t in a.window]
+    for i, d in enumerate(scenario.schedule):
+        if isinstance(d, (IabNodeDirective, DuConfigUpdateDirective)):
+            values.append((f"schedule[{i}]: at_s", d.at_s))
+        if isinstance(d, IabNodeDirective):
+            values += [(f"schedule[{i}]: tx_power_dbm", d.tx_power_dbm),
+                       (f"schedule[{i}]: mt_tx_power_dbm", d.mt_tx_power_dbm)]
+            values += [(f"schedule[{i}]: position", x) for x in d.position]
+    return [f"{where} must be a number, got {x!r}" for where, x in values
+            if not isinstance(x, numbers.Real)]
+
+
 def validate_topology(scenario: Scenario) -> ValidationReport:
     """Check that a scenario is a well-formed single-donor IAB deployment.
 
     Pure and idempotent; violations are returned as data, never raised.
     """
-    v: list[str] = []
+    # Every later check compares numbers: a field of another type is
+    # reported instead, with nothing compared.
+    if v := _non_numbers(scenario):
+        return ValidationReport(violations=v)
     nodes = scenario.nodes
 
     cus = scenario.nodes_with_role(Role.CU)

@@ -1,7 +1,7 @@
 """Run record: ordered trace rows, one FlowRecord per flow, summary, export.
 
-Each trace event is one row `(time, head, pkt)` in `Trace.rows`, time a float
-(the engine's and `emit`'s alike), and its seq is its index there. `head` is
+Each trace event is one row `(time, head, pkt)`, its time a float once it
+is in the columns below (the engine's and `emit`'s alike). `head` is
 `row_head(kind, location, subject, **fields)`: those three and the event's
 JSON line, with holes for time, seq and, if the event has one, pkt, the
 row's packet number; every other field is encoded when the head is built.
@@ -12,11 +12,18 @@ row's packet number; every other field is encoded when the head is built.
 - Every other kind (StateTransition, Directive, TimerExpiry, and a Drop with
   no packet) goes through `emit(**fields)`, which builds the row's own head.
 
-Rows are in time order, and rows at one time in the order they were
-appended; a Departure is appended when its packet is queued.
+A row is appended to `Trace.pending`, and `seal` moves it into three
+columns: `times` (doubles), `heads` and `pkts` (None where there is none);
+its seq is its index there. `seal` sorts the pending rows by time, stably,
+and moves those dated before the time it is given. The engine seals as its
+clock passes (see `engine`), so the columns hold the rows in time order, and
+rows at one time in the order they were appended; a Departure is appended
+when its packet is queued. The export takes any rows still pending after the
+columns, in the order they were appended.
 
-A row holds only atoms and its head only strings and bytes, so Python's
-cyclic GC stops tracking them within three collections.
+A column holds no object that Python's cyclic GC tracks past three
+collections: `times` holds no objects, `pkts` ints, and a head only strings
+and bytes. The pending tuples die when they are sealed.
 
 Every JSON-lines record has the keys time, seq, kind, location and subject,
 then the fields sorted by name, so identical runs serialize byte-identically;
@@ -35,6 +42,7 @@ from __future__ import annotations
 import hashlib
 import json.encoder
 import math
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
@@ -97,19 +105,46 @@ class Trace:
     # Per flow id: the scenario's flows from the start, an F1 flow from its
     # first message.
     flows: dict[str, FlowRecord] = field(default_factory=dict)
-    rows: list[tuple] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
+    # The sealed rows, a column each, in seq order.
+    times: array = field(default_factory=lambda: array("d"))
+    heads: list[tuple] = field(default_factory=list)
+    pkts: list[int | None] = field(default_factory=list)
+    # The rows (time, head, pkt) appended and not yet sealed.
+    pending: list[tuple] = field(default_factory=list)
     # (mode, seed, event count, SHA-256) of the last export.
     _digest: tuple = field(default=(), init=False, repr=False, compare=False)
+
+    def __len__(self) -> int:
+        """The events recorded, sealed or pending."""
+        return len(self.times) + len(self.pending)
 
     def emit(self, time: float, kind: str, location: str, subject: str,
              **fields) -> None:
         """Record one event with a head of its own; `pkt`, if given, is an
-        int. The time is made a float: an int's text would depend on the
-        batch it is exported in."""
-        self.rows.append((float(time),
-                          row_head(kind, location, subject, **fields),
-                          fields.get("pkt")))
+        int. The time column makes the time a float: an int's text would
+        depend on the batch it is exported in."""
+        self.pending.append((time, row_head(kind, location, subject, **fields),
+                             fields.get("pkt")))
+
+    def seal(self, before: float = math.inf) -> int:
+        """Sort the pending rows by time, stably, and move those dated before
+        `before` into the columns; return how many stay pending.
+
+        The order is final if no row dated before `before` is appended
+        afterwards: the rows kept are sorted and precede every later one, so
+        rows at one time keep the order they were appended in."""
+        self.pending.sort(key=itemgetter(0))
+        self._move(bisect_left(self.pending, before, key=itemgetter(0)))
+        return len(self.pending)
+
+    def _move(self, n: int) -> None:
+        """Move the first `n` pending rows into the columns, as they are."""
+        rows = self.pending[:n]
+        del self.pending[:n]
+        self.times.fromlist(list(map(itemgetter(0), rows)))  # extend: 2x slower
+        self.heads.extend(map(itemgetter(1), rows))
+        self.pkts.extend(map(itemgetter(2), rows))
 
     # -- export -------------------------------------------------------------
 
@@ -118,27 +153,27 @@ class Trace:
         yield "".join(_ENCODE({"schema_version": SCHEMA_VERSION,
                                "record": "header", "mode": self.mode,
                                "seed": self.seed}, 0)).encode() + b"\n"
-        rows = self.rows
-        for lo in range(0, len(rows), 4096):
-            chunk = rows[lo:lo + 4096]
-            lines = b"".join(map(itemgetter(3), map(itemgetter(1), chunk)))
-            times = list(map(itemgetter(0), chunk))
-            args = [None] * (4 * len(chunk))
+        self._move(len(self.pending))
+        for lo in range(0, len(self.times), 4096):
+            hi = lo + 4096
+            lines = b"".join(map(itemgetter(3), self.heads[lo:hi]))
+            times = self.times[lo:hi].tolist()
+            args = [None] * (4 * len(times))
             args[1::4] = times
-            args[2::4] = range(lo, lo + len(chunk))
-            args[3::4] = map(itemgetter(2), chunk)
+            args[2::4] = range(lo, lo + len(times))
+            args[3::4] = self.pkts[lo:hi]
             first, last = min(times), max(times)
             # Less than 16 s apart, the times may round to at most 17
             # integers, and each costs one scan of the batch below.
             if 1e-4 <= first and last < min(first + 16.0, 4096.0):
                 precision = bisect_right(_PRECISION, first)
                 args[0::4] = (
-                    [precision] * len(chunk)
+                    [precision] * len(times)
                     if precision == bisect_right(_PRECISION, last)
                     else map(bisect_right, repeat(_PRECISION), times))
                 batch = lines % tuple(args)
                 # %g drops a whole time's ".0": put it back for each integer
-                # a time of the chunk may round to. A time prints as n only
+                # a time of the batch may round to. A time prints as n only
                 # within 5e-13 of it, well inside the 1e-9 margin.
                 for n in range(math.ceil(first - 1e-9),
                                math.floor(last + 1e-9) + 1):
@@ -165,12 +200,12 @@ class Trace:
             h.update(batch)
             if fh is not None:
                 fh.write(batch)
-        self._digest = (self.mode, self.seed, len(self.rows), h.hexdigest())
+        self._digest = (self.mode, self.seed, len(self), h.hexdigest())
         return self._digest[-1]
 
     def content_hash(self) -> str:
         """SHA-256 of the export; the stored one while header and count hold."""
-        if self._digest[:3] == (self.mode, self.seed, len(self.rows)):
+        if self._digest[:3] == (self.mode, self.seed, len(self)):
             return self._digest[-1]
         return self.write_jsonl()
 

@@ -3,6 +3,7 @@ import hashlib
 import heapq
 import json
 import math
+import tracemalloc
 import types
 from collections import Counter
 
@@ -24,6 +25,7 @@ from conftest import (N41, N78, UE1_DL_HOPS, UE1_UL_HOPS, UE2_DL_HOPS_BAP,
                       build_donor_scenario, build_mini_scenario, churn_text,
                       in_flight, oracle_mismatches, records, took_only)
 from replay import Replay
+from test_golden import GOLDEN
 from test_replay import IDS, RUNS, SCENARIOS, trace_of
 from test_scenario_io import assert_conserved
 
@@ -44,6 +46,27 @@ CHURN_ROW_MULTISETS = {
         "7e7265f23193d459f09732a0270d8d708f584420a472276948c3253e50d1cfa0",
     (3, PathMode.BAP_BYPASS):
         "b3d84309d0780a2a64012edc3e5d6445e062e274b9cb3d219e3f98c96008d93c",
+}
+
+# Full-level reconfig-churn: the content_hash of each seed and mode, as the
+# run's one stable sort of all rows by time gave it.
+CHURN_TRACE_HASHES = {
+    (0, PathMode.UPF_REROUTE):
+        "4f5a791c68c4f82b072026a27dcacf4ec10a504923104f7b9534a01c8834bbdd",
+    (0, PathMode.BAP_BYPASS):
+        "ad2461677edb59cf390acc011efc9908e4939247993f2d9ca19378d0594b4e7b",
+    (1, PathMode.UPF_REROUTE):
+        "a715d7de1c48b1d4f8dbb3389b93dd1defe3e39544a0313c37a4fb537a9b2a0e",
+    (1, PathMode.BAP_BYPASS):
+        "91c3311edc1ccef8dae70a2a7220d27400fd7837c009035b367dee689aef93df",
+    (3, PathMode.UPF_REROUTE):
+        "a02e9e18d68262436ccf56962d1537dd388a8a93d906ad4024a4d04b860c871d",
+    (3, PathMode.BAP_BYPASS):
+        "3e5ea617bbe0ec9f491887447be1c053c47a2311d0b865bf3d58dfc9198e1c58",
+    (7, PathMode.UPF_REROUTE):
+        "6de9b903947e216ad4b6105e2b5ed2808f4dc9ac6a04f9dac67af6203afa4f4b",
+    (7, PathMode.BAP_BYPASS):
+        "887db35797301a2be45dd35ebe4636b039d7606dce80e36dc35b4f60a6cad626",
 }
 
 
@@ -202,9 +225,21 @@ class TestEventLoop:
             return Simulator(scn).run()
         ints, floats = run(1), run(1.0)
         assert ints.content_hash() == floats.content_hash()
-        assert {type(time) for time, _, _ in ints.rows} == {float}
+        assert {type(time) for time in ints.times} == {float}
         directive = next(e for e in records(ints) if e["kind"] == "Directive")
         assert directive["time"] == directive["at"] == 1.0
+
+    def test_int_duration_gives_the_float_summary(self):
+        # An int duration once wrote "duration_s": 2 where 2.0 wrote 2.0,
+        # while the two traces hashed alike.
+        def summary_json(duration):
+            scn = build_donor_scenario(duration=duration)
+            scn.flows.append(FlowSpec(id="dl-ue1", src="upf", dst="ue1",
+                                      rate_bps=1e6, packet_size_bytes=500,
+                                      start_s=0.5, stop_s=duration))
+            trace = Simulator(scn).run()
+            return json.dumps(trace.summary, indent=2, allow_nan=False)
+        assert summary_json(2) == summary_json(2.0)
 
     @pytest.mark.parametrize("mode", list(PathMode))
     def test_the_heap_holds_one_arrival_per_link_direction(self, monkeypatch,
@@ -272,7 +307,7 @@ class TestEventLoop:
         gc.collect()
         trace = sim.run()
         assert gc.collect() == 0
-        assert len(trace.rows) > 100_000
+        assert len(trace) > 100_000
 
 
 class TestTraceLevel:
@@ -293,31 +328,32 @@ class TestTraceLevel:
 
     @pytest.mark.parametrize("mode", list(PathMode))
     def test_hop_rows_leave_the_cyclic_gc(self, mode):
-        # A row (time, head, pkt) holds atoms and its head, the head
-        # strings, so collections stop walking them. A collection untracks
-        # a tuple once it finds what it holds untracked: in that collection
-        # or, if the collector moved an inner tuple behind its holder, in
-        # the next; two levels, two more. The other kinds' rows once held
+        # The columns hold no object that collections keep walking: `times`
+        # holds doubles, `pkts` ints and a head only strings and bytes. A
+        # collection untracks a tuple once it finds what it holds untracked:
+        # in that collection or, if the collector moved an inner tuple
+        # behind its holder, in the next. The other kinds' rows once held
         # their field dict: 5,975 rows of paper-reference stayed tracked.
         scn = build_mini_scenario()
         scn.flows[0].start_s = 0.0  # dl-ue2 before its routes exist: Drops
         trace = Simulator(scn, mode=mode).run()
         for _ in range(3):
             gc.collect()
-        assert {r[1][0] for r in trace.rows} == {
+        assert {head[0] for head in trace.heads} == {
             "Arrival", "Departure", "Drop", "StateTransition", "Directive",
             "TimerExpiry"}
-        assert not any(map(gc.is_tracked, trace.rows))
-        assert not any(gc.is_tracked(r[1]) for r in trace.rows)
+        assert trace.pending == [] and trace.times.typecode == "d"
+        assert not any(map(gc.is_tracked, trace.heads))
+        assert not any(map(gc.is_tracked, trace.pkts))
 
     def test_one_hop_key_per_distinct_hop(self, ref_reroute):
         # Every Arrival, Departure and packet Drop row shares its head with
         # every row of the same content: not one head per row.
         trace, _ = ref_reroute
-        rows = [r for r in trace.rows
-                if r[1][0] in ("Arrival", "Departure", "Drop")]
-        assert len(rows) == 215_004 + 5_961
-        assert len({id(head) for _, head, _ in rows}) < 100
+        heads = [head for head in trace.heads
+                 if head[0] in ("Arrival", "Departure", "Drop")]
+        assert len(heads) == 215_004 + 5_961
+        assert len(set(map(id, heads))) < 100
 
     @pytest.mark.parametrize("name", ["paper-reference", "bap-compare"])
     @pytest.mark.parametrize("mode", list(PathMode))
@@ -361,6 +397,81 @@ class TestTraceLevel:
                                   sort_keys=True) for r in recs)
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() \
             == CHURN_ROW_MULTISETS[seed, mode]
+
+
+class TestSeal:
+    """The run seals rows into the trace's columns as its clock passes: the
+    order is the one a stable sort of all rows by time gives."""
+
+    @pytest.mark.parametrize("seed, mode", list(CHURN_TRACE_HASHES),
+                             ids=[f"seed{s}-{m.value}"
+                                  for s, m in CHURN_TRACE_HASHES])
+    def test_churn_trace_hash_is_pinned(self, seed, mode):
+        # Its Departures tie other rows: an F1 Departure and an F1 Arrival
+        # at 0.100002024 s at seeds 0 and 3.
+        trace = Simulator(churn_scenario(seed), mode=mode).run()
+        assert trace.content_hash() == CHURN_TRACE_HASHES[seed, mode]
+
+    @pytest.mark.parametrize("batch", [1, 7])
+    def test_any_batch_gives_the_pinned_trace(self, monkeypatch, batch):
+        monkeypatch.setattr(engine, "SEAL_BATCH_ROWS", batch)
+        pinned = {mode: digest for fixture, mode, _, digest, _ in GOLDEN
+                  if fixture == "compare_traces"}
+        scn = load_scenario("bap-compare")
+        for mode in PathMode:
+            trace = Simulator(scn, mode=mode).run()
+            assert trace.content_hash() == pinned[mode]
+
+    @pytest.mark.parametrize("case", ["short-reference", "no-iab-node"])
+    def test_rows_cost_little_and_few_stay_pending(self, monkeypatch, case):
+        # A row was a (time, head, pkt) tuple until the run's end: 105 B a
+        # row of this reference run, 37 B with the columns. Before 2 s the
+        # reference drops dl-ue2 for no route; with no IAB node the mini
+        # scenario drops all of it.
+        if case == "short-reference":
+            scn = load_scenario("paper-reference")
+            scn.duration_s, scn.asserts = 2.5, []
+            for f in scn.flows:
+                f.stop_s = 2.4
+        else:
+            scn = build_mini_scenario()
+            scn.schedule.clear()
+            monkeypatch.setattr(engine, "SEAL_BATCH_ROWS", 16)
+        sim = Simulator(scn)
+        pending, seal = sim.trace.pending, sim.trace.seal
+        kept = most = 0
+
+        def counted_seal(before=math.inf):
+            # Rows kept are dated at `before` or later: Departures of
+            # packets still to arrive, or rows at `before` itself.
+            nonlocal kept
+            kept = seal(before)
+            queued = sum(len(d.waiting) for d in sim._link_dirs.values())
+            assert kept <= queued + sum(r[0] == before for r in pending)
+            return kept
+
+        def heappop(heap):  # between two events: rows since the last seal
+            nonlocal most
+            most = max(most, len(pending) - kept)
+            return heapq.heappop(heap)
+        sim.trace.seal = counted_seal
+        shim = types.ModuleType("heapq")
+        shim.__dict__.update(vars(heapq), heappop=heappop)
+        monkeypatch.setattr(engine, "heapq", shim)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            trace = sim.run()
+            del sim, seal, counted_seal
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert trace.pending == [] and len(trace) == len(trace.heads)
+        assert most <= engine.SEAL_BATCH_ROWS
+        assert sum(head[0] == "Drop" for head in trace.heads) > 70
+        if case == "short-reference":
+            assert held / len(trace) <= 40
 
 
 class TestRunLifecycle:
@@ -499,7 +610,7 @@ class TestDirectives:
         drops = [e for e in records(trace) if e["kind"] == "Drop"]
         assert [(e["location"], e["cause"]) for e in drops] \
             == [("ue:ue1", "NoRoute")]
-        assert trace.summary["totals"]["events"] == len(trace.rows)
+        assert trace.summary["totals"]["events"] == len(trace)
 
     def test_backhaul_with_no_uplink_share_is_a_trace_drop(self):
         # All TDD time downlink: the MT's uplink capacity is 0, and the F1
@@ -807,7 +918,7 @@ class TestHopLimit:
                 assert row["dropped"] == 4643 and causes == {"ttl-expired"}
                 # The drop's detail names the flow, not the packet: all its
                 # rows share one head.
-                heads = {head for _, head, _ in trace.rows
+                heads = {head for head in trace.heads
                          if head[0] == "Drop" and head[2] == "dl-ue2"}
                 assert len(heads) == 1
             else:

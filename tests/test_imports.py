@@ -244,7 +244,8 @@ def test_a_trace_holds_one_record_per_flow():
     # Trace.flows: no other Trace field holds per-flow results.
     from iabsim.trace import Trace
     assert [f.name for f in dataclasses.fields(Trace)] \
-        == ["mode", "seed", "flows", "rows", "summary", "_digest"]
+        == ["mode", "seed", "flows", "summary", "times", "heads", "pkts",
+            "pending", "_digest"]
 
 
 def test_the_entry_points_perfbench_wraps_exist():

@@ -293,6 +293,19 @@ class TestValidation:
         # With an at_s it validated, and its run dropped it: ScenarioInvalid.
         (lambda s: s.schedule.append(SimpleNamespace(at_s=0.5)),
          "schedule[0]: SimpleNamespace is not a directive"),
+        # Each raised TypeError at its first comparison.
+        (lambda s: s.schedule.append(DuConfigUpdateDirective(
+            at_s=None, du="donor-du", carrier=N78)),
+         "schedule[0]: at_s must be a number, got None"),
+        (lambda s: s.flows.append(FlowSpec(id="dl", src="upf", dst="ue1",
+                                           rate_bps=None, stop_s=0.5)),
+         "flow dl: rate_bps must be a number, got None"),
+        (lambda s: setattr(s, "duration_s", "1"),
+         "duration_s must be a number, got '1'"),
+        (lambda s: s.schedule.append(IabNodeDirective(
+            at_s=0.1, position=(880.0, None), access_carrier=N78,
+            tx_power_dbm=43.0, group="uav1")),
+         "schedule[0]: position must be a number, got None"),
     ], ids=["duration-inf", "duration-nan", "assert-unknown-flow",
             "directive-at-duration", "directive-before-zero",
             "update-unknown-du", "update-not-a-du", "duplicate-flow-id",
@@ -306,7 +319,8 @@ class TestValidation:
             "packets-overflow-int", "packet-size-huge",
             "packet-size-over-ip", "flow-id-f1c-prefix", "assert-no-bound",
             "donor-du-unwired", "iab-group-names-file-node", "iab-group-twice",
-            "schedule-str", "schedule-object-with-at"])
+            "schedule-str", "schedule-object-with-at", "update-at-none",
+            "flow-rate-none", "duration-str", "directive-position-none"])
     def test_rejected_as_data_not_raised(self, mutate, violation):
         scn = build_donor_scenario(duration=1.0)
         # A mutation changes the scenario in place, or returns another one.

@@ -96,7 +96,7 @@ def reference_line(time, seq, kind, location, subject, fields) -> str:
 def test_hop_rows_export_as_json_dumps(events, emitted):
     trace = Trace(mode="UpfReroute", seed=1)
     for row, _ in events:
-        trace.rows.append(row)
+        trace.pending.append(row)
     for time, kind, location, subject, fields in emitted:
         trace.emit(time, kind, location, subject, **fields)
     expected = [reference_line(row[0], seq, *row[1][:3], fields)
@@ -114,7 +114,7 @@ def test_hop_rows_export_as_json_dumps(events, emitted):
 def test_emitted_hop_is_a_row_on_a_shared_head(head, time, pkt):
     (_, location, subject, _), fields = head
     shared, emitted = (Trace(mode="BapBypass", seed=2) for _ in range(2))
-    shared.rows.append((time, head[0], pkt))
+    shared.pending.append((time, head[0], pkt))
     emitted.emit(time, "Arrival", location, subject, pkt=pkt, **fields)
     assert list(emitted.to_jsonl_lines()) == list(shared.to_jsonl_lines())
 
@@ -176,7 +176,7 @@ def test_each_batch_exports_line_by_line(n):
         head, fields, has_pkt = BATCH_HEADS[seq % 4]
         time = BATCH_TIMES[seq // 4 % 4]
         pkt = seq * 7 if has_pkt else None
-        trace.rows.append((time, head, pkt))
+        trace.pending.append((time, head, pkt))
         expected.append(reference_line(time, seq, *head[:3], dict(
             fields, pkt=pkt) if has_pkt else fields))
     lines = list(trace.to_jsonl_lines())
@@ -262,7 +262,7 @@ def test_sorted_in_range_trace_exports_line_by_line(n):
         head, fields, has_pkt = BATCH_HEADS[seq % 4]
         time = (400 + seq) / 800 + (3e-13 if seq % 7 == 0 else 0.0)
         pkt = seq * 3 if has_pkt else None
-        trace.rows.append((time, head, pkt))
+        trace.pending.append((time, head, pkt))
         expected.append(reference_line(time, seq, *head[:3], dict(
             fields, pkt=pkt) if has_pkt else fields))
     assert list(trace.to_jsonl_lines())[1:] == expected
