@@ -130,10 +130,10 @@ def _load_summary(path: str) -> dict:
         raise ParseError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: not a JSON object")
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise SchemaMismatch(
-            f"{path}: schema_version {doc.get('schema_version')!r}, "
-            f"expected {SCHEMA_VERSION}")
+    version = doc.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:  # true == 1
+        raise SchemaMismatch(f"{path}: schema_version {version!r}, "
+                             f"expected {SCHEMA_VERSION}")
     if "mode" not in doc:
         raise ParseError(f"{path}: no 'mode' key")
     flows = _get(path, doc, "flows", _OBJECT)

@@ -119,26 +119,26 @@ class Simulator:
                  seed: Optional[int] = None, trace_level: str = "full"):
         if trace_level not in ("full", "summary"):
             raise ValueError(f"unknown trace_level {trace_level!r}")
+        # The run's copy, with its seed: directives grow and rewrite it.
+        self.scn = scenario = copy.deepcopy(scenario)
+        scenario.seed = scenario.seed if seed is None else seed
         report = validate_topology(scenario)
         if not report.ok:
             raise ScenarioInvalid("; ".join(report.violations))
-        # Directives grow and rewrite this copy, never the caller's scenario.
-        self.scn = scenario = copy.deepcopy(scenario)
         # Validation leaves exactly one of each, and directives add neither.
         self.cu = scenario.nodes_with_role(Role.CU)[0].id
         self.upf = scenario.nodes_with_role(Role.UPF)[0].id
         self.mode = PathMode(mode)
-        self.seed = scenario.seed if seed is None else seed
         self.trace_full = trace_level == "full"
         self.now = 0.0
-        self.trace = Trace(mode=self.mode.value, seed=self.seed,
+        self.trace = Trace(mode=self.mode.value, seed=scenario.seed,
                            flows={f.id: FlowRecord(f.packet_size_bytes)
                                   for f in scenario.flows})
         self._rows, self._flows = self.trace.pending, self.trace.flows  # per hop
         # A float, so that an int duration reads as its float in the summary.
         self._duration = float(scenario.duration_s)
         # The Forwarder draws every TEID, so it owns the run's RNG.
-        self.fwd = Forwarder(random.Random(self.seed))
+        self.fwd = Forwarder(random.Random(scenario.seed))
         self.cp = ControlPlane(send=self._send_control,
                                schedule=self._schedule_timer,
                                transition=self._transition)
@@ -498,7 +498,7 @@ class Simulator:
         self.trace.summary = {
             "schema_version": SCHEMA_VERSION,
             "mode": self.mode.value,
-            "seed": self.seed,
+            "seed": self.scn.seed,
             "duration_s": duration,
             "flows": flows,
             "links": links,

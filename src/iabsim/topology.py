@@ -2,19 +2,16 @@
 
 A :class:`Scenario` is input only (a Simulator runs on its own deep copy): a
 flat graph plus workload and schedule. Its nodes and links enter only through
-`add_node`, `add_iab_node` and `add_link`, for code and the loader alike, and
-those own the per-entry structural rules: they raise on a break. An IAB node
-enters whole, from `add_iab_node` (which its directive calls at run time): its
-IabMt `<group>-mt`, its IabDu `<group>-du` and the one wire between them. Two
-nodes share at most one link. `validate_topology` alone owns every other rule,
-for a file and code alike, and reports it as data: a CU wired to every donor
-DU and to the UPF, tx powers inside TX_POWER_DBM, finite link numbers, unique
-flow ids outside the f1c: prefix, flow, assert and directive bounds, only
-directives in a schedule, an assert's bound, and a bound on the packets flows
-inject. A link's ends are fixed once `add_link` made it. Only a DU advertises
-a carrier; a radio link takes its DU's carrier and the scenario's
-`radio_params`. The protocol's sizes and limits are constants of `gtp` and
-`engine`, not scenario data.
+`add_node`, `add_iab_node` (an IAB node whole: IabMt `<group>-mt`, IabDu
+`<group>-du` and their wire; its directive calls it at run time) and
+`add_link`, which own the per-entry structural rules and raise on a break:
+two nodes share at most one link, and a link's ends are fixed.
+`validate_topology` alone owns every other rule, for a file and code alike,
+and reports each as data. Each rule is total: it reads a number through
+`_num` and a name through `_name`, so a value of another type fails the rule
+of its own field; a seed and a packet size are ints. Only a DU advertises a
+carrier, and a radio link takes its DU's carrier and the scenario's
+`radio_params`; the protocol's sizes are constants of `gtp` and `engine`.
 """
 from __future__ import annotations
 
@@ -293,32 +290,21 @@ class ValidationReport:
         return not self.violations
 
 
-def _non_numbers(scenario: Scenario) -> list[str]:
-    """A violation for each number field that validate_topology compares and
-    that holds no real number (the optional ones may hold None). The loader
-    makes every such value a float, so only code can put another there."""
-    values = [("duration_s", scenario.duration_s)]
-    values += [(f"node {n.id}: tx_power_dbm", n.tx_power_dbm)
-               for n in scenario.nodes.values() if n.tx_power_dbm is not None]
-    values += [(f"link {l.id}: propagation_delay_s", l.propagation_delay_s)
-               for l in scenario.links]
-    values += [(f"link {l.id}: wired_capacity_bps", l.wired_capacity_bps)
-               for l in scenario.links if l.wired_capacity_bps is not None]
-    values += [(f"flow {f.id}: {name}", getattr(f, name))
-               for f in scenario.flows
-               for name in ("start_s", "stop_s", "rate_bps",
-                            "packet_size_bytes")]
-    values += [(f"assert on {a.flow}: window", t)
-               for a in scenario.asserts for t in a.window]
-    for i, d in enumerate(scenario.schedule):
-        if isinstance(d, (IabNodeDirective, DuConfigUpdateDirective)):
-            values.append((f"schedule[{i}]: at_s", d.at_s))
-        if isinstance(d, IabNodeDirective):
-            values += [(f"schedule[{i}]: tx_power_dbm", d.tx_power_dbm),
-                       (f"schedule[{i}]: mt_tx_power_dbm", d.mt_tx_power_dbm)]
-            values += [(f"schedule[{i}]: position", x) for x in d.position]
-    return [f"{where} must be a number, got {x!r}" for where, x in values
-            if not isinstance(x, numbers.Real)]
+def _num(x) -> float:
+    """`x` if it is a real number and no bool, else NaN, which fails every
+    comparison: a value of another type fails the rule that reads it."""
+    return x if isinstance(x, numbers.Real) and type(x) is not bool else math.nan
+
+
+def _pair(x) -> tuple[float, float]:
+    """The two `_num`s of a tuple or list of two, else two NaNs."""
+    two = isinstance(x, (tuple, list)) and len(x) == 2
+    return (_num(x[0]), _num(x[1])) if two else (math.nan, math.nan)
+
+
+def _name(x) -> Optional[str]:
+    """`x` if it is a string, else None, which names no node, flow or DU."""
+    return x if isinstance(x, str) else None
 
 
 def validate_topology(scenario: Scenario) -> ValidationReport:
@@ -326,10 +312,7 @@ def validate_topology(scenario: Scenario) -> ValidationReport:
 
     Pure and idempotent; violations are returned as data, never raised.
     """
-    # Every later check compares numbers: a field of another type is
-    # reported instead, with nothing compared.
-    if v := _non_numbers(scenario):
-        return ValidationReport(violations=v)
+    v: list[str] = []
     nodes = scenario.nodes
 
     cus = scenario.nodes_with_role(Role.CU)
@@ -356,81 +339,97 @@ def validate_topology(scenario: Scenario) -> ValidationReport:
     for n in nodes.values():
         if n.role in RADIO_ROLES and n.tx_power_dbm is None:
             v.append(f"radio-capable node {n.id} has no tx_power")
-        elif n.tx_power_dbm is not None and not low <= n.tx_power_dbm <= high:
+        elif n.tx_power_dbm is not None and not low <= _num(n.tx_power_dbm) <= high:
             v.append(f"node {n.id}: tx_power must be in {window}")
-        if n.role in DU_ROLES and n.carrier is None:
+        if n.role in DU_ROLES and not isinstance(n.carrier, Carrier):
             v.append(f"DU {n.id} advertises no carrier")
 
     for l in scenario.links:
         if (l.medium is Medium.WIRED
-                and not 0 < (l.wired_capacity_bps or 0) < math.inf):
+                and not 0 < _num(l.wired_capacity_bps) < math.inf):
             v.append(f"link {l.id}: wired link needs positive, finite capacity")
-        if not 0 <= l.propagation_delay_s < math.inf:
+        if not 0 <= _num(l.propagation_delay_s) < math.inf:
             v.append(f"link {l.id}: propagation delay must be finite and >= 0")
 
-    if not 0 < scenario.duration_s < math.inf:
+    duration = _num(scenario.duration_s)
+    if not 0 < duration < math.inf:
         v.append("duration must be positive and finite")
+    if type(scenario.seed) is not int:  # nor a bool
+        v.append("seed must be an integer")
 
     for f in scenario.flows:
-        if f.src not in nodes or f.dst not in nodes:
+        if not isinstance(f.id, str):
+            v.append(f"flow {f.id}: id must be a string")
+        if _name(f.src) not in nodes or _name(f.dst) not in nodes:
             v.append(f"flow {f.id} references unknown node")
             continue
-        if not f.start_s < f.stop_s <= scenario.duration_s:
+        if not _num(f.start_s) < _num(f.stop_s) <= duration:
             v.append(f"flow {f.id}: need start < stop <= duration")
-        if not 0 < f.rate_bps < math.inf:
+        if not 0 < _num(f.rate_bps) < math.inf:
             v.append(f"flow {f.id}: rate must be positive and finite")
-        if not 0 < f.packet_size_bytes <= MAX_PACKET_BYTES:
+        if type(f.packet_size_bytes) is not int:
+            v.append(f"flow {f.id}: packet size must be an integer")
+        if not 0 < _num(f.packet_size_bytes) <= MAX_PACKET_BYTES:
             v.append(f"flow {f.id}: packet size must be 1 to "
                      f"{MAX_PACKET_BYTES} bytes")
     try:  # floats, no rounding up: a count past the largest float is inf
-        packets = sum((f.stop_s - f.start_s) * f.rate_bps / 8
-                      / f.packet_size_bytes for f in scenario.flows
-                      if f.packet_size_bytes > 0)
+        packets = sum((_num(f.stop_s) - _num(f.start_s)) * _num(f.rate_bps)
+                      / 8 / size for f in scenario.flows
+                      if (size := _num(f.packet_size_bytes)) > 0)
     except OverflowError:  # an int past the largest float
         packets = math.inf
     if packets > MAX_INJECTED_PACKETS:
         v.append(f"flows inject {packets:.4g} packets, more than "
                  f"{MAX_INJECTED_PACKETS}")
 
-    flow_ids = {f.id for f in scenario.flows}
+    flow_ids = {f.id for f in scenario.flows if isinstance(f.id, str)}
     v += [f"duplicate flow id {fid}" for fid in sorted(flow_ids)
           if sum(f.id == fid for f in scenario.flows) > 1]
     v += [f"flow id {fid}: the f1c: prefix names F1 associations"
           for fid in sorted(flow_ids) if fid.startswith("f1c:")]
     v += [f"assert names unknown flow {a.flow}"
-          for a in scenario.asserts if a.flow not in flow_ids]
+          for a in scenario.asserts if _name(a.flow) not in flow_ids]
     v += [f"assert on {a.flow}: window {a.window} needs 0 <= t0 < t1 <= duration"
           for a in scenario.asserts
-          if not 0 <= a.window[0] < a.window[1] <= scenario.duration_s]
+          if not 0 <= (w := _pair(a.window))[0] < w[1] <= duration]
     v += [f"assert on {a.flow}: sets no min_goodput_bps or max_goodput_bps"
           for a in scenario.asserts
           if a.min_goodput_bps is None and a.max_goodput_bps is None]
+    v += [f"assert on {a.flow}: a goodput bound must be a number"
+          for a in scenario.asserts
+          if any(b is not None and math.isnan(_num(b))
+                 for b in (a.min_goodput_bps, a.max_goodput_bps))]
     kinds = (IabNodeDirective, DuConfigUpdateDirective)
     v += [f"schedule[{i}]: {type(d).__name__} is not a directive"
           for i, d in enumerate(scenario.schedule) if not isinstance(d, kinds)]
+    directives = [d for d in scenario.schedule if isinstance(d, kinds)]
     v += [f"{type(d).__name__} at t={d.at_s}: need 0 <= at < duration"
-          for d in scenario.schedule
-          if isinstance(d, kinds) and not 0 <= d.at_s < scenario.duration_s]
+          for d in directives if not 0 <= _num(d.at_s) < duration]
 
-    # A DU of the file, or one an instantiate_iab_node directive creates.
-    iab = [d for d in scenario.schedule if isinstance(d, IabNodeDirective)]
+    iab = [d for d in directives if isinstance(d, IabNodeDirective)]
+    updates = [d for d in directives if isinstance(d, DuConfigUpdateDirective)]
     v += [f"IabNodeDirective at t={d.at_s}: tx_power must be in {window}"
-          for d in iab if not all(low <= x <= high
+          for d in iab if not all(low <= _num(x) <= high
                                   for x in (d.tx_power_dbm, d.mt_tx_power_dbm))]
     v += [f"IabNodeDirective at t={d.at_s}: position must be finite"
-          for d in iab if not all(map(math.isfinite, d.position))]
+          for d in iab if not all(map(math.isfinite, _pair(d.position)))]
+    v += [f"IabNodeDirective at t={d.at_s}: access_carrier is no Carrier"
+          for d in iab if not isinstance(d.access_carrier, Carrier)]
+    v += [f"IabNodeDirective at t={d.at_s}: group must be a string"
+          for d in iab if not isinstance(d.group, str)]
     # A directive adds <group>-mt and <group>-du.
-    groups = [d.group for d in iab]
+    groups = [d.group for d in iab if isinstance(d.group, str)]
     v += [f"IabNodeDirective group {g}: used by {groups.count(g)} directives"
           for g in sorted(set(groups)) if groups.count(g) > 1]
     v += [f"IabNodeDirective at t={d.at_s}: {name} names a node of the file"
           for d in iab for name in (f"{d.group}-mt", f"{d.group}-du")
           if name in nodes]
+    # A DU of the file, or one an instantiate_iab_node directive creates.
     dus = {n.id for n in nodes.values() if n.role in DU_ROLES}
-    dus |= {f"{d.group}-du" for d in iab}
+    dus |= {f"{g}-du" for g in groups}
     v += [f"DuConfigUpdateDirective at t={d.at_s}: unknown DU {d.du}"
-          for d in scenario.schedule
-          if isinstance(d, DuConfigUpdateDirective) and d.du not in dus]
+          for d in updates if _name(d.du) not in dus]
+    v += [f"DuConfigUpdateDirective at t={d.at_s}: carrier is no Carrier"
+          for d in updates if not isinstance(d.carrier, Carrier)]
 
     return ValidationReport(violations=v)
-

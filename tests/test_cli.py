@@ -483,6 +483,20 @@ class TestCompare:
         bad.write_text(json.dumps(doc))
         assert main(["compare", s, str(bad)]) == 2
 
+    # Each equals 1, and once compared as version 1 with exit 0.
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_a_version_of_another_type_exits_two(self, good_file, tmp_path,
+                                                 capsys, version):
+        s = self._summary(good_file, tmp_path, "x", "upf")
+        doc = json.loads(open(s).read())
+        doc["schema_version"] = version
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["compare", s, str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: schema_version {version!r}, expected 1\n")
+
     def test_garbage_summary_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "nope.json"
         bad.write_text("{not json")

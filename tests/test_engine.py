@@ -559,6 +559,12 @@ class TestRunLifecycle:
                  for t in traces]
         assert teids[0] and teids[0] != teids[1]
 
+    @pytest.mark.parametrize("seed", [1.5, True, "1"])
+    def test_a_seed_override_is_validated(self, seed):
+        # 1.5 and True once ran and wrote "seed": 1.5 and true.
+        with pytest.raises(ScenarioInvalid, match="^seed must be an integer$"):
+            Simulator(build_mini_scenario(), seed=seed)
+
     def test_events_use_only_known_kinds(self):
         trace = Simulator(build_mini_scenario()).run()
         assert {e["kind"] for e in records(trace)} <= {

@@ -1,7 +1,10 @@
+import json
 from types import SimpleNamespace
 
 import pytest
 
+from iabsim import Simulator
+from iabsim.cli import _check_asserts
 from iabsim.errors import (DuplicateCu, DuplicateUpf, IllegalMedium,
                            MissingCarrier, UnknownNode)
 from iabsim.topology import (IAB_INTERNAL_CAPACITY_BPS, MAX_INJECTED_PACKETS,
@@ -10,14 +13,22 @@ from iabsim.topology import (IAB_INTERNAL_CAPACITY_BPS, MAX_INJECTED_PACKETS,
                              IabNodeDirective, Medium, Role, Scenario,
                              validate_topology)
 
-from conftest import N41, N78, build_donor_scenario
+from conftest import N41, N78, build_donor_scenario, build_mini_scenario
 
 
 def with_flow(duration, **flow) -> Scenario:
-    """A donor scenario of `duration` with one downlink flow over all of it."""
+    """A donor scenario of `duration` with one downlink flow over all of it;
+    `flow` sets or overrides its fields."""
     scn = build_donor_scenario(duration=duration)
-    scn.flows.append(FlowSpec(id="dl", src="upf", dst="ue1", stop_s=duration,
-                              **flow))
+    scn.flows.append(FlowSpec(**dict(id="dl", src="upf", dst="ue1",
+                                     stop_s=duration) | flow))
+    return scn
+
+
+def with_assert(flow="dl", **bounds) -> Scenario:
+    """`with_flow(1.0)` at 1 Mbit/s with one assert on `flow`."""
+    scn = with_flow(1.0, rate_bps=1e6)
+    scn.asserts.append(FlowAssert(flow=flow, **bounds))
     return scn
 
 
@@ -296,16 +307,72 @@ class TestValidation:
         # Each raised TypeError at its first comparison.
         (lambda s: s.schedule.append(DuConfigUpdateDirective(
             at_s=None, du="donor-du", carrier=N78)),
-         "schedule[0]: at_s must be a number, got None"),
+         "DuConfigUpdateDirective at t=None: need 0 <= at < duration"),
         (lambda s: s.flows.append(FlowSpec(id="dl", src="upf", dst="ue1",
                                            rate_bps=None, stop_s=0.5)),
-         "flow dl: rate_bps must be a number, got None"),
+         "flow dl: rate must be positive and finite"),
         (lambda s: setattr(s, "duration_s", "1"),
-         "duration_s must be a number, got '1'"),
+         "duration must be positive and finite"),
         (lambda s: s.schedule.append(IabNodeDirective(
             at_s=0.1, position=(880.0, None), access_carrier=N78,
             tx_power_dbm=43.0, group="uav1")),
-         "schedule[0]: position must be a number, got None"),
+         "IabNodeDirective at t=0.1: position must be finite"),
+        # Each raised TypeError or IndexError.
+        (lambda s: with_assert(window=None),
+         "assert on dl: window None needs 0 <= t0 < t1 <= duration"),
+        (lambda s: with_assert(window=(0.1,)),
+         "assert on dl: window (0.1,) needs 0 <= t0 < t1 <= duration"),
+        (lambda s: s.schedule.append(IabNodeDirective(
+            at_s=0.1, position=None, access_carrier=N78,
+            tx_power_dbm=43.0, group="uav1")),
+         "IabNodeDirective at t=0.1: position must be finite"),
+        # Each validated: None seeded the run from the OS, and the others
+        # ran and wrote their seed as given.
+        (lambda s: setattr(s, "seed", None), "seed must be an integer"),
+        (lambda s: setattr(s, "seed", 1.5), "seed must be an integer"),
+        (lambda s: setattr(s, "seed", True), "seed must be an integer"),
+        # Each validated and ran with float byte counts; 1000.0 hashed
+        # otherwise than its int twin.
+        (lambda s: with_flow(1.0, rate_bps=1e6, packet_size_bytes=1000.5),
+         "flow dl: packet size must be an integer"),
+        (lambda s: with_flow(1.0, rate_bps=1e6, packet_size_bytes=1000.0),
+         "flow dl: packet size must be an integer"),
+        # It validated as 1 bit/s; the loader refuses a boolean.
+        (lambda s: with_flow(1.0, rate_bps=True),
+         "flow dl: rate must be positive and finite"),
+        # Each validated; the string's run raised TypeError at its assert,
+        # and NaN never fails.
+        (lambda s: with_assert(window=(0.2, 0.8), min_goodput_bps="1"),
+         "assert on dl: a goodput bound must be a number"),
+        (lambda s: with_assert(window=(0.2, 0.8),
+                               max_goodput_bps=float("nan")),
+         "assert on dl: a goodput bound must be a number"),
+        # It raised AttributeError: 'int' object has no attribute
+        # 'startswith'.
+        (lambda s: with_flow(1.0, rate_bps=1e6, id=5),
+         "flow 5: id must be a string"),
+        # Each raised TypeError: unhashable type: 'list'.
+        (lambda s: with_flow(1.0, rate_bps=1e6, src=["upf"]),
+         "flow dl references unknown node"),
+        (lambda s: s.schedule.append(DuConfigUpdateDirective(
+            at_s=0.5, du=["donor-du"], carrier=N78)),
+         "DuConfigUpdateDirective at t=0.5: unknown DU ['donor-du']"),
+        (lambda s: with_assert(window=(0.2, 0.8), min_goodput_bps=1.0,
+                               flow=["dl"]),
+         "assert names unknown flow ['dl']"),
+        # It raised TypeError: '<' not supported between instances of 'int'
+        # and 'str'.
+        (lambda s: with_iab_nodes(s, "uav1", 7),
+         "IabNodeDirective at t=0.1: group must be a string"),
+        # Each validated, and its run raised AttributeError reading the
+        # carrier.
+        (lambda s: s.schedule.append(IabNodeDirective(
+            at_s=0.1, position=(880.0, 0.0), access_carrier=None,
+            tx_power_dbm=43.0, group="uav1")),
+         "IabNodeDirective at t=0.1: access_carrier is no Carrier"),
+        (lambda s: s.schedule.append(DuConfigUpdateDirective(
+            at_s=0.5, du="donor-du", carrier="n78")),
+         "DuConfigUpdateDirective at t=0.5: carrier is no Carrier"),
     ], ids=["duration-inf", "duration-nan", "assert-unknown-flow",
             "directive-at-duration", "directive-before-zero",
             "update-unknown-du", "update-not-a-du", "duplicate-flow-id",
@@ -320,7 +387,13 @@ class TestValidation:
             "packet-size-over-ip", "flow-id-f1c-prefix", "assert-no-bound",
             "donor-du-unwired", "iab-group-names-file-node", "iab-group-twice",
             "schedule-str", "schedule-object-with-at", "update-at-none",
-            "flow-rate-none", "duration-str", "directive-position-none"])
+            "flow-rate-none", "duration-str", "directive-position-none",
+            "assert-window-none", "assert-window-one", "directive-no-position",
+            "seed-none", "seed-float", "seed-bool", "packet-size-fraction",
+            "packet-size-float", "flow-rate-bool", "assert-bound-str",
+            "assert-bound-nan", "flow-id-int", "flow-src-list", "update-du-list",
+            "assert-flow-list", "iab-group-int", "iab-carrier-none",
+            "update-carrier-str"])
     def test_rejected_as_data_not_raised(self, mutate, violation):
         scn = build_donor_scenario(duration=1.0)
         # A mutation changes the scenario in place, or returns another one.
@@ -370,6 +443,57 @@ class TestValidation:
         before = (dict(scn.nodes), list(scn.links))
         validate_topology(scn)
         assert (scn.nodes, scn.links) == before
+
+
+# Values of another type or shape, each put in turn in every field that
+# validation reads of a scenario built in code.
+ODD_VALUES = (None, "1", True, 1.5, float("nan"), (0.1,), [])
+SWEPT_FIELDS = {
+    "scenario": ("duration_s", "seed"),
+    "flow": ("id", "src", "dst", "rate_bps", "packet_size_bytes", "start_s",
+             "stop_s"),
+    "assert": ("flow", "window", "min_goodput_bps", "max_goodput_bps"),
+    "iab": ("at_s", "position", "access_carrier", "tx_power_dbm", "group",
+            "mt_tx_power_dbm"),
+    "update": ("at_s", "du", "carrier"),
+    "node": ("tx_power_dbm",),
+    "link": ("propagation_delay_s", "wired_capacity_bps"),
+}
+
+
+def swept_entries() -> tuple[Scenario, dict]:
+    """The mini scenario with an assert and a DU config update, and its
+    entry of each SWEPT_FIELDS kind."""
+    scn = build_mini_scenario()
+    scn.asserts.append(FlowAssert(flow="dl-ue2", window=(0.05, 0.13),
+                                  min_goodput_bps=1.0, max_goodput_bps=1e9))
+    scn.schedule.append(DuConfigUpdateDirective(at_s=0.1, du="uav1-du",
+                                                carrier=N41))
+    return scn, {"scenario": scn, "flow": scn.flows[0],
+                 "assert": scn.asserts[0], "iab": scn.schedule[0],
+                 "update": scn.schedule[1], "node": scn.nodes["donor-du"],
+                 "link": scn.links[0]}
+
+
+@pytest.mark.parametrize("kind, name", [
+    (kind, name) for kind, names in SWEPT_FIELDS.items() for name in names],
+    ids=lambda x: x)
+def test_every_field_swept_is_a_violation_or_runs(kind, name):
+    """Validation never raises on a swept field, and each case that
+    validates runs at summary level to a summary with no NaN or infinity,
+    and its asserts are checked."""
+    failures = []
+    for value in ODD_VALUES:
+        scn, entries = swept_entries()
+        setattr(entries[kind], name, value)
+        try:
+            if validate_topology(scn).ok:
+                trace = Simulator(scn, trace_level="summary").run()
+                json.dumps(trace.summary, allow_nan=False)
+                _check_asserts(scn, trace)
+        except Exception as exc:
+            failures.append((value, repr(exc)))
+    assert failures == []
 
 
 class TestIabDirective:
