@@ -88,11 +88,11 @@ def link_capacity(scenario: Scenario, link: Link, tx_node_id: str) -> float:
 
 @dataclass(slots=True)
 class _LinkDir:
-    """One direction of a link: its FIFO state and its cached capacity."""
+    """One direction of a link: its FIFO state and its capacity."""
     link: Link
     src: str
     dst: str
-    cap: Optional[float] = None  # cleared when the link's carrier changes
+    cap: float  # set when made, and again when the link's carrier changes
     # Finish times of the queued packets, rising; one not after `now` has
     # left, so the last one left is when the link is next free.
     finish_times: deque = field(default_factory=deque)
@@ -320,7 +320,7 @@ class Simulator:
                 link.carrier = carrier
                 for pair in ((link.a, link.b), (link.b, link.a)):
                     if (d := self._link_dirs.get(pair)) is not None:
-                        d.cap = None
+                        d.cap = link_capacity(self.scn, link, d.src)
         self._transition(f"du:{du_id}", f"carrier:{old}",
                          f"carrier:{carrier.band_label}", "du-config-update")
 
@@ -404,7 +404,8 @@ class Simulator:
         if d is None:
             link = self.scn.find_link(src, dst)
             d = self._link_dirs[(src, dst)] = _LinkDir(
-                link, src, dst, delay=link.propagation_delay_s)
+                link, src, dst, link_capacity(self.scn, link, src),
+                delay=link.propagation_delay_s)
         return d
 
     def _deliver(self, node: str, pkt: Packet) -> None:
@@ -430,8 +431,6 @@ class Simulator:
             self._drop(d.src, pkt, "queue-overflow", f"link {d.link.id}")
             return
         cap = d.cap
-        if cap is None:
-            cap = d.cap = link_capacity(self.scn, d.link, d.src)
         if not cap > 0:  # NaN too
             self._drop(d.src, pkt, "no-capacity", f"link {d.link.id}")
             return

@@ -209,8 +209,6 @@ class Scenario:
         return mt, du
 
     def _put(self, role, position, tx_power_dbm, carrier, node_id) -> str:
-        if not all(math.isfinite(c) for c in position):
-            raise ValueError(f"non-finite position {position}")
         if role is Role.CU and any(n.role is Role.CU for n in self.nodes.values()):
             raise DuplicateCu("scenario already has a CU")
         if role is Role.UPF and any(n.role is Role.UPF for n in self.nodes.values()):
@@ -337,6 +335,11 @@ def validate_topology(scenario: Scenario) -> ValidationReport:
     low, high = TX_POWER_DBM  # NaN is outside it too
     window = f"[{low:g}, {high:g}] dBm"
     for n in nodes.values():
+        if not all(map(math.isfinite, _pair(n.position))):
+            v.append(f"node {n.id}: position must be finite")
+        if not isinstance(n.role, Role):
+            v.append(f"node {n.id}: role is no Role")
+            continue
         if n.role in RADIO_ROLES and n.tx_power_dbm is None:
             v.append(f"radio-capable node {n.id} has no tx_power")
         elif n.tx_power_dbm is not None and not low <= _num(n.tx_power_dbm) <= high:
@@ -345,6 +348,8 @@ def validate_topology(scenario: Scenario) -> ValidationReport:
             v.append(f"DU {n.id} advertises no carrier")
 
     for l in scenario.links:
+        if not isinstance(l.medium, Medium):
+            v.append(f"link {l.id}: medium is no Medium")
         if (l.medium is Medium.WIRED
                 and not 0 < _num(l.wired_capacity_bps) < math.inf):
             v.append(f"link {l.id}: wired link needs positive, finite capacity")
@@ -425,7 +430,8 @@ def validate_topology(scenario: Scenario) -> ValidationReport:
           for d in iab for name in (f"{d.group}-mt", f"{d.group}-du")
           if name in nodes]
     # A DU of the file, or one an instantiate_iab_node directive creates.
-    dus = {n.id for n in nodes.values() if n.role in DU_ROLES}
+    dus = {n.id for n in nodes.values()
+           if isinstance(n.role, Role) and n.role in DU_ROLES}
     dus |= {f"{g}-du" for g in groups}
     v += [f"DuConfigUpdateDirective at t={d.at_s}: unknown DU {d.du}"
           for d in updates if _name(d.du) not in dus]

@@ -213,6 +213,20 @@ class TestValidate:
         assert ("violation: IabNodeDirective at t=0.5: position must be "
                 "finite" in capsys.readouterr().out)
 
+    @pytest.mark.parametrize("x", [".nan", ".inf"])
+    def test_non_finite_node_position_is_a_violation(self, tmp_path, capsys,
+                                                     x):
+        # It was a ParseError, exit 2, from add_node; the NaN of a node set
+        # in code validated, and each of its packets was a no-route Drop.
+        p = tmp_path / "nan.yaml"
+        text = bundled_scenario_path("bap-compare").read_text()
+        assert text.count("position: [6000.0, 0.0]") == 1
+        p.write_text(text.replace("position: [6000.0, 0.0]",
+                                  f"position: [{x}, 0.0]"))
+        assert main(["validate", str(p)]) == 1
+        assert ("violation: node ue2: position must be finite"
+                in capsys.readouterr().out)
+
     def test_update_of_unknown_du_is_a_violation(self, tmp_path, capsys):
         # It once validated, and the run recorded a NotActive Drop.
         p = tmp_path / "ghost.yaml"

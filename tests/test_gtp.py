@@ -312,6 +312,22 @@ class TestForwarding:
         with pytest.raises(NoRoute):
             fwd.forward("cu", make_packet(dst="elsewhere"))
 
+    def test_an_outer_header_no_entry_matches_raises_no_route(self):
+        fwd = make_forwarder()
+        pkt = make_packet(src="a", dst="b", header_stack=(("teid", 7),),
+                          header_bytes=gtp.GTP_HEADER_BYTES)
+        with pytest.raises(NoRoute) as err:
+            fwd.forward("a", pkt)
+        assert (err.value.node, err.value.key) == ("a", ("teid", 7))
+
+    def test_a_local_handoff_that_never_leaves_raises(self):
+        # An entry with no next hop for a bare packet re-matches itself.
+        fwd = make_forwarder()
+        fwd.install(RouteEntry("a", ("dst", "b"), None))
+        with pytest.raises(RoutingLoop,
+                           match="^local rematch did not terminate at a$"):
+            fwd.forward("a", make_packet(src="a", dst="b"))
+
     def test_ttl_expiry_detected(self):
         fwd = make_forwarder()
         fwd.install(RouteEntry(at_node="a", match=("dst", "x"), next_hop="b"))

@@ -248,11 +248,11 @@ def test_a_trace_holds_one_record_per_flow():
             "pending", "_digest"]
 
 
-def test_the_entry_points_perfbench_wraps_exist():
+def test_the_entry_points_perfbench_wraps_exist(monkeypatch):
     # perfbench/run.py's traced pass patches these by name; without this
     # check only a `--trace 1` run notices a rename.
     from iabsim import cli, engine, gtp
-    from conftest import build_donor_scenario
+    from conftest import build_mini_scenario
     for module, names in ((cli, ("load_scenario", "Simulator",
                                  "_check_asserts")),
                           (engine, ("validate_topology", "link_capacity")),
@@ -261,8 +261,15 @@ def test_the_entry_points_perfbench_wraps_exist():
             assert callable(getattr(module, name, None)), name
     assert callable(getattr(engine.heapq, "heappop", None))
     assert isinstance(vars(gtp.Packet).get("wire_size_bytes"), property)
-    sim = engine.Simulator(build_donor_scenario())
+    # The traced pass records each capacity input as (link id, sender,
+    # link.carrier).
+    inputs, capacity = set(), engine.link_capacity
+    monkeypatch.setattr(engine, "link_capacity", lambda scn, link, tx: (
+        inputs.add((link.id, tx, link.carrier)) or capacity(scn, link, tx)))
+    sim = engine.Simulator(build_mini_scenario(), trace_level="summary")
     for obj, name in ((sim.fwd, "forward"), (sim.trace, "emit"),
                       (sim.scn, "find_link"), (sim.cp, "on_message"),
                       (sim, "_transmit")):
         assert callable(getattr(obj, name, None)), name
+    sim.run()
+    assert {carrier for _, _, carrier in inputs} > {None}  # a radio link's

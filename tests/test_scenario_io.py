@@ -87,7 +87,6 @@ MALFORMED = {
                          "flows[0]"),
     "tx-power-bool": (broken("tx_power: 23.0}", "tx_power: true}"), "nodes[3]"),
     "position-text": (broken("[50.0, 0.0]", "[a, 1]"), "nodes[3]"),
-    "position-inf": (broken("[50.0, 0.0]", "[.inf, 0.0]"), "nodes[3]"),
     # The protocol's numbers are constants: a file sets none of them.
     "protocol-text": (broken("nodes:\n", "protocol: {ttl: x}\nnodes:\n"),
                       " unknown key 'protocol'"),
@@ -226,6 +225,15 @@ class TestStrictParsing:
     def test_tx_power_window_is_a_violation(self, text, violation):
         assert validate_topology(loads(text)).violations == [violation]
 
+    @pytest.mark.parametrize("x", [".inf", ".nan"],
+                             ids=["position-inf", "position-nan"])
+    def test_non_finite_position_is_a_violation(self, x):
+        # It was a ParseError from add_node; validation owns the rule, for a
+        # file and code alike.
+        scn = loads(broken("[50.0, 0.0]", f"[{x}, 0.0]"))
+        assert "node ue: position must be finite" in \
+            validate_topology(scn).violations
+
     def test_unnamed_file_and_run_time_links_get_distinct_ids(self):
         # The run-time access link of the UE once took the id of the file's
         # first unnamed link.
@@ -300,7 +308,11 @@ class TestStrictParsing:
 
 
 class TestLibyaml:
-    """`loads` reads YAML with libyaml's CSafeLoader only."""
+    """`loads` reads YAML with libyaml's CSafeLoader only. It differs from
+    PyYAML's pure-Python parser at a few edges of the grammar: a flow
+    mapping entry with no space after its `:` is an error, while a tab after
+    a key's `:` or inside a plain scalar, and a `?` inside a plain scalar in
+    a flow collection, load."""
 
     @pytest.mark.parametrize(
         "text", [bundled_scenario_path("paper-reference").read_text(),

@@ -373,6 +373,15 @@ class TestValidation:
         (lambda s: s.schedule.append(DuConfigUpdateDirective(
             at_s=0.5, du="donor-du", carrier="n78")),
          "DuConfigUpdateDirective at t=0.5: carrier is no Carrier"),
+        # It validated, and each of ue2's packets was a no-route Drop.
+        (lambda s: setattr(s.nodes["ue2"], "position", (float("nan"), 0.0)),
+         "node ue2: position must be finite"),
+        # A str equal to the enum: it validated, and ue1 was never attached.
+        (lambda s: setattr(s.nodes["ue1"], "role", "Ue"),
+         "node ue1: role is no Role"),
+        # It validated, and the run raised AttributeError.
+        (lambda s: setattr(s.links[0], "medium", "Wired"),
+         "link f1-wire: medium is no Medium"),
     ], ids=["duration-inf", "duration-nan", "assert-unknown-flow",
             "directive-at-duration", "directive-before-zero",
             "update-unknown-du", "update-not-a-du", "duplicate-flow-id",
@@ -393,7 +402,8 @@ class TestValidation:
             "packet-size-float", "flow-rate-bool", "assert-bound-str",
             "assert-bound-nan", "flow-id-int", "flow-src-list", "update-du-list",
             "assert-flow-list", "iab-group-int", "iab-carrier-none",
-            "update-carrier-str"])
+            "update-carrier-str", "node-position-nan", "node-role-str",
+            "link-medium-str"])
     def test_rejected_as_data_not_raised(self, mutate, violation):
         scn = build_donor_scenario(duration=1.0)
         # A mutation changes the scenario in place, or returns another one.
@@ -456,8 +466,8 @@ SWEPT_FIELDS = {
     "iab": ("at_s", "position", "access_carrier", "tx_power_dbm", "group",
             "mt_tx_power_dbm"),
     "update": ("at_s", "du", "carrier"),
-    "node": ("tx_power_dbm",),
-    "link": ("propagation_delay_s", "wired_capacity_bps"),
+    "node": ("tx_power_dbm", "position", "role"),
+    "link": ("propagation_delay_s", "wired_capacity_bps", "medium"),
 }
 
 
