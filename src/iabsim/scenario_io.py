@@ -1,12 +1,15 @@
 """Strict scenario-file loader (YAML) and bundled scenario lookup.
 
-Unknown keys are errors: a typo in a scenario must fail loudly rather than
-silently fall back to a default. Numbers go through float(), and must be whole
-where an integer is meant, so `2.585e9` works whatever YAML makes of it; a
-YAML boolean is not a number. Nodes and links are built through
-`Scenario.add_node`/`add_link`; what they reject, like any malformed value, is
-a ParseError that names the entry. A tx power's window is checked by
-`validate_topology` alone.
+Each entry kind has one table, `*_KEYS`, that maps each file key to its
+`(reader, default)` in the order of the builder's arguments, and `_build`
+alone reads an entry by its table. An unknown key is an error: a typo must
+fail loudly rather than silently fall back to a default. A required key may be
+neither absent nor null, an absent key takes its default, and a present value
+goes through its reader. Numbers go through float(), and must be whole where
+an integer is meant, so `2.585e9` works whatever YAML makes of it; a YAML
+boolean is not a number. What a builder (`Scenario.add_node`/`add_link` for
+nodes and links) rejects, like any malformed value, is a ParseError that names
+the entry. A tx power's window is checked by `validate_topology` alone.
 
 YAML is read by libyaml (PyYAML's `CSafeLoader`, with PyYAML's own safe
 resolver and constructor), the one loader. It builds a document with recursive
@@ -17,7 +20,6 @@ than MAX_DEPTH collections, and any alias (`*name`): scenarios are plain data.
 from __future__ import annotations
 
 import dataclasses
-from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -30,43 +32,24 @@ from .radio import RadioParams
 from .topology import (Carrier, DuConfigUpdateDirective, FlowAssert, FlowSpec,
                        IabNodeDirective, Medium, Role, Scenario)
 
-TOP_KEYS = {"seed", "duration", "radio_defaults", "nodes", "links", "flows",
-            "schedule", "asserts"}
-NODE_KEYS = {"id", "role", "position", "tx_power", "carrier"}
-LINK_KEYS = {"id", "a", "b", "medium", "wired_capacity", "propagation_delay"}
-CARRIER_KEYS = {"band_label", "center_frequency", "bandwidth", "scs"}
-FLOW_KEYS = {"id", "src", "dst", "rate", "packet_size", "start", "stop"}
-ASSERT_KEYS = {"flow", "window", "min_goodput_bps", "max_goodput_bps"}
-# The RadioParams field of each file key spelled differently from it.
-RADIO_RENAME = {"reference_distance": "reference_distance_m",
-                "noise_figure": "noise_figure_db",
-                "thermal_noise_density": "thermal_noise_dbm_hz",
-                "coverage_rsrp_threshold": "coverage_rsrp_threshold_dbm"}
-RADIO_KEYS = ({f.name for f in dataclasses.fields(RadioParams)}
-              - set(RADIO_RENAME.values()) | RADIO_RENAME.keys())
-IAB_DIRECTIVE_KEYS = {"at", "kind", "position", "access_carrier", "tx_power",
-                      "mt_tx_power", "group"}
-DU_UPDATE_KEYS = {"at", "kind", "du", "carrier"}
 _REQUIRED = object()
 MAX_DEPTH = 32  # no scenario value nests deeper than 4
 
 
-def _check_keys(mapping: dict, allowed: set, where: str, required=()) -> None:
-    if not isinstance(mapping, dict):
-        raise ParseError(f"{where}: expected a mapping, got {type(mapping).__name__}")
-    unknown = set(mapping) - allowed
-    if unknown:
+def _build(raw, table: dict, where: str, build):
+    """`build` called with the value of each key of `table`, read from
+    mapping `raw`; what it rejects is a ParseError naming `where`."""
+    if not isinstance(raw, dict):
+        raise ParseError(f"{where}: expected a mapping, got {type(raw).__name__}")
+    if unknown := raw.keys() - table:
         raise ParseError(f"{where}: unknown key {sorted(unknown, key=str)[0]!r}")
-    for key in required:
-        if mapping.get(key) is None:
+    args = []
+    for key, (read, default) in table.items():
+        if default is _REQUIRED and raw.get(key) is None:
             raise ParseError(f"{where}: missing required key {key!r}")
-
-
-@contextmanager
-def _entry(where: str):
-    """Re-raise what a model constructor rejects as a ParseError naming `where`."""
+        args.append(read(raw[key], where, key) if key in raw else default)
     try:
-        yield
+        return build(*args)
     except (TopologyError, ValueError) as exc:
         raise ParseError(f"{where}: {type(exc).__name__}: {exc}") from None
 
@@ -81,55 +64,131 @@ def _coerce(value, what: str, integer: bool = False):
     return int(x) if integer else x
 
 
-def _num(mapping: dict, key: str, where: str, default=_REQUIRED, integer=False):
-    if key not in mapping:
-        if default is _REQUIRED:
-            raise ParseError(f"{where}: missing required key {key!r}")
-        return default
-    return _coerce(mapping[key], f"{where}: key {key!r}", integer)
+# A reader takes (value, entry, key) and returns its builder's argument, or
+# raises a ParseError.
+def _num(value, where: str, key: str) -> float:
+    return _coerce(value, f"{where}: key {key!r}")
 
 
-def _int(mapping: dict, key: str, where: str, default=_REQUIRED) -> int:
-    return _num(mapping, key, where, default, integer=True)
+def _int(value, where: str, key: str) -> int:
+    return _coerce(value, f"{where}: key {key!r}", integer=True)
 
 
-def _name(mapping: dict, key: str, where: str) -> Optional[str]:
-    """A name, made a string as every id is; absent or null is None."""
-    value = mapping.get(key)
+def _name(value, where: str, key: str) -> Optional[str]:
+    """A name, made a string as every id is; null is None."""
     if isinstance(value, (list, dict)) or value == "":
         raise ParseError(f"{where}: key {key!r} is not a name ({value!r})")
     return None if value is None else str(value)
 
 
-def _pair(raw, what: str, shape: str) -> tuple[float, float]:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 2:
-        raise ParseError(f"{what} must be {shape}")
-    return (_coerce(raw[0], f"{what}[0]"), _coerce(raw[1], f"{what}[1]"))
+def _pair(shape: str):
+    """The reader of a list of two numbers, written `shape`."""
+    def read(value, where: str, key: str) -> tuple[float, float]:
+        if not isinstance(value, (list, tuple)) or len(value) != 2:
+            raise ParseError(f"{where}: {key} must be {shape}")
+        return (_coerce(value[0], f"{where}: {key}[0]"),
+                _coerce(value[1], f"{where}: {key}[1]"))
+    return read
 
 
-def _carrier(raw: dict, where: str) -> Carrier:
-    _check_keys(raw, CARRIER_KEYS, where)
-    with _entry(where):
-        return Carrier(band_label=str(raw.get("band_label", "")),
-                       center_frequency_hz=_num(raw, "center_frequency", where),
-                       bandwidth_hz=_num(raw, "bandwidth", where),
-                       scs_hz=_num(raw, "scs", where))
+def _enum(kind):
+    """The reader of a member of enum `kind`, named by its value."""
+    def read(value, where: str, key: str):
+        try:
+            return kind(value)
+        except ValueError:
+            raise ParseError(f"{where}: unknown {key} {value!r}") from None
+    return read
 
 
-def _radio(raw: dict, where: str) -> RadioParams:
-    _check_keys(raw, RADIO_KEYS, where)
-    fields = {RADIO_RENAME.get(k, k): _num(raw, k, where) for k in raw}
-    with _entry(where):
-        return RadioParams(**fields)
+def _one(table: dict, build):
+    """The reader of a mapping that is one `table` entry."""
+    return lambda value, where, key: _build(value, table, f"{where}:{key}", build)
 
 
-def _section(doc: dict, key: str, name: str) -> list:
-    raw = doc.get(key)
-    if raw is None:
+def _places(value, where: str, key: str) -> list:
+    """Each entry of a list section, with the place that names it."""
+    if value is None:
         return []
-    if not isinstance(raw, list):
-        raise ParseError(f"{name}:{key}: expected a list, got {type(raw).__name__}")
-    return raw
+    if not isinstance(value, list):
+        raise ParseError(f"{where}:{key}: expected a list, got {type(value).__name__}")
+    return [(f"{where}:{key}[{i}]", raw) for i, raw in enumerate(value)]
+
+
+def _each(table: dict, build):
+    """The reader of a list section of `table` entries."""
+    return lambda value, where, key: [_build(raw, table, place, build)
+                                      for place, raw in _places(value, where, key)]
+
+
+def _schedule(value, where: str, key: str) -> list:
+    """Each directive, read by the table of its `kind`."""
+    directives = []
+    for place, raw in _places(value, where, key):
+        fields = dict(raw) if isinstance(raw, dict) else {}
+        kind = fields.pop("kind", None)
+        if not isinstance(kind, str) or kind not in DIRECTIVES:
+            raise ParseError(f"{place}: unknown directive kind {kind!r}")
+        table, build = DIRECTIVES[kind]
+        directives.append(_build(fields, table, place, build))
+    return directives
+
+
+CARRIER_KEYS = {"band_label": (lambda value, *_: str(value), ""),
+                "center_frequency": (_num, _REQUIRED),
+                "bandwidth": (_num, _REQUIRED), "scs": (_num, _REQUIRED)}
+_carrier = _one(CARRIER_KEYS, Carrier)
+# RadioParams's fields, four of them spelled differently in a file.
+RADIO_KEYS = {{"reference_distance_m": "reference_distance",
+               "noise_figure_db": "noise_figure",
+               "thermal_noise_dbm_hz": "thermal_noise_density",
+               "coverage_rsrp_threshold_dbm": "coverage_rsrp_threshold",
+               }.get(f.name, f.name): (_num, f.default)
+              for f in dataclasses.fields(RadioParams)}
+NODE_KEYS = {"role": (_enum(Role), _REQUIRED),
+             "position": (_pair("[x, y]"), (0.0, 0.0)),
+             "tx_power": (_num, None), "carrier": (_carrier, None),
+             "id": (_name, None)}
+LINK_KEYS = {"a": (_name, _REQUIRED), "b": (_name, _REQUIRED),
+             "medium": (_enum(Medium), _REQUIRED), "wired_capacity": (_num, None),
+             "propagation_delay": (_num, None), "id": (_name, None)}
+FLOW_KEYS = {"id": (_name, _REQUIRED), "src": (_name, _REQUIRED),
+             "dst": (_name, _REQUIRED), "rate": (_num, _REQUIRED),
+             "packet_size": (_int, FlowSpec.packet_size_bytes),
+             "start": (_num, _REQUIRED), "stop": (_num, _REQUIRED)}
+ASSERT_KEYS = {"flow": (_name, _REQUIRED), "window": (_pair("[t0, t1]"), _REQUIRED),
+               "min_goodput_bps": (_num, None), "max_goodput_bps": (_num, None)}
+# A directive's `kind` picks its table, and is no argument of its builder.
+IAB_DIRECTIVE_KEYS = {"at": (_num, _REQUIRED),
+                      "position": (_pair("[x, y]"), _REQUIRED),
+                      "access_carrier": (_carrier, _REQUIRED),
+                      "tx_power": (_num, _REQUIRED), "group": (_name, _REQUIRED),
+                      "mt_tx_power": (_num, IabNodeDirective.mt_tx_power_dbm)}
+DU_UPDATE_KEYS = {"at": (_num, _REQUIRED), "du": (_name, _REQUIRED),
+                  "carrier": (_carrier, _REQUIRED)}
+DIRECTIVES = {"instantiate_iab_node": (IAB_DIRECTIVE_KEYS, IabNodeDirective),
+              "du_config_update": (DU_UPDATE_KEYS, DuConfigUpdateDirective)}
+
+
+def _scenario(seed, duration, radio_params, nodes, links, flows, schedule,
+              asserts) -> Scenario:
+    """A file's scenario, each list its own (an absent section's default, (),
+    is shared); its nodes, then its links, are added in file order."""
+    scn = Scenario(duration, seed, flows=list(flows), schedule=list(schedule),
+                   radio_params=radio_params, asserts=list(asserts))
+    for place, raw in nodes:
+        _build(raw, NODE_KEYS, place, scn.add_node)
+    for place, raw in links:
+        _build(raw, LINK_KEYS, place, scn.add_link)
+    return scn
+
+
+TOP_KEYS = {"seed": (_int, Scenario.seed), "duration": (_num, _REQUIRED),
+            "radio_defaults": (_one(RADIO_KEYS, RadioParams), RadioParams()),
+            "nodes": (_places, ()), "links": (_places, ()),
+            "flows": (_each(FLOW_KEYS, FlowSpec), ()),
+            "schedule": (_schedule, ()),
+            "asserts": (_each(ASSERT_KEYS, FlowAssert), ())}
 
 
 def loads(text: str, name: str = "<scenario>") -> Scenario:
@@ -148,91 +207,7 @@ def loads(text: str, name: str = "<scenario>") -> Scenario:
         raise ParseError(f"{name}: not valid YAML: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{name}: top level must be a mapping")
-    _check_keys(doc, TOP_KEYS, name, required=("duration",))
-
-    radio_params = RadioParams()
-    if "radio_defaults" in doc:
-        radio_params = _radio(doc["radio_defaults"], f"{name}:radio_defaults")
-
-    scn = Scenario(duration_s=_num(doc, "duration", name),
-                   seed=_int(doc, "seed", name, default=Scenario.seed),
-                   radio_params=radio_params)
-
-    for i, raw in enumerate(_section(doc, "nodes", name)):
-        where = f"{name}:nodes[{i}]"
-        _check_keys(raw, NODE_KEYS, where, required=("role",))
-        try:
-            role = Role(raw["role"])
-        except ValueError:
-            raise ParseError(f"{where}: unknown role {raw['role']!r}") from None
-        with _entry(where):
-            scn.add_node(role, _pair(raw.get("position", [0, 0]),
-                                     f"{where}: position", "[x, y]"),
-                         tx_power_dbm=_num(raw, "tx_power", where, default=None),
-                         carrier=_carrier(raw["carrier"], f"{where}:carrier")
-                         if "carrier" in raw else None,
-                         node_id=_name(raw, "id", where))
-
-    for i, raw in enumerate(_section(doc, "links", name)):
-        where = f"{name}:links[{i}]"
-        _check_keys(raw, LINK_KEYS, where, required=("a", "b", "medium"))
-        try:
-            medium = Medium(raw["medium"])
-        except ValueError:
-            raise ParseError(f"{where}: unknown medium {raw['medium']!r}") from None
-        with _entry(where):
-            scn.add_link(_name(raw, "a", where), _name(raw, "b", where), medium,
-                         wired_capacity_bps=_num(raw, "wired_capacity", where,
-                                                 default=None),
-                         propagation_delay_s=_num(raw, "propagation_delay", where,
-                                                  default=None),
-                         link_id=_name(raw, "id", where))
-
-    for i, raw in enumerate(_section(doc, "flows", name)):
-        where = f"{name}:flows[{i}]"
-        _check_keys(raw, FLOW_KEYS, where,
-                    required=("id", "src", "dst", "rate", "start", "stop"))
-        scn.flows.append(FlowSpec(
-            id=_name(raw, "id", where), src=_name(raw, "src", where),
-            dst=_name(raw, "dst", where),
-            rate_bps=_num(raw, "rate", where),
-            packet_size_bytes=_int(raw, "packet_size", where,
-                                   default=FlowSpec.packet_size_bytes),
-            start_s=_num(raw, "start", where), stop_s=_num(raw, "stop", where)))
-
-    for i, raw in enumerate(_section(doc, "schedule", name)):
-        where = f"{name}:schedule[{i}]"
-        kind = raw.get("kind") if isinstance(raw, dict) else None
-        if kind == "instantiate_iab_node":
-            _check_keys(raw, IAB_DIRECTIVE_KEYS, where,
-                        required=("position", "access_carrier", "group"))
-            scn.schedule.append(IabNodeDirective(
-                at_s=_num(raw, "at", where),
-                position=_pair(raw["position"], f"{where}: position", "[x, y]"),
-                access_carrier=_carrier(raw["access_carrier"],
-                                        f"{where}:access_carrier"),
-                tx_power_dbm=_num(raw, "tx_power", where),
-                mt_tx_power_dbm=_num(raw, "mt_tx_power", where,
-                                     default=IabNodeDirective.mt_tx_power_dbm),
-                group=_name(raw, "group", where)))
-        elif kind == "du_config_update":
-            _check_keys(raw, DU_UPDATE_KEYS, where, required=("du", "carrier"))
-            scn.schedule.append(DuConfigUpdateDirective(
-                at_s=_num(raw, "at", where), du=_name(raw, "du", where),
-                carrier=_carrier(raw["carrier"], f"{where}:carrier")))
-        else:
-            raise ParseError(f"{where}: unknown directive kind {kind!r}")
-
-    for i, raw in enumerate(_section(doc, "asserts", name)):
-        where = f"{name}:asserts[{i}]"
-        _check_keys(raw, ASSERT_KEYS, where, required=("flow",))
-        scn.asserts.append(FlowAssert(
-            flow=_name(raw, "flow", where),
-            window=_pair(raw.get("window"), f"{where}: window", "[t0, t1]"),
-            min_goodput_bps=_num(raw, "min_goodput_bps", where, default=None),
-            max_goodput_bps=_num(raw, "max_goodput_bps", where, default=None)))
-
-    return scn
+    return _build(doc, TOP_KEYS, name, _scenario)
 
 
 def bundled_scenario_path(ref: str) -> Optional[Path]:

@@ -313,41 +313,55 @@ def validate_topology(scenario: Scenario) -> ValidationReport:
     v: list[str] = []
     nodes = scenario.nodes
 
-    cus = scenario.nodes_with_role(Role.CU)
-    upfs = scenario.nodes_with_role(Role.UPF)
+    def entries(name: str, kind, what: str) -> list:
+        """The `kind` entries of list `name`; anything else is a violation."""
+        got = getattr(scenario, name)
+        if not isinstance(got, list):
+            v.append(f"{name} must be a list")
+            return []
+        v.extend(f"{name}[{i}]: {type(x).__name__} is not a {what}"
+                 for i, x in enumerate(got) if not isinstance(x, kind))
+        return [x for x in got if isinstance(x, kind)]
+
+    def keys(role: Role) -> list[str]:
+        return [key for key, n in nodes.items() if n.role is role]
+
+    cus, upfs, donors = keys(Role.CU), keys(Role.UPF), keys(Role.DONOR_DU)
     if not cus:
         v.append("expected exactly one CU, found 0")
     if not upfs:
         v.append("no UPF")
 
     if cus:
-        cu = cus[0]
-        donors = scenario.nodes_with_role(Role.DONOR_DU)
         if not donors:
             v.append("CU has no wired DonorDU")
         # A CU's link to a DonorDU or the UPF is wired: add_link allows no
         # radio one.
-        v += [f"DonorDU {du.id} has no wire to the CU" for du in donors
-              if scenario.find_link(cu.id, du.id) is None]
-        if upfs and scenario.find_link(cu.id, upfs[0].id) is None:
+        v += [f"DonorDU {du} has no wire to the CU" for du in donors
+              if scenario.find_link(cus[0], du) is None]
+        if upfs and scenario.find_link(cus[0], upfs[0]) is None:
             v.append("CU has no wired UPF")
 
     low, high = TX_POWER_DBM  # NaN is outside it too
     window = f"[{low:g}, {high:g}] dBm"
-    for n in nodes.values():
+    for key, n in nodes.items():
+        if n.id != key:
+            v.append(f"node {key}: id must be its key")
         if not all(map(math.isfinite, _pair(n.position))):
-            v.append(f"node {n.id}: position must be finite")
+            v.append(f"node {key}: position must be finite")
         if not isinstance(n.role, Role):
-            v.append(f"node {n.id}: role is no Role")
+            v.append(f"node {key}: role is no Role")
             continue
         if n.role in RADIO_ROLES and n.tx_power_dbm is None:
-            v.append(f"radio-capable node {n.id} has no tx_power")
+            v.append(f"radio-capable node {key} has no tx_power")
         elif n.tx_power_dbm is not None and not low <= _num(n.tx_power_dbm) <= high:
-            v.append(f"node {n.id}: tx_power must be in {window}")
+            v.append(f"node {key}: tx_power must be in {window}")
         if n.role in DU_ROLES and not isinstance(n.carrier, Carrier):
-            v.append(f"DU {n.id} advertises no carrier")
+            v.append(f"DU {key} advertises no carrier")
 
     for l in scenario.links:
+        if _name(l.a) not in nodes or _name(l.b) not in nodes:
+            v.append(f"link {l.id}: an end names no node")
         if not isinstance(l.medium, Medium):
             v.append(f"link {l.id}: medium is no Medium")
         if (l.medium is Medium.WIRED
@@ -361,8 +375,14 @@ def validate_topology(scenario: Scenario) -> ValidationReport:
         v.append("duration must be positive and finite")
     if type(scenario.seed) is not int:  # nor a bool
         v.append("seed must be an integer")
+    if not isinstance(scenario.radio_params, RadioParams):
+        v.append("radio_params must be a RadioParams")
 
-    for f in scenario.flows:
+    flows = entries("flows", FlowSpec, "FlowSpec")
+    asserts = entries("asserts", FlowAssert, "FlowAssert")
+    directives = entries("schedule", (IabNodeDirective, DuConfigUpdateDirective),
+                         "directive")
+    for f in flows:
         if not isinstance(f.id, str):
             v.append(f"flow {f.id}: id must be a string")
         if _name(f.src) not in nodes or _name(f.dst) not in nodes:
@@ -379,7 +399,7 @@ def validate_topology(scenario: Scenario) -> ValidationReport:
                      f"{MAX_PACKET_BYTES} bytes")
     try:  # floats, no rounding up: a count past the largest float is inf
         packets = sum((_num(f.stop_s) - _num(f.start_s)) * _num(f.rate_bps)
-                      / 8 / size for f in scenario.flows
+                      / 8 / size for f in flows
                       if (size := _num(f.packet_size_bytes)) > 0)
     except OverflowError:  # an int past the largest float
         packets = math.inf
@@ -387,27 +407,23 @@ def validate_topology(scenario: Scenario) -> ValidationReport:
         v.append(f"flows inject {packets:.4g} packets, more than "
                  f"{MAX_INJECTED_PACKETS}")
 
-    flow_ids = {f.id for f in scenario.flows if isinstance(f.id, str)}
+    flow_ids = {f.id for f in flows if isinstance(f.id, str)}
     v += [f"duplicate flow id {fid}" for fid in sorted(flow_ids)
-          if sum(f.id == fid for f in scenario.flows) > 1]
+          if sum(f.id == fid for f in flows) > 1]
     v += [f"flow id {fid}: the f1c: prefix names F1 associations"
           for fid in sorted(flow_ids) if fid.startswith("f1c:")]
     v += [f"assert names unknown flow {a.flow}"
-          for a in scenario.asserts if _name(a.flow) not in flow_ids]
+          for a in asserts if _name(a.flow) not in flow_ids]
     v += [f"assert on {a.flow}: window {a.window} needs 0 <= t0 < t1 <= duration"
-          for a in scenario.asserts
+          for a in asserts
           if not 0 <= (w := _pair(a.window))[0] < w[1] <= duration]
     v += [f"assert on {a.flow}: sets no min_goodput_bps or max_goodput_bps"
-          for a in scenario.asserts
+          for a in asserts
           if a.min_goodput_bps is None and a.max_goodput_bps is None]
     v += [f"assert on {a.flow}: a goodput bound must be a number"
-          for a in scenario.asserts
+          for a in asserts
           if any(b is not None and math.isnan(_num(b))
                  for b in (a.min_goodput_bps, a.max_goodput_bps))]
-    kinds = (IabNodeDirective, DuConfigUpdateDirective)
-    v += [f"schedule[{i}]: {type(d).__name__} is not a directive"
-          for i, d in enumerate(scenario.schedule) if not isinstance(d, kinds)]
-    directives = [d for d in scenario.schedule if isinstance(d, kinds)]
     v += [f"{type(d).__name__} at t={d.at_s}: need 0 <= at < duration"
           for d in directives if not 0 <= _num(d.at_s) < duration]
 
@@ -430,7 +446,7 @@ def validate_topology(scenario: Scenario) -> ValidationReport:
           for d in iab for name in (f"{d.group}-mt", f"{d.group}-du")
           if name in nodes]
     # A DU of the file, or one an instantiate_iab_node directive creates.
-    dus = {n.id for n in nodes.values()
+    dus = {key for key, n in nodes.items()
            if isinstance(n.role, Role) and n.role in DU_ROLES}
     dus |= {f"{g}-du" for g in groups}
     v += [f"DuConfigUpdateDirective at t={d.at_s}: unknown DU {d.du}"

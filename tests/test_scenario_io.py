@@ -14,7 +14,10 @@ from iabsim import (PathMode, Simulator, engine, link_capacity, load_scenario,
 from iabsim.cli import main
 from iabsim.errors import ParseError
 from iabsim.scenario_io import MAX_DEPTH, bundled_scenario_path, loads
-from iabsim.topology import Role
+from iabsim.radio import RadioParams
+from iabsim.topology import (Carrier, DuConfigUpdateDirective, FlowAssert,
+                             FlowSpec, IabNodeDirective, Medium, Role,
+                             Scenario)
 
 from conftest import alias_chain, churn_text, merge_chain, oracle_mismatches
 
@@ -123,6 +126,12 @@ MALFORMED = {
     "iab-group-list": (broken("group: uav1", "group: [1, 2]"), "schedule[0]"),
     "iab-no-group": (broken(", group: uav1", ""), "schedule[0]"),
     "iab-group-null": (broken("group: uav1", "group: null"), "schedule[0]"),
+    # A required key may be neither absent nor null: each read "is not
+    # numeric (None)".
+    "update-at-null": (broken("at: 0.6", "at: null"),
+                       "schedule[1]: missing required key 'at'"),
+    "iab-tx-power-null": (broken("tx_power: 43.0", "tx_power: null"),
+                          "schedule[0]: missing required key 'tx_power'"),
     # A node has no owner_group: IAB nodes come only from their directive.
     "owner-group-mapping": (broken("{id: ue, role: Ue,",
                                    "{id: ue, role: Ue, owner_group: {a: 1},"),
@@ -419,26 +428,124 @@ class TestBundledScenarios:
         docs = [yaml.safe_load(bundled_scenario_path(name).read_text())
                 for name in ("paper-reference", "bap-compare")]
         docs += [yaml.safe_load(churn_text(seed)) for seed in (0, 1, 3, 7)]
-        used = {name: set() for name in (
-            "TOP_KEYS", "NODE_KEYS", "LINK_KEYS", "CARRIER_KEYS", "FLOW_KEYS",
-            "ASSERT_KEYS", "RADIO_KEYS", "IAB_DIRECTIVE_KEYS",
-            "DU_UPDATE_KEYS")}
-        sections = {"nodes": "NODE_KEYS", "links": "LINK_KEYS",
-                    "flows": "FLOW_KEYS", "asserts": "ASSERT_KEYS"}
-        kinds = {"instantiate_iab_node": "IAB_DIRECTIVE_KEYS",
-                 "du_config_update": "DU_UPDATE_KEYS"}
-        for doc in docs:
-            used["TOP_KEYS"] |= set(doc)
-            used["RADIO_KEYS"] |= set(doc.get("radio_defaults", {}))
-            for section, name in sections.items():
-                for entry in doc.get(section, []):
-                    used[name] |= set(entry)
-            for directive in doc.get("schedule", []):
-                used[kinds[directive["kind"]]] |= set(directive)
-            for entry in doc.get("nodes", []) + doc.get("schedule", []):
-                for key in ("carrier", "access_carrier"):
-                    used["CARRIER_KEYS"] |= set(entry.get(key, {}))
-        assert used == {name: getattr(scenario_io, name) for name in used}
+        assert keys_set(docs) == TABLES
+
+
+# Each entry table of the loader, by name, as the set of its file keys.
+TABLES = {name: set(table) for name, table in vars(scenario_io).items()
+          if name.endswith("_KEYS")}
+
+
+def keys_set(docs: list) -> dict:
+    """The keys that scenario files `docs` set, by the table that reads
+    them; a table no file uses has an empty set."""
+    used = {name: set() for name in TABLES}
+    sections = {"nodes": "NODE_KEYS", "links": "LINK_KEYS",
+                "flows": "FLOW_KEYS", "asserts": "ASSERT_KEYS"}
+    kinds = {"instantiate_iab_node": "IAB_DIRECTIVE_KEYS",
+             "du_config_update": "DU_UPDATE_KEYS"}
+    for doc in docs:
+        used["TOP_KEYS"] |= set(doc)
+        used["RADIO_KEYS"] |= set(doc.get("radio_defaults", {}))
+        for section, name in sections.items():
+            for entry in doc.get(section, []):
+                used[name] |= set(entry)
+        for directive in doc.get("schedule", []):
+            # Its kind picks its table, and is no key of it.
+            used[kinds[directive["kind"]]] |= set(directive) - {"kind"}
+        for entry in doc.get("nodes", []) + doc.get("schedule", []):
+            for key in ("carrier", "access_carrier"):
+                used["CARRIER_KEYS"] |= set(entry.get(key, {}))
+    return used
+
+
+# Every key of every table, each set to a value that no other key of its
+# entry holds, so that a key read into another's field shows.
+DISTINCT = """
+seed: 5
+duration: 2.5
+radio_defaults: {pathloss_exponent: 2.1, reference_distance: 1.5,
+                 noise_figure: 6.5, thermal_noise_density: -173.0,
+                 coverage_rsrp_threshold: -99.0, efficiency: 0.5,
+                 tdd_dl_fraction: 0.6}
+nodes:
+  - {id: cu, role: CU, position: [1.0, 2.0]}
+  - {id: upf, role: Upf, position: [3.0, 4.0]}
+  - {id: du, role: DonorDU, position: [5.0, 6.0], tx_power: 40.0,
+     carrier: {band_label: n41, center_frequency: 2.585e9, bandwidth: 20.0e6,
+               scs: 30.0e3}}
+  - {id: ue, role: Ue, position: [7.0, 8.0], tx_power: 21.0}
+links:
+  - {id: w, a: cu, b: du, medium: Wired, wired_capacity: 1.0e9,
+     propagation_delay: 0.001}
+  - {id: n6, a: upf, b: cu, medium: Wired, wired_capacity: 2.0e9}
+  - {id: r, a: du, b: ue, medium: Radio, propagation_delay: 0.002}
+flows:
+  - {id: f, src: upf, dst: ue, rate: 1.0e6, packet_size: 1000, start: 0.1,
+     stop: 0.9}
+schedule:
+  - {at: 0.5, kind: instantiate_iab_node, position: [9.0, 10.0],
+     access_carrier: {band_label: n78, center_frequency: 3.5e9,
+                      bandwidth: 40.0e6, scs: 60.0e3},
+     tx_power: 43.0, group: g, mt_tx_power: 22.0}
+  - {at: 0.6, kind: du_config_update, du: du,
+     carrier: {band_label: n77, center_frequency: 3.7e9, bandwidth: 10.0e6,
+               scs: 15.0e3}}
+asserts:
+  - {flow: f, window: [0.2, 0.8], min_goodput_bps: 1.0, max_goodput_bps: 2.0}
+"""
+
+
+def test_each_key_reaches_its_own_field():
+    """A table lists its keys in its builder's argument order, which no
+    trace shows: min_goodput_bps read as max_goodput_bps moves no byte. Each
+    entry loaded from DISTINCT equals its twin built in code by keyword."""
+    doc = yaml.safe_load(DISTINCT)
+    assert keys_set([doc]) == TABLES
+    n41 = Carrier(band_label="n41", center_frequency_hz=2.585e9,
+                  bandwidth_hz=20e6, scs_hz=30e3)
+    twin = Scenario(duration_s=2.5, seed=5, radio_params=RadioParams(
+        pathloss_exponent=2.1, reference_distance_m=1.5, noise_figure_db=6.5,
+        thermal_noise_dbm_hz=-173.0, coverage_rsrp_threshold_dbm=-99.0,
+        efficiency=0.5, tdd_dl_fraction=0.6))
+    twin.add_node(Role.CU, position=(1.0, 2.0), node_id="cu")
+    twin.add_node(Role.UPF, position=(3.0, 4.0), node_id="upf")
+    twin.add_node(Role.DONOR_DU, position=(5.0, 6.0), tx_power_dbm=40.0,
+                  carrier=n41, node_id="du")
+    twin.add_node(Role.UE, position=(7.0, 8.0), tx_power_dbm=21.0,
+                  node_id="ue")
+    twin.add_link(a="cu", b="du", medium=Medium.WIRED, wired_capacity_bps=1e9,
+                  propagation_delay_s=0.001, link_id="w")
+    twin.add_link(a="upf", b="cu", medium=Medium.WIRED,
+                  wired_capacity_bps=2e9, link_id="n6")
+    twin.add_link(a="du", b="ue", medium=Medium.RADIO,
+                  propagation_delay_s=0.002, link_id="r")
+    twin.flows.append(FlowSpec(id="f", src="upf", dst="ue", rate_bps=1e6,
+                               packet_size_bytes=1000, start_s=0.1,
+                               stop_s=0.9))
+    twin.schedule += [
+        IabNodeDirective(at_s=0.5, position=(9.0, 10.0),
+                         access_carrier=Carrier(
+                             band_label="n78", center_frequency_hz=3.5e9,
+                             bandwidth_hz=40e6, scs_hz=60e3),
+                         tx_power_dbm=43.0, group="g", mt_tx_power_dbm=22.0),
+        DuConfigUpdateDirective(at_s=0.6, du="du", carrier=Carrier(
+            band_label="n77", center_frequency_hz=3.7e9, bandwidth_hz=10e6,
+            scs_hz=15e3))]
+    twin.asserts.append(FlowAssert(flow="f", window=(0.2, 0.8),
+                                   min_goodput_bps=1.0, max_goodput_bps=2.0))
+    scn = loads(DISTINCT)
+    for entries in (doc, doc["radio_defaults"], *doc["nodes"], *doc["links"],
+                    *doc["flows"], *doc["schedule"], *doc["asserts"],
+                    doc["nodes"][2]["carrier"],
+                    *(d.get("carrier", d.get("access_carrier"))
+                      for d in doc["schedule"])):
+        values = [repr(v) for v in entries.values()]
+        assert len(set(values)) == len(values), entries
+    for part in ("duration_s", "seed", "radio_params", "nodes", "links",
+                 "flows", "schedule", "asserts"):
+        assert getattr(scn, part) == getattr(twin, part), part
+    assert validate_topology(scn).ok
 
 
 # Values a mutation puts in place of any entry: degenerate numbers (1e400 as

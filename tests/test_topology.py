@@ -32,6 +32,15 @@ def with_assert(flow="dl", **bounds) -> Scenario:
     return scn
 
 
+def with_ghost_end(scn) -> Scenario:
+    """`scn` with a radio link from donor-du to ue1 whose UE end then moves
+    to a node that does not exist. A link enters only through add_link, and
+    its ends are fixed, so only object.__setattr__ moves one."""
+    scn.add_link("donor-du", "ue1", Medium.RADIO, link_id="r")
+    object.__setattr__(scn.links[-1], "b", "ghost")
+    return scn
+
+
 def with_iab_nodes(scn, *groups) -> Scenario:
     """`scn` with one instantiate_iab_node directive per group."""
     scn.schedule += [IabNodeDirective(at_s=0.1, position=(880.0, 0.0),
@@ -382,6 +391,20 @@ class TestValidation:
         # It validated, and the run raised AttributeError.
         (lambda s: setattr(s.links[0], "medium", "Wired"),
          "link f1-wire: medium is no Medium"),
+        # Each raised AttributeError or TypeError.
+        (lambda s: s.flows.append("x"), "flows[0]: str is not a FlowSpec"),
+        (lambda s: s.asserts.append(None),
+         "asserts[0]: NoneType is not a FlowAssert"),
+        (lambda s: setattr(s, "schedule", None), "schedule must be a list"),
+        # Each validated: the run raised AttributeError reading the radio,
+        # or UnknownNode('ue9').
+        (lambda s: setattr(s, "radio_params", None),
+         "radio_params must be a RadioParams"),
+        (lambda s: setattr(s.nodes["ue1"], "id", "ue9"),
+         "node ue1: id must be its key"),
+        # It validated and ran, while add_link refuses a ghost end with
+        # UnknownNode.
+        (with_ghost_end, "link r: an end names no node"),
     ], ids=["duration-inf", "duration-nan", "assert-unknown-flow",
             "directive-at-duration", "directive-before-zero",
             "update-unknown-du", "update-not-a-du", "duplicate-flow-id",
@@ -403,7 +426,9 @@ class TestValidation:
             "assert-bound-nan", "flow-id-int", "flow-src-list", "update-du-list",
             "assert-flow-list", "iab-group-int", "iab-carrier-none",
             "update-carrier-str", "node-position-nan", "node-role-str",
-            "link-medium-str"])
+            "link-medium-str", "flows-str-entry", "asserts-none-entry",
+            "schedule-none", "radio-params-none", "node-id-not-its-key",
+            "link-ghost-end"])
     def test_rejected_as_data_not_raised(self, mutate, violation):
         scn = build_donor_scenario(duration=1.0)
         # A mutation changes the scenario in place, or returns another one.
@@ -459,14 +484,15 @@ class TestValidation:
 # validation reads of a scenario built in code.
 ODD_VALUES = (None, "1", True, 1.5, float("nan"), (0.1,), [])
 SWEPT_FIELDS = {
-    "scenario": ("duration_s", "seed"),
+    "scenario": ("duration_s", "seed", "flows", "asserts", "schedule",
+                 "radio_params"),
     "flow": ("id", "src", "dst", "rate_bps", "packet_size_bytes", "start_s",
              "stop_s"),
     "assert": ("flow", "window", "min_goodput_bps", "max_goodput_bps"),
     "iab": ("at_s", "position", "access_carrier", "tx_power_dbm", "group",
             "mt_tx_power_dbm"),
     "update": ("at_s", "du", "carrier"),
-    "node": ("tx_power_dbm", "position", "role"),
+    "node": ("tx_power_dbm", "position", "role", "id"),
     "link": ("propagation_delay_s", "wired_capacity_bps", "medium"),
 }
 
